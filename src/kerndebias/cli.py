@@ -266,7 +266,9 @@ def cmd_eval_weat(args: argparse.Namespace) -> int:
             y_words=cfg.y_words,
             a_words=cfg.a_words,
             b_words=cfg.b_words,
-            permutations=args.permutations or cfg.permutations,
+            permutations=(
+                args.permutations if args.permutations is not None else cfg.permutations
+            ),
             seed=args.seed_override if args.seed_override is not None else cfg.seed,
         )
     result = evaluation.weat_test(backend, cfg)
@@ -329,24 +331,10 @@ def cmd_eval_professions(args: argparse.Namespace) -> int:
 def cmd_eval_classify(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     backend = _make_backend(args, table)
-    if isinstance(backend, evaluation.CorrectedKernelBackend):
-        sqdist = backend.metric.squared_distance_matrix
-    elif isinstance(backend, evaluation.LinearNeutralizedBackend):
-        data = _load_model_file(args.model)
-        model = linear_model_from_dict(data)
-
-        def sqdist(x, y, _model=model):
-            return evaluation.euclidean_squared_distance(
-                neutralize_matrix(_model, np.atleast_2d(x)),
-                neutralize_matrix(_model, np.atleast_2d(y)),
-            )
-
-    else:
-        sqdist = evaluation.euclidean_squared_distance
     result = evaluation.indirect_bias_classification(
         backend,
         table,
-        sqdist,
+        backend.squared_distance_matrix,
         n_biased=args.n_biased,
         n_train=args.n_train,
         svm_gamma=args.svm_gamma,

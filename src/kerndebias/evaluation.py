@@ -18,10 +18,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError, NumericalError
+from .errors import DataError, FormatError, NumericalError
+from .kernels import difference_distances, gram_matrix
 from .linear import LinearBiasModel, neutralize_matrix
 from .numerics import pearson, spearman
-from .rkhs import CorrectedMetric, KernelBiasModel
+from .rkhs import CorrectedMetric, KernelBiasModel, beta_matrix, corrected_self_products
 from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
@@ -44,6 +45,11 @@ class SimilarityBackend:
 
     def similarity_row(self, word: str, candidates: Sequence[str]) -> np.ndarray:
         return np.array([self.similarity(word, c) for c in candidates])
+
+    def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Pairwise squared distances between the rows of x and y in the
+        geometry this backend's similarity is measured in."""
+        raise NotImplementedError
 
 
 class _VectorCosineBackend(SimilarityBackend):
@@ -81,6 +87,9 @@ class RawCosineBackend(_VectorCosineBackend):
     def __init__(self, table: EmbeddingTable):
         super().__init__(table, table.matrix)
 
+    def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return euclidean_squared_distance(x, y)
+
 
 class LinearNeutralizedBackend(_VectorCosineBackend):
     """Cosine after projecting every vector off the linear bias subspace."""
@@ -92,11 +101,23 @@ class LinearNeutralizedBackend(_VectorCosineBackend):
             raise DataError(
                 f"model dimension {model.dim} != table dimension {table.dim}"
             )
+        self._model = model
         super().__init__(table, neutralize_matrix(model, table.matrix))
+
+    def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return euclidean_squared_distance(
+            neutralize_matrix(self._model, np.atleast_2d(x)),
+            neutralize_matrix(self._model, np.atleast_2d(y)),
+        )
 
 
 class CorrectedKernelBackend(SimilarityBackend):
-    """Corrected cosine in the bias-removed feature-space metric."""
+    """Corrected cosine in the bias-removed feature-space metric.
+
+    The bias coordinates of every vocabulary word and their corrected self
+    products are computed once here, so a similarity row costs one raw
+    Gram row plus a (rows x K) by K product.
+    """
 
     name = "kernel"
 
@@ -107,7 +128,8 @@ class CorrectedKernelBackend(SimilarityBackend):
             )
         self._table = table
         self.metric = CorrectedMetric(model)
-        self._self_products = self.metric.self_inner_products(table.matrix)
+        self._beta = beta_matrix(model, table.matrix)
+        self._self_products = corrected_self_products(model.spec, table.matrix, self._beta)
         bad = np.nonzero(self._self_products <= 1e-12)[0]
         if bad.size:
             raise DataError(
@@ -118,21 +140,23 @@ class CorrectedKernelBackend(SimilarityBackend):
     def __contains__(self, word: str) -> bool:
         return word in self._table
 
-    def similarity(self, a: str, b: str) -> float:
-        ia = self._table.row_index(a)
-        ib = self._table.row_index(b)
-        cross = self.metric.inner_product(self._table.matrix[ia], self._table.matrix[ib])
-        denom = math.sqrt(self._self_products[ia] * self._self_products[ib])
-        return float(np.clip(cross / denom, -1.0, 1.0))
-
-    def similarity_row(self, word: str, candidates: Sequence[str]) -> np.ndarray:
-        iw = self._table.row_index(word)
-        idx = [self._table.row_index(c) for c in candidates]
-        cross = self.metric.inner_product_matrix(
-            self._table.matrix[iw][None, :], self._table.matrix[idx]
-        )[0]
+    def _cosines(self, iw: int, idx: list[int]) -> np.ndarray:
+        matrix = self._table.matrix
+        raw = gram_matrix(self.metric.model.spec, matrix[iw][None, :], matrix[idx])[0]
+        cross = raw - self._beta[idx] @ self._beta[iw]
         denom = np.sqrt(self._self_products[iw] * self._self_products[idx])
         return np.clip(cross / denom, -1.0, 1.0)
+
+    def similarity(self, a: str, b: str) -> float:
+        return float(self._cosines(self._table.row_index(a), [self._table.row_index(b)])[0])
+
+    def similarity_row(self, word: str, candidates: Sequence[str]) -> np.ndarray:
+        return self._cosines(
+            self._table.row_index(word), [self._table.row_index(c) for c in candidates]
+        )
+
+    def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.metric.squared_distance_matrix(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +174,12 @@ class WeatConfig:
     b_words: tuple[str, ...]
     permutations: int = DEFAULT_PERMUTATIONS
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self) -> None:
+        if self.permutations < 1:
+            raise FormatError(
+                f"permutation count must be at least 1, got {self.permutations}"
+            )
 
 
 @dataclass(frozen=True)
@@ -334,10 +364,14 @@ class SvmModel:
     labels: np.ndarray  # (n,) in {-1, +1}
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+    def decision_values(self, x: np.ndarray) -> np.ndarray:
+        """Decision values of the rows of x, from one kernel call."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return self.kernel(x, self.vectors) @ (self.dual_coef * self.labels) + self.bias
+
     def decision_value(self, w: np.ndarray) -> float:
         w = np.asarray(w, dtype=np.float64)
-        row = self.kernel(w[None, :], self.vectors)[0]
-        return float(np.sum(self.dual_coef * self.labels * row) + self.bias)
+        return float(self.decision_values(w[None, :])[0])
 
 
 def rbf_on_squared_distance(
@@ -356,10 +390,12 @@ def rbf_on_squared_distance(
 
 
 def euclidean_squared_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """Pairwise squared Euclidean distances from direct differences.
+
+    The difference form (not the matrix-product one) is kept on purpose:
+    the SMO solver is sensitive to the last bits of its Gram matrix.
+    """
+    return difference_distances(x, y)
 
 
 def linear_classifier_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -462,9 +498,9 @@ def svm_predict(model: SvmModel, w: np.ndarray) -> int:
 
 
 def svm_accuracy(model: SvmModel, vectors: np.ndarray, labels: np.ndarray) -> float:
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    """Fraction of rows whose predicted label (as svm_predict) matches."""
     labels = np.asarray(labels, dtype=np.float64)
-    preds = np.array([svm_predict(model, v) for v in vectors], dtype=np.float64)
+    preds = np.where(model.decision_values(vectors) >= 0, 1.0, -1.0)
     return float(np.mean(preds == labels))
 
 

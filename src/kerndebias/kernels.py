@@ -4,6 +4,13 @@ Supported families: linear, cosine, rbf, sigmoid, polynomial, laplace,
 and convex combinations thereof.  The sigmoid kernel is admitted even
 though it is not positive semi-definite in general; downstream fitting
 discards its negative eigenvalues.
+
+Gram matrices are filled block by block over rows and columns, so every
+temporary -- an output block, or laplace's (rows, cols, d) difference
+tensor -- stays under a fixed element budget whatever the input size.
+rbf distances come from one matrix product per block,
+||x||^2 + ||y||^2 - 2 x y^T; entries where that form cancels are
+recomputed from direct differences, so identical rows are exactly 0 apart.
 """
 
 from __future__ import annotations
@@ -28,9 +35,16 @@ FAMILIES = (
 _NEEDS_GAMMA = {"rbf", "sigmoid", "polynomial", "laplace"}
 _NEEDS_COEF0 = {"sigmoid", "polynomial"}
 
-# Rows are evaluated against blocks of this many columns so the pairwise
-# difference tensor stays bounded in memory on full-vocabulary inputs.
-_BLOCK = 4096
+# Element budget of one block (16 MiB of float64): a block's output
+# entries times the work array each entry needs (1 for a matrix-product
+# family, d for a difference tensor).  Only the returned matrix grows
+# with the input.
+_BLOCK_ELEMENTS = 1 << 21
+
+# The matrix-product distance carries an absolute error of a few ulps of
+# ||x||^2 + ||y||^2; one at most this fraction of that sum is dominated by
+# cancellation and is recomputed from direct differences.
+_CANCELLATION_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -134,6 +148,53 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _blocks(n_rows: int, n_cols: int, per_entry: int):
+    """(row slice, column slice) tiles of at most _BLOCK_ELEMENTS work elements.
+
+    A tile never drops below one entry, so a single (1, 1, d) difference
+    slice is the floor when d alone exceeds the budget.
+    """
+    cols = max(1, min(n_cols, _BLOCK_ELEMENTS // per_entry))
+    rows = max(1, min(n_rows, _BLOCK_ELEMENTS // (per_entry * cols)))
+    for i in range(0, n_rows, rows):
+        for j in range(0, n_cols, cols):
+            yield slice(i, i + rows), slice(j, j + cols)
+
+
+def difference_distances(x: np.ndarray, y: np.ndarray, squared: bool = True) -> np.ndarray:
+    """Pairwise distances from direct differences of the rows of x and y.
+
+    Entry (i, j) is sum_k (x_ik - y_jk)^2, or sum_k |x_ik - y_jk| when
+    squared is False.  The (rows, cols, d) difference tensor is built one bounded block at a
+    time; each entry's arithmetic does not depend on the blocking, so the
+    result is bit-identical to the unblocked computation.
+    """
+    x = _as_matrix(x)
+    y = _as_matrix(y)
+    out = np.empty((x.shape[0], y.shape[0]))
+    for rows, cols in _blocks(x.shape[0], y.shape[0], x.shape[1]):
+        diff = x[rows, None, :] - y[None, cols, :]
+        if squared:
+            np.multiply(diff, diff, out=diff)
+        else:
+            np.abs(diff, out=diff)
+        out[rows, cols] = np.sum(diff, axis=2)
+    return out
+
+
+def _rbf_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distances of one block as ||x||^2 + ||y||^2 - 2 x y^T, >= 0."""
+    scale = np.einsum("ij,ij->i", x, x)[:, None] + np.einsum("ij,ij->i", y, y)[None, :]
+    dist = scale - 2.0 * (x @ y.T)
+    ri, ci = np.nonzero(dist <= _CANCELLATION_RTOL * scale)
+    step = max(1, _BLOCK_ELEMENTS // x.shape[1])
+    for s in range(0, ri.size, step):
+        r, c = ri[s : s + step], ci[s : s + step]
+        diff = x[r] - y[c]
+        dist[r, c] = np.sum(diff * diff, axis=1)
+    return np.maximum(dist, 0.0, out=dist)
+
+
 def _gram_block(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if spec.family == "linear":
         return x @ y.T
@@ -148,13 +209,10 @@ def _gram_block(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.tanh(spec.gamma * (x @ y.T) + spec.coef0)
     if spec.family == "polynomial":
         return (spec.gamma * (x @ y.T) + spec.coef0) ** spec.degree
-    if spec.family in ("rbf", "laplace"):
-        diff = x[:, None, :] - y[None, :, :]
-        if spec.family == "rbf":
-            dist = np.sum(diff * diff, axis=2)
-        else:
-            dist = np.sum(np.abs(diff), axis=2)
-        return np.exp(-spec.gamma * dist)
+    if spec.family == "rbf":
+        return np.exp(-spec.gamma * _rbf_distances(x, y))
+    if spec.family == "laplace":
+        return np.exp(-spec.gamma * difference_distances(x, y, squared=False))
     if spec.family == "convex_combination":
         out = np.zeros((x.shape[0], y.shape[0]))
         for weight, sub in spec.components:
@@ -171,12 +229,10 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DataError(
             f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}"
         )
-    blocks = [
-        _gram_block(spec, x, y[j : j + _BLOCK]) for j in range(0, y.shape[0], _BLOCK)
-    ]
-    if not blocks:
-        return np.zeros((x.shape[0], 0))
-    return np.hstack(blocks)
+    out = np.empty((x.shape[0], y.shape[0]))
+    for rows, cols in _blocks(x.shape[0], y.shape[0], 1):
+        out[rows, cols] = _gram_block(spec, x[rows], y[cols])
+    return out
 
 
 def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:

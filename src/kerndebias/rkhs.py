@@ -219,6 +219,11 @@ def beta_projection(model: KernelBiasModel, w: np.ndarray) -> np.ndarray:
     return beta_matrix(model, w[None, :])[0]
 
 
+def corrected_self_products(spec: KernelSpec, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Corrected k~(x_i, x_i) of the rows of x, given their bias coordinates."""
+    return kernel_diag(spec, x) - np.sum(beta * beta, axis=1)
+
+
 @dataclass(eq=False)
 class CorrectedMetric:
     """Inner products, cosines and distances in the bias-removed metric."""
@@ -252,9 +257,7 @@ class CorrectedMetric:
     def self_inner_products(self, x: np.ndarray) -> np.ndarray:
         """Corrected k~(x_i, x_i) for every row of x."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        raw = kernel_diag(self.model.spec, x)
-        b = beta_matrix(self.model, x)
-        return raw - np.sum(b * b, axis=1)
+        return corrected_self_products(self.model.spec, x, beta_matrix(self.model, x))
 
     def cosine(self, z: np.ndarray, w: np.ndarray) -> float:
         """Corrected cosine similarity, clamped to [-1, 1].
@@ -283,10 +286,19 @@ class CorrectedMetric:
         return max(0.0, float(value))
 
     def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Pairwise corrected squared distances, clamped at zero."""
-        sx = self.self_inner_products(x)
-        sy = self.self_inner_products(y)
-        cross = self.inner_product_matrix(x, y)
+        """Pairwise corrected squared distances, clamped at zero.
+
+        The bias coordinates of each argument are computed once and feed
+        both its self products and the cross products.
+        """
+        spec = self.model.spec
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        bx = beta_matrix(self.model, x)
+        by = beta_matrix(self.model, y)
+        sx = corrected_self_products(spec, x, bx)
+        sy = corrected_self_products(spec, y, by)
+        cross = gram_matrix(spec, x, y) - bx @ by.T
         return np.maximum(0.0, sx[:, None] - 2.0 * cross + sy[None, :])
 
     def equalized_inner_product(self, w: np.ndarray, members: np.ndarray) -> float:
@@ -345,17 +357,56 @@ def kernel_model_to_dict(model: KernelBiasModel) -> dict:
 
 
 def kernel_model_from_dict(data: dict) -> KernelBiasModel:
-    if data.get("type") != "kernel":
+    """Rebuild a model from its dict form, checking the array shapes.
+
+    Raises:
+        FormatError: on a missing field, a non-numeric array, or shapes
+            that disagree: alphas must be (k, 2N), pairs_a and pairs_b
+            (N, dim) and eigenvalues (k,).
+    """
+    if not isinstance(data, dict) or data.get("type") != "kernel":
         raise FormatError("not a kernel model file")
+    try:
+        arrays = {
+            name: np.array(data[name], dtype=np.float64)
+            for name in ("pairs_a", "pairs_b", "alphas", "eigenvalues")
+        }
+        spec = KernelSpec.from_dict(data["kernel"])
+        feature_scale = float(data["feature_scale"])
+        gram_scale = float(data.get("gram_scale", 1.0))
+        discarded_negative = int(data.get("discarded_negative", 0))
+        dim = int(data["dim"])
+        k = int(data["k"])
+    except KeyError as exc:
+        raise FormatError(f"kernel model is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed kernel model: {exc}") from None
+    pairs_a, pairs_b = arrays["pairs_a"], arrays["pairs_b"]
+    alphas, eigenvalues = arrays["alphas"], arrays["eigenvalues"]
+    shapes = ", ".join(f"{name} {arr.shape}" for name, arr in arrays.items())
+    if (
+        pairs_a.ndim != 2
+        or pairs_a.shape[0] < 1
+        or pairs_b.shape != pairs_a.shape
+        or alphas.ndim != 2
+        or alphas.shape[1] != 2 * pairs_a.shape[0]
+        or eigenvalues.shape != (alphas.shape[0],)
+        or dim != pairs_a.shape[1]
+        or k != alphas.shape[0]
+    ):
+        raise FormatError(
+            f"kernel model shapes disagree: {shapes}, dim {dim}, k {k}; "
+            "expected alphas (k, 2N), pairs (N, dim), eigenvalues (k,)"
+        )
     return KernelBiasModel(
-        spec=KernelSpec.from_dict(data["kernel"]),
-        pairs_a=np.array(data["pairs_a"], dtype=np.float64),
-        pairs_b=np.array(data["pairs_b"], dtype=np.float64),
-        alphas=np.array(data["alphas"], dtype=np.float64),
-        eigenvalues=np.array(data["eigenvalues"], dtype=np.float64),
-        feature_scale=float(data["feature_scale"]),
-        gram_scale=float(data.get("gram_scale", 1.0)),
-        discarded_negative=int(data.get("discarded_negative", 0)),
+        spec=spec,
+        pairs_a=pairs_a,
+        pairs_b=pairs_b,
+        alphas=alphas,
+        eigenvalues=eigenvalues,
+        feature_scale=feature_scale,
+        gram_scale=gram_scale,
+        discarded_negative=discarded_negative,
     )
 
 

@@ -102,6 +102,20 @@ def equalized_member_inner(
     return ntr_nu + z_scale * float(coef @ ntr_dot_directions)
 
 
+def direct_rbf(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
+    """rbf Gram from the explicit difference of every row pair."""
+    return np.array(
+        [[math.exp(-gamma * float(np.sum((a - b) ** 2))) for b in y] for a in x]
+    )
+
+
+def direct_laplace(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
+    """laplace Gram from the explicit difference of every row pair."""
+    return np.array(
+        [[math.exp(-gamma * float(np.sum(np.abs(a - b)))) for b in y] for a in x]
+    )
+
+
 def weat_brute_force_p(s_values: np.ndarray, nx: int) -> float:
     """Permutation p-value by direct enumeration of equal splits."""
     s_values = np.asarray(s_values, dtype=np.float64)

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from kerndebias import (
+    CorrectedMetric,
     DataError,
     DefiningSets,
     EmbeddingTable,
+    FormatError,
     KernelSpec,
     NumericalError,
     fit_kernel_model,
     fit_linear_subspace,
+    neutralize_matrix,
 )
 from kerndebias.evaluation import (
     CorrectedKernelBackend,
@@ -83,6 +86,40 @@ class TestBackends:
         for value, word in zip(row, words):
             assert value == pytest.approx(backend.similarity("n3", word), abs=1e-12)
 
+    def test_cached_beta_matches_corrected_metric_cosine(self, rng):
+        table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=10, dim=6)
+        for spec in (KernelSpec("rbf", gamma=0.8), KernelSpec("laplace", gamma=0.5)):
+            model = fit_kernel_model(spec, table, sets, k=2)
+            backend = CorrectedKernelBackend(table, model)
+            metric = CorrectedMetric(model)
+            words = list(table.words)
+            for word in ("n0", "m1", "f3"):
+                w = table.lookup(word)
+                oracle = [metric.cosine(w, table.lookup(c)) for c in words]
+                np.testing.assert_allclose(
+                    backend.similarity_row(word, words), oracle, rtol=0, atol=1e-12
+                )
+                for c, value in zip(words[:6], oracle):
+                    assert backend.similarity(word, c) == pytest.approx(value, abs=1e-12)
+
+    def test_squared_distance_matrix_per_backend(self, rng):
+        table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=8, dim=6)
+        linear = fit_linear_subspace(table, sets, 1)
+        kernel = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=2)
+        x, y = table.matrix[:5], table.matrix[5:12]
+        nx, ny = neutralize_matrix(linear, x), neutralize_matrix(linear, y)
+        expected = {
+            RawCosineBackend(table): euclidean_squared_distance(x, y),
+            LinearNeutralizedBackend(table, linear): euclidean_squared_distance(nx, ny),
+            CorrectedKernelBackend(table, kernel): np.array(
+                [[CorrectedMetric(kernel).squared_distance(a, b) for b in y] for a in x]
+            ),
+        }
+        for backend, oracle in expected.items():
+            np.testing.assert_allclose(
+                backend.squared_distance_matrix(x, y), oracle, rtol=0, atol=1e-12
+            )
+
 
 class TestWeatAssociation:
     def test_equal_attribute_sets_give_zero(self):
@@ -122,6 +159,11 @@ def make_weat_stub(x_scores, y_scores):
 
 
 class TestWeatTest:
+    def test_permutation_count_below_one_rejected(self):
+        for count in (0, -3):
+            with pytest.raises(FormatError, match="permutation"):
+                WeatConfig(("x",), ("y",), ("a",), ("b",), permutations=count)
+
     def test_hand_enumerated_case(self):
         # s = +1 on X, -1 on Y, |X| = |Y| = 3: d = 2 exactly and only the
         # identity split reaches the observed statistic: p = 1/20.
@@ -260,6 +302,12 @@ class TestProfessions:
                 f = 0.14 if j < 4 - counts[i] else 0.02
                 cos[p, idx[f"m{j}"]] = cos[idx[f"m{j}"], p] = m
                 cos[p, idx[f"f{j}"]] = cos[idx[f"f{j}"], p] = f
+        # The prescribed off-diagonal entries alone are not PSD (minimum
+        # eigenvalue -0.74).  Shrinking them toward the identity makes a
+        # genuine Gram, keeps every row's neighbor order and scales every
+        # profession's bias score by the same factor.
+        shrink = 0.8
+        cos = (cos + shrink * np.eye(n)) / (1.0 + shrink)
         backend, table = gram_backend(cos, words)
         r = professions_correlation(
             backend,
@@ -382,6 +430,18 @@ class TestSvm:
             assert model.decision_value(t) == pytest.approx(
                 permuted.decision_value(t), abs=1e-3
             )
+
+    def test_batched_accuracy_matches_per_vector_predictions(self, rng):
+        vectors, labels = blob_data(rng, separation=0.5)
+        model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=1.0)
+        queries = rng.normal(size=(30, 2)) * 2
+        query_labels = rng.choice([-1.0, 1.0], size=30)
+        per_vector = [svm_predict(model, q) for q in queries]
+        assert svm_accuracy(model, queries, query_labels) == np.mean(
+            np.array(per_vector) == query_labels
+        )
+        for q, value in zip(queries, model.decision_values(queries)):
+            assert model.decision_value(q) == pytest.approx(value, abs=1e-12)
 
     def test_single_class_rejected(self, rng):
         vectors = rng.normal(size=(6, 2))

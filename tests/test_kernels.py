@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kerndebias import DataError, FormatError, KernelSpec, eval_kernel, gram_matrix
-from kerndebias.kernels import kernel_diag
+from kerndebias import DataError, FormatError, KernelSpec, eval_kernel, gram_matrix, kernels
+from kerndebias.kernels import difference_distances, kernel_diag
 from kerndebias.numerics import symmetric_eig
+from oracles import direct_laplace, direct_rbf
 
 PSD_SPECS = [
     KernelSpec("linear"),
@@ -110,6 +112,63 @@ class TestGramMatrix:
             np.testing.assert_allclose(
                 kernel_diag(spec, x), np.diag(gram_matrix(spec, x, x)), atol=1e-12
             )
+
+
+class TestBlockedGram:
+    @pytest.mark.parametrize("budget", [5, 24])
+    def test_rbf_and_laplace_match_difference_oracle_across_blocks(
+        self, rng, monkeypatch, budget
+    ):
+        # budget 5 splits the 11 columns with one row per block; budget 24
+        # keeps the columns whole and puts two rows in each block.
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", budget)
+        x = rng.normal(size=(13, 4))
+        y = rng.normal(size=(11, 4))
+        y[3] = x[5]
+        for family, oracle in (("rbf", direct_rbf), ("laplace", direct_laplace)):
+            spec = KernelSpec(family, gamma=0.7)
+            gram = gram_matrix(spec, x, y)
+            np.testing.assert_allclose(gram, oracle(x, y, 0.7), rtol=0, atol=1e-12)
+            assert gram[5, 3] == 1.0
+
+    def test_rbf_duplicate_rows_exact_across_blocks(self, rng, monkeypatch):
+        # Groups of four identical rows, in a dimension where the matrix
+        # product form leaves a rounding residue on them: every cancelling
+        # entry is recomputed from direct differences, one per chunk.
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 24)
+        x = np.repeat(rng.normal(size=(3, 13)), 4, axis=0)
+        gram = gram_matrix(KernelSpec("rbf", gamma=3.0), x, x)
+        same = np.equal.outer(np.arange(12) // 4, np.arange(12) // 4)
+        assert np.all(gram[same] == 1.0)
+        np.testing.assert_allclose(gram, direct_rbf(x, x, 3.0), rtol=0, atol=1e-12)
+
+    def test_difference_forms_blocked_bit_identical(self, rng, monkeypatch):
+        x = rng.normal(size=(9, 5))
+        y = rng.normal(size=(7, 5))
+        spec = KernelSpec("laplace", gamma=0.4)
+        whole_laplace = gram_matrix(spec, x, y)
+        diff = x[:, None, :] - y[None, :, :]
+        whole_squared = np.sum(diff * diff, axis=2)
+        for budget in (1, 6, 17):
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", budget)
+            np.testing.assert_array_equal(gram_matrix(spec, x, y), whole_laplace)
+            np.testing.assert_array_equal(difference_distances(x, y), whole_squared)
+
+    @pytest.mark.parametrize("family", ["rbf", "laplace"])
+    def test_peak_memory_output_plus_budget(self, rng, monkeypatch, family):
+        budget = 4096
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", budget)
+        x = rng.normal(size=(400, 64))
+        y = rng.normal(size=(300, 64))
+        spec = KernelSpec(family, gamma=0.05)
+        tracemalloc.start()
+        try:
+            gram_matrix(spec, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # An unblocked difference tensor alone would be 400*300*64 doubles.
+        assert peak <= 8 * (400 * 300 + 16 * budget) + 64 * 1024
 
 
 class TestPositiveSemidefinite:
