@@ -18,6 +18,9 @@ from .errors import DataError, FormatError
 
 _INT_TOKEN = re.compile(r"^[+-]?\d+$")
 
+# Rows in the parse buffer before its first doubling.
+_INITIAL_ROWS = 1024
+
 # Rows already this close to unit norm are left untouched, which makes
 # unit_normalize exactly idempotent.
 _UNIT_SLACK = 1e-14
@@ -82,6 +85,10 @@ class EmbeddingTable:
 def parse_embedding_text(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
     """Parse the text embedding format into a table.
 
+    Each line's tokens go straight into a preallocated float64 buffer,
+    which parses them as ``float()`` does; the buffer doubles when full.
+    Errors are reported for the first offending line in file order.
+
     Args:
         stream: Iterable of lines (an open file works).
 
@@ -93,9 +100,11 @@ def parse_embedding_text(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
             duplicate words, or non-finite values.
     """
     words: list[str] = []
-    rows: list[np.ndarray] = []
+    linenos: list[int] = []
     seen: set[str] = set()
     dim: int | None = None
+    buf = np.empty((0, 0))
+    error: str | None = None
 
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -104,33 +113,46 @@ def parse_embedding_text(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
         tokens = line.split()
         if (
             dim is None
-            and not rows
+            and not words
             and len(tokens) == 2
             and all(_INT_TOKEN.match(t) for t in tokens)
         ):
             continue  # "<count> <dim>" header
         word, values = tokens[0], tokens[1:]
         if not values:
-            raise FormatError(f"line {lineno}: no vector components")
+            error = f"line {lineno}: no vector components"
+            break
         if dim is None:
             dim = len(values)
+            buf = np.empty((_INITIAL_ROWS, dim))
         elif len(values) != dim:
-            raise FormatError(
-                f"line {lineno}: expected {dim} components, got {len(values)}"
-            )
+            error = f"line {lineno}: expected {dim} components, got {len(values)}"
+            break
         if word in seen:
-            raise FormatError(f"line {lineno}: duplicate word {word!r}")
-        seen.add(word)
+            error = f"line {lineno}: duplicate word {word!r}"
+            break
+        n = len(words)
+        if n == buf.shape[0]:
+            grown = np.empty((2 * n, dim))
+            grown[:n] = buf
+            buf = grown
         try:
-            vector = np.array([float(v) for v in values], dtype=np.float64)
+            buf[n] = values
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if not np.all(np.isfinite(vector)):
-            raise FormatError(f"line {lineno}: non-finite value for {word!r}")
+            error = f"line {lineno}: {exc}"
+            break
+        seen.add(word)
         words.append(word)
-        rows.append(vector)
+        linenos.append(lineno)
 
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim or 0))
+    # A non-finite row read before a structural error is the earlier error.
+    matrix = buf[: len(words)]
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        row = int(bad[0])
+        raise FormatError(f"line {linenos[row]}: non-finite value for {words[row]!r}")
+    if error is not None:
+        raise FormatError(error)
     return EmbeddingTable(words=tuple(words), matrix=matrix)
 
 
@@ -143,10 +165,9 @@ def write_embedding_text(table: EmbeddingTable, precision: int = 9) -> str:
     """
     if not 1 <= precision <= 17:
         raise FormatError(f"precision must be in [1, 17], got {precision}")
-    lines = []
-    for word, row in zip(table.words, table.matrix):
-        parts = [word] + [f"{v:.{precision}f}" for v in row]
-        lines.append(" ".join(parts))
+    # "%" and format() share one float formatter: "%.9f" % v == f"{v:.9f}".
+    fmt = "%s" + f" %.{precision}f" * table.dim
+    lines = [fmt % (word, *row.tolist()) for word, row in zip(table.words, table.matrix)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -212,12 +212,33 @@ def linear_model_to_dict(model: LinearBiasModel) -> dict:
 
 
 def linear_model_from_dict(data: dict) -> LinearBiasModel:
-    if data.get("type") != "linear":
+    """Rebuild a model from its dict form, checking shapes and values.
+
+    Raises:
+        FormatError: on a missing field, a non-numeric or non-finite
+            array, or shapes that disagree: basis must be (k, dim) and
+            eigenvalues (k,).
+    """
+    if not isinstance(data, dict) or data.get("type") != "linear":
         raise FormatError("not a linear model file")
-    return LinearBiasModel(
-        basis=np.array(data["basis"], dtype=np.float64),
-        explained=np.array(data["eigenvalues"], dtype=np.float64),
-    )
+    try:
+        basis = np.array(data["basis"], dtype=np.float64)
+        eigenvalues = np.array(data["eigenvalues"], dtype=np.float64)
+        dim = int(data["dim"])
+        k = int(data["k"])
+    except KeyError as exc:
+        raise FormatError(f"linear model is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed linear model: {exc}") from None
+    if basis.shape != (k, dim) or k < 1 or eigenvalues.shape != (k,):
+        raise FormatError(
+            f"linear model shapes disagree: basis {basis.shape}, eigenvalues "
+            f"{eigenvalues.shape}, dim {dim}, k {k}; expected basis (k, dim), "
+            "eigenvalues (k,)"
+        )
+    if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(eigenvalues))):
+        raise FormatError("linear model contains non-finite values")
+    return LinearBiasModel(basis=basis, explained=eigenvalues)
 
 
 def resolve_word_sets(

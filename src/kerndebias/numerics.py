@@ -1,9 +1,10 @@
 """Dense symmetric eigendecomposition and correlation statistics.
 
-The eigensolver is a self-contained cyclic Jacobi iteration.  The matrices
-in this package (bias covariances, centered Gram matrices) are small dense
-symmetric matrices for which Jacobi is accurate and, with the sign and
-tie-breaking rules below, fully deterministic.
+The eigensolver is LAPACK's symmetric solver (``np.linalg.eigh``) behind
+the package's conventions: descending eigenvalues, a deterministic sign
+per eigenvector, read-only outputs, and ``NumericalError`` for every
+failure.  The matrices in this package (bias covariances, centered Gram
+matrices) are small dense symmetric matrices.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 from .errors import NumericalError
 
 _SYMMETRY_TOL = 1e-9
-_OFFDIAG_TOL = 1e-12
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -27,19 +26,18 @@ class SymmetricEigen:
     eigenvectors: np.ndarray
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def symmetric_eig(a: np.ndarray) -> SymmetricEigen:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi.
+    """Eigendecomposition of a real symmetric matrix by LAPACK.
 
-    Convergence: off-diagonal Frobenius norm below 1e-12 times the
-    Frobenius norm of the input, capped at 100 sweeps.  Eigenvalues are
-    returned in descending order (ties broken by pre-sort position); each
-    eigenvector is sign-fixed so its largest-magnitude component is
-    positive.
+    The input must be square, finite and symmetric within 1e-9; the
+    solver runs on its symmetrized copy (a + a^T) / 2.  Eigenvalues are
+    returned in descending order; a stable sort keeps exactly tied
+    eigenvalues in the order LAPACK returned them.  Each eigenvector is
+    sign-fixed so its largest-magnitude component is positive.
+
+    Raises:
+        NumericalError: on a non-square, non-finite or asymmetric input,
+            or when LAPACK reports a failure (``LinAlgError``).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -51,61 +49,17 @@ def symmetric_eig(a: np.ndarray) -> SymmetricEigen:
             f"matrix is not symmetric within {_SYMMETRY_TOL:g}"
         )
 
-    n = a.shape[0]
-    work = (a + a.T) / 2.0
-    vecs = np.eye(n)
-    scale = float(np.linalg.norm(work))
-
-    if scale > 0.0:
-        converged = False
-        for _ in range(_MAX_SWEEPS):
-            if _offdiag_norm(work) <= _OFFDIAG_TOL * scale:
-                converged = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = work[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                    if theta == 0.0:
-                        t = 1.0
-                    c = 1.0 / np.hypot(t, 1.0)
-                    s = t * c
-
-                    col_p = work[:, p].copy()
-                    col_q = work[:, q].copy()
-                    work[:, p] = c * col_p - s * col_q
-                    work[:, q] = s * col_p + c * col_q
-                    row_p = work[p, :].copy()
-                    row_q = work[q, :].copy()
-                    work[p, :] = c * row_p - s * row_q
-                    work[q, :] = s * row_p + c * row_q
-                    work[p, q] = 0.0
-                    work[q, p] = 0.0
-
-                    vcol_p = vecs[:, p].copy()
-                    vcol_q = vecs[:, q].copy()
-                    vecs[:, p] = c * vcol_p - s * vcol_q
-                    vecs[:, q] = s * vcol_p + c * vcol_q
-        else:
-            converged = _offdiag_norm(work) <= _OFFDIAG_TOL * scale
-        if not converged:
-            raise NumericalError(
-                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps"
-            )
-
-    values = np.diag(work).copy()
-    # Stable sort keeps the pre-sort order for exactly tied eigenvalues.
+    try:
+        values, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from None
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vecs = vecs[:, order]
 
-    for k in range(n):
-        peak = int(np.argmax(np.abs(vecs[:, k])))
-        if vecs[peak, k] < 0.0:
-            vecs[:, k] = -vecs[:, k]
+    columns = np.arange(vecs.shape[1])
+    peaks = np.argmax(np.abs(vecs), axis=0)
+    vecs[:, vecs[peaks, columns] < 0.0] *= -1.0
 
     values.setflags(write=False)
     vecs.setflags(write=False)

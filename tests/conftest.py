@@ -62,6 +62,9 @@ def planted_bias_table(
     return table, sets, u
 
 
+RNG_SEED = 20240817
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
-    return np.random.default_rng(20240817)
+    return np.random.default_rng(RNG_SEED)

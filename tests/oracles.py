@@ -116,6 +116,33 @@ def direct_laplace(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     )
 
 
+def fstring_embedding_text(words, matrix: np.ndarray, precision: int) -> str:
+    """The text embedding format written with one f-string per value."""
+    lines = [
+        " ".join([word] + [f"{v:.{precision}f}" for v in row])
+        for word, row in zip(words, matrix)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def float_parse_embedding_text(text: str) -> tuple[list[str], np.ndarray]:
+    """Words and matrix of the text format, one ``float()`` per token.
+
+    Blank lines are skipped, and so is a leading two-integer header.
+    """
+    words: list[str] = []
+    rows: list[list[float]] = []
+    for line in text.split("\n"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if not rows and len(tokens) == 2 and all(t.lstrip("+-").isdigit() for t in tokens):
+            continue
+        words.append(tokens[0])
+        rows.append([float(t) for t in tokens[1:]])
+    return words, np.array(rows, dtype=np.float64)
+
+
 def weat_brute_force_p(s_values: np.ndarray, nx: int) -> float:
     """Permutation p-value by direct enumeration of equal splits."""
     s_values = np.asarray(s_values, dtype=np.float64)

@@ -115,6 +115,45 @@ def test_malformed_kernel_model_exits_2(planted_files, capsys, field, corrupt):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, corrupt",
+    [
+        ("basis", lambda v: v[0]),
+        ("basis", lambda v: [row[:-1] for row in v]),
+        ("basis", lambda v: [[float("nan")] + row[1:] for row in v]),
+        ("basis", lambda v: "not numbers"),
+        ("eigenvalues", lambda v: v + [1.0]),
+        ("eigenvalues", lambda v: [float("inf")] * len(v)),
+        ("dim", lambda v: v + 1),
+        ("k", lambda v: v + 1),
+        ("basis", None),
+        ("eigenvalues", None),
+    ],
+    ids=[
+        "basis-1d", "basis-short-rows", "basis-nan", "basis-text", "eigenvalues-long",
+        "eigenvalues-inf", "dim-wrong", "k-wrong", "basis-missing", "eigenvalues-missing",
+    ],
+)
+def test_malformed_linear_model_exits_2(planted_files, capsys, field, corrupt):
+    paths = planted_files
+    assert main([
+        "fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+        "--backend", "linear", "--components", "1", "--out", str(paths["model"]),
+    ]) == 0
+    data = json.loads(paths["model"].read_text())
+    if corrupt is None:
+        del data[field]
+    else:
+        data[field] = corrupt(data[field])
+    paths["model"].write_text(json.dumps(data))
+    code = main([
+        "sim", "--embeddings", str(paths["embeddings"]), "--model", str(paths["model"]),
+        "he", "she",
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("count", [0, -2])
 def test_weat_permutations_below_one_exit_2(planted_files, capsys, source, count):

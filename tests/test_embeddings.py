@@ -12,6 +12,7 @@ from kerndebias import (
     unit_normalize,
     write_embedding_text,
 )
+from oracles import float_parse_embedding_text, fstring_embedding_text
 
 
 def parse(text: str) -> EmbeddingTable:
@@ -85,6 +86,52 @@ class TestWrite:
             write_embedding_text(table, precision=0)
         with pytest.raises(FormatError):
             write_embedding_text(table, precision=18)
+
+
+class TestOracleAgreement:
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_writer_matches_per_value_fstrings(self, rng, precision):
+        scales = 10.0 ** rng.integers(-12, 12, size=(6, 5))
+        special = [
+            [-0.0, 0.0, 1e300, -1e300, 5e-324],
+            [0.125, 2.675, -0.5, 1.5, 1e-17],
+        ]
+        matrix = np.vstack([rng.normal(size=(6, 5)) * scales, special])
+        table = EmbeddingTable(words=tuple(f"w{i}" for i in range(8)), matrix=matrix)
+        assert write_embedding_text(table, precision=precision) == fstring_embedding_text(
+            table.words, table.matrix, precision
+        )
+
+    def test_parser_matches_per_token_float(self, rng):
+        values = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-20, 20, size=(5, 4))
+        rows = [[repr(float(v)) for v in row] for row in values]
+        rows[0][:3] = ["1_0", "+.5", "-0"]
+        rows[1][:3] = ["1e-400", "4.9e-324", "\u0663.\u0665"]
+        text = "5 4\r\n\r\n"
+        for i, row in enumerate(rows):
+            sep = "\t" if i % 2 else " "
+            text += f"w{i}{sep}" + sep.join(row) + ("\r\n" if i % 2 else "\n")
+            if i == 2:
+                text += "  \t \n\n"
+        words, matrix = float_parse_embedding_text(text)
+        table = parse(text)
+        assert list(table.words) == words == [f"w{i}" for i in range(5)]
+        assert table.matrix.shape == (5, 4)
+        assert table.matrix.tobytes() == matrix.tobytes()
+
+    def test_bad_token_reports_its_line(self):
+        with pytest.raises(FormatError, match="line 3: could not convert.*'x'"):
+            parse("a 1 2\nb 3 4\nc 5 x\n")
+
+    def test_nonfinite_after_header_reports_file_line(self):
+        with pytest.raises(FormatError, match="line 3: non-finite value for 'b'"):
+            parse("2 2\na 1 2\nb inf 4\n")
+
+    def test_first_error_in_file_order_wins(self):
+        with pytest.raises(FormatError, match="line 2: non-finite"):
+            parse("a 1 2\nb nan 4\nc 5 x\n")
+        with pytest.raises(FormatError, match="line 2: non-finite"):
+            parse("a 1 2\nb 1e999 4\nb 5 6\n")
 
 
 class TestNormalize:

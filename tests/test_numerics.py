@@ -77,6 +77,53 @@ class TestSymmetricEig:
         eig = symmetric_eig(np.array([[3.5]]))
         np.testing.assert_allclose(eig.eigenvalues, [3.5])
 
+    def test_rank_deficient_covariance_at_vocabulary_dim(self, rng):
+        # The shape of a bias covariance: d = 100 from 10 centered directions.
+        design = rng.normal(size=(10, 100))
+        a = design.T @ design
+        eig = symmetric_eig(a)
+        np.testing.assert_allclose(
+            eig.eigenvalues, np.linalg.eigvalsh(a)[::-1], atol=1e-12 * np.linalg.norm(a)
+        )
+        assert np.sum(eig.eigenvalues > 1e-10 * eig.eigenvalues[0]) == 10
+        vecs = eig.eigenvectors
+        recon = vecs @ np.diag(eig.eigenvalues) @ vecs.T
+        assert np.linalg.norm(a - recon) <= 1e-12 * np.linalg.norm(a)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(100), atol=1e-12)
+        peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(100)]
+        assert np.all(peaks > 0)
+
+    def test_repeated_eigenvalues_span_each_eigenspace(self, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        values = np.array([5.0, 5.0, 5.0, 2.0, 2.0, -1.0])
+        a = q @ np.diag(values) @ q.T
+        a = (a + a.T) / 2
+        eig = symmetric_eig(a)
+        np.testing.assert_allclose(eig.eigenvalues, values, atol=1e-12)
+        vecs = eig.eigenvectors
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-12)
+        for block in (slice(0, 3), slice(3, 5), slice(5, 6)):
+            # Same subspace: the projectors onto returned and planted spans agree.
+            np.testing.assert_allclose(
+                vecs[:, block] @ vecs[:, block].T, q[:, block] @ q[:, block].T, atol=1e-12
+            )
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            symmetric_eig(np.eye(3))
+
+    def test_outputs_read_only(self, rng):
+        a = rng.normal(size=(4, 4))
+        eig = symmetric_eig(a + a.T)
+        with pytest.raises(ValueError):
+            eig.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            eig.eigenvectors[0, 0] = 0.0
+
 
 class TestPearson:
     def test_perfect_positive(self):
