@@ -17,8 +17,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import configio, evaluation, toydemo
 from .embeddings import (
     EmbeddingTable,
@@ -40,6 +38,7 @@ from .linear import (
 from .preimage import (
     DEFAULT_EXTRA_SAMPLE,
     DEFAULT_RIDGE_LAMBDA,
+    default_sample,
     fit_preimage_map,
     preimage_neutralize_matrix,
     preimage_to_dict,
@@ -192,24 +191,20 @@ def _apply_kernel(args: argparse.Namespace, table: EmbeddingTable, data: dict) -
         raise DataError(
             f"model dimension {model.dim} != embedding dimension {table.dim}"
         )
-    sample: list[int] = []
-    pair_words = data.get("pair_words")
     if args.sets is not None:
-        sets, _ = _resolve_sets(args, table)
-        sample.extend(i for pair in sets.pairs for i in pair)
-    elif pair_words:
-        for a, b in pair_words:
-            if a in table and b in table:
-                sample.extend((table.row_index(a), table.row_index(b)))
-    if not sample:
+        pairs = _resolve_sets(args, table)[0].pairs
+    else:
+        pairs = [
+            (table.row_index(a), table.row_index(b))
+            for a, b in data.get("pair_words") or []
+            if a in table and b in table
+        ]
+    if not pairs:
         raise DataError(
             "cannot locate defining words for the pre-image sample; pass --sets"
         )
     rng = rng_for(args.seed, "preimage-sample")
-    rest = sorted(set(range(len(table))) - set(sample))
-    if rest and args.preimage_sample > 0:
-        chosen = rng.choice(len(rest), size=min(args.preimage_sample, len(rest)), replace=False)
-        sample.extend(rest[int(i)] for i in np.sort(chosen))
+    sample = default_sample(model, table, pairs, rng, extra=args.preimage_sample)
     pmap = fit_preimage_map(model, table, sample, ridge_lambda=args.ridge_lambda)
     matrix = preimage_neutralize_matrix(pmap, table.matrix)
     return EmbeddingTable(words=table.words, matrix=matrix), preimage_to_dict(pmap)
@@ -334,7 +329,6 @@ def cmd_eval_classify(args: argparse.Namespace) -> int:
     result = evaluation.indirect_bias_classification(
         backend,
         table,
-        backend.squared_distance_matrix,
         n_biased=args.n_biased,
         n_train=args.n_train,
         svm_gamma=args.svm_gamma,
@@ -385,7 +379,7 @@ def cmd_eval_simlex(args: argparse.Namespace) -> int:
 
 def cmd_demo_toy(args: argparse.Namespace) -> int:
     points, neutralized, stats = toydemo.run_toy_demo(
-        seed=args.seed, n_points=args.n_points, gamma=args.gamma or 1.0
+        seed=args.seed, n_points=args.n_points, gamma=args.gamma
     )
     _write_text(args.out, toydemo.toy_demo_csv(points, neutralized))
     print(
@@ -506,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy = sub.add_parser("demo-toy", help="2-D nonlinear removal demo CSV")
     _add_common(p_toy, embeddings=False)
     p_toy.add_argument("--n-points", type=int, default=200)
-    p_toy.add_argument("--gamma", type=float, help="rbf width (default 1.0)")
+    p_toy.add_argument("--gamma", type=float, default=1.0, help="rbf width (default 1.0)")
     p_toy.add_argument("--out", help="CSV output path (default stdout)")
     p_toy.set_defaults(func=cmd_demo_toy)
 
@@ -519,7 +513,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (
+        FormatError, FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

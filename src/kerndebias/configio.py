@@ -46,13 +46,19 @@ def load_weat_config(path: str | Path) -> WeatConfig:
         if not (isinstance(value, list) and value and all(isinstance(w, str) for w in value)):
             raise FormatError(f"{path}: missing or invalid word list {key!r}")
         lists[key] = tuple(value)
+    numbers = {}
+    for key, default in (("permutations", DEFAULT_PERMUTATIONS), ("seed", DEFAULT_SEED)):
+        value = data.get(key, default)
+        try:
+            numbers[key] = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise FormatError(f"{path}: {key!r} must be an integer, got {value!r}") from None
     return WeatConfig(
         x_words=lists["X"],
         y_words=lists["Y"],
         a_words=lists["A"],
         b_words=lists["B"],
-        permutations=int(data.get("permutations", DEFAULT_PERMUTATIONS)),
-        seed=int(data.get("seed", DEFAULT_SEED)),
+        **numbers,
     )
 
 

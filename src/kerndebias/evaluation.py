@@ -3,8 +3,12 @@
 Provides the word association test (effect size + one-sided permutation
 p-value), the professions neighbor-correlation benchmark, an SMO-trained
 kernel SVM for the indirect-bias classification protocol, and SimLex-style
-rank-correlation scoring.  Every protocol runs against any backend:
-raw cosine, linearly neutralized cosine, or the corrected kernel metric.
+rank-correlation scoring.  Every protocol runs against any backend, and
+every backend measures one corrected metric
+k~(x, y) = k(x, y) - beta(x) . beta(y), beta(x) being x's coordinates
+along the bias directions: raw cosine is the linear kernel with no bias
+coordinates, linear neutralization the linear kernel with beta(x) = x B^T,
+and a kernel model brings its own kernel and beta.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, NumericalError
-from .kernels import difference_distances, gram_matrix
-from .linear import LinearBiasModel, neutralize_matrix
+from .kernels import KernelSpec, difference_distances, gram_matrix, kernel_diag
+from .linear import LinearBiasModel
 from .numerics import pearson, spearman
-from .rkhs import CorrectedMetric, KernelBiasModel, beta_matrix, corrected_self_products
+from .rkhs import KernelBiasModel, beta_matrix, corrected_self_products
 from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
@@ -58,89 +62,43 @@ class SimilarityBackend:
         raise NotImplementedError
 
 
-class _VectorCosineBackend(SimilarityBackend):
-    """Cosine over a fixed word->vector matrix."""
-
-    def __init__(self, table: EmbeddingTable, matrix: np.ndarray):
-        self._table = table
-        norms = np.linalg.norm(matrix, axis=1)
-        if np.any(norms == 0.0):
-            idx = int(np.nonzero(norms == 0.0)[0][0])
-            raise DataError(
-                f"word {table.words[idx]!r} has a zero vector under this backend"
-            )
-        self._unit = matrix / norms[:, None]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._table
-
-    def similarity(self, a: str, b: str) -> float:
-        va = self._unit[self._table.row_index(a)]
-        vb = self._unit[self._table.row_index(b)]
-        return float(np.clip(va @ vb, -1.0, 1.0))
-
-    def similarity_row(self, word: str, candidates: Sequence[str]) -> np.ndarray:
-        v = self._unit[self._table.row_index(word)]
-        rows = self._unit[[self._table.row_index(c) for c in candidates]]
-        return np.clip(rows @ v, -1.0, 1.0)
+def _check_dimension(model_dim: int, table: EmbeddingTable) -> None:
+    if model_dim != table.dim:
+        raise DataError(f"model dimension {model_dim} != table dimension {table.dim}")
 
 
-class RawCosineBackend(_VectorCosineBackend):
-    """Plain cosine similarity on the table as loaded."""
-
-    name = "raw"
-
-    def __init__(self, table: EmbeddingTable):
-        super().__init__(table, table.matrix)
-
-    def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return euclidean_squared_distance(x, y)
-
-
-class LinearNeutralizedBackend(_VectorCosineBackend):
-    """Cosine after projecting every vector off the linear bias subspace."""
-
-    name = "linear"
-
-    def __init__(self, table: EmbeddingTable, model: LinearBiasModel):
-        if model.dim != table.dim:
-            raise DataError(
-                f"model dimension {model.dim} != table dimension {table.dim}"
-            )
-        self._model = model
-        super().__init__(table, neutralize_matrix(model, table.matrix))
-
-    def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return euclidean_squared_distance(
-            neutralize_matrix(self._model, np.atleast_2d(x)),
-            neutralize_matrix(self._model, np.atleast_2d(y)),
-        )
+_LINEAR_KERNEL = KernelSpec("linear")
 
 
 class CorrectedKernelBackend(SimilarityBackend):
-    """Corrected cosine in the bias-removed feature-space metric.
+    """The corrected metric over a kernel spec and a beta map.
 
-    The bias coordinates of every vocabulary word and their corrected self
-    products are computed once here, so a similarity row costs one raw
-    Gram row plus a (rows x K) by K product.
+    Cosine is k~(x, y) / sqrt(k~(x, x) k~(y, y)) and the squared distance
+    k~(x, x) - 2 k~(x, y) + k~(y, y).  This constructor takes both from a
+    fitted kernel model.  beta(vocabulary) and the corrected self products
+    are computed once, so a similarity row costs one raw Gram row plus a
+    (rows x K) by K product.  A word whose corrected self product is at
+    most 1e-12 k(w, w) raises DataError: the correction leaves nothing of
+    it, and its cosine is undefined.
     """
 
     name = "kernel"
 
     def __init__(self, table: EmbeddingTable, model: KernelBiasModel):
-        if model.dim != table.dim:
-            raise DataError(
-                f"model dimension {model.dim} != table dimension {table.dim}"
-            )
+        _check_dimension(model.dim, table)
+        self._bind(table, model.spec, lambda x: beta_matrix(model, x))
+
+    def _bind(self, table: EmbeddingTable, spec: KernelSpec, beta: Callable) -> None:
         self._table = table
-        self.metric = CorrectedMetric(model)
-        self._beta = beta_matrix(model, table.matrix)
-        self._self_products = corrected_self_products(model.spec, table.matrix, self._beta)
-        bad = np.nonzero(self._self_products <= 1e-12)[0]
+        self._spec = spec
+        self._beta_map = beta
+        self._beta = beta(table.matrix)
+        self._self_products = corrected_self_products(spec, table.matrix, self._beta)
+        bad = np.nonzero(self._self_products <= 1e-12 * kernel_diag(spec, table.matrix))[0]
         if bad.size:
             raise DataError(
-                f"word {table.words[bad[0]]!r} is fully neutralized under "
-                "this kernel model; corrected cosine undefined"
+                f"word {table.words[bad[0]]!r} is fully neutralized under the "
+                f"{self.name} backend; its cosine is undefined"
             )
 
     def __contains__(self, word: str) -> bool:
@@ -148,7 +106,7 @@ class CorrectedKernelBackend(SimilarityBackend):
 
     def _cosines(self, iw: int, idx: list[int]) -> np.ndarray:
         matrix = self._table.matrix
-        raw = gram_matrix(self.metric.model.spec, matrix[iw][None, :], matrix[idx])[0]
+        raw = gram_matrix(self._spec, matrix[iw][None, :], matrix[idx])[0]
         cross = raw - self._beta[idx] @ self._beta[iw]
         denom = np.sqrt(self._self_products[iw] * self._self_products[idx])
         return np.clip(cross / denom, -1.0, 1.0)
@@ -162,7 +120,32 @@ class CorrectedKernelBackend(SimilarityBackend):
         )
 
     def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.metric.squared_distance_matrix(x, y)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        bx, by = self._beta_map(x), self._beta_map(y)
+        sx = corrected_self_products(self._spec, x, bx)
+        sy = corrected_self_products(self._spec, y, by)
+        cross = gram_matrix(self._spec, x, y) - bx @ by.T
+        return np.maximum(0.0, sx[:, None] - 2.0 * cross + sy[None, :])
+
+
+class RawCosineBackend(CorrectedKernelBackend):
+    """Plain cosine: the linear kernel with no bias coordinates."""
+
+    name = "raw"
+
+    def __init__(self, table: EmbeddingTable):
+        self._bind(table, _LINEAR_KERNEL, lambda x: np.zeros((x.shape[0], 0)))
+
+
+class LinearNeutralizedBackend(CorrectedKernelBackend):
+    """Cosine off the linear bias subspace: the linear kernel, beta(x) = x B^T."""
+
+    name = "linear"
+
+    def __init__(self, table: EmbeddingTable, model: LinearBiasModel):
+        _check_dimension(model.dim, table)
+        self._bind(table, _LINEAR_KERNEL, lambda x: x @ model.basis.T)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +229,10 @@ def weat_test(sim: SimilarityBackend, cfg: WeatConfig) -> WeatResult:
     )
     nx = len(x_in)
     std = float(s_values.std())  # population std
-    if std == 0.0:
-        raise NumericalError("degenerate association scores: zero spread")
+    # The scores are differences of mean cosines in [-1, 1]; a spread this
+    # small is rounding error, and an effect size over it would be noise.
+    if std <= 1e-12:
+        raise NumericalError(f"degenerate association scores: zero spread (std {std:.3g})")
     effect = (float(s_values[:nx].mean()) - float(s_values[nx:].mean())) / std
 
     total = float(s_values.sum())
@@ -398,8 +383,8 @@ def rbf_on_squared_distance(
 def euclidean_squared_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances from direct differences.
 
-    The difference form (not the matrix-product one) is kept on purpose:
-    the SMO solver is sensitive to the last bits of its Gram matrix.
+    A reference for the backends' four-term squared distances, which
+    expand the same quantity through inner products.
     """
     return difference_distances(x, y)
 
@@ -508,7 +493,6 @@ def svm_accuracy(model: SvmModel, vectors: np.ndarray, labels: np.ndarray) -> fl
 def indirect_bias_classification(
     sim_backend: SimilarityBackend,
     table: EmbeddingTable,
-    sqdist: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n_biased: int = 5000,
     n_train: int = 1000,
     svm_gamma: float | None = None,
@@ -522,7 +506,7 @@ def indirect_bias_classification(
 
     Takes the most male- and female-biased words by original-space bias
     cos(w, male_anchor - female_anchor) (balanced halves), trains an RBF
-    SVM over the supplied squared distance on a sample drawn with `seed`,
+    SVM over the backend's squared distance on a sample drawn with `seed`,
     and reports train/test accuracy.  Both anchors must be in the table's
     vocabulary; there is no other source for the bias score.
 
@@ -549,7 +533,7 @@ def indirect_bias_classification(
     train_labels, test_labels = labels[:n_train], labels[n_train:]
 
     gamma = svm_gamma if svm_gamma is not None else 1.0 / table.dim
-    kernel = rbf_on_squared_distance(sqdist, gamma)
+    kernel = rbf_on_squared_distance(sim_backend.squared_distance_matrix, gamma)
     model = svm_train(kernel, table.matrix[train_idx], train_labels, c_reg=c_reg, tol=tol)
     return {
         "backend": sim_backend.name,

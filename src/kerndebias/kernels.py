@@ -102,21 +102,25 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelSpec":
+        """Rebuild a spec; FormatError on a missing field or a bad value."""
         if not isinstance(data, dict) or "family" not in data:
             raise FormatError("kernel spec must be an object with a 'family' key")
         family = data["family"]
-        if family == "convex_combination":
-            comps = tuple(
-                (float(c["weight"]), cls.from_dict(c["spec"]))
-                for c in data.get("components", [])
+        try:
+            if family == "convex_combination":
+                comps = tuple(
+                    (float(c["weight"]), cls.from_dict(c["spec"]))
+                    for c in data.get("components", [])
+                )
+                return cls(family=family, components=comps)
+            return cls(
+                family=family,
+                gamma=float(data["gamma"]) if "gamma" in data else None,
+                coef0=float(data["coef0"]) if "coef0" in data else None,
+                degree=int(data["degree"]) if "degree" in data else None,
             )
-            return cls(family=family, components=comps)
-        return cls(
-            family=family,
-            gamma=float(data["gamma"]) if "gamma" in data else None,
-            coef0=float(data["coef0"]) if "coef0" in data else None,
-            degree=int(data["degree"]) if "degree" in data else None,
-        )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"malformed kernel spec: {exc!r}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -52,7 +52,8 @@ def default_sample(
 ) -> list[int]:
     """Defining-set words plus `extra` uniformly drawn vocabulary words."""
     base = [i for pair in sets_pairs for i in pair]
-    rest = [i for i in range(len(table)) if i not in set(base)]
+    taken = set(base)
+    rest = [i for i in range(len(table)) if i not in taken]
     if rest and extra > 0:
         chosen = rng.choice(len(rest), size=min(extra, len(rest)), replace=False)
         base.extend(rest[int(i)] for i in np.sort(chosen))

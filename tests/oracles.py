@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from kerndebias import EmbeddingTable, KernelBiasModel, gram_matrix
-from kerndebias.linear import DefiningSets
+from kerndebias.linear import DefiningSets, LinearBiasModel, neutralize_matrix
 
 
 def direct_covariance(table: EmbeddingTable, sets: DefiningSets) -> np.ndarray:
@@ -100,6 +100,21 @@ def equalized_member_inner(
     z_scale = math.sqrt(max(0.0, 1.0 - nu_norm_sq)) / math.sqrt(max(proj_norm_sq, 1e-300))
     ntr_dot_directions = bw - g @ bw
     return ntr_nu + z_scale * float(coef @ ntr_dot_directions)
+
+
+def cosine_row(
+    table: EmbeddingTable, word: str, candidates, model: LinearBiasModel | None = None
+) -> np.ndarray:
+    """Cosines of word with each candidate between explicit vectors.
+
+    The vectors are the table rows, or with a linear model the rows
+    projected off its subspace by neutralize_matrix, each scaled to unit
+    length before the dot product.
+    """
+    matrix = table.matrix if model is None else neutralize_matrix(model, table.matrix)
+    unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+    v = unit[table.row_index(word)]
+    return np.array([float(unit[table.row_index(c)] @ v) for c in candidates])
 
 
 def direct_rbf(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:

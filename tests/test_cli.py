@@ -3,8 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from kerndebias import EmbeddingTable, write_embedding_text
+from kerndebias import (
+    EmbeddingTable,
+    fit_preimage_map,
+    parse_embedding_text,
+    preimage_neutralize_matrix,
+    unit_normalize,
+    write_embedding_text,
+)
 from kerndebias.cli import main
+from kerndebias.preimage import default_sample, preimage_to_dict
+from kerndebias.rkhs import kernel_model_from_dict
+from kerndebias.seeding import rng_for
 from conftest import planted_bias_table
 
 
@@ -188,3 +198,149 @@ def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):
         "--n-biased", "30", "--n-train", "16",
     ]) == 3
     assert "'he'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "rbf", "gamma": "wide"},
+        {"family": "convex_combination", "components": [
+            {"weight": 0.5, "spec": {"family": "linear"}}, {"weight": 0.5}]},
+        {"family": "convex_combination", "components": 5},
+    ],
+    ids=["gamma-text", "component-without-spec", "components-number"],
+)
+def test_malformed_kernel_spec_exits_2(planted_files, capsys, spec):
+    paths = planted_files
+    assert main([
+        "fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+        "--backend", "kernel", "--kernel", json.dumps(spec), "--out", str(paths["model"]),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("permutations", "many"), ("seed", None)], ids=["permutations", "seed"]
+)
+def test_malformed_weat_number_exits_2(planted_files, capsys, field, value):
+    paths = planted_files
+    config = json.loads(paths["weat"].read_text())
+    paths["weat"].write_text(json.dumps({**config, field: value}))
+    assert main([
+        "eval", "weat", "--embeddings", str(paths["embeddings"]),
+        "--config", str(paths["weat"]),
+    ]) == 2
+    assert repr(field) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["embeddings", "professions"])
+def test_non_utf8_input_exits_2(planted_files, capsys, target):
+    paths = planted_files
+    paths[target].write_bytes(paths[target].read_bytes() + b"caf\xe9 0.5\n")
+    assert main([
+        "eval", "professions", "--embeddings", str(paths["embeddings"]),
+        "--professions", str(paths["professions"]), "--male", str(paths["male"]),
+        "--female", str(paths["female"]), "--neighbors", "8",
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1"])
+def test_demo_toy_rejects_nonpositive_gamma(tmp_path, capsys, gamma):
+    out = tmp_path / "toy.csv"
+    assert main(["demo-toy", "--n-points", "20", "--gamma", gamma, "--out", str(out)]) == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _expected_preimage(paths, pairs, seed, extra):
+    """Embedding text and pre-image block built from the library calls."""
+    with open(paths["embeddings"], encoding="utf-8") as handle:
+        table = unit_normalize(parse_embedding_text(handle))
+    model = kernel_model_from_dict(json.loads(paths["model"].read_text()))
+    sample = default_sample(model, table, pairs, rng_for(seed, "preimage-sample"), extra=extra)
+    pmap = fit_preimage_map(model, table, sample)
+    matrix = preimage_neutralize_matrix(pmap, table.matrix)
+    text = write_embedding_text(EmbeddingTable(words=table.words, matrix=matrix), precision=9)
+    return text, json.loads(json.dumps(preimage_to_dict(pmap)))
+
+
+@pytest.mark.parametrize("source", ["sets", "pair_words"])
+def test_kernel_apply_matches_library_preimage(planted_files, tmp_path, source):
+    paths = planted_files
+    _fit_kernel(paths)
+    pair_words = json.loads(paths["model"].read_text())["pair_words"]
+    words = json.loads(paths["sets"].read_text())["defining_sets"]
+    assert pair_words == words
+    index = {w: i for i, w in enumerate(
+        line.split()[0] for line in paths["embeddings"].read_text().splitlines()
+    )}
+    pairs = tuple((index[a], index[b]) for a, b in words)
+    out, out_model = tmp_path / "applied.txt", tmp_path / "preimage.json"
+    argv = [
+        "apply", "--embeddings", str(paths["embeddings"]), "--model", str(paths["model"]),
+        "--seed", "9", "--preimage-sample", "20", "--out", str(out),
+        "--out-model", str(out_model),
+    ]
+    if source == "sets":
+        argv += ["--sets", str(paths["sets"])]
+    assert main(argv) == 0
+    text, block = _expected_preimage(paths, pairs, seed=9, extra=20)
+    assert out.read_text() == text
+    written = json.loads(out_model.read_text())
+    assert written["preimage"] == block
+    assert len(written["preimage"]["training_words"]) == 2 * len(pairs) + 20
+
+
+def _fit_linear(paths) -> None:
+    assert main([
+        "fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+        "--backend", "linear", "--out", str(paths["model"]),
+    ]) == 0
+
+
+def test_linear_pipeline_exits_zero(planted_files, tmp_path):
+    paths = planted_files
+    sets = json.loads(paths["sets"].read_text())
+    paths["sets"].write_text(json.dumps({**sets, "equality_sets": [["m1", "f1"], ["m2", "f2"]]}))
+    weat = json.loads(paths["weat"].read_text())
+    paths["weat"].write_text(json.dumps({**weat, "B": ["n6", "n7"]}))
+    embeddings = ["--embeddings", str(paths["embeddings"])]
+    model = ["--model", str(paths["model"])]
+    _fit_linear(paths)
+    applied = tmp_path / "applied.txt"
+    assert main([
+        "apply", *embeddings, *model, "--sets", str(paths["sets"]), "--equalize",
+        "--out", str(applied),
+    ]) == 0
+    rows = applied.read_text().splitlines()
+    assert len(rows) == len(paths["embeddings"].read_text().splitlines())
+    sim_out = tmp_path / "sim.json"
+    assert main(["sim", *embeddings, *model, "--out", str(sim_out), "he", "she", "n0", "n1"]) == 0
+    assert json.loads(sim_out.read_text())["backend"] == "linear"
+    for tag, extra in (("raw", []), ("linear", model)):
+        assert main([
+            "eval", "weat", *embeddings, *extra, "--config", str(paths["weat"]),
+            "--out", str(tmp_path / f"weat-{tag}"),
+        ]) == 0
+        assert main([
+            "eval", "professions", *embeddings, *extra,
+            "--professions", str(paths["professions"]), "--male", str(paths["male"]),
+            "--female", str(paths["female"]), "--neighbors", "8",
+            "--out", str(tmp_path / f"prof-{tag}"),
+        ]) == 0
+        for test in ("weat", "prof"):
+            assert json.loads((tmp_path / f"{test}-{tag}.json").read_text())["backend"] == tag
+
+
+def test_linear_weat_on_mirrored_attributes_exits_4(planted_files, capsys):
+    """m_i and f_i differ only along the planted direction, so neutralizing
+    makes A = {m1, m2} and B = {f1, f2} the same vectors: every association
+    score is 0 up to rounding, and no effect size exists."""
+    paths = planted_files
+    _fit_linear(paths)
+    assert main([
+        "eval", "weat", "--embeddings", str(paths["embeddings"]),
+        "--model", str(paths["model"]), "--config", str(paths["weat"]),
+    ]) == 4
+    assert "zero spread" in capsys.readouterr().err

@@ -33,7 +33,7 @@ from kerndebias.evaluation import (
     weat_test,
 )
 from conftest import RNG_SEED, planted_bias_table, random_instance
-from oracles import weat_brute_force_p
+from oracles import cosine_row, weat_brute_force_p
 
 
 class StubBackend(SimilarityBackend):
@@ -120,6 +120,40 @@ class TestBackends:
             np.testing.assert_allclose(
                 backend.squared_distance_matrix(x, y), oracle, rtol=0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_raw_and_linear_rows_match_explicit_cosines(self, seed):
+        rng = np.random.default_rng(seed)
+        table, sets = random_instance(rng, n_words=30, dim=7, n_pairs=4)
+        model = fit_linear_subspace(table, sets, 2)
+        words = list(table.words)
+        for backend, oracle_model in (
+            (RawCosineBackend(table), None),
+            (LinearNeutralizedBackend(table, model), model),
+        ):
+            for word in ("w0", "w9", "w29"):
+                oracle = cosine_row(table, word, words, oracle_model)
+                np.testing.assert_allclose(
+                    backend.similarity_row(word, words), oracle, rtol=0, atol=1e-12
+                )
+                assert backend.similarity(word, "w5") == pytest.approx(oracle[5], abs=1e-12)
+
+    def test_word_inside_linear_subspace_rejected(self, rng):
+        table, sets = random_instance(rng, n_words=20, dim=6, n_pairs=4)
+        model = fit_linear_subspace(table, sets, 2)
+        inside = np.array([0.6, -0.8]) @ model.basis
+        table = EmbeddingTable(
+            words=(*table.words, "inside"), matrix=np.vstack([table.matrix, inside])
+        )
+        with pytest.raises(DataError, match="'inside'"):
+            LinearNeutralizedBackend(table, model)
+
+    def test_zero_vector_rejected_by_raw_backend(self, rng):
+        matrix = rng.normal(size=(5, 3))
+        matrix[2] = 0.0
+        table = EmbeddingTable(words=tuple(f"w{i}" for i in range(5)), matrix=matrix)
+        with pytest.raises(DataError, match="'w2'"):
+            RawCosineBackend(table)
 
 
 class TestWeatAssociation:
@@ -471,14 +505,14 @@ class TestIndirectBiasProtocol:
         table, sets, _ = planted_bias_table(rng, n_pairs=10, n_neutral=60, dim=6)
         raw = RawCosineBackend(table)
         raw_result = indirect_bias_classification(
-            raw, table, euclidean_squared_distance,
+            raw, table,
             n_biased=40, n_train=24, svm_gamma=2.0, c_reg=10.0, seed=11,
             male_anchor="m0", female_anchor="f0",
         )
         kernel = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=None)
         corrected_backend = CorrectedKernelBackend(table, kernel)
         corrected_result = indirect_bias_classification(
-            corrected_backend, table, corrected_backend.metric.squared_distance_matrix,
+            corrected_backend, table,
             n_biased=40, n_train=24, svm_gamma=2.0, c_reg=10.0, seed=11,
             male_anchor="m0", female_anchor="f0",
         )
@@ -489,12 +523,12 @@ class TestIndirectBiasProtocol:
         table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
         backend = RawCosineBackend(table)
         a = indirect_bias_classification(
-            backend, table, euclidean_squared_distance,
+            backend, table,
             n_biased=30, n_train=20, svm_gamma=1.0, seed=5,
             male_anchor="m0", female_anchor="f0",
         )
         b = indirect_bias_classification(
-            backend, table, euclidean_squared_distance,
+            backend, table,
             n_biased=30, n_train=20, svm_gamma=1.0, seed=5,
             male_anchor="m0", female_anchor="f0",
         )
@@ -504,7 +538,7 @@ class TestIndirectBiasProtocol:
         table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
         with pytest.raises(DataError, match="'he'"):
             indirect_bias_classification(
-                RawCosineBackend(table), table, euclidean_squared_distance,
+                RawCosineBackend(table), table,
                 n_biased=30, n_train=20,
             )
 
