@@ -5,13 +5,20 @@ Core pieces:
 - :mod:`kerndebias.embeddings` -- embedding tables and their text format.
 - :mod:`kerndebias.linear` -- linear bias subspace, neutralize, equalize.
 - :mod:`kerndebias.kernels` -- kernel specs and Gram matrices.
-- :mod:`kerndebias.rkhs` -- kernelized bias model and corrected metric.
+- :mod:`kerndebias.rkhs` -- kernelized bias model and CorrectedMetric,
+  the one corrected metric k~(x, y) = k(x, y) - beta(x) . beta(y) over a
+  kernel model, a linear model (beta(x) = x B^T) or none (plain cosine).
 - :mod:`kerndebias.preimage` -- corrected vectors back in input space.
 - :mod:`kerndebias.evaluation` -- association tests, professions
-  correlation, indirect-bias SVM, similarity-judgment scoring.
+  correlation, indirect-bias SVM, similarity-judgment scoring, all through
+  ``similarity_matrix(rows, cols)``: the (rows, cols) corrected cosines in
+  [-1, 1]; a queried word whose corrected self product is at most
+  1e-12 k(w, w) raises DataError.
+- :mod:`kerndebias.configio` -- input files, and load_model for any model.
 - :mod:`kerndebias.cli` -- the `kerndebias` command.
 """
 
+from .configio import load_model
 from .embeddings import (
     EmbeddingTable,
     parse_embedding_text,
@@ -44,11 +51,8 @@ from .rkhs import (
     CorrectedMetric,
     KernelBiasModel,
     beta_matrix,
-    beta_projection,
     build_centered_gram,
     fit_kernel_model,
-    load_kernel_model,
-    save_kernel_model,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +72,6 @@ __all__ = [
     "PreimageMap",
     "SymmetricEigen",
     "beta_matrix",
-    "beta_projection",
     "bias_covariance",
     "build_centered_gram",
     "build_design_matrix",
@@ -79,7 +82,7 @@ __all__ = [
     "fit_linear_subspace",
     "fit_preimage_map",
     "gram_matrix",
-    "load_kernel_model",
+    "load_model",
     "neutralize_matrix",
     "neutralize_vector",
     "parse_embedding_text",
@@ -87,7 +90,6 @@ __all__ = [
     "preimage_neutralize",
     "preimage_neutralize_matrix",
     "resolve_word_sets",
-    "save_kernel_model",
     "spearman",
     "subset",
     "symmetric_eig",

@@ -30,7 +30,6 @@ from .linear import (
     LinearBiasModel,
     equalize_set,
     fit_linear_subspace,
-    linear_model_from_dict,
     linear_model_to_dict,
     neutralize_matrix,
     resolve_word_sets,
@@ -43,7 +42,7 @@ from .preimage import (
     preimage_neutralize_matrix,
     preimage_to_dict,
 )
-from .rkhs import fit_kernel_model, kernel_model_from_dict, kernel_model_to_dict
+from .rkhs import KernelBiasModel, fit_kernel_model, kernel_model_to_dict
 from .seeding import rng_for
 
 EXIT_OK = 0
@@ -66,16 +65,6 @@ def _read_embeddings(path: str, normalize: bool) -> EmbeddingTable:
         with open(path, "r", encoding="utf-8") as handle:
             table = parse_embedding_text(handle)
     return unit_normalize(table) if normalize else table
-
-
-def _load_model_file(path: str) -> dict:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid model JSON: {exc}") from None
-    if not isinstance(data, dict) or "type" not in data:
-        raise FormatError(f"{path}: not a model file")
-    return data
 
 
 def _kernel_spec_from_args(args: argparse.Namespace, dim: int) -> KernelSpec:
@@ -109,13 +98,12 @@ def _resolve_sets(args: argparse.Namespace, table: EmbeddingTable):
 
 
 def _make_backend(args: argparse.Namespace, table: EmbeddingTable):
-    model_path = getattr(args, "model", None)
-    if model_path is None:
+    if args.model is None:
         return evaluation.RawCosineBackend(table)
-    data = _load_model_file(model_path)
-    if data["type"] == "linear":
-        return evaluation.LinearNeutralizedBackend(table, linear_model_from_dict(data))
-    return evaluation.CorrectedKernelBackend(table, kernel_model_from_dict(data))
+    model, _ = configio.load_model(args.model)
+    if isinstance(model, LinearBiasModel):
+        return evaluation.LinearNeutralizedBackend(table, model)
+    return evaluation.CorrectedKernelBackend(table, model)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -185,12 +173,9 @@ def _apply_linear(args: argparse.Namespace, table: EmbeddingTable, model: Linear
     return EmbeddingTable(words=table.words, matrix=matrix)
 
 
-def _apply_kernel(args: argparse.Namespace, table: EmbeddingTable, data: dict) -> tuple[EmbeddingTable, dict]:
-    model = kernel_model_from_dict(data)
-    if model.dim != table.dim:
-        raise DataError(
-            f"model dimension {model.dim} != embedding dimension {table.dim}"
-        )
+def _apply_kernel(
+    args: argparse.Namespace, table: EmbeddingTable, model: KernelBiasModel, data: dict
+) -> tuple[EmbeddingTable, dict]:
     if args.sets is not None:
         pairs = _resolve_sets(args, table)[0].pairs
     else:
@@ -204,7 +189,7 @@ def _apply_kernel(args: argparse.Namespace, table: EmbeddingTable, data: dict) -
             "cannot locate defining words for the pre-image sample; pass --sets"
         )
     rng = rng_for(args.seed, "preimage-sample")
-    sample = default_sample(model, table, pairs, rng, extra=args.preimage_sample)
+    sample = default_sample(table, pairs, rng, extra=args.preimage_sample)
     pmap = fit_preimage_map(model, table, sample, ridge_lambda=args.ridge_lambda)
     matrix = preimage_neutralize_matrix(pmap, table.matrix)
     return EmbeddingTable(words=table.words, matrix=matrix), preimage_to_dict(pmap)
@@ -212,23 +197,16 @@ def _apply_kernel(args: argparse.Namespace, table: EmbeddingTable, data: dict) -
 
 def cmd_apply(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
-    data = _load_model_file(args.model)
-    if data["type"] == "linear":
-        model = linear_model_from_dict(data)
-        if model.dim != table.dim:
-            raise DataError(
-                f"model dimension {model.dim} != embedding dimension {table.dim}"
-            )
+    model, data = configio.load_model(args.model)
+    evaluation.check_dimension(model.dim, table)
+    if isinstance(model, LinearBiasModel):
         out_table = _apply_linear(args, table, model)
     else:
         if args.equalize:
             raise FormatError("--equalize is only supported with a linear model")
-        out_table, preimage_block = _apply_kernel(args, table, data)
+        out_table, data["preimage"] = _apply_kernel(args, table, model, data)
         if args.out_model is not None:
-            data["preimage"] = preimage_block
-            Path(args.out_model).write_text(
-                json.dumps(data, indent=1) + "\n", encoding="utf-8"
-            )
+            Path(args.out_model).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     _write_text(args.out, write_embedding_text(out_table, precision=args.precision))
     if args.out not in (None, "-"):
         print(f"wrote {args.out}")
@@ -240,13 +218,12 @@ def cmd_sim(args: argparse.Namespace) -> int:
         raise FormatError("sim expects an even number of words (pairs)")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     backend = _make_backend(args, table)
-    results = []
-    for a, b in zip(args.words[0::2], args.words[1::2]):
-        for w in (a, b):
-            if w not in backend:
-                raise DataError(f"word {w!r} not in vocabulary")
-        results.append({"a": a, "b": b, "similarity": backend.similarity(a, b)})
-    payload = {"backend": backend.name, "pairs": results}
+    pairs = list(zip(args.words[0::2], args.words[1::2]))
+    values = evaluation.pair_similarities(backend, pairs)
+    payload = {
+        "backend": backend.name,
+        "pairs": [{"a": a, "b": b, "similarity": float(v)} for (a, b), v in zip(pairs, values)],
+    }
     _write_text(args.out, json.dumps(payload, indent=1) + "\n")
     return EXIT_OK
 

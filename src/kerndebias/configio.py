@@ -1,15 +1,22 @@
-"""Loaders for the JSON/TSV input formats consumed by the CLI."""
+"""Loaders for the JSON/TSV input formats consumed by the CLI.
+
+Every JSON object file -- a model, a sets file, a WEAT config -- is read
+by read_json_object; load_model picks the model class by its "type".
+"""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, checked_integer
 from .evaluation import DEFAULT_PERMUTATIONS, DEFAULT_SEED, WeatConfig
+from .linear import LinearBiasModel, linear_model_from_dict
+from .rkhs import KernelBiasModel, kernel_model_from_dict
 
 
-def _load_json(path: str | Path) -> dict:
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in a file; FormatError if it is not JSON or not an object."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -19,9 +26,23 @@ def _load_json(path: str | Path) -> dict:
     return data
 
 
+def load_model(path: str | Path) -> tuple[LinearBiasModel | KernelBiasModel, dict]:
+    """A model file written by `fit`, and the dict it was parsed from.
+
+    The dict keeps the fields the model does not hold (`pair_words`, a
+    pre-image block), so a caller can read them or write the file back.
+    """
+    data = read_json_object(path)
+    if data.get("type") == "linear":
+        return linear_model_from_dict(data), data
+    if data.get("type") == "kernel":
+        return kernel_model_from_dict(data), data
+    raise FormatError(f"{path}: not a model file (type {data.get('type')!r})")
+
+
 def load_sets_file(path: str | Path) -> tuple[list[list[str]], list[list[str]]]:
     """Sets file: {"defining_sets": [[a, b], ...], "equality_sets": [[...], ...]}."""
-    data = _load_json(path)
+    data = read_json_object(path)
     defining = data.get("defining_sets")
     if not isinstance(defining, list) or not defining:
         raise FormatError(f"{path}: missing or empty 'defining_sets'")
@@ -39,20 +60,17 @@ def load_sets_file(path: str | Path) -> tuple[list[list[str]], list[list[str]]]:
 
 def load_weat_config(path: str | Path) -> WeatConfig:
     """WEAT config: {"X": [...], "Y": [...], "A": [...], "B": [...], ...}."""
-    data = _load_json(path)
+    data = read_json_object(path)
     lists = {}
     for key in ("X", "Y", "A", "B"):
         value = data.get(key)
         if not (isinstance(value, list) and value and all(isinstance(w, str) for w in value)):
             raise FormatError(f"{path}: missing or invalid word list {key!r}")
         lists[key] = tuple(value)
-    numbers = {}
-    for key, default in (("permutations", DEFAULT_PERMUTATIONS), ("seed", DEFAULT_SEED)):
-        value = data.get(key, default)
-        try:
-            numbers[key] = int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise FormatError(f"{path}: {key!r} must be an integer, got {value!r}") from None
+    numbers = {
+        key: checked_integer(data.get(key, default), key)
+        for key, default in (("permutations", DEFAULT_PERMUTATIONS), ("seed", DEFAULT_SEED))
+    }
     return WeatConfig(
         x_words=lists["X"],
         y_words=lists["Y"],

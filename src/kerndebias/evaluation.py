@@ -3,12 +3,20 @@
 Provides the word association test (effect size + one-sided permutation
 p-value), the professions neighbor-correlation benchmark, an SMO-trained
 kernel SVM for the indirect-bias classification protocol, and SimLex-style
-rank-correlation scoring.  Every protocol runs against any backend, and
-every backend measures one corrected metric
-k~(x, y) = k(x, y) - beta(x) . beta(y), beta(x) being x's coordinates
-along the bias directions: raw cosine is the linear kernel with no bias
-coordinates, linear neutralization the linear kernel with beta(x) = x B^T,
-and a kernel model brings its own kernel and beta.
+rank-correlation scoring.  Every protocol runs against any backend through
+one batched call, similarity_matrix(rows, cols): the (len(rows),
+len(cols)) cosines of the row words with the column words, clipped to
+[-1, 1].  WEAT makes one (X u Y) x (A u B) call, SimLex one call over its
+distinct first and second words, and professions one call per block of
+professions against all candidates.
+
+The backends are word-indexed views of rkhs.CorrectedMetric, the one
+corrected metric k~(x, y) = k(x, y) - beta(x) . beta(y): raw cosine is
+the linear kernel with no bias coordinates, linear neutralization the
+linear kernel with beta(x) = x B^T, and a kernel model brings its own
+kernel and beta.  A query that names a fully neutralized word -- corrected
+self product at most 1e-12 k(w, w) -- raises DataError naming it; the
+other words of the table still score.
 """
 
 from __future__ import annotations
@@ -23,10 +31,10 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, NumericalError
-from .kernels import KernelSpec, difference_distances, gram_matrix, kernel_diag
+from .kernels import _BLOCK_ELEMENTS
 from .linear import LinearBiasModel
 from .numerics import pearson, spearman
-from .rkhs import KernelBiasModel, beta_matrix, corrected_self_products
+from .rkhs import CorrectedMetric, KernelBiasModel
 from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
@@ -50,11 +58,9 @@ class SimilarityBackend:
     def __contains__(self, word: str) -> bool:
         raise NotImplementedError
 
-    def similarity(self, a: str, b: str) -> float:
+    def similarity_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
+        """Cosines of every row word with every column word, in [-1, 1]."""
         raise NotImplementedError
-
-    def similarity_row(self, word: str, candidates: Sequence[str]) -> np.ndarray:
-        return np.array([self.similarity(word, c) for c in candidates])
 
     def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Pairwise squared distances between the rows of x and y in the
@@ -62,71 +68,52 @@ class SimilarityBackend:
         raise NotImplementedError
 
 
-def _check_dimension(model_dim: int, table: EmbeddingTable) -> None:
+def pair_similarities(sim: SimilarityBackend, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Similarity of each (a, b) pair, gathered from one matrix over the
+    distinct first words and the distinct second words."""
+    firsts = list(dict.fromkeys(a for a, _ in pairs))
+    seconds = list(dict.fromkeys(b for _, b in pairs))
+    sims = sim.similarity_matrix(firsts, seconds)
+    row = {w: i for i, w in enumerate(firsts)}
+    col = {w: j for j, w in enumerate(seconds)}
+    return sims[[row[a] for a, _ in pairs], [col[b] for _, b in pairs]]
+
+
+def check_dimension(model_dim: int, table: EmbeddingTable) -> None:
+    """DataError unless a model of this dimension fits the table's vectors."""
     if model_dim != table.dim:
         raise DataError(f"model dimension {model_dim} != table dimension {table.dim}")
 
 
-_LINEAR_KERNEL = KernelSpec("linear")
-
-
 class CorrectedKernelBackend(SimilarityBackend):
-    """The corrected metric over a kernel spec and a beta map.
+    """Word-indexed view of the corrected metric over one table.
 
-    Cosine is k~(x, y) / sqrt(k~(x, x) k~(y, y)) and the squared distance
-    k~(x, x) - 2 k~(x, y) + k~(y, y).  This constructor takes both from a
-    fitted kernel model.  beta(vocabulary) and the corrected self products
-    are computed once, so a similarity row costs one raw Gram row plus a
-    (rows x K) by K product.  A word whose corrected self product is at
-    most 1e-12 k(w, w) raises DataError: the correction leaves nothing of
-    it, and its cosine is undefined.
+    beta(vocabulary) is computed once, so a similarity matrix costs one
+    raw Gram block plus a (rows x K) by (K x cols) product.
     """
 
     name = "kernel"
 
-    def __init__(self, table: EmbeddingTable, model: KernelBiasModel):
-        _check_dimension(model.dim, table)
-        self._bind(table, model.spec, lambda x: beta_matrix(model, x))
-
-    def _bind(self, table: EmbeddingTable, spec: KernelSpec, beta: Callable) -> None:
+    def __init__(self, table: EmbeddingTable, model: KernelBiasModel | LinearBiasModel | None):
+        if model is not None:
+            check_dimension(model.dim, table)
         self._table = table
-        self._spec = spec
-        self._beta_map = beta
-        self._beta = beta(table.matrix)
-        self._self_products = corrected_self_products(spec, table.matrix, self._beta)
-        bad = np.nonzero(self._self_products <= 1e-12 * kernel_diag(spec, table.matrix))[0]
-        if bad.size:
-            raise DataError(
-                f"word {table.words[bad[0]]!r} is fully neutralized under the "
-                f"{self.name} backend; its cosine is undefined"
-            )
+        self.metric = CorrectedMetric(model)
+        self._beta = self.metric.beta(table.matrix)
 
     def __contains__(self, word: str) -> bool:
         return word in self._table
 
-    def _cosines(self, iw: int, idx: list[int]) -> np.ndarray:
+    def similarity_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
+        ri = [self._table.row_index(w) for w in rows]
+        ci = [self._table.row_index(w) for w in cols]
         matrix = self._table.matrix
-        raw = gram_matrix(self._spec, matrix[iw][None, :], matrix[idx])[0]
-        cross = raw - self._beta[idx] @ self._beta[iw]
-        denom = np.sqrt(self._self_products[iw] * self._self_products[idx])
-        return np.clip(cross / denom, -1.0, 1.0)
-
-    def similarity(self, a: str, b: str) -> float:
-        return float(self._cosines(self._table.row_index(a), [self._table.row_index(b)])[0])
-
-    def similarity_row(self, word: str, candidates: Sequence[str]) -> np.ndarray:
-        return self._cosines(
-            self._table.row_index(word), [self._table.row_index(c) for c in candidates]
+        return self.metric.cosine_matrix(
+            matrix[ri], matrix[ci], self._beta[ri], self._beta[ci], labels=(rows, cols)
         )
 
     def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        bx, by = self._beta_map(x), self._beta_map(y)
-        sx = corrected_self_products(self._spec, x, bx)
-        sy = corrected_self_products(self._spec, y, by)
-        cross = gram_matrix(self._spec, x, y) - bx @ by.T
-        return np.maximum(0.0, sx[:, None] - 2.0 * cross + sy[None, :])
+        return self.metric.squared_distance_matrix(x, y)
 
 
 class RawCosineBackend(CorrectedKernelBackend):
@@ -135,17 +122,13 @@ class RawCosineBackend(CorrectedKernelBackend):
     name = "raw"
 
     def __init__(self, table: EmbeddingTable):
-        self._bind(table, _LINEAR_KERNEL, lambda x: np.zeros((x.shape[0], 0)))
+        super().__init__(table, None)
 
 
 class LinearNeutralizedBackend(CorrectedKernelBackend):
     """Cosine off the linear bias subspace: the linear kernel, beta(x) = x B^T."""
 
     name = "linear"
-
-    def __init__(self, table: EmbeddingTable, model: LinearBiasModel):
-        _check_dimension(model.dim, table)
-        self._bind(table, _LINEAR_KERNEL, lambda x: x @ model.basis.T)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +163,14 @@ class WeatResult:
     exhaustive: bool
 
 
+def _associations(
+    sim: SimilarityBackend, words: Sequence[str], a_in: Sequence[str], b_in: Sequence[str]
+) -> np.ndarray:
+    """Mean similarity to A minus mean to B for each word, from one matrix."""
+    sims = sim.similarity_matrix(words, [*a_in, *b_in])
+    return sims[:, : len(a_in)].mean(axis=1) - sims[:, len(a_in) :].mean(axis=1)
+
+
 def weat_association(
     sim: SimilarityBackend, word: str, a_words: Sequence[str], b_words: Sequence[str]
 ) -> float:
@@ -188,9 +179,7 @@ def weat_association(
     b_in = [b for b in b_words if b in sim]
     if not a_in or not b_in:
         raise DataError("attribute sets are empty after vocabulary filtering")
-    return float(
-        sim.similarity_row(word, a_in).mean() - sim.similarity_row(word, b_in).mean()
-    )
+    return float(_associations(sim, [word], a_in, b_in)[0])
 
 
 def _split_statistic(s_values: np.ndarray, idx: np.ndarray, total: float) -> float:
@@ -224,9 +213,7 @@ def weat_test(sim: SimilarityBackend, cfg: WeatConfig) -> WeatResult:
     if len(x_in) + len(y_in) < 4:
         raise DataError("need at least 4 in-vocabulary target words")
 
-    s_values = np.array(
-        [weat_association(sim, w, a_in, b_in) for w in x_in + y_in]
-    )
+    s_values = _associations(sim, x_in + y_in, a_in, b_in)
     nx = len(x_in)
     std = float(s_values.std())  # population std
     # The scores are differences of mean cosines in [-1, 1]; a spread this
@@ -326,13 +313,19 @@ def professions_correlation(
     else:
         raise DataError(f"unknown candidate pool {pool!r}")
 
+    # Every profession is a candidate; its own column is masked out, and
+    # the rows of one similarity block stay under the kernels' budget.
+    column = {w: j for j, w in enumerate(candidates)}
+    is_male = np.array([c in male_set for c in candidates])
+    k = min(k_neighbors, len(candidates) - 1)
+    step = max(1, _BLOCK_ELEMENTS // len(candidates))
     counts = np.empty(len(profs))
-    for i, prof in enumerate(profs):
-        others = [c for c in candidates if c != prof]
-        sims = sim.similarity_row(prof, others)
-        k = min(k_neighbors, len(others))
-        top = np.argsort(-sims, kind="stable")[:k]
-        counts[i] = sum(1 for j in top if others[int(j)] in male_set)
+    for start in range(0, len(profs), step):
+        rows = profs[start : start + step]
+        sims = sim.similarity_matrix(rows, candidates)
+        sims[np.arange(len(rows)), [column[p] for p in rows]] = -np.inf
+        top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        counts[start : start + len(rows)] = is_male[top].sum(axis=1)
 
     bias = original_bias_scores(table, profs, male_anchor, female_anchor)
     if np.all(counts == counts[0]):
@@ -378,15 +371,6 @@ def rbf_on_squared_distance(
         return np.exp(-gamma * sqdist(x, y))
 
     return kernel
-
-
-def euclidean_squared_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances from direct differences.
-
-    A reference for the backends' four-term squared distances, which
-    expand the same quantity through inner products.
-    """
-    return difference_distances(x, y)
 
 
 def linear_classifier_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -561,18 +545,11 @@ def simlex_eval(
     Raises:
         DataError: with fewer than two scorable pairs.
     """
-    model_scores = []
-    gold_scores = []
-    dropped = 0
-    for a, b, gold in pairs:
-        if a in sim and b in sim:
-            model_scores.append(sim.similarity(a, b))
-            gold_scores.append(float(gold))
-        else:
-            dropped += 1
-    if len(model_scores) < 2:
+    scored = [(a, b, float(gold)) for a, b, gold in pairs if a in sim and b in sim]
+    dropped = len(pairs) - len(scored)
+    if len(scored) < 2:
         raise DataError(
-            f"need at least two scorable pairs, got {len(model_scores)} "
-            f"({dropped} dropped)"
+            f"need at least two scorable pairs, got {len(scored)} ({dropped} dropped)"
         )
-    return spearman(np.array(model_scores), np.array(gold_scores)), dropped
+    model_scores = pair_similarities(sim, [(a, b) for a, b, _ in scored])
+    return spearman(model_scores, np.array([gold for _, _, gold in scored])), dropped

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, checked_finite, checked_integer
 
 FAMILIES = (
     "linear",
@@ -54,6 +54,8 @@ class KernelSpec:
     gamma is required for rbf/sigmoid/polynomial/laplace, coef0 for
     sigmoid/polynomial, degree for polynomial.  convex_combination takes
     (weight, KernelSpec) components with nonnegative weights summing to 1.
+    gamma, coef0 and the weights must be finite numbers and degree an
+    integer; a bool, a string or a float degree raises FormatError.
     """
 
     family: str
@@ -65,6 +67,10 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise FormatError(f"unknown kernel family {self.family!r}")
+        for name, check in (("gamma", checked_finite), ("coef0", checked_finite),
+                            ("degree", checked_integer)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check(getattr(self, name), name))
         if self.family in _NEEDS_GAMMA:
             if self.gamma is None or not self.gamma > 0:
                 raise FormatError(f"{self.family} kernel requires gamma > 0")
@@ -76,12 +82,14 @@ class KernelSpec:
         if self.family == "convex_combination":
             if not self.components:
                 raise FormatError("convex_combination requires components")
-            weights = [w for w, _ in self.components]
+            weights = [checked_finite(w, "weight") for w, _ in self.components]
             if any(w < 0 for w in weights):
                 raise FormatError("convex weights must be nonnegative")
             if abs(sum(weights) - 1.0) > 1e-12:
                 raise FormatError("convex weights must sum to 1")
-            object.__setattr__(self, "components", tuple(self.components))
+            object.__setattr__(
+                self, "components", tuple(zip(weights, (s for _, s in self.components)))
+            )
 
     def to_dict(self) -> dict:
         if self.family == "convex_combination":
@@ -102,24 +110,24 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelSpec":
-        """Rebuild a spec; FormatError on a missing field or a bad value."""
+        """Rebuild a spec; FormatError on a missing field or a bad value
+        (checked as for any spec, so a bool or a float degree is rejected)."""
         if not isinstance(data, dict) or "family" not in data:
             raise FormatError("kernel spec must be an object with a 'family' key")
         family = data["family"]
         try:
             if family == "convex_combination":
                 comps = tuple(
-                    (float(c["weight"]), cls.from_dict(c["spec"]))
-                    for c in data.get("components", [])
+                    (c["weight"], cls.from_dict(c["spec"])) for c in data.get("components", [])
                 )
                 return cls(family=family, components=comps)
             return cls(
                 family=family,
-                gamma=float(data["gamma"]) if "gamma" in data else None,
-                coef0=float(data["coef0"]) if "coef0" in data else None,
-                degree=int(data["degree"]) if "degree" in data else None,
+                gamma=data.get("gamma"),
+                coef0=data.get("coef0"),
+                degree=data.get("degree"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed kernel spec: {exc!r}") from None
 
     def to_json(self) -> str:

@@ -44,7 +44,6 @@ class PreimageMap:
 
 
 def default_sample(
-    model: KernelBiasModel,
     table: EmbeddingTable,
     sets_pairs: tuple[tuple[int, int], ...],
     rng: np.random.Generator,

@@ -14,6 +14,14 @@ where beta_k(w) is the coordinate of w's feature image along bias
 direction k, computable from kernel evaluations against the training
 pairs.
 
+CorrectedMetric is the package's one copy of that metric: the corrected
+inner product, the cosine, the squared distance and the rule that rejects
+a fully neutralized vector (corrected self product at most 1e-12 k(w, w)).
+It is built over a (kernel spec, beta map) pair: a kernel model, a linear
+model (the linear kernel, beta(x) = x B^T) or none (the linear kernel,
+K = 0, plain cosine), and it has matrix methods only.  The similarity
+backends in `evaluation` are word-indexed views of it.
+
 Scale convention: the centered Gram built here is s times the Gram of the
 raw feature differences (s = gram_scale / 2).  The dual coefficients are
 normalized through that same matrix and the beta features carry a
@@ -24,20 +32,21 @@ exactly; tests enforce this.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError
-from .kernels import KernelSpec, gram_matrix, kernel_diag
-from .linear import RANK_RTOL, DefiningSets
+from .kernels import KernelSpec, difference_distances, gram_matrix, kernel_diag
+from .linear import RANK_RTOL, DefiningSets, LinearBiasModel
 from .numerics import symmetric_eig
 
 logger = logging.getLogger(__name__)
+
+_LINEAR_KERNEL = KernelSpec("linear")
 
 
 def _interleaved(pairs_a: np.ndarray, pairs_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,117 +198,117 @@ def fit_kernel_model(
     )
 
 
-def diff_feature_matrix(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
-    """Kernel evaluations against the signed pair differences: (n, 2N)."""
+def beta_matrix(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
+    """Bias-direction coordinates of the feature images of rows of x: (n, K).
+
+    They come from kernel evaluations against the signed pair differences.
+    A single d-vector gives a (K,) vector.
+    """
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+    if x.ndim == 1:
+        return beta_matrix(model, x[None, :])[0]
     if x.shape[1] != model.dim:
         raise DataError(f"expected dimension {model.dim}, got {x.shape[1]}")
     w1, w2 = _interleaved(model.pairs_a, model.pairs_b)
     psi = gram_matrix(model.spec, x, w1) - gram_matrix(model.spec, x, w2)
-    return psi
-
-
-def beta_matrix(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
-    """Bias-direction coordinates of the feature images of rows of x: (n, K)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return beta_matrix(model, x[None, :])[0]
-    psi = diff_feature_matrix(model, x)
     return model.feature_scale * psi @ model.alphas.T
-
-
-def beta_projection(model: KernelBiasModel, w: np.ndarray) -> np.ndarray:
-    """Coordinates of one word's feature image along the bias directions."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1:
-        raise DataError("beta_projection expects a single d-vector")
-    return beta_matrix(model, w[None, :])[0]
-
-
-def corrected_self_products(spec: KernelSpec, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Corrected k~(x_i, x_i) of the rows of x, given their bias coordinates."""
-    return kernel_diag(spec, x) - np.sum(beta * beta, axis=1)
 
 
 @dataclass(eq=False)
 class CorrectedMetric:
-    """Inner products, cosines and distances in the bias-removed metric."""
+    """k~(x, y) = k(x, y) - beta(x) . beta(y) over the (kernel spec, beta
+    map) pair of a kernel model, a linear model or None (see the module
+    docstring).  Methods take rows; bx and by are the rows' bias
+    coordinates, computed here when not given.
+    """
 
-    model: KernelBiasModel
+    model: KernelBiasModel | LinearBiasModel | None = None
     _direction_gram: np.ndarray | None = field(default=None, repr=False)
 
+    @property
+    def spec(self) -> KernelSpec:
+        return self.model.spec if isinstance(self.model, KernelBiasModel) else _LINEAR_KERNEL
+
+    def beta(self, x: np.ndarray) -> np.ndarray:
+        """Bias coordinates of the rows of x: (n, K)."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if self.model is None:
+            return np.zeros((x.shape[0], 0))
+        if isinstance(self.model, LinearBiasModel):
+            return x @ self.model.basis.T
+        return beta_matrix(self.model, x)
+
     def direction_gram(self) -> np.ndarray:
-        """Gram of the bias directions (K x K, identity up to solver error)."""
+        """Gram of a kernel model's bias directions (K x K, identity up to
+        solver error)."""
         if self._direction_gram is None:
             gram = self.model.centered_gram()
             self._direction_gram = self.model.alphas @ gram @ self.model.alphas.T
         return self._direction_gram
 
-    def inner_product(self, z: np.ndarray, w: np.ndarray) -> float:
-        """Corrected inner product k(z, w) - beta(z) . beta(w)."""
-        z = np.asarray(z, dtype=np.float64)
-        w = np.asarray(w, dtype=np.float64)
-        raw = float(gram_matrix(self.model.spec, z[None, :], w[None, :])[0, 0])
-        bz = beta_matrix(self.model, z[None, :])[0]
-        bw = beta_matrix(self.model, w[None, :])[0]
-        return raw - float(bz @ bw)
-
-    def inner_product_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Corrected inner products for all row pairs of x and y."""
-        raw = gram_matrix(self.model.spec, x, y)
-        bx = beta_matrix(self.model, np.atleast_2d(x))
-        by = beta_matrix(self.model, np.atleast_2d(y))
-        return raw - bx @ by.T
-
-    def self_inner_products(self, x: np.ndarray) -> np.ndarray:
+    def self_inner_products(self, x: np.ndarray, bx: np.ndarray | None = None) -> np.ndarray:
         """Corrected k~(x_i, x_i) for every row of x."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return corrected_self_products(self.model.spec, x, beta_matrix(self.model, x))
+        bx = self.beta(x) if bx is None else bx
+        return kernel_diag(self.spec, x) - np.sum(bx * bx, axis=1)
 
-    def cosine(self, z: np.ndarray, w: np.ndarray) -> float:
-        """Corrected cosine similarity, clamped to [-1, 1].
+    def inner_product_matrix(
+        self, x: np.ndarray, y: np.ndarray,
+        bx: np.ndarray | None = None, by: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Corrected inner products for all row pairs of x and y."""
+        bx = self.beta(x) if bx is None else bx
+        by = self.beta(y) if by is None else by
+        return gram_matrix(self.spec, x, y) - bx @ by.T
+
+    def cosine_matrix(
+        self, x: np.ndarray, y: np.ndarray,
+        bx: np.ndarray | None = None, by: np.ndarray | None = None,
+        labels: tuple[Sequence, Sequence] | None = None,
+    ) -> np.ndarray:
+        """Corrected cosines of all row pairs of x and y, clipped to [-1, 1].
 
         Raises:
-            DataError: if either argument is fully neutralized (corrected
-                self inner product <= 1e-12).
+            DataError: naming the first row of x, then of y, that is fully
+                neutralized: its corrected self product is at most
+                1e-12 k(w, w), so the correction leaves nothing of it and
+                its cosine is undefined.  labels name the rows of x and of
+                y in the message (row numbers by default).
         """
-        zz = self.inner_product(z, z)
-        ww = self.inner_product(w, w)
-        if zz <= 1e-12 or ww <= 1e-12:
-            raise DataError(
-                "corrected cosine undefined: a vector is fully neutralized "
-                f"(self products {zz:.3e}, {ww:.3e})"
-            )
-        value = self.inner_product(z, w) / np.sqrt(zz * ww)
-        return float(np.clip(value, -1.0, 1.0))
-
-    def squared_distance(self, z: np.ndarray, w: np.ndarray) -> float:
-        """Corrected squared distance, clamped at zero."""
-        value = (
-            self.inner_product(z, z)
-            - 2.0 * self.inner_product(z, w)
-            + self.inner_product(w, w)
-        )
-        return max(0.0, float(value))
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        bx = self.beta(x) if bx is None else bx
+        by = self.beta(y) if by is None else by
+        products = []
+        for side, (rows, beta) in enumerate(((x, bx), (y, by))):
+            products.append(self.self_inner_products(rows, beta))
+            bad = np.nonzero(products[-1] <= 1e-12 * kernel_diag(self.spec, rows))[0]
+            if bad.size:
+                name = repr(labels[side][bad[0]]) if labels else f"row {bad[0]} of {'xy'[side]}"
+                raise DataError(
+                    f"word {name} is fully neutralized by the correction; "
+                    "its cosine is undefined"
+                )
+        cross = self.inner_product_matrix(x, y, bx, by)
+        return np.clip(cross / np.sqrt(products[0][:, None] * products[1][None, :]), -1.0, 1.0)
 
     def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Pairwise corrected squared distances, clamped at zero.
 
-        The bias coordinates of each argument are computed once and feed
-        both its self products and the cross products.
+        Computed as k(x, x) - 2 k(x, y) + k(y, y) - ||beta(x) - beta(y)||^2
+        with the bias term from direct differences, so a row is exactly 0
+        from itself whenever its kernel part is.
         """
-        spec = self.model.spec
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        bx = beta_matrix(self.model, x)
-        by = beta_matrix(self.model, y)
-        sx = corrected_self_products(spec, x, bx)
-        sy = corrected_self_products(spec, y, by)
-        cross = gram_matrix(spec, x, y) - bx @ by.T
-        return np.maximum(0.0, sx[:, None] - 2.0 * cross + sy[None, :])
+        dist = (
+            kernel_diag(self.spec, x)[:, None]
+            - 2.0 * gram_matrix(self.spec, x, y)
+            + kernel_diag(self.spec, y)[None, :]
+        )
+        if self.model is not None:  # K = 0 has no bias term
+            dist -= difference_distances(self.beta(x), self.beta(y))
+        return np.maximum(0.0, dist)
 
     def equalized_inner_product(self, w: np.ndarray, members: np.ndarray) -> float:
         """Inner product of neutralized w with an equalized member of a set.
@@ -321,23 +330,11 @@ class CorrectedMetric:
         (beta(w) . beta(z)) and the expansion route through the direction
         Gram; exposes eigensolver non-orthonormality.
         """
-        bw = beta_matrix(self.model, np.asarray(w, dtype=np.float64)[None, :])[0]
-        bz = beta_matrix(self.model, np.asarray(z, dtype=np.float64)[None, :])[0]
+        bw = self.beta(w)[0]
+        bz = self.beta(z)[0]
         coordinate_route = float(bw @ bz)
         expansion_route = float(bw @ self.direction_gram() @ bz)
         return coordinate_route - expansion_route
-
-
-def save_kernel_model(model: KernelBiasModel, path: str | Path, preimage: dict | None = None) -> None:
-    """Persist a model (and optional pre-image block) as JSON.
-
-    Floats are serialized via repr, so reloading reproduces corrected
-    inner products bit for bit.
-    """
-    payload = kernel_model_to_dict(model)
-    if preimage is not None:
-        payload["preimage"] = preimage
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
 def kernel_model_to_dict(model: KernelBiasModel) -> dict:
@@ -408,12 +405,3 @@ def kernel_model_from_dict(data: dict) -> KernelBiasModel:
         gram_scale=gram_scale,
         discarded_negative=discarded_negative,
     )
-
-
-def load_kernel_model(path: str | Path) -> tuple[KernelBiasModel, dict | None]:
-    """Load a model JSON; returns (model, preimage block or None)."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid model JSON: {exc}") from None
-    return kernel_model_from_dict(data), data.get("preimage")

@@ -69,6 +69,16 @@ def four_term_inner(model: KernelBiasModel, z: np.ndarray, w: np.ndarray) -> flo
     return raw - cross_zw - cross_wz + proj_proj
 
 
+def four_term_distances(model: KernelBiasModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Corrected k~(x, x) - 2 k~(x, y) + k~(y, y) for all row pairs, with
+    k~ from raw kernel values and raw_beta."""
+    bx, by = raw_beta(model, x), raw_beta(model, y)
+    kxx = np.diag(gram_matrix(model.spec, x, x)) - np.sum(bx * bx, axis=1)
+    kyy = np.diag(gram_matrix(model.spec, y, y)) - np.sum(by * by, axis=1)
+    kxy = gram_matrix(model.spec, x, y) - bx @ by.T
+    return kxx[:, None] - 2.0 * kxy + kyy[None, :]
+
+
 def equalized_member_inner(
     model: KernelBiasModel, w: np.ndarray, members: np.ndarray, e_index: int
 ) -> float:

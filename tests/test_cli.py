@@ -200,6 +200,14 @@ def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):
     assert "'he'" in capsys.readouterr().err
 
 
+def _convex(first: str, second: str) -> str:
+    return (
+        '{"family": "convex_combination", "components": ['
+        f'{{"weight": {first}, "spec": {{"family": "linear"}}}}, '
+        f'{{"weight": {second}, "spec": {{"family": "cosine"}}}}]}}'
+    )
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -207,20 +215,40 @@ def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):
         {"family": "convex_combination", "components": [
             {"weight": 0.5, "spec": {"family": "linear"}}, {"weight": 0.5}]},
         {"family": "convex_combination", "components": 5},
+        {"family": "polynomial", "gamma": 1.0, "coef0": 1.0, "degree": 2.5},
+        {"family": "polynomial", "gamma": 1.0, "coef0": 1.0, "degree": True},
+        '{"family": "rbf", "gamma": 1e999}',
+        '{"family": "rbf", "gamma": true}',
+        '{"family": "sigmoid", "gamma": 0.5, "coef0": NaN}',
+        _convex("NaN", "0.5"),
+        _convex("true", "0.0"),
     ],
-    ids=["gamma-text", "component-without-spec", "components-number"],
+    ids=[
+        "gamma-text", "component-without-spec", "components-number", "degree-float",
+        "degree-bool", "gamma-inf", "gamma-bool", "coef0-nan", "weight-nan", "weight-bool",
+    ],
 )
 def test_malformed_kernel_spec_exits_2(planted_files, capsys, spec):
     paths = planted_files
     assert main([
         "fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
-        "--backend", "kernel", "--kernel", json.dumps(spec), "--out", str(paths["model"]),
+        "--backend", "kernel", "--kernel", spec if isinstance(spec, str) else json.dumps(spec),
+        "--out", str(paths["model"]),
     ]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not paths["model"].exists()
 
 
 @pytest.mark.parametrize(
-    "field, value", [("permutations", "many"), ("seed", None)], ids=["permutations", "seed"]
+    "field, value",
+    [
+        ("permutations", "many"), ("seed", None), ("permutations", 2.7),
+        ("permutations", True), ("permutations", 1e300), ("seed", 2.0), ("seed", False),
+    ],
+    ids=[
+        "permutations", "seed", "permutations-float", "permutations-bool",
+        "permutations-1e300", "seed-float", "seed-bool",
+    ],
 )
 def test_malformed_weat_number_exits_2(planted_files, capsys, field, value):
     paths = planted_files
@@ -258,7 +286,7 @@ def _expected_preimage(paths, pairs, seed, extra):
     with open(paths["embeddings"], encoding="utf-8") as handle:
         table = unit_normalize(parse_embedding_text(handle))
     model = kernel_model_from_dict(json.loads(paths["model"].read_text()))
-    sample = default_sample(model, table, pairs, rng_for(seed, "preimage-sample"), extra=extra)
+    sample = default_sample(table, pairs, rng_for(seed, "preimage-sample"), extra=extra)
     pmap = fit_preimage_map(model, table, sample)
     matrix = preimage_neutralize_matrix(pmap, table.matrix)
     text = write_embedding_text(EmbeddingTable(words=table.words, matrix=matrix), precision=9)
@@ -344,3 +372,65 @@ def test_linear_weat_on_mirrored_attributes_exits_4(planted_files, capsys):
         "--model", str(paths["model"]), "--config", str(paths["weat"]),
     ]) == 4
     assert "zero spread" in capsys.readouterr().err
+
+
+def test_demo_toy_writes_csv(tmp_path):
+    out = tmp_path / "toy.csv"
+    assert main(["demo-toy", "--n-points", "20", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,y,x_ntr,y_ntr"
+    assert len(lines) == 21
+    assert all(len(line.split(",")) == 4 for line in lines[1:])
+
+
+@pytest.mark.parametrize("target", ["model", "weat"])
+def test_file_that_is_not_json_exits_2(planted_files, capsys, target):
+    paths = planted_files
+    paths[target].write_text("{not json")
+    argv = ["--embeddings", str(paths["embeddings"])]
+    if target == "model":
+        argv = ["sim", *argv, "--model", str(paths["model"]), "he", "she"]
+    else:
+        argv = ["eval", "weat", *argv, "--config", str(paths["weat"])]
+    assert main(argv) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_all_oov_defining_sets_exit_3(planted_files, capsys):
+    paths = planted_files
+    paths["sets"].write_text(json.dumps({"defining_sets": [["absent1", "absent2"]]}))
+    assert main([
+        "fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+        "--out", str(paths["model"]),
+    ]) == 3
+    assert "no defining pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "backend, extra, components, rank",
+    [("linear", [], "2", 1), ("kernel", ["--kernel", "rbf", "--gamma", "0.5"], "9", 8)],
+    ids=["linear", "kernel"],
+)
+def test_components_above_rank_exit_3(planted_files, capsys, backend, extra, components, rank):
+    """The planted pairs are reflections along one direction: the linear
+    covariance has rank 1, the rbf centered Gram of 8 pairs rank 8."""
+    paths = planted_files
+    assert main([
+        "fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+        "--backend", backend, *extra, "--components", components, "--out", str(paths["model"]),
+    ]) == 3
+    assert f"rank is {rank}" in capsys.readouterr().err
+
+
+def test_zero_vector_rejected_only_when_queried(tmp_path, capsys):
+    words = ("a", "b", "c", "zero")
+    matrix = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [0.0, 0.0]])
+    embeddings = tmp_path / "table.txt"
+    embeddings.write_text(write_embedding_text(EmbeddingTable(words=words, matrix=matrix)))
+    out = tmp_path / "sim.json"
+    argv = ["sim", "--embeddings", str(embeddings), "--no-normalize", "--out", str(out)]
+    assert main([*argv, "a", "b", "b", "c"]) == 0
+    sims = [p["similarity"] for p in json.loads(out.read_text())["pairs"]]
+    assert sims == pytest.approx([0.6, 0.8], abs=1e-12)
+    assert main([*argv, "a", "zero"]) == 3
+    assert "'zero'" in capsys.readouterr().err

@@ -20,7 +20,6 @@ from kerndebias.evaluation import (
     RawCosineBackend,
     SimilarityBackend,
     WeatConfig,
-    euclidean_squared_distance,
     indirect_bias_classification,
     linear_classifier_kernel,
     professions_correlation,
@@ -32,8 +31,9 @@ from kerndebias.evaluation import (
     weat_association,
     weat_test,
 )
+from kerndebias.kernels import difference_distances
 from conftest import RNG_SEED, planted_bias_table, random_instance
-from oracles import cosine_row, weat_brute_force_p
+from oracles import cosine_row, four_term_distances, weat_brute_force_p
 
 
 class StubBackend(SimilarityBackend):
@@ -47,11 +47,14 @@ class StubBackend(SimilarityBackend):
     def __contains__(self, word: str) -> bool:
         return word in self.rows
 
-    def similarity(self, a: str, b: str) -> float:
-        row = self.rows.get(a, {})
-        if b in row:
-            return row[b]
-        return self.rows[b][a]
+    def similarity_matrix(self, rows, cols) -> np.ndarray:
+        return np.array([[self._entry(a, b) for b in cols] for a in rows])
+
+    def _entry(self, a: str, b: str) -> float:
+        """The given value either way round, 1 on the diagonal, NaN if unset."""
+        if a == b:
+            return 1.0
+        return self.rows[a].get(b, self.rows[b].get(a, np.nan))
 
 
 def gram_backend(cosines: np.ndarray, words: list[str]) -> tuple[RawCosineBackend, EmbeddingTable]:
@@ -71,21 +74,21 @@ class TestBackends:
             LinearNeutralizedBackend(table, linear),
             CorrectedKernelBackend(table, kernel),
         ]
+        words = ["n0", "n1", "m0"]
         for backend in backends:
-            for word in ("n0", "n1", "m0"):
-                assert backend.similarity(word, word) == pytest.approx(1.0, abs=1e-9)
-            ab = backend.similarity("n0", "n1")
-            ba = backend.similarity("n1", "n0")
-            assert ab == pytest.approx(ba, abs=1e-12)
+            sims = backend.similarity_matrix(words, words)
+            np.testing.assert_allclose(np.diag(sims), 1.0, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sims, sims.T, rtol=0, atol=1e-12)
 
     def test_similarity_row_matches_scalar(self, rng):
         table, sets, _ = planted_bias_table(rng, n_pairs=3, n_neutral=6, dim=5)
         kernel = fit_kernel_model(KernelSpec("laplace", gamma=0.5), table, sets, k=1)
         backend = CorrectedKernelBackend(table, kernel)
         words = ["n0", "n1", "n2", "m0"]
-        row = backend.similarity_row("n3", words)
+        row = backend.similarity_matrix(["n3"], words)[0]
         for value, word in zip(row, words):
-            assert value == pytest.approx(backend.similarity("n3", word), abs=1e-12)
+            single = backend.similarity_matrix(["n3"], [word])[0, 0]
+            assert value == pytest.approx(single, abs=1e-12)
 
     def test_cached_beta_matches_corrected_metric_cosine(self, rng):
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=10, dim=6)
@@ -95,13 +98,13 @@ class TestBackends:
             metric = CorrectedMetric(model)
             words = list(table.words)
             for word in ("n0", "m1", "f3"):
-                w = table.lookup(word)
-                oracle = [metric.cosine(w, table.lookup(c)) for c in words]
+                oracle = metric.cosine_matrix(table.lookup(word), table.matrix)[0]
                 np.testing.assert_allclose(
-                    backend.similarity_row(word, words), oracle, rtol=0, atol=1e-12
+                    backend.similarity_matrix([word], words)[0], oracle, rtol=0, atol=1e-12
                 )
                 for c, value in zip(words[:6], oracle):
-                    assert backend.similarity(word, c) == pytest.approx(value, abs=1e-12)
+                    single = backend.similarity_matrix([word], [c])[0, 0]
+                    assert single == pytest.approx(value, abs=1e-12)
 
     def test_squared_distance_matrix_per_backend(self, rng):
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=8, dim=6)
@@ -110,11 +113,9 @@ class TestBackends:
         x, y = table.matrix[:5], table.matrix[5:12]
         nx, ny = neutralize_matrix(linear, x), neutralize_matrix(linear, y)
         expected = {
-            RawCosineBackend(table): euclidean_squared_distance(x, y),
-            LinearNeutralizedBackend(table, linear): euclidean_squared_distance(nx, ny),
-            CorrectedKernelBackend(table, kernel): np.array(
-                [[CorrectedMetric(kernel).squared_distance(a, b) for b in y] for a in x]
-            ),
+            RawCosineBackend(table): difference_distances(x, y),
+            LinearNeutralizedBackend(table, linear): difference_distances(nx, ny),
+            CorrectedKernelBackend(table, kernel): four_term_distances(kernel, x, y),
         }
         for backend, oracle in expected.items():
             np.testing.assert_allclose(
@@ -134,26 +135,48 @@ class TestBackends:
             for word in ("w0", "w9", "w29"):
                 oracle = cosine_row(table, word, words, oracle_model)
                 np.testing.assert_allclose(
-                    backend.similarity_row(word, words), oracle, rtol=0, atol=1e-12
+                    backend.similarity_matrix([word], words)[0], oracle, rtol=0, atol=1e-12
                 )
-                assert backend.similarity(word, "w5") == pytest.approx(oracle[5], abs=1e-12)
+                single = backend.similarity_matrix([word], ["w5"])[0, 0]
+                assert single == pytest.approx(oracle[5], abs=1e-12)
 
-    def test_word_inside_linear_subspace_rejected(self, rng):
+    @staticmethod
+    def _table_with_word_inside_subspace(rng):
         table, sets = random_instance(rng, n_words=20, dim=6, n_pairs=4)
         model = fit_linear_subspace(table, sets, 2)
         inside = np.array([0.6, -0.8]) @ model.basis
         table = EmbeddingTable(
             words=(*table.words, "inside"), matrix=np.vstack([table.matrix, inside])
         )
+        return table, model
+
+    def test_word_inside_linear_subspace_rejected(self, rng):
+        table, model = self._table_with_word_inside_subspace(rng)
+        backend = LinearNeutralizedBackend(table, model)
         with pytest.raises(DataError, match="'inside'"):
-            LinearNeutralizedBackend(table, model)
+            backend.similarity_matrix(["w0", "w1"], ["w2", "inside"])
 
     def test_zero_vector_rejected_by_raw_backend(self, rng):
         matrix = rng.normal(size=(5, 3))
         matrix[2] = 0.0
         table = EmbeddingTable(words=tuple(f"w{i}" for i in range(5)), matrix=matrix)
+        backend = RawCosineBackend(table)
         with pytest.raises(DataError, match="'w2'"):
-            RawCosineBackend(table)
+            backend.similarity_matrix(["w2"], ["w0"])
+
+    def test_other_words_score_beside_a_neutralized_word(self, rng):
+        table, model = self._table_with_word_inside_subspace(rng)
+        backend = LinearNeutralizedBackend(table, model)
+        words = [w for w in table.words if w != "inside"]
+        oracle = np.array([cosine_row(table, w, words, model) for w in words[:3]])
+        np.testing.assert_allclose(
+            backend.similarity_matrix(words[:3], words), oracle, rtol=0, atol=1e-12
+        )
+        pairs = [("w0", "w1", 3.0), ("w2", "w3", 1.0), ("w4", "w5", 2.0), ("w0", "inside", 9.0)]
+        with pytest.raises(DataError, match="'inside'"):
+            simlex_eval(backend, pairs)
+        score, dropped = simlex_eval(backend, pairs[:3])
+        assert np.isfinite(score) and dropped == 0
 
 
 class TestWeatAssociation:
@@ -391,7 +414,7 @@ XOR_LABELS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def rbf_kernel(gamma):
-    return rbf_on_squared_distance(euclidean_squared_distance, gamma)
+    return rbf_on_squared_distance(difference_distances, gamma)
 
 
 class TestSvm:

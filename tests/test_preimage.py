@@ -137,7 +137,7 @@ class TestNonlinearRemoval:
 class TestSampling:
     def test_default_sample_contains_pair_words(self, rng):
         table, sets, model, _, _ = planted_setup(rng)
-        sample = default_sample(model, table, sets.pairs, rng_for(7, "test"), extra=5)
+        sample = default_sample(table, sets.pairs, rng_for(7, "test"), extra=5)
         pair_words = {i for pair in sets.pairs for i in pair}
         assert pair_words.issubset(set(sample))
         assert len(sample) == len(pair_words) + 5

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from kerndebias import (
     EmbeddingTable,
     KernelSpec,
     beta_matrix,
-    beta_projection,
     build_centered_gram,
     eval_kernel,
     fit_kernel_model,
     fit_linear_subspace,
+    neutralize_matrix,
     neutralize_vector,
     unit_normalize,
 )
@@ -128,7 +130,7 @@ class TestBetaProjection:
         linear = fit_linear_subspace(table, sets, 1)
         model = fit_kernel_model(KernelSpec("linear"), table, sets, k=1)
         queries = rng.normal(size=(8, 6))
-        betas = np.array([beta_projection(model, q)[0] for q in queries])
+        betas = beta_matrix(model, queries)[:, 0]
         coords = queries @ linear.basis[0]
         ratios = betas / coords
         np.testing.assert_allclose(ratios, ratios[0], atol=1e-9)
@@ -140,17 +142,17 @@ class TestBetaProjection:
         model = fit_kernel_model(KernelSpec("rbf", gamma=1.0), table, sets, k=2)
         w = rng.normal(size=5)
         w[0] = 0.0  # on the mirror hyperplane: equidistant from every pair
-        np.testing.assert_allclose(beta_projection(model, w), 0.0, atol=1e-12)
+        np.testing.assert_allclose(beta_matrix(model, w[None, :]), 0.0, atol=1e-12)
 
     def test_shape_k1(self, rng):
         _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=1.0), k=1)
-        assert beta_projection(model, np.zeros(model.dim)).shape == (1,)
+        assert beta_matrix(model, np.zeros(model.dim)).shape == (1,)
 
     def test_batch_matches_single(self, rng):
         _, _, model = fitted_pair_models(rng, KernelSpec("laplace", gamma=0.4), k=2)
         queries = rng.normal(size=(5, model.dim))
         batch = beta_matrix(model, queries)
-        rows = np.array([beta_projection(model, q) for q in queries])
+        rows = np.array([beta_matrix(model, q[None, :])[0] for q in queries])
         np.testing.assert_allclose(batch, rows, atol=1e-14)
 
 
@@ -168,25 +170,24 @@ class TestLinearKernelEquivalence:
 
     def test_inner_product(self, rng):
         _, _, linear, metric = self._models(rng)
-        for _ in range(20):
-            z, w = rng.normal(size=(2, 6))
-            oracle = neutralize_vector(linear, z) @ neutralize_vector(linear, w)
-            assert metric.inner_product(z, w) == pytest.approx(oracle, abs=1e-9)
+        z, w = rng.normal(size=(2, 20, 6))
+        oracle = neutralize_matrix(linear, z) @ neutralize_matrix(linear, w).T
+        np.testing.assert_allclose(metric.inner_product_matrix(z, w), oracle, rtol=0, atol=1e-9)
 
     def test_cosine(self, rng):
         _, _, linear, metric = self._models(rng)
-        for _ in range(10):
-            z, w = rng.normal(size=(2, 6))
-            nz, nw = neutralize_vector(linear, z), neutralize_vector(linear, w)
-            oracle = nz @ nw / (np.linalg.norm(nz) * np.linalg.norm(nw))
-            assert metric.cosine(z, w) == pytest.approx(oracle, abs=1e-9)
+        z, w = rng.normal(size=(2, 10, 6))
+        nz, nw = neutralize_matrix(linear, z), neutralize_matrix(linear, w)
+        oracle = (nz @ nw.T) / np.outer(np.linalg.norm(nz, axis=1), np.linalg.norm(nw, axis=1))
+        np.testing.assert_allclose(metric.cosine_matrix(z, w), oracle, rtol=0, atol=1e-9)
 
     def test_squared_distance(self, rng):
         _, _, linear, metric = self._models(rng)
-        for _ in range(10):
-            z, w = rng.normal(size=(2, 6))
-            diff = neutralize_vector(linear, z) - neutralize_vector(linear, w)
-            assert metric.squared_distance(z, w) == pytest.approx(diff @ diff, abs=1e-9)
+        z, w = rng.normal(size=(2, 10, 6))
+        diff = neutralize_matrix(linear, z)[:, None, :] - neutralize_matrix(linear, w)[None, :, :]
+        np.testing.assert_allclose(
+            metric.squared_distance_matrix(z, w), np.sum(diff * diff, axis=2), rtol=0, atol=1e-9
+        )
 
     def test_equalized_inner_product(self, rng):
         table, _, linear, metric = self._models(rng, unit=True)
@@ -205,7 +206,7 @@ class TestLinearKernelEquivalence:
         metric = CorrectedMetric(model)
         a, b = sets.pairs[0]
         z = table.matrix[a] - table.matrix[b]
-        assert abs(metric.inner_product(z, z)) <= 1e-8 * (z @ z)
+        assert abs(metric.inner_product_matrix(z[None, :], z[None, :])[0, 0]) <= 1e-8 * (z @ z)
 
 
 class TestCorrectedMetricProperties:
@@ -213,12 +214,12 @@ class TestCorrectedMetricProperties:
         for spec in KERNEL_ZOO:
             table, sets, model = fitted_pair_models(rng, spec, k=2)
             metric = CorrectedMetric(model)
-            for _ in range(5):
-                z, w = rng.normal(size=(2, model.dim))
-                simplified = metric.inner_product(z, w)
-                assert simplified == pytest.approx(
-                    four_term_inner(model, z, w), abs=1e-9
-                ), spec.family
+            z, w = rng.normal(size=(2, 5, model.dim))
+            oracle = [[four_term_inner(model, a, b) for b in w] for a in z]
+            np.testing.assert_allclose(
+                metric.inner_product_matrix(z, w), oracle, rtol=0, atol=1e-9,
+                err_msg=spec.family,
+            )
 
     def test_orthogonality_diagnostic_all_kernels(self, rng):
         for spec in KERNEL_ZOO:
@@ -238,11 +239,11 @@ class TestCorrectedMetricProperties:
     def test_symmetry(self, rng):
         _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.6), k=2)
         metric = CorrectedMetric(model)
-        z, w = rng.normal(size=(2, model.dim))
-        assert metric.inner_product(z, w) == pytest.approx(
-            metric.inner_product(w, z), abs=1e-12
-        )
-        assert metric.cosine(z, w) == pytest.approx(metric.cosine(w, z), abs=1e-12)
+        z, w = rng.normal(size=(2, 4, model.dim))
+        inner = metric.inner_product_matrix(z, w)
+        np.testing.assert_allclose(inner, metric.inner_product_matrix(w, z).T, rtol=0, atol=1e-12)
+        cosine = metric.cosine_matrix(z, w)
+        np.testing.assert_allclose(cosine, metric.cosine_matrix(w, z).T, rtol=0, atol=1e-12)
 
     def test_self_products_nonnegative_psd_kernels(self, rng):
         for spec in KERNEL_ZOO:
@@ -266,8 +267,8 @@ class TestCorrectedMetricProperties:
     def test_cosine_self_is_one(self, rng):
         _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.9), k=1)
         metric = CorrectedMetric(model)
-        z = rng.normal(size=model.dim)
-        assert metric.cosine(z, z) == pytest.approx(1.0, abs=1e-12)
+        z = rng.normal(size=(1, model.dim))
+        assert metric.cosine_matrix(z, z)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_fully_neutralized_rejected(self, rng):
         table, sets = random_instance(rng, n_pairs=3, dim=6)
@@ -276,35 +277,34 @@ class TestCorrectedMetricProperties:
         a, b = sets.pairs[0]
         z = table.matrix[a] - table.matrix[b]  # entirely inside the span
         with pytest.raises(DataError, match="fully neutralized"):
-            metric.cosine(z, rng.normal(size=6))
+            metric.cosine_matrix(z[None, :], rng.normal(size=(1, 6)))
 
     def test_squared_distance_zero_on_self(self, rng):
         _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.5), k=2)
         metric = CorrectedMetric(model)
-        z = rng.normal(size=model.dim)
-        assert metric.squared_distance(z, z) == 0.0
+        z = rng.normal(size=(1, model.dim))
+        assert metric.squared_distance_matrix(z, z)[0, 0] == 0.0
 
     def test_triangle_inequality_spot_check(self, rng):
         _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.7), k=2)
         metric = CorrectedMetric(model)
         for _ in range(20):
-            x, y, z = rng.normal(size=(3, model.dim))
-            dxy = np.sqrt(metric.squared_distance(x, y))
-            dyz = np.sqrt(metric.squared_distance(y, z))
-            dxz = np.sqrt(metric.squared_distance(x, z))
-            assert dxz <= dxy + dyz + 1e-9
+            points = rng.normal(size=(3, model.dim))
+            dist = np.sqrt(metric.squared_distance_matrix(points, points))
+            assert dist[0, 2] <= dist[0, 1] + dist[1, 2] + 1e-9
 
     def test_distance_matrix_matches_scalar(self, rng):
+        # Against k~(x, x) - 2 k~(x, y) + k~(y, y) from the inner products.
         _, _, model = fitted_pair_models(rng, KernelSpec("laplace", gamma=0.5), k=2)
         metric = CorrectedMetric(model)
         x = rng.normal(size=(3, model.dim))
         y = rng.normal(size=(4, model.dim))
-        matrix = metric.squared_distance_matrix(x, y)
-        for i in range(3):
-            for j in range(4):
-                assert matrix[i, j] == pytest.approx(
-                    metric.squared_distance(x[i], y[j]), abs=1e-12
-                )
+        inner = metric.inner_product_matrix(np.vstack([x, y]), np.vstack([x, y]))
+        self_products = np.diag(inner)
+        expected = self_products[:3, None] - 2.0 * inner[:3, 3:] + self_products[None, 3:]
+        np.testing.assert_allclose(
+            metric.squared_distance_matrix(x, y), np.maximum(expected, 0.0), rtol=0, atol=1e-12
+        )
 
 
 class TestEqualizeInvariance:
@@ -331,7 +331,8 @@ class TestEqualizeInvariance:
         e = rng.normal(size=model.dim)
         w = rng.normal(size=model.dim)
         value = metric.equalized_inner_product(w, np.vstack([e, e]))
-        assert value == pytest.approx(metric.inner_product(w, e), abs=1e-12)
+        expected = metric.inner_product_matrix(w[None, :], e[None, :])[0, 0]
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 class TestScaleAndOrderInvariance:
@@ -341,11 +342,11 @@ class TestScaleAndOrderInvariance:
             base = fit_kernel_model(spec, table, sets, k=2, gram_scale=1.0)
             doubled = fit_kernel_model(spec, table, sets, k=2, gram_scale=2.0)
             m1, m2 = CorrectedMetric(base), CorrectedMetric(doubled)
-            for _ in range(5):
-                z, w = rng.normal(size=(2, 5))
-                assert m1.inner_product(z, w) == pytest.approx(
-                    m2.inner_product(z, w), abs=1e-9
-                ), spec.family
+            z, w = rng.normal(size=(2, 5, 5))
+            np.testing.assert_allclose(
+                m1.inner_product_matrix(z, w), m2.inner_product_matrix(z, w), rtol=0, atol=1e-9,
+                err_msg=spec.family,
+            )
 
     def test_pair_permutation_invariance(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=5)
@@ -353,11 +354,10 @@ class TestScaleAndOrderInvariance:
         base = CorrectedMetric(fit_kernel_model(spec, table, sets, k=2))
         permuted_sets = DefiningSets(tuple(reversed(sets.pairs)))
         permuted = CorrectedMetric(fit_kernel_model(spec, table, permuted_sets, k=2))
-        for _ in range(5):
-            z, w = rng.normal(size=(2, 5))
-            assert base.inner_product(z, w) == pytest.approx(
-                permuted.inner_product(z, w), abs=1e-9
-            )
+        z, w = rng.normal(size=(2, 5, 5))
+        np.testing.assert_allclose(
+            base.inner_product_matrix(z, w), permuted.inner_product_matrix(z, w), rtol=0, atol=1e-9
+        )
 
     def test_pair_swap_invariance(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=5)
@@ -367,11 +367,10 @@ class TestScaleAndOrderInvariance:
             tuple((b, a) if i % 2 == 0 else (a, b) for i, (a, b) in enumerate(sets.pairs))
         )
         swapped = CorrectedMetric(fit_kernel_model(spec, table, swapped_sets, k=2))
-        for _ in range(5):
-            z, w = rng.normal(size=(2, 5))
-            assert base.inner_product(z, w) == pytest.approx(
-                swapped.inner_product(z, w), abs=1e-9
-            )
+        z, w = rng.normal(size=(2, 5, 5))
+        np.testing.assert_allclose(
+            base.inner_product_matrix(z, w), swapped.inner_product_matrix(z, w), rtol=0, atol=1e-9
+        )
 
 
 class TestSerialization:
@@ -383,16 +382,13 @@ class TestSerialization:
         )
         model = fit_kernel_model(spec, table, sets, k=2)
         path = tmp_path / "model.json"
-        kd.save_kernel_model(model, path)
-        loaded, preimage = kd.load_kernel_model(path)
-        assert preimage is None
-        metric = CorrectedMetric(model)
-        metric_loaded = CorrectedMetric(loaded)
-        for _ in range(10):
-            z, w = rng.normal(size=(2, 5))
-            original = metric.inner_product(z, w)
-            reloaded = metric_loaded.inner_product(z, w)
-            assert abs(original - reloaded) <= 1e-12
+        path.write_text(json.dumps(kernel_model_to_dict(model), indent=1))
+        loaded, data = kd.load_model(path)
+        assert data["type"] == "kernel"
+        z, w = rng.normal(size=(2, 10, 5))
+        original = CorrectedMetric(model).inner_product_matrix(z, w)
+        reloaded = CorrectedMetric(loaded).inner_product_matrix(z, w)
+        assert np.max(np.abs(original - reloaded)) <= 1e-12
         assert loaded.spec == model.spec
         np.testing.assert_array_equal(loaded.alphas, model.alphas)
 
