@@ -436,7 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_weat)
     p_weat.add_argument("--model", help="model JSON (omit for raw cosine)")
     p_weat.add_argument("--config", required=True, help="WEAT config JSON")
-    p_weat.add_argument("--permutations", type=int)
+    p_weat.add_argument(
+        "--permutations", type=int,
+        help=f"override config permutation count (1 to {evaluation.MAX_PERMUTATIONS})",
+    )
     p_weat.add_argument(
         "--weat-seed", dest="seed_override", type=int, help="override config seed"
     )

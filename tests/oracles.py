@@ -153,15 +153,19 @@ def fstring_embedding_text(words, matrix: np.ndarray, precision: int) -> str:
 def float_parse_embedding_text(text: str) -> tuple[list[str], np.ndarray]:
     """Words and matrix of the text format, one ``float()`` per token.
 
-    Blank lines are skipped, and so is a leading two-integer header.
+    Blank lines are skipped, and so is the first non-blank line when it
+    is a two-integer header.
     """
     words: list[str] = []
     rows: list[list[float]] = []
+    first = True
     for line in text.split("\n"):
         tokens = line.split()
         if not tokens:
             continue
-        if not rows and len(tokens) == 2 and all(t.lstrip("+-").isdigit() for t in tokens):
+        header = first and len(tokens) == 2 and all(t.lstrip("+-").isdigit() for t in tokens)
+        first = False
+        if header:
             continue
         words.append(tokens[0])
         rows.append([float(t) for t in tokens[1:]])

@@ -179,6 +179,25 @@ def test_weat_permutations_below_one_exit_2(planted_files, capsys, source, count
     assert "permutation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_weat_permutations_above_cap_exit_2(planted_files, capsys, monkeypatch, source):
+    def never(*args):
+        raise AssertionError("the permutation loop must not start")
+
+    monkeypatch.setattr("kerndebias.evaluation.weat_test", never)
+    paths = planted_files
+    count = 10**300
+    argv = ["eval", "weat", "--embeddings", str(paths["embeddings"]),
+            "--config", str(paths["weat"])]
+    if source == "flag":
+        argv += ["--permutations", str(count)]
+    else:
+        config = json.loads(paths["weat"].read_text())
+        paths["weat"].write_text(json.dumps({**config, "permutations": count}))
+    assert main(argv) == 2
+    assert "permutation count must be at most" in capsys.readouterr().err
+
+
 def test_weat_explicit_permutations_accepted(planted_files, tmp_path):
     paths = planted_files
     assert main([

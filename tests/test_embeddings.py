@@ -1,8 +1,11 @@
 import io
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kerndebias import embeddings
 from kerndebias import (
     DataError,
     EmbeddingTable,
@@ -54,6 +57,129 @@ class TestParse:
         assert table.row_index("y") == 1
         with pytest.raises(DataError):
             table.row_index("z")
+
+    @pytest.mark.parametrize("per_line", [False, True], ids=["blocks", "per-line"])
+    @pytest.mark.parametrize(
+        "text, words, rows",
+        [
+            ("2 1\n7 5\n8 6\n", ("7", "8"), [[5.0], [6.0]]),
+            ("1999 2\n2000 3\n", ("2000",), [[3.0]]),
+            ("\n \n3 2\n4 5\n", ("4",), [[5.0]]),
+            ("a 1 2\n3 4 5\n", ("a", "3"), [[1.0, 2.0], [4.0, 5.0]]),
+        ],
+    )
+    def test_only_first_nonblank_line_is_a_header(self, monkeypatch, per_line, text, words, rows):
+        if per_line:
+            monkeypatch.setattr(embeddings._TableBuilder, "add_block", lambda self, block: False)
+        table = parse(text)
+        assert table.words == words
+        np.testing.assert_array_equal(table.matrix, rows)
+
+
+# Tokens float() and numpy's C converter may treat differently, and
+# separators that str.split() and numpy's tokenizer may treat differently.
+_ODD_TOKENS = [
+    "1_0", "\u0661", "\uff11", "#1", '"1.0"', "1,0", "1.0j", "0x10", "1d5", "-nan", "1e400",
+]
+_SEPARATORS = ["\xa0", "\x0b", "\x1c", "\r"]
+_ROWS = ["a 1 2", "b 3 4", "c 5 6", "d 7 8", "e 9 10"]
+_FAULTS = {
+    "dup": lambda row: "a 0 0",
+    "dim": lambda row: row + " 0",
+    "nan": lambda row: row.split()[0] + " nan 0",
+    "token": lambda row: row.split()[0] + " 1 x",
+    "empty": lambda row: row.split()[0],
+}
+
+
+def _with(rows: list[str], changes: dict[int, str]) -> str:
+    return "\n".join(changes.get(i, row) for i, row in enumerate(rows)) + "\n"
+
+
+def _parser_corpus() -> list[str]:
+    cases = []
+    for i, token in itertools.product(range(len(_ROWS)), _ODD_TOKENS):
+        cases.append(_with(_ROWS, {i: _ROWS[i] + " " + token}))
+        cases.append(_with(_ROWS, {i: _ROWS[i].rsplit(" ", 1)[0] + " " + token}))
+    for i, sep in itertools.product(range(len(_ROWS)), _SEPARATORS):
+        cases.append(_with(_ROWS, {i: sep.join(_ROWS[i].split())}))
+        cases.append(_with(_ROWS, {i: sep + _ROWS[i] + sep}))
+    body = "\n".join(_ROWS) + "\n"
+    cases += [
+        body.replace("\n", "\r\n"),
+        body.replace("\n", "\n\n  \t\n"),
+        "5 2\n" + body,
+        "\n\n5 2\r\n" + body,
+        "5 2\n5 2\n" + body,
+        "-5 +2\n" + body,
+        "5 2 1\n" + body,
+        body + "\n5 2\n",
+        "",
+        "\n \n",
+        "5 2\n",
+    ]
+    # Two faults in every order and at every distance, so that one block,
+    # or two blocks on either side of a boundary, hold them.
+    for (first, second), (i, j) in itertools.product(
+        itertools.permutations(_FAULTS, 2), itertools.combinations(range(len(_ROWS)), 2)
+    ):
+        if first != "dup" or i > 0:
+            cases.append(_with(_ROWS, {i: _FAULTS[first](_ROWS[i]), j: _FAULTS[second](_ROWS[j])}))
+    return cases
+
+
+def _outcome(text: str) -> tuple:
+    try:
+        table = parse(text)
+    except FormatError as exc:
+        return ("error", str(exc))
+    return (table.words, table.matrix.shape, table.matrix.tobytes())
+
+
+class TestBlockParser:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_blocks_match_the_per_line_loop(self, monkeypatch, block):
+        monkeypatch.setattr(embeddings, "_INITIAL_ROWS", block)
+        corpus = _parser_corpus()
+        fast = [_outcome(text) for text in corpus]
+        monkeypatch.setattr(embeddings._TableBuilder, "add_block", lambda self, block: False)
+        slow = [_outcome(text) for text in corpus]
+        for text, got, want in zip(corpus, fast, slow):
+            assert got == want, repr(text)
+        assert sum(o[0] == "error" for o in slow) > len(corpus) // 2
+
+    def test_clean_blocks_take_the_fast_path(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_INITIAL_ROWS", 2)
+        taken = []
+        add_block = embeddings._TableBuilder.add_block
+        monkeypatch.setattr(
+            embeddings._TableBuilder, "add_block",
+            lambda self, block: taken.append(add_block(self, block)) or taken[-1],
+        )
+        table = parse("5 2\n" + "\n".join(_ROWS) + "\n")
+        assert taken == [True, True, True]
+        assert len(table) == 5
+
+    def test_peak_memory_is_the_table_plus_a_few_blocks(self, monkeypatch, rng):
+        block = 64
+        monkeypatch.setattr(embeddings, "_INITIAL_ROWS", block)
+        n, dim = 64 * block, 16
+        lines = [
+            f"w{i} " + " ".join(repr(float(v)) for v in row)
+            for i, row in enumerate(rng.normal(size=(n, dim)))
+        ]
+        block_bytes = max(len(line) for line in lines) * block
+        stream = io.StringIO("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            table = parse_embedding_text(stream)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n
+        # The text is 2.5x the matrix here: reading it whole breaks the bound.
+        assert peak - kept <= 2 * table.matrix.nbytes + 8 * block_bytes
 
 
 class TestWrite:
@@ -188,6 +314,19 @@ class TestTableInvariants:
     def test_duplicate_word_rejected(self):
         with pytest.raises(FormatError):
             EmbeddingTable(words=("a", "a"), matrix=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            (("a", "b\xa0c", "a"), "word 'b\\xa0c' contains whitespace"),
+            (("a", "b", "a", "c d"), "duplicate word 'a'"),
+            (("a", "b", "c d", "b"), "word 'c d' contains whitespace"),
+        ],
+    )
+    def test_first_offending_word_named(self, words, message):
+        with pytest.raises(FormatError) as info:
+            EmbeddingTable(words=words, matrix=np.zeros((len(words), 2)))
+        assert str(info.value) == message
 
     def test_immutable_matrix(self):
         table = EmbeddingTable(words=("a",), matrix=np.array([[1.0, 2.0]]))

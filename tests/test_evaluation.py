@@ -179,6 +179,44 @@ class TestBackends:
         assert np.isfinite(score) and dropped == 0
 
 
+class TestPairSimilarities:
+    def test_chunks_match_one_full_gather(self, rng, monkeypatch):
+        table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=12, dim=6)
+        backend = CorrectedKernelBackend(
+            table, fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=2)
+        )
+        words = list(table.words)
+        pairs = [(words[i], words[j]) for i, j in rng.integers(0, len(words), size=(40, 2))]
+        firsts = list(dict.fromkeys(a for a, _ in pairs))
+        seconds = list(dict.fromkeys(b for _, b in pairs))
+        full = backend.similarity_matrix(firsts, seconds)
+        expected = full[[firsts.index(a) for a, _ in pairs], [seconds.index(b) for _, b in pairs]]
+
+        shapes = []
+        similarity_matrix = backend.similarity_matrix
+
+        def recording(rows, cols):
+            shapes.append((len(rows), len(cols)))
+            return similarity_matrix(rows, cols)
+
+        monkeypatch.setattr(backend, "similarity_matrix", recording)
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 16)
+        got = evaluation.pair_similarities(backend, pairs)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert len(shapes) == 1 + 10  # one resolve call, then 40 pairs in chunks of 4
+        assert all(rows * cols <= 16 for rows, cols in shapes[1:])
+
+    def test_unknown_word_named_before_any_chunk(self, rng, monkeypatch):
+        table, model = TestBackends._table_with_word_inside_subspace(rng)
+        backend = LinearNeutralizedBackend(table, model)
+        pairs = [("w0", "inside"), ("w1", "w2"), ("w3", "w4"), ("zzz", "w5")]
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 4)
+        with pytest.raises(DataError, match="'zzz' not in vocabulary"):
+            evaluation.pair_similarities(backend, pairs)
+        with pytest.raises(DataError, match="'inside' is fully neutralized"):
+            evaluation.pair_similarities(backend, pairs[:3] + [("w4", "w5")])
+
+
 class TestWeatAssociation:
     def test_equal_attribute_sets_give_zero(self):
         stub = StubBackend({"w": {"a": 0.7, "b": 0.1}, "a": {}, "b": {}})
@@ -220,6 +258,13 @@ class TestWeatTest:
     def test_permutation_count_below_one_rejected(self):
         for count in (0, -3):
             with pytest.raises(FormatError, match="permutation"):
+                WeatConfig(("x",), ("y",), ("a",), ("b",), permutations=count)
+
+    def test_permutation_count_capped(self):
+        cap = evaluation.MAX_PERMUTATIONS
+        assert WeatConfig(("x",), ("y",), ("a",), ("b",), permutations=cap).permutations == cap
+        for count in (cap + 1, 10**300):
+            with pytest.raises(FormatError, match="permutation count must be at most"):
                 WeatConfig(("x",), ("y",), ("a",), ("b",), permutations=count)
 
     def test_hand_enumerated_case(self):
