@@ -3,17 +3,20 @@
 Core pieces:
 
 - :mod:`kerndebias.embeddings` -- embedding tables and their text format.
-- :mod:`kerndebias.linear` -- linear bias subspace, neutralize, equalize.
 - :mod:`kerndebias.kernels` -- kernel specs and Gram matrices.
-- :mod:`kerndebias.rkhs` -- kernelized bias model and CorrectedMetric,
-  the one corrected metric k~(x, y) = k(x, y) - beta(x) . beta(y) over a
-  kernel model, a linear model (beta(x) = x B^T) or none (plain cosine).
+- :mod:`kerndebias.rkhs` -- the one bias fit, fit_kernel_model, its kernel
+  bias model, and CorrectedMetric, the one corrected metric
+  k~(x, y) = k(x, y) - beta(x) . beta(y) over a bias model's (spec, beta)
+  or over none (plain cosine).
+- :mod:`kerndebias.linear` -- the linear bias subspace, read out of the
+  kernel fit with the linear kernel (beta(x) = x B^T); neutralize and
+  equalize.
 - :mod:`kerndebias.preimage` -- corrected vectors back in input space.
 - :mod:`kerndebias.evaluation` -- association tests, professions
   correlation, indirect-bias SVM, similarity-judgment scoring, all through
-  ``similarity_matrix(rows, cols)``: the (rows, cols) corrected cosines in
-  [-1, 1]; a queried word whose corrected self product is at most
-  1e-12 k(w, w) raises DataError.
+  one backend's ``similarity_matrix(rows, cols)``: the (rows, cols)
+  corrected cosines in [-1, 1]; a queried word whose corrected self
+  product is at most 1e-12 k(w, w) raises DataError.
 - :mod:`kerndebias.configio` -- input files, and load_model for any model.
 - :mod:`kerndebias.cli` -- the `kerndebias` command.
 """
@@ -37,14 +40,12 @@ from .linear import (
     equalize_set,
     fit_linear_subspace,
     neutralize_matrix,
-    neutralize_vector,
     resolve_word_sets,
 )
 from .numerics import SymmetricEigen, pearson, spearman, symmetric_eig
 from .preimage import (
     PreimageMap,
     fit_preimage_map,
-    preimage_neutralize,
     preimage_neutralize_matrix,
 )
 from .rkhs import (
@@ -84,10 +85,8 @@ __all__ = [
     "gram_matrix",
     "load_model",
     "neutralize_matrix",
-    "neutralize_vector",
     "parse_embedding_text",
     "pearson",
-    "preimage_neutralize",
     "preimage_neutralize_matrix",
     "resolve_word_sets",
     "spearman",

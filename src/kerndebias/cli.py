@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config/IO error, 3 data insufficiency,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -98,11 +99,7 @@ def _resolve_sets(args: argparse.Namespace, table: EmbeddingTable):
 
 
 def _make_backend(args: argparse.Namespace, table: EmbeddingTable):
-    if args.model is None:
-        return evaluation.RawCosineBackend(table)
-    model, _ = configio.load_model(args.model)
-    if isinstance(model, LinearBiasModel):
-        return evaluation.LinearNeutralizedBackend(table, model)
+    model = configio.load_model(args.model)[0] if args.model is not None else None
     return evaluation.CorrectedKernelBackend(table, model)
 
 
@@ -113,15 +110,25 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _write_results(out: str | None, payload: dict, csv_fields: list[tuple[str, object]]) -> None:
-    """Write <out>.json and <out>.csv (or stdout JSON when out is None)."""
+def _write_results(out: str | None, payload: dict) -> None:
+    """Write <out>.json and <out>.csv (or stdout JSON when out is None).
+
+    The CSV has one column per payload field, named after it; a dict field
+    such as n_used gives one column per key (n_used_X, ..., n_used_B).
+    """
     text = json.dumps(payload, indent=1) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
     Path(out + ".json").write_text(text, encoding="utf-8")
-    header = ",".join(name for name, _ in csv_fields)
-    row = ",".join(str(value) for _, value in csv_fields)
+    columns: dict[str, object] = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            columns.update({f"{key}_{sub}": item for sub, item in value.items()})
+        else:
+            columns[key] = value
+    header = ",".join(columns)
+    row = ",".join(str(value) for value in columns.values())
     Path(out + ".csv").write_text(header + "\n" + row + "\n", encoding="utf-8")
 
 
@@ -136,7 +143,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.backend == "linear":
         model = fit_linear_subspace(table, sets, args.components)
         payload = linear_model_to_dict(model)
-        eigenvalues = model.explained
         extra = ""
     else:
         spec = _kernel_spec_from_args(args, table.dim)
@@ -145,7 +151,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         payload["pair_words"] = [
             [table.words[a], table.words[b]] for a, b in sets.pairs
         ]
-        eigenvalues = model.eigenvalues
         extra = (
             f", discarded {model.discarded_negative} negative eigenvalue(s)"
             if model.discarded_negative
@@ -155,7 +160,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(
         f"fitted {args.backend} model: {len(sets)} pairs, "
         f"components={args.components}, eigenvalues="
-        f"[{', '.join(f'{v:.6g}' for v in eigenvalues)}]{extra}"
+        f"[{', '.join(f'{v:.6g}' for v in model.eigenvalues)}]{extra}"
     )
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -232,17 +237,10 @@ def cmd_eval_weat(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     backend = _make_backend(args, table)
     cfg = configio.load_weat_config(args.config)
-    if args.permutations is not None or args.seed_override is not None:
-        cfg = evaluation.WeatConfig(
-            x_words=cfg.x_words,
-            y_words=cfg.y_words,
-            a_words=cfg.a_words,
-            b_words=cfg.b_words,
-            permutations=(
-                args.permutations if args.permutations is not None else cfg.permutations
-            ),
-            seed=args.seed_override if args.seed_override is not None else cfg.seed,
-        )
+    if args.permutations is not None:
+        cfg = dataclasses.replace(cfg, permutations=args.permutations)
+    if args.seed_override is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed_override)
     result = evaluation.weat_test(backend, cfg)
     payload = {
         "test": "weat",
@@ -253,17 +251,7 @@ def cmd_eval_weat(args: argparse.Namespace) -> int:
         "n_used": result.n_used,
         "exhaustive": result.exhaustive,
     }
-    _write_results(
-        args.out,
-        payload,
-        [
-            ("test", "weat"),
-            ("backend", backend.name),
-            ("d", repr(result.effect_size)),
-            ("p", repr(result.p_value)),
-            ("n_used", result.n_used["X"] + result.n_used["Y"]),
-        ],
-    )
+    _write_results(args.out, payload)
     return EXIT_OK
 
 
@@ -286,17 +274,7 @@ def cmd_eval_professions(args: argparse.Namespace) -> int:
         "neighbors": args.neighbors,
         "pool": args.pool,
     }
-    _write_results(
-        args.out,
-        payload,
-        [
-            ("test", "professions"),
-            ("backend", backend.name),
-            ("d", repr(correlation)),
-            ("p", ""),
-            ("n_used", args.neighbors),
-        ],
-    )
+    _write_results(args.out, payload)
     return EXIT_OK
 
 
@@ -313,18 +291,7 @@ def cmd_eval_classify(args: argparse.Namespace) -> int:
         tol=args.tol,
         seed=args.seed,
     )
-    payload = {"test": "classify", **result}
-    _write_results(
-        args.out,
-        payload,
-        [
-            ("test", "classify"),
-            ("backend", backend.name),
-            ("d", repr(result["test_accuracy"])),
-            ("p", ""),
-            ("n_used", result["n_train"] + result["n_test"]),
-        ],
-    )
+    _write_results(args.out, {"test": "classify", **result})
     return EXIT_OK
 
 
@@ -340,17 +307,7 @@ def cmd_eval_simlex(args: argparse.Namespace) -> int:
         "scored": len(pairs) - dropped,
         "dropped": dropped,
     }
-    _write_results(
-        args.out,
-        payload,
-        [
-            ("test", "simlex"),
-            ("backend", backend.name),
-            ("d", repr(correlation)),
-            ("p", ""),
-            ("n_used", len(pairs) - dropped),
-        ],
-    )
+    _write_results(args.out, payload)
     return EXIT_OK
 
 

@@ -10,13 +10,14 @@ len(cols)) cosines of the row words with the column words, clipped to
 chunk of pairs over the chunk's distinct first and second words, and
 professions one call per block of professions against all candidates.
 
-The backends are word-indexed views of rkhs.CorrectedMetric, the one
-corrected metric k~(x, y) = k(x, y) - beta(x) . beta(y): raw cosine is
-the linear kernel with no bias coordinates, linear neutralization the
-linear kernel with beta(x) = x B^T, and a kernel model brings its own
-kernel and beta.  A query that names a fully neutralized word -- corrected
-self product at most 1e-12 k(w, w) -- raises DataError naming it; the
-other words of the table still score.
+The one backend, CorrectedKernelBackend, is a word-indexed view of
+rkhs.CorrectedMetric, the corrected metric
+k~(x, y) = k(x, y) - beta(x) . beta(y) over a bias model's spec and beta:
+with no model it is raw cosine (the linear kernel, no bias coordinates),
+with a linear model linear neutralization (beta(x) = x B^T), and a kernel
+model brings its own kernel and beta.  A query that names a fully
+neutralized word -- corrected self product at most 1e-12 k(w, w) --
+raises DataError naming it; the other words of the table still score.
 """
 
 from __future__ import annotations
@@ -106,17 +107,17 @@ def check_dimension(model_dim: int, table: EmbeddingTable) -> None:
 
 
 class CorrectedKernelBackend(SimilarityBackend):
-    """Word-indexed view of the corrected metric over one table.
+    """Word-indexed view of the corrected metric over one table, named
+    after its model ("linear" or "kernel"), or "raw" without one.
 
     beta(vocabulary) is computed once, so a similarity matrix costs one
     raw Gram block plus a (rows x K) by (K x cols) product.
     """
 
-    name = "kernel"
-
     def __init__(self, table: EmbeddingTable, model: KernelBiasModel | LinearBiasModel | None):
         if model is not None:
             check_dimension(model.dim, table)
+        self.name = "raw" if model is None else model.name
         self._table = table
         self.metric = CorrectedMetric(model)
         self._beta = self.metric.beta(table.matrix)
@@ -134,21 +135,6 @@ class CorrectedKernelBackend(SimilarityBackend):
 
     def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.metric.squared_distance_matrix(x, y)
-
-
-class RawCosineBackend(CorrectedKernelBackend):
-    """Plain cosine: the linear kernel with no bias coordinates."""
-
-    name = "raw"
-
-    def __init__(self, table: EmbeddingTable):
-        super().__init__(table, None)
-
-
-class LinearNeutralizedBackend(CorrectedKernelBackend):
-    """Cosine off the linear bias subspace: the linear kernel, beta(x) = x B^T."""
-
-    name = "linear"
 
 
 # ---------------------------------------------------------------------------

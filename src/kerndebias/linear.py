@@ -1,25 +1,32 @@
-"""Linear bias subspace: design matrix, covariance, neutralize, equalize.
+"""Linear bias subspace: fit, neutralize, equalize, design matrix, covariance.
 
 The bias subspace is spanned by the leading eigenvectors of the covariance
 of word vectors centered within small counterpart pairs ("defining sets").
-Neutralizing projects a vector onto the orthogonal complement of that
-subspace; equalizing re-embeds the members of an "equality set" so they
-share one neutral component and keep unit norm.
+It is not fitted here: fit_linear_subspace reads it out of the package's
+one bias fit, rkhs.fit_kernel_model, with the linear kernel
+k(x, y) = x^T y, whose bias directions are vectors in input space.
+build_design_matrix and bias_covariance give the same covariance in its
+primal d x d form.
+
+LinearBiasModel has the protocol of rkhs.KernelBiasModel: name "linear",
+the linear KernelSpec and beta(x) = x B^T.  Neutralizing projects a vector
+onto the orthogonal complement of the subspace; equalizing re-embeds the
+members of an "equality set" so they share one neutral component and keep
+unit norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError
-from .numerics import symmetric_eig
-
-# Eigenvalues at or below this fraction of the largest are treated as
-# numerically zero when ranking the subspace.
-RANK_RTOL = 1e-10
+from .kernels import KernelSpec
+from .numerics import fix_column_signs
+from .rkhs import fit_kernel_model
 
 
 @dataclass(frozen=True)
@@ -69,18 +76,20 @@ class EqualitySets:
 
 @dataclass(frozen=True, eq=False)
 class LinearBiasModel:
-    """Orthonormal basis (rows) of the bias subspace plus its eigenvalues."""
+    """Orthonormal basis (rows) of the bias subspace plus the bias
+    covariance eigenvalues along it."""
+
+    name: ClassVar[str] = "linear"
+    spec: ClassVar[KernelSpec] = KernelSpec("linear")
 
     basis: np.ndarray  # (K, d)
-    explained: np.ndarray  # (K,)
+    eigenvalues: np.ndarray  # (K,)
 
     def __post_init__(self) -> None:
-        basis = np.asarray(self.basis, dtype=np.float64)
-        explained = np.asarray(self.explained, dtype=np.float64)
-        basis.setflags(write=False)
-        explained.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "explained", explained)
+        for name in ("basis", "eigenvalues"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def k(self) -> int:
@@ -89,6 +98,10 @@ class LinearBiasModel:
     @property
     def dim(self) -> int:
         return int(self.basis.shape[1])
+
+    def beta(self, x: np.ndarray) -> np.ndarray:
+        """Bias coordinates of the rows of x: (n, K)."""
+        return np.asarray(x, dtype=np.float64) @ self.basis.T
 
     def project(self, w: np.ndarray) -> np.ndarray:
         """Component of w inside the bias subspace."""
@@ -123,32 +136,29 @@ def bias_covariance(design: np.ndarray) -> np.ndarray:
 def fit_linear_subspace(
     table: EmbeddingTable, sets: DefiningSets, k: int
 ) -> LinearBiasModel:
-    """Top-k eigenvectors of the bias covariance, by descending eigenvalue.
+    """Top-k eigenvectors of the bias covariance, by descending eigenvalue,
+    read out of fit_kernel_model with the linear kernel.
+
+    Direction j of the kernel fit is feature_scale * alpha_j (W1 - W2)
+    over the interleaved signed pair differences, to which pair i adds
+    (alpha_j[2i] - alpha_j[2i + 1]) (a_i - b_i).  One QR orthonormalizes
+    the directions, each signed so its largest-magnitude entry is
+    positive.  The covariance eigenvalues are the dual ones over
+    4 * gram_scale.
 
     Raises:
-        DataError: if k exceeds the numerical rank of the covariance
-            (the message reports the available rank).
+        DataError: if k is below 1 or above the numerical rank of the
+            centered Gram (the message reports the available rank).
     """
-    if not 1 <= k <= table.dim:
-        raise DataError(f"k must be in [1, {table.dim}], got {k}")
-    cov = bias_covariance(build_design_matrix(table, sets))
-    eig = symmetric_eig(cov)
-    top = float(eig.eigenvalues[0]) if eig.eigenvalues.size else 0.0
-    rank = int(np.sum(eig.eigenvalues > RANK_RTOL * max(top, 0.0))) if top > 0 else 0
-    if k > rank:
-        raise DataError(
-            f"requested {k} bias directions but covariance rank is {rank}"
-        )
+    model = fit_kernel_model(LinearBiasModel.spec, table, sets, k=k)
+    weights = model.alphas[:, 0::2] - model.alphas[:, 1::2]
+    directions = model.feature_scale * weights @ (model.pairs_a - model.pairs_b)
+    basis = np.linalg.qr(directions.T)[0]
+    fix_column_signs(basis)
     return LinearBiasModel(
-        basis=eig.eigenvectors[:, :k].T.copy(),
-        explained=eig.eigenvalues[:k].copy(),
+        basis=basis.T.copy(),
+        eigenvalues=model.eigenvalues / (4.0 * model.gram_scale),
     )
-
-
-def neutralize_vector(model: LinearBiasModel, w: np.ndarray) -> np.ndarray:
-    """Project w onto the orthogonal complement of the bias subspace."""
-    w = np.asarray(w, dtype=np.float64)
-    return w - model.project(w)
 
 
 def neutralize_matrix(model: LinearBiasModel, matrix: np.ndarray) -> np.ndarray:
@@ -207,7 +217,7 @@ def linear_model_to_dict(model: LinearBiasModel) -> dict:
         "k": model.k,
         "dim": model.dim,
         "basis": model.basis.tolist(),
-        "eigenvalues": model.explained.tolist(),
+        "eigenvalues": model.eigenvalues.tolist(),
     }
 
 
@@ -238,7 +248,7 @@ def linear_model_from_dict(data: dict) -> LinearBiasModel:
         )
     if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(eigenvalues))):
         raise FormatError("linear model contains non-finite values")
-    return LinearBiasModel(basis=basis, explained=eigenvalues)
+    return LinearBiasModel(basis=basis, eigenvalues=eigenvalues)
 
 
 def resolve_word_sets(

@@ -56,14 +56,18 @@ def symmetric_eig(a: np.ndarray) -> SymmetricEigen:
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vecs = vecs[:, order]
-
-    columns = np.arange(vecs.shape[1])
-    peaks = np.argmax(np.abs(vecs), axis=0)
-    vecs[:, vecs[peaks, columns] < 0.0] *= -1.0
+    fix_column_signs(vecs)
 
     values.setflags(write=False)
     vecs.setflags(write=False)
     return SymmetricEigen(eigenvalues=values, eigenvectors=vecs)
+
+
+def fix_column_signs(vecs: np.ndarray) -> None:
+    """Negate, in place, each column whose largest-magnitude entry is
+    negative: the package's one sign convention for basis vectors."""
+    peaks = np.argmax(np.abs(vecs), axis=0)
+    vecs[:, vecs[peaks, np.arange(vecs.shape[1])] < 0.0] *= -1.0
 
 
 def _check_corr_input(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,9 @@ The identity `neutral part = word - bias part` reduces the pre-image
 problem to approximating only the bias part's pre-image.  That map is
 learned by ridge regression from the bias coordinates beta(w) to the
 sample words; the prediction relative to beta = 0 is the bias part, so
+for the rows w of a matrix
 
-    preimage_neutralize(w) = w - ridge_weights @ beta(w).
+    preimage_neutralize_matrix(w) = w - beta(w) @ ridge_weights^T.
 
 With a linear kernel and a pair-symmetric sample this reproduces the
 exact linear projection (up to ridge shrinkage).
@@ -103,20 +104,8 @@ def fit_preimage_map(
     )
 
 
-def bias_component(pmap: PreimageMap, w: np.ndarray) -> np.ndarray:
-    """Input-space approximation of w's bias part."""
-    w = np.asarray(w, dtype=np.float64)
-    return pmap.ridge_weights @ beta_matrix(pmap.model, w[None, :])[0]
-
-
-def preimage_neutralize(pmap: PreimageMap, w: np.ndarray) -> np.ndarray:
-    """w minus its approximated bias part."""
-    w = np.asarray(w, dtype=np.float64)
-    return w - bias_component(pmap, w)
-
-
 def preimage_neutralize_matrix(pmap: PreimageMap, matrix: np.ndarray) -> np.ndarray:
-    """Row-wise pre-image neutralization."""
+    """Each row minus the input-space approximation of its bias part."""
     matrix = np.asarray(matrix, dtype=np.float64)
     return matrix - beta_matrix(pmap.model, matrix) @ pmap.ridge_weights.T
 

@@ -1,12 +1,15 @@
-"""Kernelized bias model and the corrected feature-space metric.
+"""Kernelized bias model, the package's one bias fit, and the corrected
+feature-space metric.
 
-The linear pipeline generalizes by mapping words through a kernel feature
-map.  The bias directions become unit-norm feature-space vectors spanned
-by the pairwise differences of the defining pairs; they are found by
+The bias directions are unit-norm feature-space vectors spanned by the
+pairwise differences of the defining pairs; they are found by
 eigendecomposing a pairwise-centered Gram matrix, so nothing is ever
-computed in feature space explicitly.  Rather than producing corrected
-vectors, the model corrects the *metric*: inner products are evaluated as
-if both arguments had their bias component removed,
+computed in feature space explicitly.  fit_kernel_model is the package's
+only bias fit: the linear subspace of `linear` is this fit with the
+linear kernel k(x, y) = x^T y, read out in input space.  Rather than
+producing corrected vectors, the model corrects the *metric*: inner
+products are evaluated as if both arguments had their bias component
+removed,
 
     corrected(z, w) = k(z, w) - sum_k beta_k(z) * beta_k(w),
 
@@ -14,13 +17,15 @@ where beta_k(w) is the coordinate of w's feature image along bias
 direction k, computable from kernel evaluations against the training
 pairs.
 
-CorrectedMetric is the package's one copy of that metric: the corrected
-inner product, the cosine, the squared distance and the rule that rejects
-a fully neutralized vector (corrected self product at most 1e-12 k(w, w)).
-It is built over a (kernel spec, beta map) pair: a kernel model, a linear
-model (the linear kernel, beta(x) = x B^T) or none (the linear kernel,
-K = 0, plain cosine), and it has matrix methods only.  The similarity
-backends in `evaluation` are word-indexed views of it.
+Both bias models share one protocol: a `name` ("kernel" here, "linear"
+for linear.LinearBiasModel), a kernel `spec`, `dim`, `k` and `beta(x)`,
+the (n, K) bias coordinates of the rows of x.  CorrectedMetric is the
+package's one copy of the metric: the corrected inner product, the
+cosine, the squared distance and the rule that rejects a fully
+neutralized vector (corrected self product at most 1e-12 k(w, w)).  It
+is built over one such model, or over none (the linear kernel with
+K = 0: plain cosine), and it has matrix methods only.  The similarity
+backend in `evaluation` is a word-indexed view of it.
 
 Scale convention: the centered Gram built here is s times the Gram of the
 raw feature differences (s = gram_scale / 2).  The dual coefficients are
@@ -33,18 +38,25 @@ exactly; tests enforce this.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError
 from .kernels import KernelSpec, difference_distances, gram_matrix, kernel_diag
-from .linear import RANK_RTOL, DefiningSets, LinearBiasModel
 from .numerics import symmetric_eig
 
+if TYPE_CHECKING:
+    from .linear import DefiningSets, LinearBiasModel
+
 logger = logging.getLogger(__name__)
+
+# Eigenvalues at or below this fraction of the largest are treated as
+# numerically zero when ranking the bias directions.
+RANK_RTOL = 1e-10
 
 _LINEAR_KERNEL = KernelSpec("linear")
 
@@ -72,17 +84,24 @@ def build_centered_gram(
         K11 - K12 - K12^T + K22,   Kxy[i, j] = 0.5 * k(Wx_i, Wy_j).
 
     For a kernel with feature map phi this equals half the Gram of the
-    signed feature differences phi(W1_i) - phi(W2_i).
+    signed feature differences phi(W1_i) - phi(W2_i).  The linear kernel
+    is formed that way, as 0.5 (W1 - W2)(W1 - W2)^T: the four-block sum
+    subtracts O(1) kernel values and loses about eps / |a - b|^2 of
+    relative precision on a pair a, b.
     """
     pairs_a = np.asarray(pairs_a, dtype=np.float64)
     pairs_b = np.asarray(pairs_b, dtype=np.float64)
     if pairs_a.shape != pairs_b.shape or pairs_a.ndim != 2 or pairs_a.shape[0] < 1:
         raise DataError("pair arrays must be matching (N, d) matrices with N >= 1")
     w1, w2 = _interleaved(pairs_a, pairs_b)
-    k11 = 0.5 * gram_matrix(spec, w1, w1)
-    k12 = 0.5 * gram_matrix(spec, w1, w2)
-    k22 = 0.5 * gram_matrix(spec, w2, w2)
-    gram = k11 - k12 - k12.T + k22
+    if spec.family == "linear":
+        diff = w1 - w2
+        gram = 0.5 * diff @ diff.T
+    else:
+        k11 = 0.5 * gram_matrix(spec, w1, w1)
+        k12 = 0.5 * gram_matrix(spec, w1, w2)
+        k22 = 0.5 * gram_matrix(spec, w2, w2)
+        gram = k11 - k12 - k12.T + k22
     return (gram + gram.T) / 2.0
 
 
@@ -97,18 +116,18 @@ class KernelBiasModel:
             over the interleaved signed feature differences.  Normalized
             so alpha_k^T G alpha_k = 1, G the centered Gram used at fit.
         eigenvalues: (K,) positive, descending, of that centered Gram.
-        feature_scale: sqrt(s) with G = s * (raw difference Gram); links
-            the dual coefficients to raw kernel evaluations.
+        gram_scale: the multiplier G was fitted with.
         discarded_negative: count of negative eigenvalues dropped at fit
             (nonzero only for indefinite kernels such as sigmoid).
     """
+
+    name: ClassVar[str] = "kernel"
 
     spec: KernelSpec
     pairs_a: np.ndarray
     pairs_b: np.ndarray
     alphas: np.ndarray
     eigenvalues: np.ndarray
-    feature_scale: float
     gram_scale: float = 1.0
     discarded_negative: int = 0
 
@@ -129,6 +148,16 @@ class KernelBiasModel:
     @property
     def dim(self) -> int:
         return int(self.pairs_a.shape[1])
+
+    @property
+    def feature_scale(self) -> float:
+        """sqrt(s) with G = s * (raw difference Gram), s = gram_scale / 2;
+        links the dual coefficients to raw kernel evaluations."""
+        return float(np.sqrt(self.gram_scale * 0.5))
+
+    def beta(self, x: np.ndarray) -> np.ndarray:
+        """Bias coordinates of the rows of x: (n, K)."""
+        return beta_matrix(self, x)
 
     def centered_gram(self) -> np.ndarray:
         return self.gram_scale * build_centered_gram(
@@ -192,7 +221,6 @@ def fit_kernel_model(
         pairs_b=pairs_b,
         alphas=alphas,
         eigenvalues=values,
-        feature_scale=float(np.sqrt(gram_scale * 0.5)),
         gram_scale=float(gram_scale),
         discarded_negative=n_negative,
     )
@@ -202,13 +230,10 @@ def beta_matrix(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     """Bias-direction coordinates of the feature images of rows of x: (n, K).
 
     They come from kernel evaluations against the signed pair differences.
-    A single d-vector gives a (K,) vector.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return beta_matrix(model, x[None, :])[0]
-    if x.shape[1] != model.dim:
-        raise DataError(f"expected dimension {model.dim}, got {x.shape[1]}")
+    if x.ndim != 2 or x.shape[1] != model.dim:
+        raise DataError(f"expected rows of dimension {model.dim}, got shape {x.shape}")
     w1, w2 = _interleaved(model.pairs_a, model.pairs_b)
     psi = gram_matrix(model.spec, x, w1) - gram_matrix(model.spec, x, w2)
     return model.feature_scale * psi @ model.alphas.T
@@ -216,10 +241,10 @@ def beta_matrix(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class CorrectedMetric:
-    """k~(x, y) = k(x, y) - beta(x) . beta(y) over the (kernel spec, beta
-    map) pair of a kernel model, a linear model or None (see the module
-    docstring).  Methods take rows; bx and by are the rows' bias
-    coordinates, computed here when not given.
+    """k~(x, y) = k(x, y) - beta(x) . beta(y) over the spec and beta of a
+    bias model, or of the linear kernel with K = 0 when there is none (see
+    the module docstring).  Methods take rows; bx and by are the rows'
+    bias coordinates, computed here when not given.
     """
 
     model: KernelBiasModel | LinearBiasModel | None = None
@@ -227,16 +252,14 @@ class CorrectedMetric:
 
     @property
     def spec(self) -> KernelSpec:
-        return self.model.spec if isinstance(self.model, KernelBiasModel) else _LINEAR_KERNEL
+        return _LINEAR_KERNEL if self.model is None else self.model.spec
 
     def beta(self, x: np.ndarray) -> np.ndarray:
         """Bias coordinates of the rows of x: (n, K)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.model is None:
             return np.zeros((x.shape[0], 0))
-        if isinstance(self.model, LinearBiasModel):
-            return x @ self.model.basis.T
-        return beta_matrix(self.model, x)
+        return self.model.beta(x)
 
     def direction_gram(self) -> np.ndarray:
         """Gram of a kernel model's bias directions (K x K, identity up to
@@ -354,12 +377,14 @@ def kernel_model_to_dict(model: KernelBiasModel) -> dict:
 
 
 def kernel_model_from_dict(data: dict) -> KernelBiasModel:
-    """Rebuild a model from its dict form, checking the array shapes.
+    """Rebuild a model from its dict form, checking shapes and values.
 
     Raises:
-        FormatError: on a missing field, a non-numeric array, or shapes
-            that disagree: alphas must be (k, 2N), pairs_a and pairs_b
-            (N, dim) and eigenvalues (k,).
+        FormatError: on a missing field, a non-numeric or non-finite
+            array, shapes that disagree (alphas must be (k, 2N), pairs_a
+            and pairs_b (N, dim) and eigenvalues (k,)), a gram_scale that
+            is not a finite positive number, or a feature_scale other
+            than sqrt(gram_scale / 2).
     """
     if not isinstance(data, dict) or data.get("type") != "kernel":
         raise FormatError("not a kernel model file")
@@ -395,13 +420,22 @@ def kernel_model_from_dict(data: dict) -> KernelBiasModel:
             f"kernel model shapes disagree: {shapes}, dim {dim}, k {k}; "
             "expected alphas (k, 2N), pairs (N, dim), eigenvalues (k,)"
         )
-    return KernelBiasModel(
+    if not all(np.all(np.isfinite(arr)) for arr in arrays.values()):
+        raise FormatError("kernel model contains non-finite values")
+    if not 0.0 < gram_scale < math.inf:
+        raise FormatError(f"kernel model gram_scale must be finite and positive, got {gram_scale}")
+    model = KernelBiasModel(
         spec=spec,
         pairs_a=pairs_a,
         pairs_b=pairs_b,
         alphas=alphas,
         eigenvalues=eigenvalues,
-        feature_scale=feature_scale,
         gram_scale=gram_scale,
         discarded_negative=discarded_negative,
     )
+    if not math.isclose(feature_scale, model.feature_scale, rel_tol=1e-12):
+        raise FormatError(
+            f"kernel model feature_scale {feature_scale} disagrees with "
+            f"sqrt(gram_scale / 2) = {model.feature_scale}"
+        )
+    return model

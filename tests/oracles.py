@@ -29,6 +29,16 @@ def direct_covariance(table: EmbeddingTable, sets: DefiningSets) -> np.ndarray:
     return cov
 
 
+def primal_linear_model(table: EmbeddingTable, sets: DefiningSets, k: int) -> LinearBiasModel:
+    """Linear bias model from the top-k ``np.linalg.eigh`` eigenvectors of
+    direct_covariance: the subspace in its primal d x d form, apart from
+    the kernel fit that fit_linear_subspace reads out.  The eigenvector
+    signs are LAPACK's."""
+    values, vectors = np.linalg.eigh(direct_covariance(table, sets))
+    top = np.argsort(values)[::-1][:k]
+    return LinearBiasModel(basis=vectors[:, top].T, eigenvalues=values[top])
+
+
 def raw_beta(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     """Bias coordinates recomputed from scratch: (n, K).
 

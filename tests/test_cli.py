@@ -102,10 +102,22 @@ def test_kernel_pipeline_exits_zero(planted_files, tmp_path, capsys):
         ("k", lambda v: v + 1),
         ("alphas", lambda v: "not numbers"),
         ("pairs_a", None),
+        ("alphas", lambda v: [[float("nan")] + row[1:] for row in v]),
+        ("pairs_a", lambda v: [[float("nan")] + row[1:] for row in v]),
+        ("eigenvalues", lambda v: [float("inf")] * len(v)),
+        ("feature_scale", lambda v: float("nan")),
+        ("feature_scale", lambda v: float("inf")),
+        ("feature_scale", lambda v: 2.0 * v),
+        ("gram_scale", lambda v: 0.0),
+        ("gram_scale", lambda v: -v),
+        ("gram_scale", lambda v: float("inf")),
     ],
     ids=[
         "alphas-short-rows", "alphas-1d", "pairs_b-short", "pairs_a-wide",
         "eigenvalues-long", "dim-wrong", "k-wrong", "alphas-text", "pairs_a-missing",
+        "alphas-nan", "pairs_a-nan", "eigenvalues-inf", "feature_scale-nan",
+        "feature_scale-inf", "feature_scale-disagrees", "gram_scale-zero",
+        "gram_scale-negative", "gram_scale-inf",
     ],
 )
 def test_malformed_kernel_model_exits_2(planted_files, capsys, field, corrupt):
@@ -120,6 +132,12 @@ def test_malformed_kernel_model_exits_2(planted_files, capsys, field, corrupt):
     code = main([
         "sim", "--embeddings", str(paths["embeddings"]), "--model", str(paths["model"]),
         "he", "she",
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    code = main([
+        "eval", "classify", "--embeddings", str(paths["embeddings"]),
+        "--model", str(paths["model"]), "--n-biased", "30", "--n-train", "16",
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
@@ -378,6 +396,31 @@ def test_linear_pipeline_exits_zero(planted_files, tmp_path):
         ]) == 0
         for test in ("weat", "prof"):
             assert json.loads((tmp_path / f"{test}-{tag}.json").read_text())["backend"] == tag
+
+
+def test_eval_csv_columns_named_after_the_metric(planted_files, tmp_path):
+    paths = planted_files
+    common = ["--embeddings", str(paths["embeddings"])]
+    runs = {
+        "weat": (["--config", str(paths["weat"])],
+                 "test,backend,effect_size,p_value,statistic,"
+                 "n_used_X,n_used_Y,n_used_A,n_used_B,exhaustive"),
+        "professions": (["--professions", str(paths["professions"]), "--male",
+                         str(paths["male"]), "--female", str(paths["female"]),
+                         "--neighbors", "8"],
+                        "test,backend,pearson,neighbors,pool"),
+        "classify": (["--n-biased", "30", "--n-train", "16", "--svm-gamma", "2.0"],
+                     "test,backend,n_train,n_test,train_accuracy,test_accuracy,svm_gamma"),
+        "simlex": (["--pairs", str(paths["simlex"])], "test,backend,spearman,scored,dropped"),
+    }
+    for test, (args, header) in runs.items():
+        out = tmp_path / test
+        assert main(["eval", test, *common, *args, "--out", str(out)]) == 0
+        lines = (tmp_path / f"{test}.csv").read_text().splitlines()
+        payload = json.loads((tmp_path / f"{test}.json").read_text())
+        values = {**payload, **{f"n_used_{k}": v for k, v in payload.pop("n_used", {}).items()}}
+        assert lines[0] == header
+        assert lines[1] == ",".join(str(values[name]) for name in header.split(","))
 
 
 def test_linear_weat_on_mirrored_attributes_exits_4(planted_files, capsys):

@@ -16,8 +16,6 @@ from kerndebias import (
 from kerndebias import evaluation
 from kerndebias.evaluation import (
     CorrectedKernelBackend,
-    LinearNeutralizedBackend,
-    RawCosineBackend,
     SimilarityBackend,
     WeatConfig,
     indirect_bias_classification,
@@ -57,11 +55,11 @@ class StubBackend(SimilarityBackend):
         return self.rows[a].get(b, self.rows[b].get(a, np.nan))
 
 
-def gram_backend(cosines: np.ndarray, words: list[str]) -> tuple[RawCosineBackend, EmbeddingTable]:
+def gram_backend(cosines: np.ndarray, words: list[str]) -> tuple[CorrectedKernelBackend, EmbeddingTable]:
     """Backend whose raw cosines equal a prescribed PSD matrix exactly."""
     chol = np.linalg.cholesky(cosines + 1e-12 * np.eye(len(words)))
     table = EmbeddingTable(words=tuple(words), matrix=chol)
-    return RawCosineBackend(table), table
+    return CorrectedKernelBackend(table, None), table
 
 
 class TestBackends:
@@ -70,8 +68,8 @@ class TestBackends:
         linear = fit_linear_subspace(table, sets, 1)
         kernel = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=1)
         backends = [
-            RawCosineBackend(table),
-            LinearNeutralizedBackend(table, linear),
+            CorrectedKernelBackend(table, None),
+            CorrectedKernelBackend(table, linear),
             CorrectedKernelBackend(table, kernel),
         ]
         words = ["n0", "n1", "m0"]
@@ -113,8 +111,8 @@ class TestBackends:
         x, y = table.matrix[:5], table.matrix[5:12]
         nx, ny = neutralize_matrix(linear, x), neutralize_matrix(linear, y)
         expected = {
-            RawCosineBackend(table): difference_distances(x, y),
-            LinearNeutralizedBackend(table, linear): difference_distances(nx, ny),
+            CorrectedKernelBackend(table, None): difference_distances(x, y),
+            CorrectedKernelBackend(table, linear): difference_distances(nx, ny),
             CorrectedKernelBackend(table, kernel): four_term_distances(kernel, x, y),
         }
         for backend, oracle in expected.items():
@@ -129,8 +127,8 @@ class TestBackends:
         model = fit_linear_subspace(table, sets, 2)
         words = list(table.words)
         for backend, oracle_model in (
-            (RawCosineBackend(table), None),
-            (LinearNeutralizedBackend(table, model), model),
+            (CorrectedKernelBackend(table, None), None),
+            (CorrectedKernelBackend(table, model), model),
         ):
             for word in ("w0", "w9", "w29"):
                 oracle = cosine_row(table, word, words, oracle_model)
@@ -152,7 +150,7 @@ class TestBackends:
 
     def test_word_inside_linear_subspace_rejected(self, rng):
         table, model = self._table_with_word_inside_subspace(rng)
-        backend = LinearNeutralizedBackend(table, model)
+        backend = CorrectedKernelBackend(table, model)
         with pytest.raises(DataError, match="'inside'"):
             backend.similarity_matrix(["w0", "w1"], ["w2", "inside"])
 
@@ -160,13 +158,13 @@ class TestBackends:
         matrix = rng.normal(size=(5, 3))
         matrix[2] = 0.0
         table = EmbeddingTable(words=tuple(f"w{i}" for i in range(5)), matrix=matrix)
-        backend = RawCosineBackend(table)
+        backend = CorrectedKernelBackend(table, None)
         with pytest.raises(DataError, match="'w2'"):
             backend.similarity_matrix(["w2"], ["w0"])
 
     def test_other_words_score_beside_a_neutralized_word(self, rng):
         table, model = self._table_with_word_inside_subspace(rng)
-        backend = LinearNeutralizedBackend(table, model)
+        backend = CorrectedKernelBackend(table, model)
         words = [w for w in table.words if w != "inside"]
         oracle = np.array([cosine_row(table, w, words, model) for w in words[:3]])
         np.testing.assert_allclose(
@@ -208,7 +206,7 @@ class TestPairSimilarities:
 
     def test_unknown_word_named_before_any_chunk(self, rng, monkeypatch):
         table, model = TestBackends._table_with_word_inside_subspace(rng)
-        backend = LinearNeutralizedBackend(table, model)
+        backend = CorrectedKernelBackend(table, model)
         pairs = [("w0", "inside"), ("w1", "w2"), ("w3", "w4"), ("zzz", "w5")]
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 4)
         with pytest.raises(DataError, match="'zzz' not in vocabulary"):
@@ -425,7 +423,7 @@ class TestProfessions:
 
     def test_missing_anchor_rejected(self, rng):
         table, _ = random_instance(rng, n_words=8, n_pairs=1, dim=4)
-        backend = RawCosineBackend(table)
+        backend = CorrectedKernelBackend(table, None)
         with pytest.raises(DataError, match="he"):
             professions_correlation(
                 backend, table, ["w0", "w1", "w2"], ["w3"], ["w4"], k_neighbors=2
@@ -571,7 +569,7 @@ class TestSvm:
 class TestIndirectBiasProtocol:
     def test_correction_reduces_recoverability(self, rng):
         table, sets, _ = planted_bias_table(rng, n_pairs=10, n_neutral=60, dim=6)
-        raw = RawCosineBackend(table)
+        raw = CorrectedKernelBackend(table, None)
         raw_result = indirect_bias_classification(
             raw, table,
             n_biased=40, n_train=24, svm_gamma=2.0, c_reg=10.0, seed=11,
@@ -589,7 +587,7 @@ class TestIndirectBiasProtocol:
 
     def test_deterministic_given_seed(self, rng):
         table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
-        backend = RawCosineBackend(table)
+        backend = CorrectedKernelBackend(table, None)
         a = indirect_bias_classification(
             backend, table,
             n_biased=30, n_train=20, svm_gamma=1.0, seed=5,
@@ -606,7 +604,7 @@ class TestIndirectBiasProtocol:
         table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
         with pytest.raises(DataError, match="'he'"):
             indirect_bias_classification(
-                RawCosineBackend(table), table,
+                CorrectedKernelBackend(table, None), table,
                 n_biased=30, n_train=20,
             )
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,23 +12,16 @@ from kerndebias import (
     build_design_matrix,
     equalize_set,
     fit_linear_subspace,
-    neutralize_vector,
+    neutralize_matrix,
     resolve_word_sets,
     unit_normalize,
 )
 from conftest import random_instance
+from oracles import direct_covariance, primal_linear_model
 
 
-def direct_covariance(table: EmbeddingTable, sets: DefiningSets) -> np.ndarray:
-    """Oracle: per-set mean-centered outer products, weighted by 1/|set|."""
-    d = table.dim
-    cov = np.zeros((d, d))
-    for a, b in sets.pairs:
-        members = [table.matrix[a], table.matrix[b]]
-        mu = sum(members) / len(members)
-        for w in members:
-            cov += np.outer(w - mu, w - mu) / len(members)
-    return cov
+def neutralize_row(model, w: np.ndarray) -> np.ndarray:
+    return neutralize_matrix(model, w[None, :])[0]
 
 
 class TestDesignMatrix:
@@ -93,7 +88,7 @@ class TestFitSubspace:
     def test_eigenvalues_descending(self, rng):
         table, sets = random_instance(rng, n_pairs=6, dim=8)
         model = fit_linear_subspace(table, sets, 4)
-        assert np.all(np.diff(model.explained) <= 1e-12)
+        assert np.all(np.diff(model.eigenvalues) <= 1e-12)
 
     def test_full_rank_spans_space(self, rng):
         table, sets = random_instance(rng, n_pairs=8, dim=4)
@@ -107,41 +102,64 @@ class TestFitSubspace:
         with pytest.raises(DataError, match="rank is 2"):
             fit_linear_subspace(table, sets, 5)
 
+    @pytest.mark.parametrize("separation", [1.0, 1e-2, 1e-4, 1e-5])
+    def test_matches_primal_oracle_at_small_pair_separation(self, rng, caplog, separation):
+        # Dyadic centers and half-offsets keep every pair member, mean and
+        # centered row exact, so the oracle itself loses no precision as
+        # the pairs close in.  Subtracting O(1) kernel values to form the
+        # centered Gram would lose about eps / separation^2.
+        n_pairs, dim, k = 5, 8, 3
+        centers = np.round(rng.normal(size=(n_pairs, dim)) * 2.0**20) / 2.0**20
+        halves = np.round(rng.normal(size=(n_pairs, dim)) * separation * 2.0**39) / 2.0**40
+        matrix = np.empty((2 * n_pairs, dim))
+        matrix[0::2], matrix[1::2] = centers + halves, centers - halves
+        table = EmbeddingTable(words=tuple(f"w{i}" for i in range(2 * n_pairs)), matrix=matrix)
+        sets = DefiningSets(tuple((2 * i, 2 * i + 1) for i in range(n_pairs)))
+        with caplog.at_level(logging.WARNING):
+            model = fit_linear_subspace(table, sets, k)
+        assert not caplog.records
+        oracle = primal_linear_model(table, sets, k)
+        projector = model.basis.T @ model.basis
+        assert np.max(np.abs(projector - oracle.basis.T @ oracle.basis)) <= 1e-12
+        top = oracle.eigenvalues[0]
+        assert np.max(np.abs(model.eigenvalues - oracle.eigenvalues)) <= 1e-12 * top
+        assert np.max(np.abs(model.basis @ model.basis.T - np.eye(k))) <= 1e-12
+
 
 class TestNeutralize:
     def test_span_vector_zeroed(self, rng):
         table, sets = random_instance(rng, n_pairs=3, dim=6)
         model = fit_linear_subspace(table, sets, 2)
         w = 1.7 * model.basis[0] - 0.4 * model.basis[1]
-        np.testing.assert_allclose(neutralize_vector(model, w), 0.0, atol=1e-12)
+        np.testing.assert_allclose(neutralize_row(model, w), 0.0, atol=1e-12)
 
     def test_orthogonal_vector_unchanged(self, rng):
         table, sets = random_instance(rng, n_pairs=2, dim=5)
         model = fit_linear_subspace(table, sets, 1)
         w = rng.normal(size=5)
         w -= model.basis[0] * (model.basis[0] @ w)
-        np.testing.assert_allclose(neutralize_vector(model, w), w, atol=1e-12)
+        np.testing.assert_allclose(neutralize_row(model, w), w, atol=1e-12)
 
     def test_decomposition_identity(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=7)
         model = fit_linear_subspace(table, sets, 3)
         w = rng.normal(size=7)
-        recomposed = neutralize_vector(model, w) + model.basis.T @ (model.basis @ w)
+        recomposed = neutralize_row(model, w) + model.basis.T @ (model.basis @ w)
         np.testing.assert_allclose(recomposed, w, atol=1e-10)
 
     def test_projection_residual_orthogonal(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=7)
         model = fit_linear_subspace(table, sets, 3)
         w = rng.normal(size=7)
-        out = neutralize_vector(model, w)
+        out = neutralize_row(model, w)
         np.testing.assert_allclose(model.basis @ out, 0.0, atol=1e-10)
 
     def test_idempotent(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=7)
         model = fit_linear_subspace(table, sets, 2)
         w = rng.normal(size=7)
-        once = neutralize_vector(model, w)
-        twice = neutralize_vector(model, once)
+        once = neutralize_row(model, w)
+        twice = neutralize_row(model, once)
         np.testing.assert_allclose(once, twice, atol=1e-12)
 
 
@@ -204,7 +222,7 @@ class TestEqualize:
         # Linear analogue of the feature-space equalize invariance.
         table, _, model = self._fitted(rng, n_pairs=3, dim=6)
         outputs = equalize_set(model, table, (0, 1))
-        w = neutralize_vector(model, rng.normal(size=6))
+        w = neutralize_row(model, rng.normal(size=6))
         products = [float(w @ e) for e in outputs]
         assert products[0] == pytest.approx(products[1], abs=1e-10)
 

@@ -6,24 +6,26 @@ from kerndebias import (
     KernelSpec,
     beta_matrix,
     fit_kernel_model,
-    fit_linear_subspace,
     fit_preimage_map,
-    neutralize_matrix,
-    preimage_neutralize,
     preimage_neutralize_matrix,
 )
-from kerndebias.preimage import bias_component, default_sample, preimage_from_dict, preimage_to_dict
+from kerndebias.preimage import default_sample, preimage_from_dict, preimage_to_dict
 from kerndebias.seeding import rng_for
-from conftest import planted_bias_table, random_instance
+from conftest import planted_bias_table
+from oracles import primal_linear_model
 
 
 def planted_setup(rng, spec=None, k=1):
     table, sets, u = planted_bias_table(rng, n_pairs=8, n_neutral=24, dim=7)
     spec = spec or KernelSpec("linear")
     model = fit_kernel_model(spec, table, sets, k=k)
-    linear = fit_linear_subspace(table, sets, k)
+    linear = primal_linear_model(table, sets, k)
     sample = [i for pair in sets.pairs for i in pair]
     return table, sets, model, linear, sample
+
+
+def neutralize_row(pmap, w: np.ndarray) -> np.ndarray:
+    return preimage_neutralize_matrix(pmap, w[None, :])[0]
 
 
 class TestLinearExactness:
@@ -33,7 +35,7 @@ class TestLinearExactness:
         for idx in sample:
             w = table.matrix[idx]
             expected = w - linear.project(w)
-            assert np.linalg.norm(preimage_neutralize(pmap, w) - expected) <= 1e-6
+            assert np.linalg.norm(neutralize_row(pmap, w) - expected) <= 1e-6
 
     def test_matches_projection_on_held_out_words(self, rng):
         table, sets, model, linear, sample = planted_setup(rng)
@@ -42,14 +44,14 @@ class TestLinearExactness:
         for idx in held_out:
             w = table.matrix[idx]
             expected = w - linear.project(w)
-            assert np.linalg.norm(preimage_neutralize(pmap, w) - expected) <= 1e-4
+            assert np.linalg.norm(neutralize_row(pmap, w) - expected) <= 1e-4
 
     def test_learned_map_reproduces_bias_component(self, rng):
         table, sets, model, linear, sample = planted_setup(rng)
         pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
         w = rng.normal(size=table.dim)
         np.testing.assert_allclose(
-            bias_component(pmap, w), linear.project(w), atol=1e-6
+            w - neutralize_row(pmap, w), linear.project(w), atol=1e-6
         )
 
 
@@ -58,7 +60,7 @@ class TestRidgeBehavior:
         table, sets, model, _, sample = planted_setup(rng)
         pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e12)
         w = rng.normal(size=table.dim)
-        np.testing.assert_allclose(preimage_neutralize(pmap, w), w, atol=1e-8)
+        np.testing.assert_allclose(neutralize_row(pmap, w), w, atol=1e-8)
 
     def test_sample_too_small(self, rng):
         table, sets, model, _, _ = planted_setup(rng)
@@ -87,7 +89,7 @@ class TestDecomposition:
         pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
         w = rng.normal(size=table.dim)
         w[0] = 0.0  # mirror-symmetric: beta exactly zero
-        np.testing.assert_array_equal(preimage_neutralize(pmap, w), w)
+        np.testing.assert_array_equal(neutralize_row(pmap, w), w)
 
     def test_additive_decomposition_exact(self, rng):
         # Exact by construction; the subtract-then-add round trip costs at
@@ -96,7 +98,8 @@ class TestDecomposition:
         pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
         for _ in range(10):
             w = rng.normal(size=table.dim)
-            recomposed = preimage_neutralize(pmap, w) + bias_component(pmap, w)
+            bias_part = beta_matrix(model, w[None, :])[0] @ pmap.ridge_weights.T
+            recomposed = neutralize_row(pmap, w) + bias_part
             np.testing.assert_array_max_ulp(recomposed, w, maxulp=1)
 
     def test_deterministic(self, rng):
@@ -106,7 +109,7 @@ class TestDecomposition:
         np.testing.assert_array_equal(first.ridge_weights, second.ridge_weights)
         w = rng.normal(size=table.dim)
         np.testing.assert_array_equal(
-            preimage_neutralize(first, w), preimage_neutralize(second, w)
+            neutralize_row(first, w), neutralize_row(second, w)
         )
 
 
@@ -150,5 +153,5 @@ class TestSampling:
         assert again.training_words == pmap.training_words
         w = rng.normal(size=table.dim)
         np.testing.assert_array_equal(
-            preimage_neutralize(again, w), preimage_neutralize(pmap, w)
+            neutralize_row(again, w), neutralize_row(pmap, w)
         )

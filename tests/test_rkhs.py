@@ -14,15 +14,13 @@ from kerndebias import (
     build_centered_gram,
     eval_kernel,
     fit_kernel_model,
-    fit_linear_subspace,
     neutralize_matrix,
-    neutralize_vector,
     unit_normalize,
 )
 from kerndebias.numerics import symmetric_eig
 from kerndebias.rkhs import kernel_model_from_dict, kernel_model_to_dict
 from conftest import planted_bias_table, random_instance
-from oracles import equalized_member_inner, four_term_inner
+from oracles import equalized_member_inner, four_term_inner, primal_linear_model
 
 KERNEL_ZOO = [
     KernelSpec("linear"),
@@ -127,7 +125,7 @@ class TestFit:
 class TestBetaProjection:
     def test_linear_proportional_to_subspace_coordinate(self, rng):
         table, sets = random_instance(rng, n_pairs=3, dim=6)
-        linear = fit_linear_subspace(table, sets, 1)
+        linear = primal_linear_model(table, sets, 1)
         model = fit_kernel_model(KernelSpec("linear"), table, sets, k=1)
         queries = rng.normal(size=(8, 6))
         betas = beta_matrix(model, queries)[:, 0]
@@ -144,10 +142,6 @@ class TestBetaProjection:
         w[0] = 0.0  # on the mirror hyperplane: equidistant from every pair
         np.testing.assert_allclose(beta_matrix(model, w[None, :]), 0.0, atol=1e-12)
 
-    def test_shape_k1(self, rng):
-        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=1.0), k=1)
-        assert beta_matrix(model, np.zeros(model.dim)).shape == (1,)
-
     def test_batch_matches_single(self, rng):
         _, _, model = fitted_pair_models(rng, KernelSpec("laplace", gamma=0.4), k=2)
         queries = rng.normal(size=(5, model.dim))
@@ -158,13 +152,13 @@ class TestBetaProjection:
 
 class TestLinearKernelEquivalence:
     """With a linear kernel every corrected operation must match the
-    explicit subspace-projection computation."""
+    explicit projection off the primal covariance eigenvectors."""
 
     def _models(self, rng, k=2, n_pairs=4, dim=6, unit=False):
         table, sets = random_instance(rng, n_pairs=n_pairs, dim=dim)
         if unit:
             table = unit_normalize(table)
-        linear = fit_linear_subspace(table, sets, k)
+        linear = primal_linear_model(table, sets, k)
         kernel = fit_kernel_model(KernelSpec("linear"), table, sets, k=k)
         return table, sets, linear, CorrectedMetric(kernel)
 
@@ -194,7 +188,7 @@ class TestLinearKernelEquivalence:
         members = table.matrix[:3]
         w = rng.normal(size=6)
         mu = members.mean(axis=0)
-        oracle = neutralize_vector(linear, w) @ neutralize_vector(linear, mu)
+        oracle = neutralize_matrix(linear, w[None, :])[0] @ neutralize_matrix(linear, mu[None, :])[0]
         assert metric.equalized_inner_product(w, members) == pytest.approx(
             oracle, abs=1e-9
         )
