@@ -25,12 +25,11 @@ from .configio import load_model
 from .embeddings import (
     EmbeddingTable,
     parse_embedding_text,
-    subset,
     unit_normalize,
     write_embedding_text,
 )
 from .errors import DataError, FormatError, KerndebiasError, NumericalError
-from .kernels import KernelSpec, default_gamma, eval_kernel, gram_matrix
+from .kernels import KernelSpec, default_gamma, gram_matrix
 from .linear import (
     DefiningSets,
     EqualitySets,
@@ -78,7 +77,6 @@ __all__ = [
     "build_design_matrix",
     "default_gamma",
     "equalize_set",
-    "eval_kernel",
     "fit_kernel_model",
     "fit_linear_subspace",
     "fit_preimage_map",
@@ -90,7 +88,6 @@ __all__ = [
     "preimage_neutralize_matrix",
     "resolve_word_sets",
     "spearman",
-    "subset",
     "symmetric_eig",
     "unit_normalize",
     "write_embedding_text",

@@ -26,7 +26,7 @@ from .embeddings import (
     write_embedding_text,
 )
 from .errors import DataError, FormatError, NumericalError
-from .kernels import FAMILIES, KernelSpec, default_gamma
+from .kernels import _NEEDS_COEF0, _NEEDS_GAMMA, FAMILIES, KernelSpec, default_gamma
 from .linear import (
     LinearBiasModel,
     equalize_set,
@@ -79,9 +79,9 @@ def _kernel_spec_from_args(args: argparse.Namespace, dim: int) -> KernelSpec:
         raise FormatError(f"unknown kernel family {family!r}; known: {', '.join(FAMILIES)}")
     gamma = args.gamma if args.gamma is not None else default_gamma(dim)
     kwargs: dict = {}
-    if family in ("rbf", "sigmoid", "polynomial", "laplace"):
+    if family in _NEEDS_GAMMA:
         kwargs["gamma"] = gamma
-    if family in ("sigmoid", "polynomial"):
+    if family in _NEEDS_COEF0:
         kwargs["coef0"] = args.coef0
     if family == "polynomial":
         kwargs["degree"] = args.degree
@@ -239,8 +239,8 @@ def cmd_eval_weat(args: argparse.Namespace) -> int:
     cfg = configio.load_weat_config(args.config)
     if args.permutations is not None:
         cfg = dataclasses.replace(cfg, permutations=args.permutations)
-    if args.seed_override is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed_override)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     result = evaluation.weat_test(backend, cfg)
     payload = {
         "test": "weat",
@@ -397,11 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--permutations", type=int,
         help=f"override config permutation count (1 to {evaluation.MAX_PERMUTATIONS})",
     )
-    p_weat.add_argument(
-        "--weat-seed", dest="seed_override", type=int, help="override config seed"
-    )
     p_weat.add_argument("--out", help="output prefix (.json/.csv)")
-    p_weat.set_defaults(func=cmd_eval_weat)
+    # --seed overrides the config's seed only when given.
+    p_weat.set_defaults(func=cmd_eval_weat, seed=None)
 
     p_prof = eval_sub.add_parser("professions", help="neighbor-bias correlation")
     _add_common(p_prof)

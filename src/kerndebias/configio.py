@@ -26,13 +26,25 @@ def read_json_object(path: str | Path) -> dict:
     return data
 
 
+def _check_word_pairs(path: str | Path, key: str, pairs: object) -> None:
+    """FormatError unless pairs is a list of [word, word] string pairs."""
+    if not isinstance(pairs, list):
+        raise FormatError(f"{path}: {key!r} must be a list of word pairs")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)):
+            raise FormatError(f"{path}: {key!r} must be word pairs, got {pair!r}")
+
+
 def load_model(path: str | Path) -> tuple[LinearBiasModel | KernelBiasModel, dict]:
     """A model file written by `fit`, and the dict it was parsed from.
 
     The dict keeps the fields the model does not hold (`pair_words`, a
-    pre-image block), so a caller can read them or write the file back.
+    pre-image block), so a caller can read them or write the file back;
+    `pair_words`, when present, is checked to be word pairs.
     """
     data = read_json_object(path)
+    if "pair_words" in data:
+        _check_word_pairs(path, "pair_words", data["pair_words"])
     if data.get("type") == "linear":
         return linear_model_from_dict(data), data
     if data.get("type") == "kernel":
@@ -46,9 +58,7 @@ def load_sets_file(path: str | Path) -> tuple[list[list[str]], list[list[str]]]:
     defining = data.get("defining_sets")
     if not isinstance(defining, list) or not defining:
         raise FormatError(f"{path}: missing or empty 'defining_sets'")
-    for pair in defining:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)):
-            raise FormatError(f"{path}: defining sets must be word pairs, got {pair!r}")
+    _check_word_pairs(path, "defining_sets", defining)
     equality = data.get("equality_sets", [])
     if not isinstance(equality, list):
         raise FormatError(f"{path}: 'equality_sets' must be a list")

@@ -1,4 +1,4 @@
-"""Word-embedding tables: parsing, writing, normalization, subsetting.
+"""Word-embedding tables: parsing, writing and normalization.
 
 The on-disk format is the common line-oriented text layout: one word per
 line followed by its vector components, separated by whitespace.  The
@@ -290,30 +290,3 @@ def unit_normalize(table: EmbeddingTable) -> EmbeddingTable:
         raise DataError(f"cannot normalize zero vector for word {table.words[zero[0]]!r}")
     scale = np.where(np.abs(norms - 1.0) <= _UNIT_SLACK, 1.0, norms)
     return EmbeddingTable(words=table.words, matrix=table.matrix / scale[:, None])
-
-
-def subset(
-    table: EmbeddingTable, words: Iterable[str]
-) -> tuple[EmbeddingTable, list[str]]:
-    """Extract the requested words that exist, in request order.
-
-    Returns:
-        (sub-table, missing) where missing lists requested words absent
-        from the vocabulary.  Missing words are reported, not fatal.
-    """
-    keep: list[str] = []
-    missing: list[str] = []
-    seen: set[str] = set()
-    for word in words:
-        if word in seen:
-            continue
-        seen.add(word)
-        if word in table:
-            keep.append(word)
-        else:
-            missing.append(word)
-    if keep:
-        rows = np.vstack([table.lookup(w) for w in keep])
-    else:
-        rows = np.zeros((0, table.dim))
-    return EmbeddingTable(words=tuple(keep), matrix=rows), missing

@@ -182,23 +182,6 @@ def _associations(
     return sims[:, : len(a_in)].mean(axis=1) - sims[:, len(a_in) :].mean(axis=1)
 
 
-def weat_association(
-    sim: SimilarityBackend, word: str, a_words: Sequence[str], b_words: Sequence[str]
-) -> float:
-    """Relative association: mean sim to A minus mean sim to B."""
-    a_in = [a for a in a_words if a in sim]
-    b_in = [b for b in b_words if b in sim]
-    if not a_in or not b_in:
-        raise DataError("attribute sets are empty after vocabulary filtering")
-    return float(_associations(sim, [word], a_in, b_in)[0])
-
-
-def _split_statistic(s_values: np.ndarray, idx: np.ndarray, total: float) -> float:
-    # Sum over chosen minus sum over rest, via 2 * chosen - total so the
-    # observed split and its enumerated twin are computed identically.
-    return 2.0 * float(s_values[idx].sum()) - total
-
-
 def weat_test(sim: SimilarityBackend, cfg: WeatConfig) -> WeatResult:
     """Effect size and one-sided permutation p-value for the association gap.
 
@@ -234,18 +217,20 @@ def weat_test(sim: SimilarityBackend, cfg: WeatConfig) -> WeatResult:
     effect = (float(s_values[:nx].mean()) - float(s_values[nx:].mean())) / std
 
     total = float(s_values.sum())
-    observed = _split_statistic(s_values, np.arange(nx), total)
 
+    def split_statistics(idx: np.ndarray) -> np.ndarray:
+        # Sum over each row's chosen words minus sum over the rest, as
+        # 2 * chosen - total, so the observed split and every other one
+        # are computed identically.
+        return 2.0 * s_values[idx].sum(axis=1) - total
+
+    observed = split_statistics(np.arange(nx)[None])[0]
     n_union = len(s_values)
     n_splits = math.comb(n_union, nx)
-    if n_splits <= EXHAUSTIVE_LIMIT:
-        hits = sum(
-            1
-            for combo in itertools.combinations(range(n_union), nx)
-            if _split_statistic(s_values, np.array(combo), total) >= observed
-        )
-        p_value = hits / n_splits
-        exhaustive = True
+    exhaustive = n_splits <= EXHAUSTIVE_LIMIT
+    if exhaustive:
+        splits = np.array(list(itertools.combinations(range(n_union), nx)))
+        p_value = int(np.sum(split_statistics(splits) >= observed)) / n_splits
     else:
         rng = rng_for(cfg.seed, "weat-permutation")
         hits = 0
@@ -254,11 +239,9 @@ def weat_test(sim: SimilarityBackend, cfg: WeatConfig) -> WeatResult:
             m = min(20000, remaining)
             keys = rng.random((m, n_union))
             idx = np.argpartition(keys, nx - 1, axis=1)[:, :nx]
-            stats = 2.0 * s_values[idx].sum(axis=1) - total
-            hits += int(np.sum(stats >= observed))
+            hits += int(np.sum(split_statistics(idx) >= observed))
             remaining -= m
         p_value = hits / cfg.permutations
-        exhaustive = False
 
     return WeatResult(
         effect_size=float(effect),
@@ -311,7 +294,12 @@ def professions_correlation(
     professions and gendered lexicons with pool="restricted"); the count
     of neighbors in the male lexicon is correlated (Pearson) against the
     profession's bias in the original space.
+
+    Raises:
+        FormatError: if k_neighbors is below 1.
     """
+    if k_neighbors < 1:
+        raise FormatError(f"neighbor count must be at least 1, got {k_neighbors}")
     profs = [w for w in professions if w in table and w in sim]
     if len(profs) < 3:
         raise DataError("need at least three in-vocabulary professions")
@@ -364,10 +352,6 @@ class SvmModel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return self.kernel(x, self.vectors) @ (self.dual_coef * self.labels) + self.bias
 
-    def decision_value(self, w: np.ndarray) -> float:
-        w = np.asarray(w, dtype=np.float64)
-        return float(self.decision_values(w[None, :])[0])
-
 
 def rbf_on_squared_distance(
     sqdist: Callable[[np.ndarray, np.ndarray], np.ndarray], gamma: float
@@ -382,12 +366,6 @@ def rbf_on_squared_distance(
         return np.exp(-gamma * sqdist(x, y))
 
     return kernel
-
-
-def linear_classifier_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(np.asarray(x, dtype=np.float64)) @ np.atleast_2d(
-        np.asarray(y, dtype=np.float64)
-    ).T
 
 
 def svm_train(
@@ -412,10 +390,14 @@ def svm_train(
     does not depend on the order of the training rows beyond tol.
 
     Raises:
+        FormatError: unless c_reg and tol are finite and positive.
         DataError: unless both labels -1 and +1 are present.
         NumericalError: if the kernel matrix is not finite, or the gap is
             still above tol after _SMO_MAX_ITER steps.
     """
+    for name, value in (("c_reg", c_reg), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise FormatError(f"{name} must be finite and positive, got {value}")
     vectors = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if set(np.unique(labels)) != {-1.0, 1.0}:
@@ -473,13 +455,9 @@ def svm_train(
     )
 
 
-def svm_predict(model: SvmModel, w: np.ndarray) -> int:
-    """Label in {-1, +1}; zero decision values resolve to +1."""
-    return 1 if model.decision_value(w) >= 0 else -1
-
-
 def svm_accuracy(model: SvmModel, vectors: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose predicted label (as svm_predict) matches."""
+    """Fraction of rows whose predicted label matches: +1 where the
+    decision value is at least 0 (a zero value counts as +1), else -1."""
     labels = np.asarray(labels, dtype=np.float64)
     preds = np.where(model.decision_values(vectors) >= 0, 1.0, -1.0)
     return float(np.mean(preds == labels))
@@ -506,10 +484,18 @@ def indirect_bias_classification(
     vocabulary; there is no other source for the bias score.
 
     Raises:
+        FormatError: if n_biased or n_train is below 1, or svm_gamma, c_reg
+            or tol is not finite and positive.
         DataError: if an anchor word is not in the vocabulary, or the
             vocabulary is too small for a split.
         NumericalError: if the SVM solver does not converge.
     """
+    for name, count in (("n_biased", n_biased), ("n_train", n_train)):
+        if count < 1:
+            raise FormatError(f"{name} must be at least 1, got {count}")
+    gamma = svm_gamma if svm_gamma is not None else 1.0 / table.dim
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise FormatError(f"svm_gamma must be finite and positive, got {gamma}")
     bias = original_bias_scores(table, table.words, male_anchor, female_anchor)
     order = np.argsort(-bias, kind="stable")
     half = min(n_biased // 2, len(table) // 2)
@@ -527,7 +513,6 @@ def indirect_bias_classification(
     train_idx, test_idx = idx[:n_train], idx[n_train:]
     train_labels, test_labels = labels[:n_train], labels[n_train:]
 
-    gamma = svm_gamma if svm_gamma is not None else 1.0 / table.dim
     kernel = rbf_on_squared_distance(sim_backend.squared_distance_matrix, gamma)
     model = svm_train(kernel, table.matrix[train_idx], train_labels, c_reg=c_reg, tol=tol)
     return {

@@ -247,15 +247,6 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate the kernel on a single pair of d-vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise DataError("eval_kernel expects 1-D vectors")
-    return float(gram_matrix(spec, x[None, :], y[None, :])[0, 0])
-
-
 def kernel_diag(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     """k(x_i, x_i) for every row, without forming the full Gram."""
     x = _as_matrix(x)

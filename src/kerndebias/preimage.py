@@ -116,12 +116,3 @@ def preimage_to_dict(pmap: PreimageMap) -> dict:
         "ridge_lambda": pmap.ridge_lambda,
         "training_words": list(pmap.training_words),
     }
-
-
-def preimage_from_dict(model: KernelBiasModel, data: dict) -> PreimageMap:
-    return PreimageMap(
-        model=model,
-        ridge_weights=np.array(data["ridge_weights"], dtype=np.float64),
-        ridge_lambda=float(data["ridge_lambda"]),
-        training_words=tuple(int(i) for i in data["training_words"]),
-    )

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
@@ -142,10 +142,6 @@ class KernelBiasModel:
         return int(self.alphas.shape[0])
 
     @property
-    def n_pairs(self) -> int:
-        return int(self.pairs_a.shape[0])
-
-    @property
     def dim(self) -> int:
         return int(self.pairs_a.shape[1])
 
@@ -158,11 +154,6 @@ class KernelBiasModel:
     def beta(self, x: np.ndarray) -> np.ndarray:
         """Bias coordinates of the rows of x: (n, K)."""
         return beta_matrix(self, x)
-
-    def centered_gram(self) -> np.ndarray:
-        return self.gram_scale * build_centered_gram(
-            self.spec, self.pairs_a, self.pairs_b
-        )
 
 
 def fit_kernel_model(
@@ -248,7 +239,6 @@ class CorrectedMetric:
     """
 
     model: KernelBiasModel | LinearBiasModel | None = None
-    _direction_gram: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def spec(self) -> KernelSpec:
@@ -260,14 +250,6 @@ class CorrectedMetric:
         if self.model is None:
             return np.zeros((x.shape[0], 0))
         return self.model.beta(x)
-
-    def direction_gram(self) -> np.ndarray:
-        """Gram of a kernel model's bias directions (K x K, identity up to
-        solver error)."""
-        if self._direction_gram is None:
-            gram = self.model.centered_gram()
-            self._direction_gram = self.model.alphas @ gram @ self.model.alphas.T
-        return self._direction_gram
 
     def self_inner_products(self, x: np.ndarray, bx: np.ndarray | None = None) -> np.ndarray:
         """Corrected k~(x_i, x_i) for every row of x."""
@@ -332,32 +314,6 @@ class CorrectedMetric:
         if self.model is not None:  # K = 0 has no bias term
             dist -= difference_distances(self.beta(x), self.beta(y))
         return np.maximum(0.0, dist)
-
-    def equalized_inner_product(self, w: np.ndarray, members: np.ndarray) -> float:
-        """Inner product of neutralized w with an equalized member of a set.
-
-        The value is the same for every member: the mean over the set of
-        the corrected inner products with w.
-        """
-        members = np.atleast_2d(np.asarray(members, dtype=np.float64))
-        if members.shape[0] < 2:
-            raise DataError("equality sets need at least two members")
-        w = np.asarray(w, dtype=np.float64)
-        values = self.inner_product_matrix(w[None, :], members)[0]
-        return float(values.mean())
-
-    def orthogonality_check(self, w: np.ndarray, z: np.ndarray) -> float:
-        """Residual of <neutralized w, bias projection of z>, ideally 0.
-
-        Computed as the difference between the projection-coordinate route
-        (beta(w) . beta(z)) and the expansion route through the direction
-        Gram; exposes eigensolver non-orthonormality.
-        """
-        bw = self.beta(w)[0]
-        bz = self.beta(z)[0]
-        coordinate_route = float(bw @ bz)
-        expansion_route = float(bw @ self.direction_gram() @ bz)
-        return coordinate_route - expansion_route
 
 
 def kernel_model_to_dict(model: KernelBiasModel) -> dict:

@@ -39,6 +39,16 @@ def primal_linear_model(table: EmbeddingTable, sets: DefiningSets, k: int) -> Li
     return LinearBiasModel(basis=vectors[:, top].T, eigenvalues=values[top])
 
 
+def pair_rows(model: KernelBiasModel) -> tuple[np.ndarray, np.ndarray]:
+    """Interleaved pair rows (a1, b1, a2, b2, ...) and their swapped twins."""
+    n_pairs = model.pairs_a.shape[0]
+    w1 = np.empty((2 * n_pairs, model.dim))
+    w2 = np.empty((2 * n_pairs, model.dim))
+    w1[0::2], w1[1::2] = model.pairs_a, model.pairs_b
+    w2[0::2], w2[1::2] = model.pairs_b, model.pairs_a
+    return w1, w2
+
+
 def raw_beta(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     """Bias coordinates recomputed from scratch: (n, K).
 
@@ -46,18 +56,22 @@ def raw_beta(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     contracts with the stored dual coefficients and feature scale.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n_pairs = model.pairs_a.shape[0]
-    w1 = np.empty((2 * n_pairs, model.dim))
-    w2 = np.empty((2 * n_pairs, model.dim))
-    w1[0::2], w1[1::2] = model.pairs_a, model.pairs_b
-    w2[0::2], w2[1::2] = model.pairs_b, model.pairs_a
+    w1, w2 = pair_rows(model)
     psi = gram_matrix(model.spec, x, w1) - gram_matrix(model.spec, x, w2)
     return model.feature_scale * psi @ model.alphas.T
 
 
 def direction_gram(model: KernelBiasModel) -> np.ndarray:
-    """Gram of the fitted bias directions via raw kernel evaluations."""
-    return model.alphas @ model.centered_gram() @ model.alphas.T
+    """Gram of the fitted bias directions via raw kernel evaluations: the
+    directions expand over the signed differences phi(w1_i) - phi(w2_i),
+    whose Gram enters scaled by the feature scale squared."""
+    w1, w2 = pair_rows(model)
+    spec = model.spec
+    diff_gram = (
+        gram_matrix(spec, w1, w1) - gram_matrix(spec, w1, w2)
+        - gram_matrix(spec, w2, w1) + gram_matrix(spec, w2, w2)
+    )
+    return model.feature_scale**2 * (model.alphas @ diff_gram @ model.alphas.T)
 
 
 def four_term_inner(model: KernelBiasModel, z: np.ndarray, w: np.ndarray) -> float:

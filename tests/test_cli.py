@@ -111,16 +111,21 @@ def test_kernel_pipeline_exits_zero(planted_files, tmp_path, capsys):
         ("gram_scale", lambda v: 0.0),
         ("gram_scale", lambda v: -v),
         ("gram_scale", lambda v: float("inf")),
+        ("pair_words", lambda v: [["he"]]),
+        ("pair_words", lambda v: 5),
+        ("pair_words", lambda v: [["he", 3]]),
+        ("pair_words", lambda v: None),
     ],
     ids=[
         "alphas-short-rows", "alphas-1d", "pairs_b-short", "pairs_a-wide",
         "eigenvalues-long", "dim-wrong", "k-wrong", "alphas-text", "pairs_a-missing",
         "alphas-nan", "pairs_a-nan", "eigenvalues-inf", "feature_scale-nan",
         "feature_scale-inf", "feature_scale-disagrees", "gram_scale-zero",
-        "gram_scale-negative", "gram_scale-inf",
+        "gram_scale-negative", "gram_scale-inf", "pair_words-one-word",
+        "pair_words-number", "pair_words-non-string", "pair_words-null",
     ],
 )
-def test_malformed_kernel_model_exits_2(planted_files, capsys, field, corrupt):
+def test_malformed_kernel_model_exits_2(planted_files, tmp_path, capsys, field, corrupt):
     paths = planted_files
     _fit_kernel(paths)
     data = json.loads(paths["model"].read_text())
@@ -138,6 +143,12 @@ def test_malformed_kernel_model_exits_2(planted_files, capsys, field, corrupt):
     code = main([
         "eval", "classify", "--embeddings", str(paths["embeddings"]),
         "--model", str(paths["model"]), "--n-biased", "30", "--n-train", "16",
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    code = main([
+        "apply", "--embeddings", str(paths["embeddings"]), "--model", str(paths["model"]),
+        "--out", str(tmp_path / "out.txt"),
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
@@ -224,6 +235,62 @@ def test_weat_explicit_permutations_accepted(planted_files, tmp_path):
         "--out", str(tmp_path / "weat"),
     ]) == 0
     assert json.loads((tmp_path / "weat.json").read_text())["exhaustive"]
+
+
+def test_weat_seed_flag_overrides_config_seed(planted_files, tmp_path):
+    # 9 + 9 targets take the seeded Monte Carlo branch.
+    paths = planted_files
+    config = json.loads(paths["weat"].read_text())
+    targets = {"X": [f"n{i}" for i in range(9)], "Y": [f"n{i}" for i in range(9, 18)]}
+    results = {}
+    for config_seed, flag in ((1, None), (2, None), (1, 2)):
+        paths["weat"].write_text(json.dumps(
+            {**config, **targets, "permutations": 2000, "seed": config_seed}
+        ))
+        out = tmp_path / f"weat-{config_seed}-{flag}"
+        argv = ["eval", "weat", "--embeddings", str(paths["embeddings"]),
+                "--config", str(paths["weat"]), "--out", str(out)]
+        assert main(argv + ([] if flag is None else ["--seed", str(flag)])) == 0
+        results[config_seed, flag] = json.loads(out.with_suffix(".json").read_text())
+    assert not results[1, None]["exhaustive"]
+    assert results[1, 2] == results[2, None]
+    assert results[1, 2]["p_value"] != results[1, None]["p_value"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["professions", "--neighbors", "-5"], "neighbor count"),
+        (["professions", "--neighbors", "0"], "neighbor count"),
+        (["classify", "--n-biased", "-10"], "n_biased"),
+        (["classify", "--n-train", "0"], "n_train"),
+        (["classify", "--c-reg", "0"], "c_reg"),
+        (["classify", "--c-reg", "-1"], "c_reg"),
+        (["classify", "--c-reg", "nan"], "c_reg"),
+        (["classify", "--c-reg", "inf"], "c_reg"),
+        (["classify", "--tol", "-1"], "tol"),
+        (["classify", "--tol", "0"], "tol"),
+        (["classify", "--tol", "inf"], "tol"),
+        (["classify", "--svm-gamma", "0"], "svm_gamma"),
+        (["classify", "--svm-gamma", "-1"], "svm_gamma"),
+        (["classify", "--svm-gamma", "nan"], "svm_gamma"),
+    ],
+    ids=[
+        "neighbors-negative", "neighbors-zero", "n-biased-negative", "n-train-zero",
+        "c-reg-zero", "c-reg-negative", "c-reg-nan", "c-reg-inf", "tol-negative",
+        "tol-zero", "tol-inf", "svm-gamma-zero", "svm-gamma-negative", "svm-gamma-nan",
+    ],
+)
+def test_out_of_range_eval_value_exits_2(planted_files, capsys, argv, name):
+    paths = planted_files
+    extra = {
+        "professions": ["--professions", str(paths["professions"]),
+                        "--male", str(paths["male"]), "--female", str(paths["female"])],
+        "classify": ["--n-biased", "30", "--n-train", "16"],
+    }[argv[0]]
+    assert main(["eval", argv[0], "--embeddings", str(paths["embeddings"]),
+                 *extra, *argv[1:]]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):

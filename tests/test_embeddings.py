@@ -11,7 +11,6 @@ from kerndebias import (
     EmbeddingTable,
     FormatError,
     parse_embedding_text,
-    subset,
     unit_normalize,
     write_embedding_text,
 )
@@ -288,26 +287,6 @@ class TestNormalize:
         once = unit_normalize(table)
         twice = unit_normalize(once)
         np.testing.assert_array_equal(once.matrix, twice.matrix)
-
-
-class TestSubset:
-    def test_request_order(self):
-        table = parse("a 1 0\nb 0 1\nc 1 1\n")
-        sub, missing = subset(table, ["c", "a"])
-        assert sub.words == ("c", "a")
-        assert missing == []
-
-    def test_missing_reported_not_fatal(self):
-        table = parse("a 1 0\n")
-        sub, missing = subset(table, ["a", "x"])
-        assert sub.words == ("a",)
-        assert missing == ["x"]
-
-    def test_empty_request(self):
-        table = parse("a 1 0\n")
-        sub, missing = subset(table, [])
-        assert len(sub) == 0
-        assert missing == []
 
 
 class TestTableInvariants:

@@ -4,7 +4,6 @@ import pytest
 from kerndebias import (
     CorrectedMetric,
     DataError,
-    DefiningSets,
     EmbeddingTable,
     FormatError,
     KernelSpec,
@@ -18,15 +17,13 @@ from kerndebias.evaluation import (
     CorrectedKernelBackend,
     SimilarityBackend,
     WeatConfig,
+    SvmModel,
     indirect_bias_classification,
-    linear_classifier_kernel,
     professions_correlation,
     rbf_on_squared_distance,
     simlex_eval,
     svm_accuracy,
-    svm_predict,
     svm_train,
-    weat_association,
     weat_test,
 )
 from kerndebias.kernels import difference_distances
@@ -218,24 +215,25 @@ class TestPairSimilarities:
 class TestWeatAssociation:
     def test_equal_attribute_sets_give_zero(self):
         stub = StubBackend({"w": {"a": 0.7, "b": 0.1}, "a": {}, "b": {}})
-        assert weat_association(stub, "w", ["a", "b"], ["a", "b"]) == 0.0
+        assert evaluation._associations(stub, ["w"], ["a", "b"], ["a", "b"])[0] == 0.0
 
     def test_constant_similarity_gives_zero(self):
         stub = StubBackend({"w": {"a": 0.4, "b": 0.4}, "a": {}, "b": {}})
-        assert weat_association(stub, "w", ["a"], ["b"]) == 0.0
+        assert evaluation._associations(stub, ["w"], ["a"], ["b"])[0] == 0.0
 
     def test_hand_arithmetic(self):
         stub = StubBackend(
             {"w": {"a1": 0.9, "a2": 0.1, "b1": 0.2, "b2": 0.2},
              "a1": {}, "a2": {}, "b1": {}, "b2": {}}
         )
-        value = weat_association(stub, "w", ["a1", "a2"], ["b1", "b2"])
+        value = evaluation._associations(stub, ["w"], ["a1", "a2"], ["b1", "b2"])[0]
         assert value == pytest.approx(0.3)
 
     def test_empty_attributes_rejected(self):
-        stub = StubBackend({"w": {}})
-        with pytest.raises(DataError):
-            weat_association(stub, "w", ["missing"], ["also-missing"])
+        stub = StubBackend({w: {} for w in ("x0", "x1", "y0", "y1")})
+        cfg = WeatConfig(("x0", "x1"), ("y0", "y1"), ("missing",), ("also-missing",))
+        with pytest.raises(DataError, match="attribute sets are empty"):
+            weat_test(stub, cfg)
 
 
 def make_weat_stub(x_scores, y_scores):
@@ -437,9 +435,9 @@ class TestProfessions:
                 backend,
                 table,
                 professions=[f"p{i}" for i in range(5)],
-                male_words=["m0"],
+                male_words=[],  # no male lexicon: all counts zero
                 female_words=["f0"],
-                k_neighbors=0,  # zero neighbors: all counts zero
+                k_neighbors=2,
                 pool="restricted",
             )
 
@@ -469,9 +467,7 @@ class TestSvm:
     def test_xor_rbf_succeeds_linear_fails(self):
         rbf_model = svm_train(rbf_kernel(1.0), XOR_VECTORS, XOR_LABELS, c_reg=10.0)
         assert svm_accuracy(rbf_model, XOR_VECTORS, XOR_LABELS) == 1.0
-        linear_model = svm_train(
-            linear_classifier_kernel, XOR_VECTORS, XOR_LABELS, c_reg=10.0
-        )
+        linear_model = svm_train(lambda x, y: x @ y.T, XOR_VECTORS, XOR_LABELS, c_reg=10.0)
         assert svm_accuracy(linear_model, XOR_VECTORS, XOR_LABELS) < 1.0
 
     def test_dual_coefficients_in_box(self, rng):
@@ -485,9 +481,8 @@ class TestSvm:
         vectors, labels = blob_data(rng)
         c_reg, tol = 2.0, 1e-3
         model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=c_reg, tol=tol)
-        for i in range(len(labels)):
-            margin = labels[i] * (model.decision_value(vectors[i]) - 0.0)
-            ye = labels[i] * (model.decision_value(vectors[i]) - labels[i])
+        for i, value in enumerate(model.decision_values(vectors)):
+            ye = labels[i] * (value - labels[i])
             if model.dual_coef[i] < 1e-9:
                 assert ye >= -10 * tol
             elif model.dual_coef[i] > c_reg - 1e-9:
@@ -498,18 +493,18 @@ class TestSvm:
     def test_far_support_vector_predicts_own_class(self, rng):
         vectors, labels = blob_data(rng)
         model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=10.0)
-        assert svm_predict(model, np.array([3.0, 3.0])) == 1
-        assert svm_predict(model, np.array([-3.0, -3.0])) == -1
+        far = np.array([[3.0, 3.0], [-3.0, -3.0]])
+        assert svm_accuracy(model, far, np.array([1.0, -1.0])) == 1.0
 
     def test_mirrored_data_gives_antisymmetric_decisions(self, rng):
         base = rng.normal(size=(12, 2)) + np.array([1.5, 0.0])
         vectors = np.vstack([base, -base])
         labels = np.concatenate([np.ones(12), -np.ones(12)])
         model = svm_train(rbf_kernel(0.7), vectors, labels, c_reg=5.0)
-        for t in rng.normal(size=(6, 2)):
-            assert model.decision_value(t) == pytest.approx(
-                -model.decision_value(-t), abs=2e-3
-            )
+        t = rng.normal(size=(6, 2))
+        np.testing.assert_allclose(
+            model.decision_values(t), -model.decision_values(-t), rtol=0, atol=2e-3
+        )
 
     def test_duplicate_points_do_not_move_decision(self, rng):
         vectors, labels = blob_data(rng, n_per_class=12)
@@ -517,10 +512,10 @@ class TestSvm:
         dup_vectors = np.vstack([vectors, vectors[:1]])
         dup_labels = np.concatenate([labels, labels[:1]])
         dup_model = svm_train(rbf_kernel(0.5), dup_vectors, dup_labels, c_reg=100.0)
-        for t in rng.normal(size=(8, 2)) * 2:
-            assert model.decision_value(t) == pytest.approx(
-                dup_model.decision_value(t), abs=1e-3
-            )
+        t = rng.normal(size=(8, 2)) * 2
+        np.testing.assert_allclose(
+            model.decision_values(t), dup_model.decision_values(t), rtol=0, atol=1e-3
+        )
 
     @pytest.mark.parametrize("seed", [RNG_SEED, *range(10)])
     def test_training_order_permutation_invariance(self, seed):
@@ -532,22 +527,16 @@ class TestSvm:
         permuted = svm_train(
             rbf_kernel(0.5), vectors[perm], labels[perm], c_reg=10.0, tol=1e-8
         )
-        for t in rng.normal(size=(10, 2)) * 2:
-            assert model.decision_value(t) == pytest.approx(
-                permuted.decision_value(t), abs=1e-6
-            )
-
-    def test_batched_accuracy_matches_per_vector_predictions(self, rng):
-        vectors, labels = blob_data(rng, separation=0.5)
-        model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=1.0)
-        queries = rng.normal(size=(30, 2)) * 2
-        query_labels = rng.choice([-1.0, 1.0], size=30)
-        per_vector = [svm_predict(model, q) for q in queries]
-        assert svm_accuracy(model, queries, query_labels) == np.mean(
-            np.array(per_vector) == query_labels
+        t = rng.normal(size=(10, 2)) * 2
+        np.testing.assert_allclose(
+            model.decision_values(t), permuted.decision_values(t), rtol=0, atol=1e-6
         )
-        for q, value in zip(queries, model.decision_values(queries)):
-            assert model.decision_value(q) == pytest.approx(value, abs=1e-12)
+
+    def test_zero_decision_value_counts_as_positive(self):
+        vectors = np.eye(3)
+        model = SvmModel(np.zeros(3), 0.0, vectors, np.array([1.0, -1.0, 1.0]), rbf_kernel(1.0))
+        np.testing.assert_array_equal(model.decision_values(vectors), 0.0)
+        assert svm_accuracy(model, vectors, np.array([1.0, -1.0, 1.0])) == pytest.approx(2 / 3)
 
     def test_single_class_rejected(self, rng):
         vectors = rng.normal(size=(6, 2))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kerndebias import DataError, FormatError, KernelSpec, eval_kernel, gram_matrix, kernels
+from kerndebias import DataError, FormatError, KernelSpec, gram_matrix, kernels
 from kerndebias.kernels import difference_distances, kernel_diag
 from kerndebias.numerics import symmetric_eig
 from oracles import direct_laplace, direct_rbf
@@ -33,45 +33,45 @@ class TestEvalKernel:
     def test_rbf_self_is_one(self, rng):
         x = rng.normal(size=5)
         for gamma in (0.1, 1.0, 25.0):
-            assert eval_kernel(KernelSpec("rbf", gamma=gamma), x, x) == 1.0
+            assert gram_matrix(KernelSpec("rbf", gamma=gamma), x, x)[0, 0] == 1.0
 
     def test_cosine_orthogonal(self):
-        assert eval_kernel(KernelSpec("cosine"), [1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert gram_matrix(KernelSpec("cosine"), [1.0, 0.0], [0.0, 1.0])[0, 0] == 0.0
 
     def test_polynomial_hand_value(self):
         spec = KernelSpec("polynomial", gamma=1.0, coef0=1.0, degree=2)
-        assert eval_kernel(spec, [1.0, 0.0], [1.0, 1.0]) == 4.0
+        assert gram_matrix(spec, [1.0, 0.0], [1.0, 1.0])[0, 0] == 4.0
 
     def test_laplace_hand_value(self):
         spec = KernelSpec("laplace", gamma=0.5)
-        value = eval_kernel(spec, [1.0, 2.0], [0.0, 4.0])
+        value = gram_matrix(spec, [1.0, 2.0], [0.0, 4.0])[0, 0]
         assert value == pytest.approx(np.exp(-0.5 * 3.0))
 
     def test_sigmoid_hand_value(self):
         spec = KernelSpec("sigmoid", gamma=2.0, coef0=-1.0)
-        assert eval_kernel(spec, [1.0, 1.0], [1.0, 0.0]) == pytest.approx(np.tanh(1.0))
+        assert gram_matrix(spec, [1.0, 1.0], [1.0, 0.0])[0, 0] == pytest.approx(np.tanh(1.0))
 
     def test_cosine_zero_vector_rejected(self):
         with pytest.raises(DataError):
-            eval_kernel(KernelSpec("cosine"), [0.0, 0.0], [1.0, 0.0])
+            gram_matrix(KernelSpec("cosine"), [0.0, 0.0], [1.0, 0.0])[0, 0]
 
     def test_symmetry_all_families(self, rng):
         x = rng.normal(size=4)
         y = rng.normal(size=4)
         for spec in ALL_SPECS:
-            assert eval_kernel(spec, x, y) == pytest.approx(
-                eval_kernel(spec, y, x), abs=1e-12
+            assert gram_matrix(spec, x, y)[0, 0] == pytest.approx(
+                gram_matrix(spec, y, x)[0, 0], abs=1e-12
             )
 
     def test_range_posts(self, rng):
         x = rng.normal(size=6)
         y = rng.normal(size=6)
         for gamma in (0.3, 2.0):
-            rbf = eval_kernel(KernelSpec("rbf", gamma=gamma), x, y)
-            lap = eval_kernel(KernelSpec("laplace", gamma=gamma), x, y)
+            rbf = gram_matrix(KernelSpec("rbf", gamma=gamma), x, y)[0, 0]
+            lap = gram_matrix(KernelSpec("laplace", gamma=gamma), x, y)[0, 0]
             assert 0.0 < rbf <= 1.0
             assert 0.0 < lap <= 1.0
-        assert -1.0 <= eval_kernel(KernelSpec("cosine"), x, y) <= 1.0
+        assert -1.0 <= gram_matrix(KernelSpec("cosine"), x, y)[0, 0] <= 1.0
 
 
 class TestGramMatrix:
@@ -79,20 +79,12 @@ class TestGramMatrix:
         spec = KernelSpec("linear")
         np.testing.assert_array_equal(gram_matrix(spec, np.eye(2), np.eye(2)), np.eye(2))
 
-    def test_single_rows_match_eval(self, rng):
-        x = rng.normal(size=3)
-        y = rng.normal(size=3)
-        for spec in ALL_SPECS:
-            gram = gram_matrix(spec, x[None, :], y[None, :])
-            assert gram.shape == (1, 1)
-            assert gram[0, 0] == pytest.approx(eval_kernel(spec, x, y), abs=1e-12)
-
     def test_matches_double_loop_oracle(self, rng):
         x = rng.normal(size=(4, 3))
         for spec in ALL_SPECS:
             gram = gram_matrix(spec, x, x)
             oracle = np.array(
-                [[eval_kernel(spec, a, b) for b in x] for a in x]
+                [[gram_matrix(spec, a, b)[0, 0] for b in x] for a in x]
             )
             np.testing.assert_allclose(gram, oracle, atol=1e-12)
 
