@@ -34,8 +34,6 @@ from .linear import (
     DefiningSets,
     EqualitySets,
     LinearBiasModel,
-    bias_covariance,
-    build_design_matrix,
     equalize_set,
     fit_linear_subspace,
     neutralize_matrix,
@@ -72,9 +70,7 @@ __all__ = [
     "PreimageMap",
     "SymmetricEigen",
     "beta_matrix",
-    "bias_covariance",
     "build_centered_gram",
-    "build_design_matrix",
     "default_gamma",
     "equalize_set",
     "fit_kernel_model",

@@ -329,7 +329,11 @@ def cmd_demo_toy(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, embeddings: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, embeddings: bool = True, seed: int | None = 42
+) -> None:
+    """--embeddings and --no-normalize (unless embeddings is False) and
+    --seed, whose default None stands for the config's seed."""
     if embeddings:
         parser.add_argument(
             "--embeddings", required=True, help="embedding text file, or - for stdin"
@@ -339,7 +343,8 @@ def _add_common(parser: argparse.ArgumentParser, embeddings: bool = True) -> Non
             action="store_true",
             help="skip unit-normalizing vectors on load",
         )
-    parser.add_argument("--seed", type=int, default=42, help="run seed (default 42)")
+    default = "the config's seed" if seed is None else str(seed)
+    parser.add_argument("--seed", type=int, default=seed, help=f"run seed (default: {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_sub = p_eval.add_subparsers(dest="benchmark", required=True)
 
     p_weat = eval_sub.add_parser("weat", help="association test")
-    _add_common(p_weat)
+    _add_common(p_weat, seed=None)
     p_weat.add_argument("--model", help="model JSON (omit for raw cosine)")
     p_weat.add_argument("--config", required=True, help="WEAT config JSON")
     p_weat.add_argument(
@@ -398,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"override config permutation count (1 to {evaluation.MAX_PERMUTATIONS})",
     )
     p_weat.add_argument("--out", help="output prefix (.json/.csv)")
-    # --seed overrides the config's seed only when given.
-    p_weat.set_defaults(func=cmd_eval_weat, seed=None)
+    p_weat.set_defaults(func=cmd_eval_weat)
 
     p_prof = eval_sub.add_parser("professions", help="neighbor-bias correlation")
     _add_common(p_prof)

@@ -1,12 +1,10 @@
-"""Linear bias subspace: fit, neutralize, equalize, design matrix, covariance.
+"""Linear bias subspace: fit, neutralize, equalize.
 
 The bias subspace is spanned by the leading eigenvectors of the covariance
 of word vectors centered within small counterpart pairs ("defining sets").
 It is not fitted here: fit_linear_subspace reads it out of the package's
 one bias fit, rkhs.fit_kernel_model, with the linear kernel
 k(x, y) = x^T y, whose bias directions are vectors in input space.
-build_design_matrix and bias_covariance give the same covariance in its
-primal d x d form.
 
 LinearBiasModel has the protocol of rkhs.KernelBiasModel: name "linear",
 the linear KernelSpec and beta(x) = x B^T.  Neutralizing projects a vector
@@ -23,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, checked_integer
 from .kernels import KernelSpec
 from .numerics import fix_column_signs
 from .rkhs import fit_kernel_model
@@ -109,41 +107,16 @@ class LinearBiasModel:
         return self.basis.T @ (self.basis @ w)
 
 
-def build_design_matrix(table: EmbeddingTable, sets: DefiningSets) -> np.ndarray:
-    """Stack, for every word in every pair, its vector minus the pair mean.
-
-    The result has 2N rows that sum to the zero vector.
-    """
-    if not sets.pairs:
-        raise DataError("no defining pairs supplied")
-    sets.validate_against(table)
-    rows = []
-    for a, b in sets.pairs:
-        va = table.matrix[a]
-        vb = table.matrix[b]
-        mean = (va + vb) / 2.0
-        rows.append(va - mean)
-        rows.append(vb - mean)
-    return np.vstack(rows)
-
-
-def bias_covariance(design: np.ndarray) -> np.ndarray:
-    """Bias covariance: half the cross-product of the centered design rows."""
-    design = np.asarray(design, dtype=np.float64)
-    return 0.5 * design.T @ design
-
-
 def fit_linear_subspace(
     table: EmbeddingTable, sets: DefiningSets, k: int
 ) -> LinearBiasModel:
     """Top-k eigenvectors of the bias covariance, by descending eigenvalue,
     read out of fit_kernel_model with the linear kernel.
 
-    Direction j of the kernel fit is feature_scale * alpha_j (W1 - W2)
-    over the interleaved signed pair differences, to which pair i adds
-    (alpha_j[2i] - alpha_j[2i + 1]) (a_i - b_i).  One QR orthonormalizes
-    the directions, each signed so its largest-magnitude entry is
-    positive.  The covariance eigenvalues are the dual ones over
+    Direction j of the kernel fit is alpha_j (A - B), the dual
+    coefficients over the pair differences a_i - b_i.  One QR
+    orthonormalizes the directions, each signed so its largest-magnitude
+    entry is positive.  The covariance eigenvalues are the dual ones over
     4 * gram_scale.
 
     Raises:
@@ -151,8 +124,7 @@ def fit_linear_subspace(
             centered Gram (the message reports the available rank).
     """
     model = fit_kernel_model(LinearBiasModel.spec, table, sets, k=k)
-    weights = model.alphas[:, 0::2] - model.alphas[:, 1::2]
-    directions = model.feature_scale * weights @ (model.pairs_a - model.pairs_b)
+    directions = model.alphas @ (model.pairs_a - model.pairs_b)
     basis = np.linalg.qr(directions.T)[0]
     fix_column_signs(basis)
     return LinearBiasModel(
@@ -226,16 +198,16 @@ def linear_model_from_dict(data: dict) -> LinearBiasModel:
 
     Raises:
         FormatError: on a missing field, a non-numeric or non-finite
-            array, or shapes that disagree: basis must be (k, dim) and
-            eigenvalues (k,).
+            array, a k or dim that is not an integer, or shapes that
+            disagree: basis must be (k, dim) and eigenvalues (k,).
     """
     if not isinstance(data, dict) or data.get("type") != "linear":
         raise FormatError("not a linear model file")
     try:
         basis = np.array(data["basis"], dtype=np.float64)
         eigenvalues = np.array(data["eigenvalues"], dtype=np.float64)
-        dim = int(data["dim"])
-        k = int(data["k"])
+        dim = checked_integer(data["dim"], "dim")
+        k = checked_integer(data["k"], "k")
     except KeyError as exc:
         raise FormatError(f"linear model is missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

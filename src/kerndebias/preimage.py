@@ -14,12 +14,13 @@ exact linear projection (up to ridge shrinkage).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError
+from .errors import DataError, FormatError
 from .rkhs import KernelBiasModel, beta_matrix
 
 DEFAULT_RIDGE_LAMBDA = 1e-6
@@ -50,7 +51,13 @@ def default_sample(
     rng: np.random.Generator,
     extra: int = DEFAULT_EXTRA_SAMPLE,
 ) -> list[int]:
-    """Defining-set words plus `extra` uniformly drawn vocabulary words."""
+    """Defining-set words plus `extra` uniformly drawn vocabulary words.
+
+    Raises:
+        FormatError: if extra is negative.
+    """
+    if extra < 0:
+        raise FormatError(f"pre-image sample size must be at least 0, got {extra}")
     base = [i for pair in sets_pairs for i in pair]
     taken = set(base)
     rest = [i for i in range(len(table)) if i not in taken]
@@ -70,15 +77,16 @@ def fit_preimage_map(
 
     Args:
         sample: Word indices used as regression rows; needs at least K + 1.
-        ridge_lambda: Ridge strength; must be > 0 unless the centered
-            coordinate Gram is nonsingular.
+        ridge_lambda: Ridge strength, finite and at least 0; must be > 0
+            unless the centered coordinate Gram is nonsingular.
 
     Raises:
+        FormatError: unless ridge_lambda is finite and at least 0.
         DataError: on a too-small sample, or singular normal equations at
             ridge_lambda = 0 (the message suggests a positive lambda).
     """
-    if ridge_lambda < 0:
-        raise DataError("ridge_lambda must be nonnegative")
+    if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0):
+        raise FormatError(f"ridge_lambda must be finite and at least 0, got {ridge_lambda}")
     sample = [int(i) for i in sample]
     if len(sample) < model.k + 1:
         raise DataError(

@@ -27,11 +27,12 @@ is built over one such model, or over none (the linear kernel with
 K = 0: plain cosine), and it has matrix methods only.  The similarity
 backend in `evaluation` is a word-indexed view of it.
 
-Scale convention: the centered Gram built here is s times the Gram of the
-raw feature differences (s = gram_scale / 2).  The dual coefficients are
-normalized through that same matrix and the beta features carry a
-matching sqrt(s) factor, so every corrected quantity is independent of s.
-A fit with gram_scale=2 must therefore reproduce the gram_scale=1 metric
+Scale convention: the eigenproblem is solved on gram_scale times M, the
+N x N Gram of the pair differences phi(a_i) - phi(b_i).  The dual
+coefficients absorb that factor, alpha = sqrt(gram_scale) U^T / sqrt(lambda),
+so alpha M alpha^T = I and beta is a plain contraction of raw kernel
+values; every corrected quantity is independent of gram_scale.  A fit
+with gram_scale=2 must therefore reproduce the gram_scale=1 metric
 exactly; tests enforce this.
 """
 
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING, ClassVar, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, checked_integer
 from .kernels import KernelSpec, difference_distances, gram_matrix, kernel_diag
 from .numerics import symmetric_eig
 
@@ -61,47 +62,31 @@ RANK_RTOL = 1e-10
 _LINEAR_KERNEL = KernelSpec("linear")
 
 
-def _interleaved(pairs_a: np.ndarray, pairs_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row layouts (a1, b1, a2, b2, ...) and the pair-swapped counterpart."""
-    n, d = pairs_a.shape
-    w1 = np.empty((2 * n, d))
-    w2 = np.empty((2 * n, d))
-    w1[0::2] = pairs_a
-    w1[1::2] = pairs_b
-    w2[0::2] = pairs_b
-    w2[1::2] = pairs_a
-    return w1, w2
-
-
 def build_centered_gram(
     spec: KernelSpec, pairs_a: np.ndarray, pairs_b: np.ndarray
 ) -> np.ndarray:
-    """Pairwise-centered Gram of the defining pairs (2N x 2N).
+    """Gram M of the defining pairs' feature differences (N x N):
 
-    With W1 the interleaved pair rows and W2 the same rows with each
-    pair's members swapped, the centered Gram is
+        M[i, j] = k(a_i, a_j) - k(a_i, b_j) - k(b_i, a_j) + k(b_i, b_j).
 
-        K11 - K12 - K12^T + K22,   Kxy[i, j] = 0.5 * k(Wx_i, Wy_j).
-
-    For a kernel with feature map phi this equals half the Gram of the
-    signed feature differences phi(W1_i) - phi(W2_i).  The linear kernel
-    is formed that way, as 0.5 (W1 - W2)(W1 - W2)^T: the four-block sum
-    subtracts O(1) kernel values and loses about eps / |a - b|^2 of
-    relative precision on a pair a, b.
+    Centering each pair on its mean leaves its members at
+    +-(phi(a_i) - phi(b_i)) / 2, so the kernel-PCA Gram of the centered
+    images of every member is 0.5 M (x) [[1, -1], [-1, 1]], whose nonzero
+    spectrum is M's.  The linear kernel is formed as (A - B)(A - B)^T:
+    the four-block sum subtracts O(1) kernel values and loses about
+    eps / |a - b|^2 of relative precision on a pair a, b.
     """
     pairs_a = np.asarray(pairs_a, dtype=np.float64)
     pairs_b = np.asarray(pairs_b, dtype=np.float64)
     if pairs_a.shape != pairs_b.shape or pairs_a.ndim != 2 or pairs_a.shape[0] < 1:
         raise DataError("pair arrays must be matching (N, d) matrices with N >= 1")
-    w1, w2 = _interleaved(pairs_a, pairs_b)
     if spec.family == "linear":
-        diff = w1 - w2
-        gram = 0.5 * diff @ diff.T
+        diff = pairs_a - pairs_b
+        gram = diff @ diff.T
     else:
-        k11 = 0.5 * gram_matrix(spec, w1, w1)
-        k12 = 0.5 * gram_matrix(spec, w1, w2)
-        k22 = 0.5 * gram_matrix(spec, w2, w2)
-        gram = k11 - k12 - k12.T + k22
+        kab = gram_matrix(spec, pairs_a, pairs_b)
+        kaa = gram_matrix(spec, pairs_a, pairs_a)
+        gram = kaa - kab - kab.T + gram_matrix(spec, pairs_b, pairs_b)
     return (gram + gram.T) / 2.0
 
 
@@ -112,11 +97,12 @@ class KernelBiasModel:
     Attributes:
         spec: Kernel used for fitting and all corrected evaluations.
         pairs_a / pairs_b: (N, d) defining-pair vectors.
-        alphas: (K, 2N) dual coefficients; row k expands bias direction k
-            over the interleaved signed feature differences.  Normalized
-            so alpha_k^T G alpha_k = 1, G the centered Gram used at fit.
-        eigenvalues: (K,) positive, descending, of that centered Gram.
-        gram_scale: the multiplier G was fitted with.
+        alphas: (K, N) dual coefficients; row k expands bias direction k
+            over the pair differences phi(a_i) - phi(b_i).  Normalized so
+            alpha M alpha^T = I, M = build_centered_gram(spec, pairs_a,
+            pairs_b).
+        eigenvalues: (K,) positive, descending, of gram_scale * M.
+        gram_scale: the multiplier M was fitted with.
         discarded_negative: count of negative eigenvalues dropped at fit
             (nonzero only for indefinite kernels such as sigmoid).
     """
@@ -144,12 +130,6 @@ class KernelBiasModel:
     @property
     def dim(self) -> int:
         return int(self.pairs_a.shape[1])
-
-    @property
-    def feature_scale(self) -> float:
-        """sqrt(s) with G = s * (raw difference Gram), s = gram_scale / 2;
-        links the dual coefficients to raw kernel evaluations."""
-        return float(np.sqrt(self.gram_scale * 0.5))
 
     def beta(self, x: np.ndarray) -> np.ndarray:
         """Bias coordinates of the rows of x: (n, K)."""
@@ -205,7 +185,7 @@ def fit_kernel_model(
         )
 
     values = eig.eigenvalues[:k].copy()
-    alphas = eig.eigenvectors[:, :k].T / np.sqrt(values)[:, None]
+    alphas = np.sqrt(gram_scale) * eig.eigenvectors[:, :k].T / np.sqrt(values)[:, None]
     return KernelBiasModel(
         spec=spec,
         pairs_a=pairs_a,
@@ -220,14 +200,13 @@ def fit_kernel_model(
 def beta_matrix(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     """Bias-direction coordinates of the feature images of rows of x: (n, K).
 
-    They come from kernel evaluations against the signed pair differences.
+    They come from kernel evaluations against the pair differences.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise DataError(f"expected rows of dimension {model.dim}, got shape {x.shape}")
-    w1, w2 = _interleaved(model.pairs_a, model.pairs_b)
-    psi = gram_matrix(model.spec, x, w1) - gram_matrix(model.spec, x, w2)
-    return model.feature_scale * psi @ model.alphas.T
+    psi = gram_matrix(model.spec, x, model.pairs_a) - gram_matrix(model.spec, x, model.pairs_b)
+    return psi @ model.alphas.T
 
 
 @dataclass(eq=False)
@@ -326,7 +305,6 @@ def kernel_model_to_dict(model: KernelBiasModel) -> dict:
         "alphas": model.alphas.tolist(),
         "pairs_a": model.pairs_a.tolist(),
         "pairs_b": model.pairs_b.tolist(),
-        "feature_scale": model.feature_scale,
         "gram_scale": model.gram_scale,
         "discarded_negative": model.discarded_negative,
     }
@@ -337,10 +315,10 @@ def kernel_model_from_dict(data: dict) -> KernelBiasModel:
 
     Raises:
         FormatError: on a missing field, a non-numeric or non-finite
-            array, shapes that disagree (alphas must be (k, 2N), pairs_a
-            and pairs_b (N, dim) and eigenvalues (k,)), a gram_scale that
-            is not a finite positive number, or a feature_scale other
-            than sqrt(gram_scale / 2).
+            array, a k, dim or discarded_negative that is not an integer,
+            shapes that disagree (alphas must be (k, N), pairs_a and
+            pairs_b (N, dim) and eigenvalues (k,)), or a gram_scale that
+            is not a finite positive number.
     """
     if not isinstance(data, dict) or data.get("type") != "kernel":
         raise FormatError("not a kernel model file")
@@ -350,11 +328,12 @@ def kernel_model_from_dict(data: dict) -> KernelBiasModel:
             for name in ("pairs_a", "pairs_b", "alphas", "eigenvalues")
         }
         spec = KernelSpec.from_dict(data["kernel"])
-        feature_scale = float(data["feature_scale"])
         gram_scale = float(data.get("gram_scale", 1.0))
-        discarded_negative = int(data.get("discarded_negative", 0))
-        dim = int(data["dim"])
-        k = int(data["k"])
+        discarded_negative = checked_integer(
+            data.get("discarded_negative", 0), "discarded_negative"
+        )
+        dim = checked_integer(data["dim"], "dim")
+        k = checked_integer(data["k"], "k")
     except KeyError as exc:
         raise FormatError(f"kernel model is missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -367,20 +346,20 @@ def kernel_model_from_dict(data: dict) -> KernelBiasModel:
         or pairs_a.shape[0] < 1
         or pairs_b.shape != pairs_a.shape
         or alphas.ndim != 2
-        or alphas.shape[1] != 2 * pairs_a.shape[0]
+        or alphas.shape[1] != pairs_a.shape[0]
         or eigenvalues.shape != (alphas.shape[0],)
         or dim != pairs_a.shape[1]
         or k != alphas.shape[0]
     ):
         raise FormatError(
             f"kernel model shapes disagree: {shapes}, dim {dim}, k {k}; "
-            "expected alphas (k, 2N), pairs (N, dim), eigenvalues (k,)"
+            "expected alphas (k, N), pairs (N, dim), eigenvalues (k,)"
         )
     if not all(np.all(np.isfinite(arr)) for arr in arrays.values()):
         raise FormatError("kernel model contains non-finite values")
     if not 0.0 < gram_scale < math.inf:
         raise FormatError(f"kernel model gram_scale must be finite and positive, got {gram_scale}")
-    model = KernelBiasModel(
+    return KernelBiasModel(
         spec=spec,
         pairs_a=pairs_a,
         pairs_b=pairs_b,
@@ -389,9 +368,3 @@ def kernel_model_from_dict(data: dict) -> KernelBiasModel:
         gram_scale=gram_scale,
         discarded_negative=discarded_negative,
     )
-    if not math.isclose(feature_scale, model.feature_scale, rel_tol=1e-12):
-        raise FormatError(
-            f"kernel model feature_scale {feature_scale} disagrees with "
-            f"sqrt(gram_scale / 2) = {model.feature_scale}"
-        )
-    return model

@@ -90,6 +90,17 @@ def test_kernel_pipeline_exits_zero(planted_files, tmp_path, capsys):
     assert 0.0 <= classify["test_accuracy"] <= 1.0
 
 
+def _earlier_format(data: dict) -> dict:
+    """The same model in the earlier file format: alphas of shape (k, 2N)
+    over the interleaved rows (a1, b1, a2, b2, ...) and their swapped
+    twins, scaled by feature_scale = sqrt(gram_scale / 2)."""
+    feature_scale = (data["gram_scale"] / 2.0) ** 0.5
+    half = np.array(data["alphas"]) / (2.0 * feature_scale)
+    alphas = np.empty((half.shape[0], 2 * half.shape[1]))
+    alphas[:, 0::2], alphas[:, 1::2] = half, -half
+    return {**data, "alphas": alphas.tolist(), "feature_scale": feature_scale}
+
+
 @pytest.mark.parametrize(
     "field, corrupt",
     [
@@ -105,9 +116,9 @@ def test_kernel_pipeline_exits_zero(planted_files, tmp_path, capsys):
         ("alphas", lambda v: [[float("nan")] + row[1:] for row in v]),
         ("pairs_a", lambda v: [[float("nan")] + row[1:] for row in v]),
         ("eigenvalues", lambda v: [float("inf")] * len(v)),
-        ("feature_scale", lambda v: float("nan")),
-        ("feature_scale", lambda v: float("inf")),
-        ("feature_scale", lambda v: 2.0 * v),
+        (None, _earlier_format),
+        ("k", lambda v: str(v)),
+        ("discarded_negative", lambda v: 1.9),
         ("gram_scale", lambda v: 0.0),
         ("gram_scale", lambda v: -v),
         ("gram_scale", lambda v: float("inf")),
@@ -119,8 +130,8 @@ def test_kernel_pipeline_exits_zero(planted_files, tmp_path, capsys):
     ids=[
         "alphas-short-rows", "alphas-1d", "pairs_b-short", "pairs_a-wide",
         "eigenvalues-long", "dim-wrong", "k-wrong", "alphas-text", "pairs_a-missing",
-        "alphas-nan", "pairs_a-nan", "eigenvalues-inf", "feature_scale-nan",
-        "feature_scale-inf", "feature_scale-disagrees", "gram_scale-zero",
+        "alphas-nan", "pairs_a-nan", "eigenvalues-inf", "earlier-format",
+        "k-text", "discarded_negative-float", "gram_scale-zero",
         "gram_scale-negative", "gram_scale-inf", "pair_words-one-word",
         "pair_words-number", "pair_words-non-string", "pair_words-null",
     ],
@@ -129,7 +140,9 @@ def test_malformed_kernel_model_exits_2(planted_files, tmp_path, capsys, field, 
     paths = planted_files
     _fit_kernel(paths)
     data = json.loads(paths["model"].read_text())
-    if corrupt is None:
+    if field is None:
+        data = corrupt(data)
+    elif corrupt is None:
         del data[field]
     else:
         data[field] = corrupt(data[field])
@@ -167,10 +180,14 @@ def test_malformed_kernel_model_exits_2(planted_files, tmp_path, capsys, field, 
         ("k", lambda v: v + 1),
         ("basis", None),
         ("eigenvalues", None),
+        ("k", lambda v: float(v)),
+        ("k", lambda v: True),
+        ("dim", lambda v: str(v)),
     ],
     ids=[
         "basis-1d", "basis-short-rows", "basis-nan", "basis-text", "eigenvalues-long",
         "eigenvalues-inf", "dim-wrong", "k-wrong", "basis-missing", "eigenvalues-missing",
+        "k-float", "k-bool", "dim-text",
     ],
 )
 def test_malformed_linear_model_exits_2(planted_files, capsys, field, corrupt):
@@ -291,6 +308,30 @@ def test_out_of_range_eval_value_exits_2(planted_files, capsys, argv, name):
     assert main(["eval", argv[0], "--embeddings", str(paths["embeddings"]),
                  *extra, *argv[1:]]) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--ridge-lambda", "-1"], "ridge_lambda"),
+        (["--ridge-lambda", "nan"], "ridge_lambda"),
+        (["--ridge-lambda", "inf"], "ridge_lambda"),
+        (["--preimage-sample", "-5"], "pre-image sample"),
+    ],
+    ids=[
+        "ridge-lambda-negative", "ridge-lambda-nan", "ridge-lambda-inf",
+        "preimage-sample-negative",
+    ],
+)
+def test_out_of_range_apply_value_exits_2(planted_files, tmp_path, capsys, argv, name):
+    paths = planted_files
+    _fit_kernel(paths)
+    assert main([
+        "apply", "--embeddings", str(paths["embeddings"]), "--model", str(paths["model"]),
+        "--out", str(tmp_path / "out.txt"), *argv,
+    ]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):

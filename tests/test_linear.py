@@ -8,8 +8,6 @@ from kerndebias import (
     DefiningSets,
     EmbeddingTable,
     EqualitySets,
-    bias_covariance,
-    build_design_matrix,
     equalize_set,
     fit_linear_subspace,
     neutralize_matrix,
@@ -17,57 +15,11 @@ from kerndebias import (
     unit_normalize,
 )
 from conftest import random_instance
-from oracles import direct_covariance, primal_linear_model
+from oracles import primal_linear_model
 
 
 def neutralize_row(model, w: np.ndarray) -> np.ndarray:
     return neutralize_matrix(model, w[None, :])[0]
-
-
-class TestDesignMatrix:
-    def test_half_difference_rows(self):
-        table = EmbeddingTable(words=("a", "b"), matrix=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        sets = DefiningSets(((0, 1),))
-        design = build_design_matrix(table, sets)
-        np.testing.assert_allclose(design, [[0.5, -0.5], [-0.5, 0.5]])
-
-    def test_identical_pair_gives_zero_rows(self):
-        table = EmbeddingTable(words=("a", "b"), matrix=np.array([[1.0, 2.0], [1.0, 2.0]]))
-        design = build_design_matrix(table, DefiningSets(((0, 1),)))
-        np.testing.assert_array_equal(design, np.zeros((2, 2)))
-
-    def test_rows_sum_to_zero(self, rng):
-        for _ in range(20):
-            table, sets = random_instance(rng)
-            design = build_design_matrix(table, sets)
-            np.testing.assert_allclose(design.sum(axis=0), 0.0, atol=1e-12)
-
-    def test_shape(self, rng):
-        table, sets = random_instance(rng, n_pairs=5, dim=7)
-        assert build_design_matrix(table, sets).shape == (10, 7)
-
-
-class TestBiasCovariance:
-    def test_zero_design(self):
-        np.testing.assert_array_equal(bias_covariance(np.zeros((4, 3))), np.zeros((3, 3)))
-
-    def test_single_pair_hand_value(self):
-        table = EmbeddingTable(words=("a", "b"), matrix=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        cov = bias_covariance(build_design_matrix(table, DefiningSets(((0, 1),))))
-        np.testing.assert_allclose(cov, [[0.25, -0.25], [-0.25, 0.25]])
-
-    def test_matches_direct_definition(self, rng):
-        for _ in range(20):
-            table, sets = random_instance(rng)
-            via_design = bias_covariance(build_design_matrix(table, sets))
-            direct = direct_covariance(table, sets)
-            assert np.max(np.abs(via_design - direct)) <= 1e-12
-
-    def test_symmetric_psd(self, rng):
-        table, sets = random_instance(rng, n_pairs=6, dim=5)
-        cov = bias_covariance(build_design_matrix(table, sets))
-        np.testing.assert_allclose(cov, cov.T, atol=1e-15)
-        assert np.all(np.linalg.eigvalsh(cov) >= -1e-12)
 
 
 class TestFitSubspace:

@@ -5,6 +5,7 @@ import pytest
 
 from kerndebias import (
     DataError,
+    FormatError,
     KernelSpec,
     beta_matrix,
     fit_kernel_model,
@@ -81,8 +82,14 @@ class TestRidgeBehavior:
 
     def test_negative_lambda_rejected(self, rng):
         table, sets, model, _, sample = planted_setup(rng)
-        with pytest.raises(DataError):
+        with pytest.raises(FormatError, match="ridge_lambda"):
             fit_preimage_map(model, table, sample, ridge_lambda=-1.0)
+
+    @pytest.mark.parametrize("ridge_lambda", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, rng, ridge_lambda):
+        table, sets, model, _, sample = planted_setup(rng)
+        with pytest.raises(FormatError, match="ridge_lambda"):
+            fit_preimage_map(model, table, sample, ridge_lambda=ridge_lambda)
 
 
 class TestDecomposition:
@@ -146,6 +153,11 @@ class TestSampling:
         pair_words = {i for pair in sets.pairs for i in pair}
         assert pair_words.issubset(set(sample))
         assert len(sample) == len(pair_words) + 5
+
+    def test_default_sample_negative_extra_rejected(self, rng):
+        table, sets, model, _, _ = planted_setup(rng)
+        with pytest.raises(FormatError, match="at least 0"):
+            default_sample(table, sets.pairs, rng_for(7, "test"), extra=-5)
 
     def test_serialization_round_trip(self, rng):
         table, sets, model, _, sample = planted_setup(rng, spec=KernelSpec("rbf", gamma=0.9))

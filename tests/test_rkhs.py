@@ -59,9 +59,7 @@ class TestCenteredGram:
         spec = KernelSpec("linear")
         gram = build_centered_gram(spec, a[None, :], b[None, :])
         k = gram_matrix(spec, np.vstack([a, b]), np.vstack([a, b]))
-        q = 0.5 * (k[0, 0] - 2 * k[0, 1] + k[1, 1])
-        np.testing.assert_allclose(gram, [[q, -q], [-q, q]], atol=1e-12)
-        assert np.linalg.matrix_rank(gram) == 1
+        np.testing.assert_allclose(gram, [[k[0, 0] - 2 * k[0, 1] + k[1, 1]]], atol=1e-12)
 
     def test_identical_pair_zero_matrix(self, rng):
         a = rng.normal(size=4)
@@ -74,15 +72,15 @@ class TestCenteredGram:
         gram = build_centered_gram(KernelSpec("rbf", gamma=0.5), pa, pb)
         assert np.max(np.abs(gram - gram.T)) <= 1e-12
 
-    def test_linear_kernel_matches_design_matrix_gram(self, rng):
-        # For the linear kernel the centered Gram is twice the Gram of the
-        # half-difference design rows (the known scale convention).
-        table, sets = random_instance(rng, n_pairs=3, dim=5)
-        design = kd.build_design_matrix(table, sets)
-        pa = table.matrix[[a for a, _ in sets.pairs]]
-        pb = table.matrix[[b for _, b in sets.pairs]]
-        gram = build_centered_gram(KernelSpec("linear"), pa, pb)
-        np.testing.assert_allclose(gram, 2.0 * design @ design.T, atol=1e-12)
+    def test_four_block_sum_matches_linear_special_case(self, rng):
+        # A degree-1 polynomial kernel is x^T y but takes the four-block
+        # path; the linear kernel forms (A - B)(A - B)^T directly.
+        pa = rng.normal(size=(4, 5))
+        pb = rng.normal(size=(4, 5))
+        poly = KernelSpec("polynomial", gamma=1.0, coef0=0.0, degree=1)
+        four_block = build_centered_gram(poly, pa, pb)
+        special = build_centered_gram(KernelSpec("linear"), pa, pb)
+        np.testing.assert_allclose(four_block, special, rtol=1e-12)
 
 
 class TestFit:
@@ -387,5 +385,4 @@ class TestSerialization:
         again = kernel_model_from_dict(data)
         np.testing.assert_array_equal(again.pairs_a, model.pairs_a)
         np.testing.assert_array_equal(again.eigenvalues, model.eigenvalues)
-        assert again.feature_scale == model.feature_scale
         assert again.gram_scale == model.gram_scale
