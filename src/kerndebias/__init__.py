@@ -4,14 +4,15 @@ Core pieces:
 
 - :mod:`kerndebias.embeddings` -- embedding tables and their text format.
 - :mod:`kerndebias.kernels` -- kernel specs and Gram matrices.
-- :mod:`kerndebias.rkhs` -- the one bias fit, fit_kernel_model, its kernel
-  bias model, and CorrectedMetric, the one corrected metric
-  k~(x, y) = k(x, y) - beta(x) . beta(y) over a bias model's (spec, beta)
+- :mod:`kerndebias.rkhs` -- the one bias fit, fit_kernel_model, the one
+  bias-model type, KernelBiasModel, and CorrectedMetric, the one corrected
+  metric k~(x, y) = k(x, y) - beta(x) . beta(y) over a model's (spec, beta)
   or over none (plain cosine).
 - :mod:`kerndebias.linear` -- the linear bias subspace, read out of the
-  kernel fit with the linear kernel (beta(x) = x B^T); neutralize and
-  equalize.
-- :mod:`kerndebias.preimage` -- corrected vectors back in input space.
+  kernel fit with the linear kernel as a linear-kernel KernelBiasModel
+  (beta(x) = x B^T); equalize.
+- :mod:`kerndebias.preimage` -- corrected vectors back in input space,
+  x - beta(x) W: exact for the linear kernel, a ridge map otherwise.
 - :mod:`kerndebias.evaluation` -- association tests, professions
   correlation, indirect-bias SVM, similarity-judgment scoring, all through
   one backend's ``similarity_matrix(rows, cols)``: the (rows, cols)
@@ -33,10 +34,8 @@ from .kernels import KernelSpec, default_gamma, gram_matrix
 from .linear import (
     DefiningSets,
     EqualitySets,
-    LinearBiasModel,
     equalize_set,
     fit_linear_subspace,
-    neutralize_matrix,
     resolve_word_sets,
 )
 from .numerics import SymmetricEigen, pearson, spearman, symmetric_eig
@@ -65,7 +64,6 @@ __all__ = [
     "KernelBiasModel",
     "KernelSpec",
     "KerndebiasError",
-    "LinearBiasModel",
     "NumericalError",
     "PreimageMap",
     "SymmetricEigen",
@@ -78,7 +76,6 @@ __all__ = [
     "fit_preimage_map",
     "gram_matrix",
     "load_model",
-    "neutralize_matrix",
     "parse_embedding_text",
     "pearson",
     "preimage_neutralize_matrix",

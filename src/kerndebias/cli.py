@@ -27,14 +27,7 @@ from .embeddings import (
 )
 from .errors import DataError, FormatError, NumericalError
 from .kernels import _NEEDS_COEF0, _NEEDS_GAMMA, FAMILIES, KernelSpec, default_gamma
-from .linear import (
-    LinearBiasModel,
-    equalize_set,
-    fit_linear_subspace,
-    linear_model_to_dict,
-    neutralize_matrix,
-    resolve_word_sets,
-)
+from .linear import equalize_set, fit_linear_subspace, linear_model_to_dict, resolve_word_sets
 from .preimage import (
     DEFAULT_EXTRA_SAMPLE,
     DEFAULT_RIDGE_LAMBDA,
@@ -138,6 +131,8 @@ def _write_results(out: str | None, payload: dict) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    if args.backend == "linear" and (args.kernel is not None or args.gamma is not None):
+        raise FormatError("--kernel and --gamma need --backend kernel")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     sets, _ = _resolve_sets(args, table)
     if args.backend == "linear":
@@ -166,21 +161,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _apply_linear(args: argparse.Namespace, table: EmbeddingTable, model: LinearBiasModel) -> EmbeddingTable:
-    matrix = neutralize_matrix(model, table.matrix)
-    if args.equalize:
-        if args.sets is None:
-            raise FormatError("--equalize requires --sets")
-        _, eq_sets = _resolve_sets(args, table)
-        for members in eq_sets.sets:
-            for idx, vec in zip(members, equalize_set(model, table, members)):
-                matrix[idx] = vec
-    return EmbeddingTable(words=table.words, matrix=matrix)
-
-
-def _apply_kernel(
-    args: argparse.Namespace, table: EmbeddingTable, model: KernelBiasModel, data: dict
-) -> tuple[EmbeddingTable, dict]:
+def _preimage_sample(args: argparse.Namespace, table: EmbeddingTable, data: dict) -> list[int]:
+    """The defining words, from --sets or the model's pair_words, plus a
+    seeded sample of the vocabulary."""
     if args.sets is not None:
         pairs = _resolve_sets(args, table)[0].pairs
     else:
@@ -194,24 +177,43 @@ def _apply_kernel(
             "cannot locate defining words for the pre-image sample; pass --sets"
         )
     rng = rng_for(args.seed, "preimage-sample")
-    sample = default_sample(table, pairs, rng, extra=args.preimage_sample)
-    pmap = fit_preimage_map(model, table, sample, ridge_lambda=args.ridge_lambda)
-    matrix = preimage_neutralize_matrix(pmap, table.matrix)
-    return EmbeddingTable(words=table.words, matrix=matrix), preimage_to_dict(pmap)
+    return default_sample(table, pairs, rng, extra=args.preimage_sample)
+
+
+def _corrected_table(
+    args: argparse.Namespace, table: EmbeddingTable, model: KernelBiasModel, data: dict
+) -> EmbeddingTable:
+    """Every row x as x - beta(x) W, then the equality sets re-embedded.
+
+    W is exact for the linear kernel and a ridge map otherwise; only a
+    fitted map is recorded, as data["preimage"].
+    """
+    data.pop("preimage", None)
+    if model.spec.family == "linear":
+        weights = model.input_directions()
+    else:
+        sample = _preimage_sample(args, table, data)
+        pmap = fit_preimage_map(model, table, sample, ridge_lambda=args.ridge_lambda)
+        weights, data["preimage"] = pmap.ridge_weights.T, preimage_to_dict(pmap)
+    matrix = preimage_neutralize_matrix(model, table.matrix, weights)
+    if args.equalize:
+        for members in _resolve_sets(args, table)[1].sets:
+            for idx, vec in zip(members, equalize_set(model, table, members)):
+                matrix[idx] = vec
+    return EmbeddingTable(words=table.words, matrix=matrix)
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     model, data = configio.load_model(args.model)
     evaluation.check_dimension(model.dim, table)
-    if isinstance(model, LinearBiasModel):
-        out_table = _apply_linear(args, table, model)
-    else:
-        if args.equalize:
-            raise FormatError("--equalize is only supported with a linear model")
-        out_table, data["preimage"] = _apply_kernel(args, table, model, data)
-        if args.out_model is not None:
-            Path(args.out_model).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    if args.equalize and model.spec.family != "linear":
+        raise FormatError("--equalize needs a linear-kernel model")
+    if args.equalize and args.sets is None:
+        raise FormatError("--equalize requires --sets")
+    out_table = _corrected_table(args, table, model, data)
+    if args.out_model is not None:
+        Path(args.out_model).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     _write_text(args.out, write_embedding_text(out_table, precision=args.precision))
     if args.out not in (None, "-"):
         print(f"wrote {args.out}")
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_apply)
     p_apply.add_argument("--model", required=True)
     p_apply.add_argument("--sets", help="sets JSON (equalize / pre-image sample)")
-    p_apply.add_argument("--equalize", action="store_true", help="linear only")
+    p_apply.add_argument("--equalize", action="store_true", help="linear-kernel models only")
     p_apply.add_argument("--ridge-lambda", type=float, default=DEFAULT_RIDGE_LAMBDA)
     p_apply.add_argument(
         "--preimage-sample",
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_apply.add_argument("--precision", type=int, default=9)
     p_apply.add_argument("--out", required=True, help="embedding output, - for stdout")
-    p_apply.add_argument("--out-model", help="re-write model JSON with pre-image map")
+    p_apply.add_argument("--out-model", help="re-write model JSON, with any fitted pre-image map")
     p_apply.set_defaults(func=cmd_apply)
 
     p_sim = sub.add_parser("sim", help="pairwise similarity queries")

@@ -1,7 +1,8 @@
 """Loaders for the JSON/TSV input formats consumed by the CLI.
 
 Every JSON object file -- a model, a sets file, a WEAT config -- is read
-by read_json_object; load_model picks the model class by its "type".
+by read_json_object; load_model picks the loader by the file's "type",
+and either loader returns a KernelBiasModel.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from pathlib import Path
 
 from .errors import FormatError, checked_integer
 from .evaluation import DEFAULT_PERMUTATIONS, DEFAULT_SEED, WeatConfig
-from .linear import LinearBiasModel, linear_model_from_dict
+from .linear import linear_model_from_dict
 from .rkhs import KernelBiasModel, kernel_model_from_dict
 
 
@@ -35,7 +36,7 @@ def _check_word_pairs(path: str | Path, key: str, pairs: object) -> None:
             raise FormatError(f"{path}: {key!r} must be word pairs, got {pair!r}")
 
 
-def load_model(path: str | Path) -> tuple[LinearBiasModel | KernelBiasModel, dict]:
+def load_model(path: str | Path) -> tuple[KernelBiasModel, dict]:
     """A model file written by `fit`, and the dict it was parsed from.
 
     The dict keeps the fields the model does not hold (`pair_words`, a

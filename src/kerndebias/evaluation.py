@@ -14,8 +14,8 @@ The one backend, CorrectedKernelBackend, is a word-indexed view of
 rkhs.CorrectedMetric, the corrected metric
 k~(x, y) = k(x, y) - beta(x) . beta(y) over a bias model's spec and beta:
 with no model it is raw cosine (the linear kernel, no bias coordinates),
-with a linear model linear neutralization (beta(x) = x B^T), and a kernel
-model brings its own kernel and beta.  A query that names a fully
+with a linear-kernel model linear neutralization (beta(x) = x B^T), and
+any other model brings its own kernel and beta.  A query that names a fully
 neutralized word -- corrected self product at most 1e-12 k(w, w) --
 raises DataError naming it; the other words of the table still score.
 """
@@ -33,7 +33,6 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, NumericalError
 from .kernels import _BLOCK_ELEMENTS
-from .linear import LinearBiasModel
 from .numerics import pearson, spearman
 from .rkhs import CorrectedMetric, KernelBiasModel
 from .seeding import rng_for
@@ -114,7 +113,7 @@ class CorrectedKernelBackend(SimilarityBackend):
     raw Gram block plus a (rows x K) by (K x cols) product.
     """
 
-    def __init__(self, table: EmbeddingTable, model: KernelBiasModel | LinearBiasModel | None):
+    def __init__(self, table: EmbeddingTable, model: KernelBiasModel | None):
         if model is not None:
             check_dimension(model.dim, table)
         self.name = "raw" if model is None else model.name

@@ -1,4 +1,4 @@
-"""Linear bias subspace: fit, neutralize, equalize.
+"""Linear bias subspace: fit, equalize, and the linear model file.
 
 The bias subspace is spanned by the leading eigenvectors of the covariance
 of word vectors centered within small counterpart pairs ("defining sets").
@@ -6,25 +6,24 @@ It is not fitted here: fit_linear_subspace reads it out of the package's
 one bias fit, rkhs.fit_kernel_model, with the linear kernel
 k(x, y) = x^T y, whose bias directions are vectors in input space.
 
-LinearBiasModel has the protocol of rkhs.KernelBiasModel: name "linear",
-the linear KernelSpec and beta(x) = x B^T.  Neutralizing projects a vector
-onto the orthogonal complement of the subspace; equalizing re-embeds the
-members of an "equality set" so they share one neutral component and keep
-unit norm.
+A fitted or loaded linear model is the linear-kernel rkhs.KernelBiasModel
+in canonical form: pairs_a = B, the orthonormal basis, pairs_b = 0 and
+alphas = I, so beta(x) = x B^T.  Neutralizing projects a vector onto the
+orthogonal complement of the subspace; equalizing re-embeds the members
+of an "equality set" so they share one neutral component and keep unit
+norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, checked_integer
-from .kernels import KernelSpec
 from .numerics import fix_column_signs
-from .rkhs import fit_kernel_model
+from .rkhs import _LINEAR_KERNEL, KernelBiasModel, fit_kernel_model
 
 
 @dataclass(frozen=True)
@@ -72,75 +71,43 @@ class EqualitySets:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class LinearBiasModel:
-    """Orthonormal basis (rows) of the bias subspace plus the bias
-    covariance eigenvalues along it."""
-
-    name: ClassVar[str] = "linear"
-    spec: ClassVar[KernelSpec] = KernelSpec("linear")
-
-    basis: np.ndarray  # (K, d)
-    eigenvalues: np.ndarray  # (K,)
-
-    def __post_init__(self) -> None:
-        for name in ("basis", "eigenvalues"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def k(self) -> int:
-        return int(self.basis.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.basis.shape[1])
-
-    def beta(self, x: np.ndarray) -> np.ndarray:
-        """Bias coordinates of the rows of x: (n, K)."""
-        return np.asarray(x, dtype=np.float64) @ self.basis.T
-
-    def project(self, w: np.ndarray) -> np.ndarray:
-        """Component of w inside the bias subspace."""
-        w = np.asarray(w, dtype=np.float64)
-        return self.basis.T @ (self.basis @ w)
+def _canonical_model(basis: np.ndarray, eigenvalues: np.ndarray) -> KernelBiasModel:
+    """The canonical linear-kernel model of an orthonormal basis (rows)."""
+    basis = np.asarray(basis, dtype=np.float64)
+    return KernelBiasModel(
+        spec=_LINEAR_KERNEL,
+        pairs_a=basis,
+        pairs_b=np.zeros_like(basis),
+        alphas=np.eye(basis.shape[0]),
+        eigenvalues=eigenvalues,
+    )
 
 
 def fit_linear_subspace(
     table: EmbeddingTable, sets: DefiningSets, k: int
-) -> LinearBiasModel:
+) -> KernelBiasModel:
     """Top-k eigenvectors of the bias covariance, by descending eigenvalue,
     read out of fit_kernel_model with the linear kernel.
 
     Direction j of the kernel fit is alpha_j (A - B), the dual
     coefficients over the pair differences a_i - b_i.  One QR
     orthonormalizes the directions, each signed so its largest-magnitude
-    entry is positive.  The covariance eigenvalues are the dual ones over
-    4 * gram_scale.
+    entry is positive.  The model is in canonical form, with the covariance
+    eigenvalues: the dual ones over 4 * gram_scale.
 
     Raises:
-        DataError: if k is below 1 or above the numerical rank of the
-            centered Gram (the message reports the available rank).
+        FormatError: if k is below 1.
+        DataError: if k is above the numerical rank of the centered Gram
+            (the message reports the available rank).
     """
-    model = fit_kernel_model(LinearBiasModel.spec, table, sets, k=k)
-    directions = model.alphas @ (model.pairs_a - model.pairs_b)
-    basis = np.linalg.qr(directions.T)[0]
+    model = fit_kernel_model(_LINEAR_KERNEL, table, sets, k=k)
+    basis = np.linalg.qr(model.input_directions().T)[0]
     fix_column_signs(basis)
-    return LinearBiasModel(
-        basis=basis.T.copy(),
-        eigenvalues=model.eigenvalues / (4.0 * model.gram_scale),
-    )
-
-
-def neutralize_matrix(model: LinearBiasModel, matrix: np.ndarray) -> np.ndarray:
-    """Row-wise neutralization."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return matrix - (matrix @ model.basis.T) @ model.basis
+    return _canonical_model(basis.T.copy(), model.eigenvalues / (4.0 * model.gram_scale))
 
 
 def equalize_set(
-    model: LinearBiasModel,
+    model: KernelBiasModel,
     table: EmbeddingTable,
     members: tuple[int, ...] | list[int],
 ) -> list[np.ndarray]:
@@ -148,18 +115,21 @@ def equalize_set(
 
     Each output is nu + Z * (w_B - mu_B), where mu is the set mean, nu its
     neutral part, w_B / mu_B the bias-subspace parts, and the normalizer
-    Z = sqrt(1 - |nu|^2) / |w_B - mu_B| restores unit length.
+    Z = sqrt(1 - |nu|^2) / |w_B - mu_B| restores unit length.  B is the
+    model's input directions.
 
     Raises:
+        FormatError: unless the model's kernel is linear.
         DataError: if a member's bias component coincides with the set
             mean's (nothing to scale), or if |nu| > 1.
     """
     members = [int(i) for i in members]
     if len(members) < 2:
         raise DataError("equality sets need at least two members")
+    basis = model.input_directions()
     vectors = table.matrix[members]
     mu = vectors.mean(axis=0)
-    mu_b = model.project(mu)
+    mu_b = basis.T @ (basis @ mu)
     nu = mu - mu_b
     nu_norm_sq = float(nu @ nu)
     if nu_norm_sq > 1.0 + 1e-12:
@@ -170,7 +140,7 @@ def equalize_set(
     nu_norm_sq = min(nu_norm_sq, 1.0)
     out = []
     for idx, w in zip(members, vectors):
-        w_b = model.project(w)
+        w_b = basis.T @ (basis @ w)
         diff = w_b - mu_b
         diff_norm = float(np.linalg.norm(diff))
         if diff_norm <= 1e-12:
@@ -183,18 +153,18 @@ def equalize_set(
     return out
 
 
-def linear_model_to_dict(model: LinearBiasModel) -> dict:
+def linear_model_to_dict(model: KernelBiasModel) -> dict:
     return {
         "type": "linear",
         "k": model.k,
         "dim": model.dim,
-        "basis": model.basis.tolist(),
+        "basis": model.input_directions().tolist(),
         "eigenvalues": model.eigenvalues.tolist(),
     }
 
 
-def linear_model_from_dict(data: dict) -> LinearBiasModel:
-    """Rebuild a model from its dict form, checking shapes and values.
+def linear_model_from_dict(data: dict) -> KernelBiasModel:
+    """Rebuild a canonical model from its dict form, checking shapes and values.
 
     Raises:
         FormatError: on a missing field, a non-numeric or non-finite
@@ -220,7 +190,7 @@ def linear_model_from_dict(data: dict) -> LinearBiasModel:
         )
     if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(eigenvalues))):
         raise FormatError("linear model contains non-finite values")
-    return LinearBiasModel(basis=basis, eigenvalues=eigenvalues)
+    return _canonical_model(basis, eigenvalues)
 
 
 def resolve_word_sets(

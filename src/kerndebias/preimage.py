@@ -1,15 +1,15 @@
 """Mapping feature-space-neutralized words back to plain vectors.
 
 The identity `neutral part = word - bias part` reduces the pre-image
-problem to approximating only the bias part's pre-image.  That map is
-learned by ridge regression from the bias coordinates beta(w) to the
-sample words; the prediction relative to beta = 0 is the bias part, so
-for the rows w of a matrix
+problem to approximating only the bias part's pre-image, a linear map W
+(K x d) from the bias coordinates beta(w), so for the rows w of a matrix
 
-    preimage_neutralize_matrix(w) = w - beta(w) @ ridge_weights^T.
+    preimage_neutralize_matrix(w) = w - beta(w) W.
 
-With a linear kernel and a pair-symmetric sample this reproduces the
-exact linear projection (up to ridge shrinkage).
+The linear kernel's W is exact: its input directions alpha (A - B), with
+which this is the projection off the linear subspace.  For nonlinear
+kernels W = ridge_weights^T is learned by ridge regression from beta(w)
+to sample words; the prediction relative to beta = 0 is the bias part.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ DEFAULT_EXTRA_SAMPLE = 500
 class PreimageMap:
     """Learned map from bias coordinates to input-space bias components."""
 
-    model: KernelBiasModel
     ridge_weights: np.ndarray  # (d, K)
     ridge_lambda: float
     training_words: tuple[int, ...]
@@ -105,17 +104,19 @@ def fit_preimage_map(
         )
     weights = np.linalg.solve(normal, coords_c.T @ targets_c)  # (K, d)
     return PreimageMap(
-        model=model,
         ridge_weights=weights.T,
         ridge_lambda=float(ridge_lambda),
         training_words=tuple(sample),
     )
 
 
-def preimage_neutralize_matrix(pmap: PreimageMap, matrix: np.ndarray) -> np.ndarray:
-    """Each row minus the input-space approximation of its bias part."""
+def preimage_neutralize_matrix(
+    model: KernelBiasModel, matrix: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Each row x minus its input-space bias part beta(x) W, for the
+    (K, d) weights W: input_directions() or ridge_weights^T."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    return matrix - beta_matrix(pmap.model, matrix) @ pmap.ridge_weights.T
+    return matrix - beta_matrix(model, matrix) @ weights
 
 
 def preimage_to_dict(pmap: PreimageMap) -> dict:

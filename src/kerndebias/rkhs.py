@@ -17,15 +17,16 @@ where beta_k(w) is the coordinate of w's feature image along bias
 direction k, computable from kernel evaluations against the training
 pairs.
 
-Both bias models share one protocol: a `name` ("kernel" here, "linear"
-for linear.LinearBiasModel), a kernel `spec`, `dim`, `k` and `beta(x)`,
-the (n, K) bias coordinates of the rows of x.  CorrectedMetric is the
-package's one copy of the metric: the corrected inner product, the
-cosine, the squared distance and the rule that rejects a fully
-neutralized vector (corrected self product at most 1e-12 k(w, w)).  It
-is built over one such model, or over none (the linear kernel with
-K = 0: plain cosine), and it has matrix methods only.  The similarity
-backend in `evaluation` is a word-indexed view of it.
+KernelBiasModel is the package's one bias-model type: a linear model is
+its linear-kernel instance, named "linear" after the kernel family (any
+other family is named "kernel").  Its `spec`, `dim`, `k` and `beta(x)`,
+the (n, K) bias coordinates of the rows of x, are all the metric reads.
+CorrectedMetric is the package's one copy of the metric: the corrected
+inner product, the cosine, the squared distance and the rule that
+rejects a fully neutralized vector (corrected self product at most
+1e-12 k(w, w)).  It is built over one such model, or over none (the
+linear kernel with K = 0: plain cosine), and it has matrix methods only.
+The similarity backend in `evaluation` is a word-indexed view of it.
 
 Scale convention: the eigenproblem is solved on gram_scale times M, the
 N x N Gram of the pair differences phi(a_i) - phi(b_i).  The dual
@@ -39,19 +40,18 @@ exactly; tests enforce this.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError, FormatError, checked_integer
+from .errors import DataError, FormatError, checked_finite, checked_integer
 from .kernels import KernelSpec, difference_distances, gram_matrix, kernel_diag
 from .numerics import symmetric_eig
 
 if TYPE_CHECKING:
-    from .linear import DefiningSets, LinearBiasModel
+    from .linear import DefiningSets
 
 logger = logging.getLogger(__name__)
 
@@ -92,7 +92,9 @@ def build_centered_gram(
 
 @dataclass(frozen=True, eq=False)
 class KernelBiasModel:
-    """Fitted kernel bias model.
+    """Fitted bias model.  A linear model is the linear-kernel one in the
+    canonical form of linear.fit_linear_subspace: pairs_a = B, its (K, d)
+    orthonormal basis, pairs_b = 0 and alphas = I, so beta(x) = x B^T.
 
     Attributes:
         spec: Kernel used for fitting and all corrected evaluations.
@@ -101,13 +103,12 @@ class KernelBiasModel:
             over the pair differences phi(a_i) - phi(b_i).  Normalized so
             alpha M alpha^T = I, M = build_centered_gram(spec, pairs_a,
             pairs_b).
-        eigenvalues: (K,) positive, descending, of gram_scale * M.
+        eigenvalues: (K,) positive, descending, of gram_scale * M; in the
+            canonical linear form, the bias covariance's instead.
         gram_scale: the multiplier M was fitted with.
         discarded_negative: count of negative eigenvalues dropped at fit
             (nonzero only for indefinite kernels such as sigmoid).
     """
-
-    name: ClassVar[str] = "kernel"
 
     spec: KernelSpec
     pairs_a: np.ndarray
@@ -124,6 +125,10 @@ class KernelBiasModel:
             object.__setattr__(self, name, arr)
 
     @property
+    def name(self) -> str:
+        return "linear" if self.spec.family == "linear" else "kernel"
+
+    @property
     def k(self) -> int:
         return int(self.alphas.shape[0])
 
@@ -134,6 +139,16 @@ class KernelBiasModel:
     def beta(self, x: np.ndarray) -> np.ndarray:
         """Bias coordinates of the rows of x: (n, K)."""
         return beta_matrix(self, x)
+
+    def input_directions(self) -> np.ndarray:
+        """The (K, d) orthonormal bias directions W = alpha (A - B) in input
+        space, so beta(x) = x W^T; FormatError unless the kernel is linear."""
+        if self.spec.family != "linear":
+            raise FormatError(
+                f"the {self.spec.family} kernel has no input-space bias "
+                "directions; this needs a linear-kernel model"
+            )
+        return self.alphas @ (self.pairs_a - self.pairs_b)
 
 
 def fit_kernel_model(
@@ -155,9 +170,12 @@ def fit_kernel_model(
             eigenproblem.  Corrected inner products are invariant to it.
 
     Raises:
+        FormatError: if k is below 1.
         DataError: if fewer than k eigenvalues exceed the rank threshold
             (the message reports the available rank).
     """
+    if k is not None and k < 1:
+        raise FormatError(f"the number of bias directions must be at least 1, got {k}")
     sets.validate_against(table)
     if gram_scale <= 0:
         raise DataError("gram_scale must be positive")
@@ -179,7 +197,7 @@ def fit_kernel_model(
         )
     if k is None:
         k = rank
-    if k < 1 or k > rank:
+    if k > rank:
         raise DataError(
             f"requested {k} bias directions but centered-Gram rank is {rank}"
         )
@@ -217,7 +235,7 @@ class CorrectedMetric:
     bias coordinates, computed here when not given.
     """
 
-    model: KernelBiasModel | LinearBiasModel | None = None
+    model: KernelBiasModel | None = None
 
     @property
     def spec(self) -> KernelSpec:
@@ -328,7 +346,7 @@ def kernel_model_from_dict(data: dict) -> KernelBiasModel:
             for name in ("pairs_a", "pairs_b", "alphas", "eigenvalues")
         }
         spec = KernelSpec.from_dict(data["kernel"])
-        gram_scale = float(data.get("gram_scale", 1.0))
+        gram_scale = checked_finite(data.get("gram_scale", 1.0), "gram_scale")
         discarded_negative = checked_integer(
             data.get("discarded_negative", 0), "discarded_negative"
         )
@@ -357,8 +375,8 @@ def kernel_model_from_dict(data: dict) -> KernelBiasModel:
         )
     if not all(np.all(np.isfinite(arr)) for arr in arrays.values()):
         raise FormatError("kernel model contains non-finite values")
-    if not 0.0 < gram_scale < math.inf:
-        raise FormatError(f"kernel model gram_scale must be finite and positive, got {gram_scale}")
+    if gram_scale <= 0.0:
+        raise FormatError(f"kernel model gram_scale must be positive, got {gram_scale}")
     return KernelBiasModel(
         spec=spec,
         pairs_a=pairs_a,

@@ -49,7 +49,7 @@ def run_toy_demo(
     pmap = fit_preimage_map(
         model, table, sample=list(range(points.shape[0])), ridge_lambda=ridge_lambda
     )
-    neutralized = preimage_neutralize_matrix(pmap, points)
+    neutralized = preimage_neutralize_matrix(model, points, pmap.ridge_weights.T)
     var_before = float(np.var(beta_matrix(model, points)[:, 0]))
     var_after = float(np.var(beta_matrix(model, neutralized)[:, 0]))
     stats = {"bias_variance_before": var_before, "bias_variance_after": var_after}

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from kerndebias import EmbeddingTable, KernelBiasModel, gram_matrix
-from kerndebias.linear import DefiningSets, LinearBiasModel, neutralize_matrix
+from kerndebias.linear import DefiningSets
 
 
 def direct_covariance(table: EmbeddingTable, sets: DefiningSets) -> np.ndarray:
@@ -29,14 +30,34 @@ def direct_covariance(table: EmbeddingTable, sets: DefiningSets) -> np.ndarray:
     return cov
 
 
-def primal_linear_model(table: EmbeddingTable, sets: DefiningSets, k: int) -> LinearBiasModel:
-    """Linear bias model from the top-k ``np.linalg.eigh`` eigenvectors of
-    direct_covariance: the subspace in its primal d x d form, apart from
+def primal_neutralize(basis: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The rows of matrix projected off the span of the orthonormal rows of
+    basis, in primal form: X - X B^T B."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return matrix - (matrix @ basis.T) @ basis
+
+
+@dataclass(frozen=True)
+class PrimalSubspace:
+    """Orthonormal basis (rows) of a linear bias subspace and the bias
+    covariance eigenvalues along it."""
+
+    basis: np.ndarray  # (K, d)
+    eigenvalues: np.ndarray  # (K,)
+
+    def project(self, w: np.ndarray) -> np.ndarray:
+        """Component of w inside the subspace."""
+        return self.basis.T @ (self.basis @ w)
+
+
+def primal_linear_model(table: EmbeddingTable, sets: DefiningSets, k: int) -> PrimalSubspace:
+    """Linear bias subspace from the top-k ``np.linalg.eigh`` eigenvectors
+    of direct_covariance: the subspace in its primal d x d form, apart from
     the kernel fit that fit_linear_subspace reads out.  The eigenvector
     signs are LAPACK's."""
     values, vectors = np.linalg.eigh(direct_covariance(table, sets))
     top = np.argsort(values)[::-1][:k]
-    return LinearBiasModel(basis=vectors[:, top].T, eigenvalues=values[top])
+    return PrimalSubspace(basis=vectors[:, top].T, eigenvalues=values[top])
 
 
 def raw_beta(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
@@ -126,15 +147,15 @@ def equalized_member_inner(
 
 
 def cosine_row(
-    table: EmbeddingTable, word: str, candidates, model: LinearBiasModel | None = None
+    table: EmbeddingTable, word: str, candidates, basis: np.ndarray | None = None
 ) -> np.ndarray:
     """Cosines of word with each candidate between explicit vectors.
 
-    The vectors are the table rows, or with a linear model the rows
-    projected off its subspace by neutralize_matrix, each scaled to unit
-    length before the dot product.
+    The vectors are the table rows, or with a subspace basis the rows
+    projected off it by primal_neutralize, each scaled to unit length
+    before the dot product.
     """
-    matrix = table.matrix if model is None else neutralize_matrix(model, table.matrix)
+    matrix = table.matrix if basis is None else primal_neutralize(basis, table.matrix)
     unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
     v = unit[table.row_index(word)]
     return np.array([float(unit[table.row_index(c)] @ v) for c in candidates])

@@ -15,7 +15,8 @@ from kerndebias.cli import main
 from kerndebias.preimage import default_sample, preimage_to_dict
 from kerndebias.rkhs import kernel_model_from_dict
 from kerndebias.seeding import rng_for
-from conftest import planted_bias_table
+from conftest import planted_bias_table, random_instance
+from oracles import primal_neutralize
 
 
 @pytest.fixture
@@ -122,6 +123,8 @@ def _earlier_format(data: dict) -> dict:
         ("gram_scale", lambda v: 0.0),
         ("gram_scale", lambda v: -v),
         ("gram_scale", lambda v: float("inf")),
+        ("gram_scale", lambda v: str(v)),
+        ("gram_scale", lambda v: True),
         ("pair_words", lambda v: [["he"]]),
         ("pair_words", lambda v: 5),
         ("pair_words", lambda v: [["he", 3]]),
@@ -132,8 +135,9 @@ def _earlier_format(data: dict) -> dict:
         "eigenvalues-long", "dim-wrong", "k-wrong", "alphas-text", "pairs_a-missing",
         "alphas-nan", "pairs_a-nan", "eigenvalues-inf", "earlier-format",
         "k-text", "discarded_negative-float", "gram_scale-zero",
-        "gram_scale-negative", "gram_scale-inf", "pair_words-one-word",
-        "pair_words-number", "pair_words-non-string", "pair_words-null",
+        "gram_scale-negative", "gram_scale-inf", "gram_scale-text", "gram_scale-bool",
+        "pair_words-one-word", "pair_words-number", "pair_words-non-string",
+        "pair_words-null",
     ],
 )
 def test_malformed_kernel_model_exits_2(planted_files, tmp_path, capsys, field, corrupt):
@@ -334,6 +338,32 @@ def test_out_of_range_apply_value_exits_2(planted_files, tmp_path, capsys, argv,
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--backend", "linear", "--components", "0"], "at least 1"),
+        (["--backend", "linear", "--components", "-1"], "at least 1"),
+        (["--backend", "kernel", "--kernel", "rbf", "--components", "0"], "at least 1"),
+        (["--backend", "kernel", "--kernel", "rbf", "--components", "-1"], "at least 1"),
+        (["--backend", "linear", "--kernel", "rbf"], "--backend kernel"),
+        (["--backend", "linear", "--gamma", "5"], "--backend kernel"),
+        (["--backend", "linear", "--kernel", "rbf", "--gamma", "5"], "--backend kernel"),
+    ],
+    ids=[
+        "linear-components-zero", "linear-components-negative", "kernel-components-zero",
+        "kernel-components-negative", "linear-kernel", "linear-gamma", "linear-kernel-gamma",
+    ],
+)
+def test_out_of_range_fit_value_exits_2(planted_files, capsys, argv, message):
+    paths = planted_files
+    assert main([
+        "fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+        *argv, "--out", str(paths["model"]),
+    ]) == 2
+    assert message in capsys.readouterr().err
+    assert not paths["model"].exists()
+
+
 def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):
     table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
     embeddings = tmp_path / "table.txt"
@@ -433,7 +463,7 @@ def _expected_preimage(paths, pairs, seed, extra):
     model = kernel_model_from_dict(json.loads(paths["model"].read_text()))
     sample = default_sample(table, pairs, rng_for(seed, "preimage-sample"), extra=extra)
     pmap = fit_preimage_map(model, table, sample)
-    matrix = preimage_neutralize_matrix(pmap, table.matrix)
+    matrix = preimage_neutralize_matrix(model, table.matrix, pmap.ridge_weights.T)
     text = write_embedding_text(EmbeddingTable(words=table.words, matrix=matrix), precision=9)
     return text, json.loads(json.dumps(preimage_to_dict(pmap)))
 
@@ -542,6 +572,96 @@ def test_linear_weat_on_mirrored_attributes_exits_4(planted_files, capsys):
         "--model", str(paths["model"]), "--config", str(paths["weat"]),
     ]) == 4
     assert "zero spread" in capsys.readouterr().err
+
+
+@pytest.fixture
+def generic_files(rng, tmp_path):
+    """Random table whose defining pairs are not mirror images, with sets."""
+    table, sets = random_instance(rng, n_words=40, dim=9, n_pairs=6)
+    paths = {
+        "embeddings": tmp_path / "generic.txt",
+        "sets": tmp_path / "generic-sets.json",
+        "linear": tmp_path / "linear.json",
+        "kernel-linear": tmp_path / "kernel-linear.json",
+        "rbf": tmp_path / "rbf.json",
+    }
+    paths["embeddings"].write_text(write_embedding_text(table, precision=17))
+    pairs = [[table.words[a], table.words[b]] for a, b in sets.pairs]
+    equality = [["w20", "w21"], ["w22", "w23", "w24"]]
+    paths["sets"].write_text(json.dumps({"defining_sets": pairs, "equality_sets": equality}))
+    fit = ["fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+           "--components", "2"]
+    for name, backend in (("linear", ["--backend", "linear"]),
+                          ("kernel-linear", ["--backend", "kernel", "--kernel", "linear"]),
+                          ("rbf", ["--backend", "kernel", "--kernel", "rbf"])):
+        assert main([*fit, *backend, "--out", str(paths[name])]) == 0
+    return paths
+
+
+def _apply(paths, model, out, *extra) -> int:
+    return main([
+        "apply", "--embeddings", str(paths["embeddings"]), "--model", str(paths[model]),
+        "--precision", "17", "--out", str(out), *extra,
+    ])
+
+
+def _read_table(path) -> EmbeddingTable:
+    with open(path, encoding="utf-8") as handle:
+        return parse_embedding_text(handle)
+
+
+def test_linear_kernel_apply_matches_linear_apply(generic_files, tmp_path):
+    paths = generic_files
+    for model in ("linear", "kernel-linear"):
+        assert _apply(paths, model, tmp_path / f"{model}.txt") == 0
+    linear = _read_table(tmp_path / "linear.txt")
+    kernel = _read_table(tmp_path / "kernel-linear.txt")
+    assert kernel.words == linear.words
+    assert np.max(np.abs(kernel.matrix - linear.matrix)) <= 1e-12
+    # The "kernel" file reports the backend after its kernel family.
+    for model in ("linear", "kernel-linear"):
+        out = tmp_path / f"{model}-sim.json"
+        assert main(["sim", "--embeddings", str(paths["embeddings"]), "--model",
+                     str(paths[model]), "--out", str(out), "w0", "w1"]) == 0
+        assert json.loads(out.read_text())["backend"] == "linear"
+
+
+def test_linear_file_apply_is_primal_projection(generic_files, tmp_path):
+    paths = generic_files
+    out = tmp_path / "applied.txt"
+    assert _apply(paths, "linear", out) == 0
+    table = unit_normalize(_read_table(paths["embeddings"]))
+    basis = np.array(json.loads(paths["linear"].read_text())["basis"])
+    expected = EmbeddingTable(words=table.words, matrix=primal_neutralize(basis, table.matrix))
+    assert out.read_text() == write_embedding_text(expected, precision=17)
+
+
+@pytest.mark.parametrize("model", ["linear", "kernel-linear"])
+def test_out_model_written_without_ridge_block(generic_files, tmp_path, model):
+    paths = generic_files
+    data = json.loads(paths[model].read_text())
+    # A block left by an earlier apply names a ridge map this one does not fit.
+    paths[model].write_text(json.dumps({**data, "preimage": {"ridge_lambda": 1.0}}))
+    out_model = tmp_path / "out-model.json"
+    assert _apply(paths, model, tmp_path / "out.txt", "--out-model", str(out_model)) == 0
+    assert json.loads(out_model.read_text()) == data
+
+
+def test_equalize_accepts_any_linear_kernel_model(generic_files, tmp_path, capsys):
+    paths = generic_files
+    equalize = ["--sets", str(paths["sets"]), "--equalize"]
+    for model in ("linear", "kernel-linear"):
+        assert _apply(paths, model, tmp_path / f"{model}.txt", *equalize) == 0
+    linear = _read_table(tmp_path / "linear.txt")
+    kernel = _read_table(tmp_path / "kernel-linear.txt")
+    assert np.max(np.abs(kernel.matrix - linear.matrix)) <= 1e-12
+    # Equalized members are back at unit norm; neutralized words fall short.
+    rows = [linear.row_index(w) for w in ("w20", "w21", "w22", "w23", "w24")]
+    np.testing.assert_allclose(np.linalg.norm(linear.matrix[rows], axis=1), 1.0, atol=1e-12)
+    capsys.readouterr()
+    assert _apply(paths, "rbf", tmp_path / "rbf.txt", *equalize) == 2
+    assert "linear-kernel model" in capsys.readouterr().err
+    assert not (tmp_path / "rbf.txt").exists()
 
 
 def test_demo_toy_writes_csv(tmp_path):

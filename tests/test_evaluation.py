@@ -10,7 +10,6 @@ from kerndebias import (
     NumericalError,
     fit_kernel_model,
     fit_linear_subspace,
-    neutralize_matrix,
 )
 from kerndebias import evaluation
 from kerndebias.evaluation import (
@@ -28,7 +27,7 @@ from kerndebias.evaluation import (
 )
 from kerndebias.kernels import difference_distances
 from conftest import RNG_SEED, planted_bias_table, random_instance
-from oracles import cosine_row, four_term_distances, weat_brute_force_p
+from oracles import cosine_row, four_term_distances, primal_neutralize, weat_brute_force_p
 
 
 class StubBackend(SimilarityBackend):
@@ -106,7 +105,8 @@ class TestBackends:
         linear = fit_linear_subspace(table, sets, 1)
         kernel = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=2)
         x, y = table.matrix[:5], table.matrix[5:12]
-        nx, ny = neutralize_matrix(linear, x), neutralize_matrix(linear, y)
+        basis = linear.input_directions()
+        nx, ny = primal_neutralize(basis, x), primal_neutralize(basis, y)
         expected = {
             CorrectedKernelBackend(table, None): difference_distances(x, y),
             CorrectedKernelBackend(table, linear): difference_distances(nx, ny),
@@ -123,12 +123,12 @@ class TestBackends:
         table, sets = random_instance(rng, n_words=30, dim=7, n_pairs=4)
         model = fit_linear_subspace(table, sets, 2)
         words = list(table.words)
-        for backend, oracle_model in (
+        for backend, oracle_basis in (
             (CorrectedKernelBackend(table, None), None),
-            (CorrectedKernelBackend(table, model), model),
+            (CorrectedKernelBackend(table, model), model.input_directions()),
         ):
             for word in ("w0", "w9", "w29"):
-                oracle = cosine_row(table, word, words, oracle_model)
+                oracle = cosine_row(table, word, words, oracle_basis)
                 np.testing.assert_allclose(
                     backend.similarity_matrix([word], words)[0], oracle, rtol=0, atol=1e-12
                 )
@@ -139,7 +139,7 @@ class TestBackends:
     def _table_with_word_inside_subspace(rng):
         table, sets = random_instance(rng, n_words=20, dim=6, n_pairs=4)
         model = fit_linear_subspace(table, sets, 2)
-        inside = np.array([0.6, -0.8]) @ model.basis
+        inside = np.array([0.6, -0.8]) @ model.input_directions()
         table = EmbeddingTable(
             words=(*table.words, "inside"), matrix=np.vstack([table.matrix, inside])
         )
@@ -163,7 +163,8 @@ class TestBackends:
         table, model = self._table_with_word_inside_subspace(rng)
         backend = CorrectedKernelBackend(table, model)
         words = [w for w in table.words if w != "inside"]
-        oracle = np.array([cosine_row(table, w, words, model) for w in words[:3]])
+        basis = model.input_directions()
+        oracle = np.array([cosine_row(table, w, words, basis) for w in words[:3]])
         np.testing.assert_allclose(
             backend.similarity_matrix(words[:3], words), oracle, rtol=0, atol=1e-12
         )

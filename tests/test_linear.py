@@ -10,7 +10,7 @@ from kerndebias import (
     EqualitySets,
     equalize_set,
     fit_linear_subspace,
-    neutralize_matrix,
+    preimage_neutralize_matrix,
     resolve_word_sets,
     unit_normalize,
 )
@@ -19,7 +19,14 @@ from oracles import primal_linear_model
 
 
 def neutralize_row(model, w: np.ndarray) -> np.ndarray:
-    return neutralize_matrix(model, w[None, :])[0]
+    """apply's x - beta(x) W with the exact linear weights W = alpha (A - B)."""
+    return preimage_neutralize_matrix(model, w[None, :], model.input_directions())[0]
+
+
+def project(model, w: np.ndarray) -> np.ndarray:
+    """Component of w inside the model's subspace."""
+    basis = model.input_directions()
+    return basis.T @ (basis @ w)
 
 
 class TestFitSubspace:
@@ -27,15 +34,17 @@ class TestFitSubspace:
         table, sets = random_instance(rng, n_pairs=1, dim=4)
         a, b = sets.pairs[0]
         model = fit_linear_subspace(table, sets, 1)
+        basis = model.input_directions()
         expected = table.matrix[a] - table.matrix[b]
         expected = expected / np.linalg.norm(expected)
-        overlap = abs(float(model.basis[0] @ expected))
+        overlap = abs(float(basis[0] @ expected))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_basis_orthonormal(self, rng):
         table, sets = random_instance(rng, n_pairs=6, dim=8)
         model = fit_linear_subspace(table, sets, 3)
-        np.testing.assert_allclose(model.basis @ model.basis.T, np.eye(3), atol=1e-10)
+        basis = model.input_directions()
+        np.testing.assert_allclose(basis @ basis.T, np.eye(3), atol=1e-10)
 
     def test_eigenvalues_descending(self, rng):
         table, sets = random_instance(rng, n_pairs=6, dim=8)
@@ -45,8 +54,9 @@ class TestFitSubspace:
     def test_full_rank_spans_space(self, rng):
         table, sets = random_instance(rng, n_pairs=8, dim=4)
         model = fit_linear_subspace(table, sets, 4)
+        basis = model.input_directions()
         # K = d with full-rank covariance: projector is the identity.
-        proj = model.basis.T @ model.basis
+        proj = basis.T @ basis
         np.testing.assert_allclose(proj, np.eye(4), atol=1e-9)
 
     def test_rank_exceeded_reports_rank(self, rng):
@@ -69,42 +79,47 @@ class TestFitSubspace:
         sets = DefiningSets(tuple((2 * i, 2 * i + 1) for i in range(n_pairs)))
         with caplog.at_level(logging.WARNING):
             model = fit_linear_subspace(table, sets, k)
+            basis = model.input_directions()
         assert not caplog.records
         oracle = primal_linear_model(table, sets, k)
-        projector = model.basis.T @ model.basis
+        projector = basis.T @ basis
         assert np.max(np.abs(projector - oracle.basis.T @ oracle.basis)) <= 1e-12
         top = oracle.eigenvalues[0]
         assert np.max(np.abs(model.eigenvalues - oracle.eigenvalues)) <= 1e-12 * top
-        assert np.max(np.abs(model.basis @ model.basis.T - np.eye(k))) <= 1e-12
+        assert np.max(np.abs(basis @ basis.T - np.eye(k))) <= 1e-12
 
 
 class TestNeutralize:
     def test_span_vector_zeroed(self, rng):
         table, sets = random_instance(rng, n_pairs=3, dim=6)
         model = fit_linear_subspace(table, sets, 2)
-        w = 1.7 * model.basis[0] - 0.4 * model.basis[1]
+        basis = model.input_directions()
+        w = 1.7 * basis[0] - 0.4 * basis[1]
         np.testing.assert_allclose(neutralize_row(model, w), 0.0, atol=1e-12)
 
     def test_orthogonal_vector_unchanged(self, rng):
         table, sets = random_instance(rng, n_pairs=2, dim=5)
         model = fit_linear_subspace(table, sets, 1)
+        basis = model.input_directions()
         w = rng.normal(size=5)
-        w -= model.basis[0] * (model.basis[0] @ w)
+        w -= basis[0] * (basis[0] @ w)
         np.testing.assert_allclose(neutralize_row(model, w), w, atol=1e-12)
 
     def test_decomposition_identity(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=7)
         model = fit_linear_subspace(table, sets, 3)
+        basis = model.input_directions()
         w = rng.normal(size=7)
-        recomposed = neutralize_row(model, w) + model.basis.T @ (model.basis @ w)
+        recomposed = neutralize_row(model, w) + basis.T @ (basis @ w)
         np.testing.assert_allclose(recomposed, w, atol=1e-10)
 
     def test_projection_residual_orthogonal(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=7)
         model = fit_linear_subspace(table, sets, 3)
+        basis = model.input_directions()
         w = rng.normal(size=7)
         out = neutralize_row(model, w)
-        np.testing.assert_allclose(model.basis @ out, 0.0, atol=1e-10)
+        np.testing.assert_allclose(basis @ out, 0.0, atol=1e-10)
 
     def test_idempotent(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=7)
@@ -131,7 +146,7 @@ class TestEqualize:
     def test_shared_neutral_component(self, rng):
         table, _, model = self._fitted(rng)
         outputs = equalize_set(model, table, (0, 1, 2))
-        neutrals = [out - model.project(out) for out in outputs]
+        neutrals = [out - project(model, out) for out in outputs]
         for other in neutrals[1:]:
             np.testing.assert_allclose(neutrals[0], other, atol=1e-10)
 
@@ -150,9 +165,9 @@ class TestEqualize:
         out_a, out_b = equalize_set(model, table, (0, 1))
         assert np.linalg.norm(out_a) == pytest.approx(1.0, abs=1e-12)
         # Reflection across the complement: bias parts negate, neutral parts agree.
-        np.testing.assert_allclose(model.project(out_a), -model.project(out_b), atol=1e-12)
-        np.testing.assert_allclose(out_a - model.project(out_a),
-                                   out_b - model.project(out_b), atol=1e-12)
+        np.testing.assert_allclose(project(model, out_a), -project(model, out_b), atol=1e-12)
+        np.testing.assert_allclose(out_a - project(model, out_a),
+                                   out_b - project(model, out_b), atol=1e-12)
 
     def test_degenerate_member_rejected_with_word(self, rng):
         table, _, model = self._fitted(rng)

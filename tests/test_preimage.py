@@ -14,8 +14,8 @@ from kerndebias import (
 )
 from kerndebias.preimage import default_sample, preimage_to_dict
 from kerndebias.seeding import rng_for
-from conftest import planted_bias_table
-from oracles import primal_linear_model
+from conftest import planted_bias_table, random_instance
+from oracles import primal_linear_model, primal_neutralize
 
 
 def planted_setup(rng, spec=None, k=1):
@@ -27,8 +27,8 @@ def planted_setup(rng, spec=None, k=1):
     return table, sets, model, linear, sample
 
 
-def neutralize_row(pmap, w: np.ndarray) -> np.ndarray:
-    return preimage_neutralize_matrix(pmap, w[None, :])[0]
+def neutralize_row(model, pmap, w: np.ndarray) -> np.ndarray:
+    return preimage_neutralize_matrix(model, w[None, :], pmap.ridge_weights.T)[0]
 
 
 class TestLinearExactness:
@@ -38,7 +38,7 @@ class TestLinearExactness:
         for idx in sample:
             w = table.matrix[idx]
             expected = w - linear.project(w)
-            assert np.linalg.norm(neutralize_row(pmap, w) - expected) <= 1e-6
+            assert np.linalg.norm(neutralize_row(model, pmap, w) - expected) <= 1e-6
 
     def test_matches_projection_on_held_out_words(self, rng):
         table, sets, model, linear, sample = planted_setup(rng)
@@ -47,15 +47,26 @@ class TestLinearExactness:
         for idx in held_out:
             w = table.matrix[idx]
             expected = w - linear.project(w)
-            assert np.linalg.norm(neutralize_row(pmap, w) - expected) <= 1e-4
+            assert np.linalg.norm(neutralize_row(model, pmap, w) - expected) <= 1e-4
 
     def test_learned_map_reproduces_bias_component(self, rng):
         table, sets, model, linear, sample = planted_setup(rng)
         pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
         w = rng.normal(size=table.dim)
         np.testing.assert_allclose(
-            w - neutralize_row(pmap, w), linear.project(w), atol=1e-6
+            w - neutralize_row(model, pmap, w), linear.project(w), atol=1e-6
         )
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_readout_matches_projection_without_mirror_pairs(self, rng, k):
+        # Generic pairs: their neutral parts do not cancel, and a ridge map
+        # fitted on the whole table misses the projection by about 0.5
+        # (max abs); the input directions alpha (A - B) give it exactly.
+        table, sets = random_instance(rng, n_words=40, dim=9, n_pairs=6)
+        model = fit_kernel_model(KernelSpec("linear"), table, sets, k=k)
+        expected = primal_neutralize(primal_linear_model(table, sets, k).basis, table.matrix)
+        got = preimage_neutralize_matrix(model, table.matrix, model.input_directions())
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 class TestRidgeBehavior:
@@ -63,7 +74,7 @@ class TestRidgeBehavior:
         table, sets, model, _, sample = planted_setup(rng)
         pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e12)
         w = rng.normal(size=table.dim)
-        np.testing.assert_allclose(neutralize_row(pmap, w), w, atol=1e-8)
+        np.testing.assert_allclose(neutralize_row(model, pmap, w), w, atol=1e-8)
 
     def test_sample_too_small(self, rng):
         table, sets, model, _, _ = planted_setup(rng)
@@ -98,7 +109,7 @@ class TestDecomposition:
         pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
         w = rng.normal(size=table.dim)
         w[0] = 0.0  # mirror-symmetric: beta exactly zero
-        np.testing.assert_array_equal(neutralize_row(pmap, w), w)
+        np.testing.assert_array_equal(neutralize_row(model, pmap, w), w)
 
     def test_additive_decomposition_exact(self, rng):
         # Exact by construction; the subtract-then-add round trip costs at
@@ -108,7 +119,7 @@ class TestDecomposition:
         for _ in range(10):
             w = rng.normal(size=table.dim)
             bias_part = beta_matrix(model, w[None, :])[0] @ pmap.ridge_weights.T
-            recomposed = neutralize_row(pmap, w) + bias_part
+            recomposed = neutralize_row(model, pmap, w) + bias_part
             np.testing.assert_array_max_ulp(recomposed, w, maxulp=1)
 
     def test_deterministic(self, rng):
@@ -118,7 +129,7 @@ class TestDecomposition:
         np.testing.assert_array_equal(first.ridge_weights, second.ridge_weights)
         w = rng.normal(size=table.dim)
         np.testing.assert_array_equal(
-            neutralize_row(first, w), neutralize_row(second, w)
+            neutralize_row(model, first, w), neutralize_row(model, second, w)
         )
 
 
@@ -140,7 +151,7 @@ class TestNonlinearRemoval:
         sets = DefiningSets(tuple((2 * i, 2 * i + 1) for i in range(n_pairs)))
         model = fit_kernel_model(KernelSpec("rbf", gamma=1.0), table, sets, k=1)
         pmap = fit_preimage_map(model, table, list(range(2 * n_pairs)), ridge_lambda=1e-6)
-        neutralized = preimage_neutralize_matrix(pmap, points)
+        neutralized = preimage_neutralize_matrix(model, points, pmap.ridge_weights.T)
         var_before = np.var(beta_matrix(model, points)[:, 0])
         var_after = np.var(beta_matrix(model, neutralized)[:, 0])
         assert var_after < var_before

@@ -14,13 +14,18 @@ from kerndebias import (
     build_centered_gram,
     fit_kernel_model,
     gram_matrix,
-    neutralize_matrix,
     unit_normalize,
 )
 from kerndebias.numerics import symmetric_eig
 from kerndebias.rkhs import kernel_model_from_dict, kernel_model_to_dict
 from conftest import planted_bias_table, random_instance
-from oracles import direction_gram, equalized_member_inner, four_term_inner, primal_linear_model
+from oracles import (
+    direction_gram,
+    equalized_member_inner,
+    four_term_inner,
+    primal_linear_model,
+    primal_neutralize,
+)
 
 KERNEL_ZOO = [
     KernelSpec("linear"),
@@ -160,20 +165,21 @@ class TestLinearKernelEquivalence:
     def test_inner_product(self, rng):
         _, _, linear, metric = self._models(rng)
         z, w = rng.normal(size=(2, 20, 6))
-        oracle = neutralize_matrix(linear, z) @ neutralize_matrix(linear, w).T
+        oracle = primal_neutralize(linear.basis, z) @ primal_neutralize(linear.basis, w).T
         np.testing.assert_allclose(metric.inner_product_matrix(z, w), oracle, rtol=0, atol=1e-9)
 
     def test_cosine(self, rng):
         _, _, linear, metric = self._models(rng)
         z, w = rng.normal(size=(2, 10, 6))
-        nz, nw = neutralize_matrix(linear, z), neutralize_matrix(linear, w)
+        nz, nw = primal_neutralize(linear.basis, z), primal_neutralize(linear.basis, w)
         oracle = (nz @ nw.T) / np.outer(np.linalg.norm(nz, axis=1), np.linalg.norm(nw, axis=1))
         np.testing.assert_allclose(metric.cosine_matrix(z, w), oracle, rtol=0, atol=1e-9)
 
     def test_squared_distance(self, rng):
         _, _, linear, metric = self._models(rng)
         z, w = rng.normal(size=(2, 10, 6))
-        diff = neutralize_matrix(linear, z)[:, None, :] - neutralize_matrix(linear, w)[None, :, :]
+        nz, nw = primal_neutralize(linear.basis, z), primal_neutralize(linear.basis, w)
+        diff = nz[:, None, :] - nw[None, :, :]
         np.testing.assert_allclose(
             metric.squared_distance_matrix(z, w), np.sum(diff * diff, axis=2), rtol=0, atol=1e-9
         )
@@ -183,7 +189,8 @@ class TestLinearKernelEquivalence:
         members = table.matrix[:3]
         w = rng.normal(size=6)
         mu = members.mean(axis=0)
-        oracle = neutralize_matrix(linear, w[None, :])[0] @ neutralize_matrix(linear, mu[None, :])[0]
+        nw = primal_neutralize(linear.basis, w[None, :])[0]
+        oracle = nw @ primal_neutralize(linear.basis, mu[None, :])[0]
         for e in range(len(members)):
             assert equalized_member_inner(metric.model, w, members, e) == pytest.approx(
                 oracle, abs=1e-9
