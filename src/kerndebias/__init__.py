@@ -18,7 +18,9 @@ Core pieces:
   one backend's ``similarity_matrix(rows, cols)``: the (rows, cols)
   corrected cosines in [-1, 1]; a queried word whose corrected self
   product is at most 1e-12 k(w, w) raises DataError.
-- :mod:`kerndebias.configio` -- input files, and load_model for any model.
+- :mod:`kerndebias.configio` -- input files, and the model file: the one
+  place that writes (model_to_dict) and reads (model_from_dict, load_model)
+  it.
 - :mod:`kerndebias.cli` -- the `kerndebias` command.
 """
 
@@ -39,11 +41,7 @@ from .linear import (
     resolve_word_sets,
 )
 from .numerics import SymmetricEigen, pearson, spearman, symmetric_eig
-from .preimage import (
-    PreimageMap,
-    fit_preimage_map,
-    preimage_neutralize_matrix,
-)
+from .preimage import fit_preimage_map, preimage_neutralize_matrix
 from .rkhs import (
     CorrectedMetric,
     KernelBiasModel,
@@ -65,7 +63,6 @@ __all__ = [
     "KernelSpec",
     "KerndebiasError",
     "NumericalError",
-    "PreimageMap",
     "SymmetricEigen",
     "beta_matrix",
     "build_centered_gram",

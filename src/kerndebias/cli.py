@@ -27,16 +27,15 @@ from .embeddings import (
 )
 from .errors import DataError, FormatError, NumericalError
 from .kernels import _NEEDS_COEF0, _NEEDS_GAMMA, FAMILIES, KernelSpec, default_gamma
-from .linear import equalize_set, fit_linear_subspace, linear_model_to_dict, resolve_word_sets
+from .linear import equalize_set, fit_linear_subspace, resolve_word_sets
 from .preimage import (
     DEFAULT_EXTRA_SAMPLE,
     DEFAULT_RIDGE_LAMBDA,
     default_sample,
     fit_preimage_map,
     preimage_neutralize_matrix,
-    preimage_to_dict,
 )
-from .rkhs import KernelBiasModel, fit_kernel_model, kernel_model_to_dict
+from .rkhs import KernelBiasModel, fit_kernel_model
 from .seeding import rng_for
 
 EXIT_OK = 0
@@ -62,25 +61,30 @@ def _read_embeddings(path: str, normalize: bool) -> EmbeddingTable:
 
 
 def _kernel_spec_from_args(args: argparse.Namespace, dim: int) -> KernelSpec:
+    """The --kernel spec; --gamma, --coef0 and --degree fill in a family
+    name's parameters (defaults 1/dim, 1.0 and 2), and any of them given
+    where the family or a JSON spec takes none is a FormatError."""
     text = args.kernel
     if text is None:
         raise FormatError("kernel backend requires --kernel (family name or JSON)")
-    if text.lstrip().startswith("{"):
-        return KernelSpec.from_json(text)
-    family = text.strip()
-    if family not in FAMILIES:
+    is_json = text.lstrip().startswith("{")
+    family = None if is_json else text.strip()
+    if not is_json and family not in FAMILIES:
         raise FormatError(f"unknown kernel family {family!r}; known: {', '.join(FAMILIES)}")
-    gamma = args.gamma if args.gamma is not None else default_gamma(dim)
-    kwargs: dict = {}
-    if family in _NEEDS_GAMMA:
-        kwargs["gamma"] = gamma
-    if family in _NEEDS_COEF0:
-        kwargs["coef0"] = args.coef0
-    if family == "polynomial":
-        kwargs["degree"] = args.degree
     if family == "convex_combination":
         raise FormatError("convex_combination must be given as JSON")
-    return KernelSpec(family, **kwargs)
+    defaults = {"gamma": default_gamma(dim), "coef0": 1.0, "degree": 2}
+    kwargs: dict = {}
+    for name, families in (
+        ("gamma", _NEEDS_GAMMA), ("coef0", _NEEDS_COEF0), ("degree", {"polynomial"})
+    ):
+        value = getattr(args, name)
+        if family in families:
+            kwargs[name] = defaults[name] if value is None else value
+        elif value is not None:
+            where = "a JSON --kernel spec" if is_json else f"the {family} kernel"
+            raise FormatError(f"--{name} does not apply to {where}")
+    return KernelSpec.from_json(text) if is_json else KernelSpec(family, **kwargs)
 
 
 def _resolve_sets(args: argparse.Namespace, table: EmbeddingTable):
@@ -131,26 +135,25 @@ def _write_results(out: str | None, payload: dict) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if args.backend == "linear" and (args.kernel is not None or args.gamma is not None):
-        raise FormatError("--kernel and --gamma need --backend kernel")
+    if args.backend == "linear":
+        for flag in ("kernel", "gamma", "coef0", "degree"):
+            if getattr(args, flag) is not None:
+                raise FormatError(f"--{flag} needs --backend kernel")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     sets, _ = _resolve_sets(args, table)
     if args.backend == "linear":
         model = fit_linear_subspace(table, sets, args.components)
-        payload = linear_model_to_dict(model)
-        extra = ""
     else:
         spec = _kernel_spec_from_args(args, table.dim)
         model = fit_kernel_model(spec, table, sets, k=args.components)
-        payload = kernel_model_to_dict(model)
-        payload["pair_words"] = [
-            [table.words[a], table.words[b]] for a, b in sets.pairs
-        ]
-        extra = (
-            f", discarded {model.discarded_negative} negative eigenvalue(s)"
-            if model.discarded_negative
-            else ""
-        )
+    payload = configio.model_to_dict(model, args.backend)
+    if args.backend == "kernel":
+        payload["pair_words"] = [[table.words[a], table.words[b]] for a, b in sets.pairs]
+    extra = (
+        f", discarded {model.discarded_negative} negative eigenvalue(s)"
+        if model.discarded_negative
+        else ""
+    )
     Path(args.out).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(
         f"fitted {args.backend} model: {len(sets)} pairs, "
@@ -177,7 +180,8 @@ def _preimage_sample(args: argparse.Namespace, table: EmbeddingTable, data: dict
             "cannot locate defining words for the pre-image sample; pass --sets"
         )
     rng = rng_for(args.seed, "preimage-sample")
-    return default_sample(table, pairs, rng, extra=args.preimage_sample)
+    extra = DEFAULT_EXTRA_SAMPLE if args.preimage_sample is None else args.preimage_sample
+    return default_sample(table, pairs, rng, extra=extra)
 
 
 def _corrected_table(
@@ -186,15 +190,21 @@ def _corrected_table(
     """Every row x as x - beta(x) W, then the equality sets re-embedded.
 
     W is exact for the linear kernel and a ridge map otherwise; only a
-    fitted map is recorded, as data["preimage"].
+    fitted map is recorded, as data["preimage"], with W^T as its (d, K)
+    ridge_weights.
     """
     data.pop("preimage", None)
     if model.spec.family == "linear":
         weights = model.input_directions()
     else:
         sample = _preimage_sample(args, table, data)
-        pmap = fit_preimage_map(model, table, sample, ridge_lambda=args.ridge_lambda)
-        weights, data["preimage"] = pmap.ridge_weights.T, preimage_to_dict(pmap)
+        ridge_lambda = DEFAULT_RIDGE_LAMBDA if args.ridge_lambda is None else args.ridge_lambda
+        weights = fit_preimage_map(model, table, sample, ridge_lambda=ridge_lambda)
+        data["preimage"] = {
+            "ridge_weights": weights.T.tolist(),
+            "ridge_lambda": ridge_lambda,
+            "training_words": sample,
+        }
     matrix = preimage_neutralize_matrix(model, table.matrix, weights)
     if args.equalize:
         for members in _resolve_sets(args, table)[1].sets:
@@ -207,7 +217,13 @@ def cmd_apply(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     model, data = configio.load_model(args.model)
     evaluation.check_dimension(model.dim, table)
-    if args.equalize and model.spec.family != "linear":
+    if model.spec.family == "linear":
+        if args.ridge_lambda is not None or args.preimage_sample is not None:
+            raise FormatError(
+                "--ridge-lambda and --preimage-sample need a nonlinear-kernel model; "
+                "a linear-kernel model's pre-image is exact"
+            )
+    elif args.equalize:
         raise FormatError("--equalize needs a linear-kernel model")
     if args.equalize and args.sets is None:
         raise FormatError("--equalize requires --sets")
@@ -362,9 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--sets", required=True, help="defining/equality sets JSON")
     p_fit.add_argument("--backend", choices=("linear", "kernel"), default="linear")
     p_fit.add_argument("--kernel", help="kernel family name or KernelSpec JSON")
-    p_fit.add_argument("--gamma", type=float, help="kernel width (default 1/dim)")
-    p_fit.add_argument("--coef0", type=float, default=1.0)
-    p_fit.add_argument("--degree", type=int, default=2)
+    p_fit.add_argument(
+        "--gamma", type=float,
+        help="kernel width for rbf, laplace, polynomial and sigmoid (default 1/dim)",
+    )
+    p_fit.add_argument(
+        "--coef0", type=float, help="offset for polynomial and sigmoid (default 1.0)"
+    )
+    p_fit.add_argument("--degree", type=int, help="polynomial degree (default 2)")
     p_fit.add_argument("--components", type=int, default=1, help="bias directions K")
     p_fit.add_argument("--out", required=True, help="model JSON output path")
     p_fit.set_defaults(func=cmd_fit)
@@ -374,12 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("--model", required=True)
     p_apply.add_argument("--sets", help="sets JSON (equalize / pre-image sample)")
     p_apply.add_argument("--equalize", action="store_true", help="linear-kernel models only")
-    p_apply.add_argument("--ridge-lambda", type=float, default=DEFAULT_RIDGE_LAMBDA)
+    p_apply.add_argument(
+        "--ridge-lambda",
+        type=float,
+        help=f"pre-image ridge strength, nonlinear kernels only (default {DEFAULT_RIDGE_LAMBDA:g})",
+    )
     p_apply.add_argument(
         "--preimage-sample",
         type=int,
-        default=DEFAULT_EXTRA_SAMPLE,
-        help="extra vocabulary words in the pre-image fit",
+        help="extra vocabulary words in the pre-image fit, nonlinear kernels only "
+        f"(default {DEFAULT_EXTRA_SAMPLE})",
     )
     p_apply.add_argument("--precision", type=int, default=9)
     p_apply.add_argument("--out", required=True, help="embedding output, - for stdout")

@@ -1,8 +1,10 @@
-"""Loaders for the JSON/TSV input formats consumed by the CLI.
+"""The package's input and model files.
 
-Every JSON object file -- a model, a sets file, a WEAT config -- is read
-by read_json_object; load_model picks the loader by the file's "type",
-and either loader returns a KernelBiasModel.
+This module alone knows the model file: model_to_dict writes a
+KernelBiasModel as a "linear" file (its orthonormal basis) or a "kernel"
+file (spec, pairs and dual coefficients), and model_from_dict reads
+either back.  Every JSON object file -- a model, a sets file, a WEAT
+config -- is read by read_json_object.
 """
 
 from __future__ import annotations
@@ -10,10 +12,28 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import FormatError, checked_integer
+import numpy as np
+
+from .errors import FormatError, checked_finite, checked_integer
 from .evaluation import DEFAULT_PERMUTATIONS, DEFAULT_SEED, WeatConfig
-from .linear import linear_model_from_dict
-from .rkhs import KernelBiasModel, kernel_model_from_dict
+from .kernels import KernelSpec
+from .rkhs import KernelBiasModel
+
+# The arrays of each model-file type, with their shapes over k (bias
+# directions), dim (input dimension) and n (defining pairs).
+_MODEL_ARRAYS = {
+    "linear": {"basis": ("k", "dim"), "eigenvalues": ("k",)},
+    "kernel": {
+        "eigenvalues": ("k",),
+        "alphas": ("k", "n"),
+        "pairs_a": ("n", "dim"),
+        "pairs_b": ("n", "dim"),
+    },
+}
+
+# Largest |B B^T - I| entry accepted for a linear file's basis; fitted
+# bases are within 1e-15.
+_ORTHONORMAL_TOL = 1e-10
 
 
 def read_json_object(path: str | Path) -> dict:
@@ -36,21 +56,101 @@ def _check_word_pairs(path: str | Path, key: str, pairs: object) -> None:
             raise FormatError(f"{path}: {key!r} must be word pairs, got {pair!r}")
 
 
+def model_to_dict(model: KernelBiasModel, kind: str) -> dict:
+    """The file form of a model: kind "linear" stores the basis
+    input_directions(), kind "kernel" the spec, pairs and alphas."""
+    if kind == "linear":
+        return {
+            "type": "linear",
+            "k": model.k,
+            "dim": model.dim,
+            "basis": model.input_directions().tolist(),
+            "eigenvalues": model.eigenvalues.tolist(),
+        }
+    return {
+        "type": "kernel",
+        "kernel": model.spec.to_dict(),
+        "k": model.k,
+        "dim": model.dim,
+        **{name: getattr(model, name).tolist() for name in _MODEL_ARRAYS["kernel"]},
+        "gram_scale": model.gram_scale,
+        "discarded_negative": model.discarded_negative,
+    }
+
+
+def model_from_dict(data: dict) -> KernelBiasModel:
+    """Rebuild a model from its file form, checking fields, shapes and values.
+
+    Raises:
+        FormatError: on an unknown "type", a missing field, a non-numeric
+            or non-finite array, a k, dim or discarded_negative that is not
+            an integer, a gram_scale that is not a finite positive number,
+            array shapes that disagree with _MODEL_ARRAYS, or a linear
+            basis that is not orthonormal within 1e-10.
+    """
+    kind = data.get("type")
+    if not isinstance(kind, str) or kind not in _MODEL_ARRAYS:
+        raise FormatError(f"not a model file (type {kind!r})")
+    shapes = _MODEL_ARRAYS[kind]
+    try:
+        arrays = {name: np.array(data[name], dtype=np.float64) for name in shapes}
+        sizes = {"k": checked_integer(data["k"], "k"), "dim": checked_integer(data["dim"], "dim")}
+        if kind == "kernel":
+            kernel_fields = {
+                "spec": KernelSpec.from_dict(data["kernel"]),
+                "gram_scale": checked_finite(data.get("gram_scale", 1.0), "gram_scale"),
+                "discarded_negative": checked_integer(
+                    data.get("discarded_negative", 0), "discarded_negative"
+                ),
+            }
+    except KeyError as exc:
+        raise FormatError(f"{kind} model is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed {kind} model: {exc}") from None
+    for name, axes in shapes.items():  # n: the first size found on an "n" axis
+        for axis, size in zip(axes, arrays[name].shape):
+            sizes.setdefault(axis, size)
+    if min(sizes.values()) < 1 or any(
+        arrays[name].shape != tuple(sizes.get(axis) for axis in axes)
+        for name, axes in shapes.items()
+    ):
+        found = ", ".join(f"{name} {arr.shape}" for name, arr in arrays.items())
+        expected = ", ".join(f"{name} ({', '.join(axes)})" for name, axes in shapes.items())
+        raise FormatError(
+            f"{kind} model shapes disagree: {found}, dim {sizes['dim']}, k {sizes['k']}; "
+            f"expected {expected}, each size at least 1"
+        )
+    if not all(np.all(np.isfinite(arr)) for arr in arrays.values()):
+        raise FormatError(f"{kind} model contains non-finite values")
+    if kind == "linear":
+        basis = arrays["basis"]
+        error = float(np.max(np.abs(basis @ basis.T - np.eye(sizes["k"]))))
+        if error > _ORTHONORMAL_TOL:
+            raise FormatError(
+                f"linear model basis is not orthonormal: max |B B^T - I| = {error:.3g}"
+            )
+        return KernelBiasModel.from_basis(basis, arrays["eigenvalues"])
+    gram_scale = kernel_fields["gram_scale"]
+    if gram_scale <= 0.0:
+        raise FormatError(f"kernel model gram_scale must be positive, got {gram_scale}")
+    return KernelBiasModel(**arrays, **kernel_fields)
+
+
 def load_model(path: str | Path) -> tuple[KernelBiasModel, dict]:
     """A model file written by `fit`, and the dict it was parsed from.
 
     The dict keeps the fields the model does not hold (`pair_words`, a
     pre-image block), so a caller can read them or write the file back;
-    `pair_words`, when present, is checked to be word pairs.
+    `pair_words`, when present, is checked to be word pairs.  Every
+    FormatError names the file.
     """
     data = read_json_object(path)
     if "pair_words" in data:
         _check_word_pairs(path, "pair_words", data["pair_words"])
-    if data.get("type") == "linear":
-        return linear_model_from_dict(data), data
-    if data.get("type") == "kernel":
-        return kernel_model_from_dict(data), data
-    raise FormatError(f"{path}: not a model file (type {data.get('type')!r})")
+    try:
+        return model_from_dict(data), data
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def load_sets_file(path: str | Path) -> tuple[list[list[str]], list[list[str]]]:

@@ -1,4 +1,4 @@
-"""Linear bias subspace: fit, equalize, and the linear model file.
+"""Linear bias subspace: fit and equalize.
 
 The bias subspace is spanned by the leading eigenvectors of the covariance
 of word vectors centered within small counterpart pairs ("defining sets").
@@ -6,12 +6,12 @@ It is not fitted here: fit_linear_subspace reads it out of the package's
 one bias fit, rkhs.fit_kernel_model, with the linear kernel
 k(x, y) = x^T y, whose bias directions are vectors in input space.
 
-A fitted or loaded linear model is the linear-kernel rkhs.KernelBiasModel
-in canonical form: pairs_a = B, the orthonormal basis, pairs_b = 0 and
-alphas = I, so beta(x) = x B^T.  Neutralizing projects a vector onto the
-orthogonal complement of the subspace; equalizing re-embeds the members
-of an "equality set" so they share one neutral component and keep unit
-norm.
+A linear model is the linear-kernel rkhs.KernelBiasModel in the canonical
+form of KernelBiasModel.from_basis: pairs_a = B, the orthonormal basis,
+pairs_b = 0 and alphas = I, so beta(x) = x B^T.  Neutralizing projects a
+vector onto the orthogonal complement of the subspace; equalizing
+re-embeds the members of an "equality set" so they share one neutral
+component and keep unit norm.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError, FormatError, checked_integer
+from .errors import DataError, FormatError
 from .numerics import fix_column_signs
 from .rkhs import _LINEAR_KERNEL, KernelBiasModel, fit_kernel_model
 
@@ -71,18 +71,6 @@ class EqualitySets:
         )
 
 
-def _canonical_model(basis: np.ndarray, eigenvalues: np.ndarray) -> KernelBiasModel:
-    """The canonical linear-kernel model of an orthonormal basis (rows)."""
-    basis = np.asarray(basis, dtype=np.float64)
-    return KernelBiasModel(
-        spec=_LINEAR_KERNEL,
-        pairs_a=basis,
-        pairs_b=np.zeros_like(basis),
-        alphas=np.eye(basis.shape[0]),
-        eigenvalues=eigenvalues,
-    )
-
-
 def fit_linear_subspace(
     table: EmbeddingTable, sets: DefiningSets, k: int
 ) -> KernelBiasModel:
@@ -103,7 +91,9 @@ def fit_linear_subspace(
     model = fit_kernel_model(_LINEAR_KERNEL, table, sets, k=k)
     basis = np.linalg.qr(model.input_directions().T)[0]
     fix_column_signs(basis)
-    return _canonical_model(basis.T.copy(), model.eigenvalues / (4.0 * model.gram_scale))
+    return KernelBiasModel.from_basis(
+        basis.T.copy(), model.eigenvalues / (4.0 * model.gram_scale)
+    )
 
 
 def equalize_set(
@@ -151,46 +141,6 @@ def equalize_set(
         z = np.sqrt(1.0 - nu_norm_sq) / diff_norm
         out.append(nu + z * diff)
     return out
-
-
-def linear_model_to_dict(model: KernelBiasModel) -> dict:
-    return {
-        "type": "linear",
-        "k": model.k,
-        "dim": model.dim,
-        "basis": model.input_directions().tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-    }
-
-
-def linear_model_from_dict(data: dict) -> KernelBiasModel:
-    """Rebuild a canonical model from its dict form, checking shapes and values.
-
-    Raises:
-        FormatError: on a missing field, a non-numeric or non-finite
-            array, a k or dim that is not an integer, or shapes that
-            disagree: basis must be (k, dim) and eigenvalues (k,).
-    """
-    if not isinstance(data, dict) or data.get("type") != "linear":
-        raise FormatError("not a linear model file")
-    try:
-        basis = np.array(data["basis"], dtype=np.float64)
-        eigenvalues = np.array(data["eigenvalues"], dtype=np.float64)
-        dim = checked_integer(data["dim"], "dim")
-        k = checked_integer(data["k"], "k")
-    except KeyError as exc:
-        raise FormatError(f"linear model is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"malformed linear model: {exc}") from None
-    if basis.shape != (k, dim) or k < 1 or eigenvalues.shape != (k,):
-        raise FormatError(
-            f"linear model shapes disagree: basis {basis.shape}, eigenvalues "
-            f"{eigenvalues.shape}, dim {dim}, k {k}; expected basis (k, dim), "
-            "eigenvalues (k,)"
-        )
-    if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(eigenvalues))):
-        raise FormatError("linear model contains non-finite values")
-    return _canonical_model(basis, eigenvalues)
 
 
 def resolve_word_sets(

@@ -96,18 +96,17 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values receive the average of their ranks."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values receive the average of their ranks.
+
+    The group of equal values filling sorted positions start..end - 1
+    (0-based) gets rank (start + end + 1) / 2.
+    """
+    _, inverse, counts = np.unique(
+        np.asarray(x, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return ((starts + ends + 1) / 2.0)[inverse]
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:

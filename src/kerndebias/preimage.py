@@ -8,14 +8,13 @@ problem to approximating only the bias part's pre-image, a linear map W
 
 The linear kernel's W is exact: its input directions alpha (A - B), with
 which this is the projection off the linear subspace.  For nonlinear
-kernels W = ridge_weights^T is learned by ridge regression from beta(w)
-to sample words; the prediction relative to beta = 0 is the bias part.
+kernels W is learned by ridge regression from beta(w) to sample words;
+the prediction relative to beta = 0 is the bias part.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,23 +24,6 @@ from .rkhs import KernelBiasModel, beta_matrix
 
 DEFAULT_RIDGE_LAMBDA = 1e-6
 DEFAULT_EXTRA_SAMPLE = 500
-
-
-@dataclass(frozen=True, eq=False)
-class PreimageMap:
-    """Learned map from bias coordinates to input-space bias components."""
-
-    ridge_weights: np.ndarray  # (d, K)
-    ridge_lambda: float
-    training_words: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.ridge_weights, dtype=np.float64)
-        if not np.all(np.isfinite(weights)):
-            raise DataError("pre-image weights are not finite")
-        weights.setflags(write=False)
-        object.__setattr__(self, "ridge_weights", weights)
-        object.__setattr__(self, "training_words", tuple(int(i) for i in self.training_words))
 
 
 def default_sample(
@@ -71,8 +53,9 @@ def fit_preimage_map(
     table: EmbeddingTable,
     sample: list[int],
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
-) -> PreimageMap:
-    """Ridge-regress sample words on their bias coordinates.
+) -> np.ndarray:
+    """The (K, d) weights W of the ridge regression of sample words on
+    their bias coordinates.
 
     Args:
         sample: Word indices used as regression rows; needs at least K + 1.
@@ -81,8 +64,9 @@ def fit_preimage_map(
 
     Raises:
         FormatError: unless ridge_lambda is finite and at least 0.
-        DataError: on a too-small sample, or singular normal equations at
-            ridge_lambda = 0 (the message suggests a positive lambda).
+        DataError: on a too-small sample, singular normal equations at
+            ridge_lambda = 0 (the message suggests a positive lambda), or
+            weights that are not finite.
     """
     if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0):
         raise FormatError(f"ridge_lambda must be finite and at least 0, got {ridge_lambda}")
@@ -102,26 +86,17 @@ def fit_preimage_map(
             "singular normal equations for the pre-image fit; "
             "use ridge_lambda > 0"
         )
-    weights = np.linalg.solve(normal, coords_c.T @ targets_c)  # (K, d)
-    return PreimageMap(
-        ridge_weights=weights.T,
-        ridge_lambda=float(ridge_lambda),
-        training_words=tuple(sample),
-    )
+    weights = np.linalg.solve(normal, coords_c.T @ targets_c)
+    if not np.all(np.isfinite(weights)):
+        raise DataError("pre-image weights are not finite")
+    return weights
 
 
 def preimage_neutralize_matrix(
     model: KernelBiasModel, matrix: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Each row x minus its input-space bias part beta(x) W, for the
-    (K, d) weights W: input_directions() or ridge_weights^T."""
+    (K, d) weights W: input_directions() or fit_preimage_map's."""
     matrix = np.asarray(matrix, dtype=np.float64)
     return matrix - beta_matrix(model, matrix) @ weights
 
-
-def preimage_to_dict(pmap: PreimageMap) -> dict:
-    return {
-        "ridge_weights": pmap.ridge_weights.tolist(),
-        "ridge_lambda": pmap.ridge_lambda,
-        "training_words": list(pmap.training_words),
-    }

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError, FormatError, checked_finite, checked_integer
+from .errors import DataError, FormatError
 from .kernels import KernelSpec, difference_distances, gram_matrix, kernel_diag
 from .numerics import symmetric_eig
 
@@ -93,8 +93,8 @@ def build_centered_gram(
 @dataclass(frozen=True, eq=False)
 class KernelBiasModel:
     """Fitted bias model.  A linear model is the linear-kernel one in the
-    canonical form of linear.fit_linear_subspace: pairs_a = B, its (K, d)
-    orthonormal basis, pairs_b = 0 and alphas = I, so beta(x) = x B^T.
+    canonical form of from_basis: pairs_a = B, its (K, d) orthonormal
+    basis, pairs_b = 0 and alphas = I, so beta(x) = x B^T.
 
     Attributes:
         spec: Kernel used for fitting and all corrected evaluations.
@@ -149,6 +149,19 @@ class KernelBiasModel:
                 "directions; this needs a linear-kernel model"
             )
         return self.alphas @ (self.pairs_a - self.pairs_b)
+
+    @classmethod
+    def from_basis(cls, basis: np.ndarray, eigenvalues: np.ndarray) -> "KernelBiasModel":
+        """The canonical linear-kernel model of a (K, d) orthonormal basis:
+        pairs_a = basis, pairs_b = 0 and alphas = I."""
+        basis = np.asarray(basis, dtype=np.float64)
+        return cls(
+            spec=_LINEAR_KERNEL,
+            pairs_a=basis,
+            pairs_b=np.zeros_like(basis),
+            alphas=np.eye(basis.shape[0]),
+            eigenvalues=eigenvalues,
+        )
 
 
 def fit_kernel_model(
@@ -311,78 +324,3 @@ class CorrectedMetric:
         if self.model is not None:  # K = 0 has no bias term
             dist -= difference_distances(self.beta(x), self.beta(y))
         return np.maximum(0.0, dist)
-
-
-def kernel_model_to_dict(model: KernelBiasModel) -> dict:
-    return {
-        "type": "kernel",
-        "kernel": model.spec.to_dict(),
-        "k": model.k,
-        "dim": model.dim,
-        "eigenvalues": model.eigenvalues.tolist(),
-        "alphas": model.alphas.tolist(),
-        "pairs_a": model.pairs_a.tolist(),
-        "pairs_b": model.pairs_b.tolist(),
-        "gram_scale": model.gram_scale,
-        "discarded_negative": model.discarded_negative,
-    }
-
-
-def kernel_model_from_dict(data: dict) -> KernelBiasModel:
-    """Rebuild a model from its dict form, checking shapes and values.
-
-    Raises:
-        FormatError: on a missing field, a non-numeric or non-finite
-            array, a k, dim or discarded_negative that is not an integer,
-            shapes that disagree (alphas must be (k, N), pairs_a and
-            pairs_b (N, dim) and eigenvalues (k,)), or a gram_scale that
-            is not a finite positive number.
-    """
-    if not isinstance(data, dict) or data.get("type") != "kernel":
-        raise FormatError("not a kernel model file")
-    try:
-        arrays = {
-            name: np.array(data[name], dtype=np.float64)
-            for name in ("pairs_a", "pairs_b", "alphas", "eigenvalues")
-        }
-        spec = KernelSpec.from_dict(data["kernel"])
-        gram_scale = checked_finite(data.get("gram_scale", 1.0), "gram_scale")
-        discarded_negative = checked_integer(
-            data.get("discarded_negative", 0), "discarded_negative"
-        )
-        dim = checked_integer(data["dim"], "dim")
-        k = checked_integer(data["k"], "k")
-    except KeyError as exc:
-        raise FormatError(f"kernel model is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"malformed kernel model: {exc}") from None
-    pairs_a, pairs_b = arrays["pairs_a"], arrays["pairs_b"]
-    alphas, eigenvalues = arrays["alphas"], arrays["eigenvalues"]
-    shapes = ", ".join(f"{name} {arr.shape}" for name, arr in arrays.items())
-    if (
-        pairs_a.ndim != 2
-        or pairs_a.shape[0] < 1
-        or pairs_b.shape != pairs_a.shape
-        or alphas.ndim != 2
-        or alphas.shape[1] != pairs_a.shape[0]
-        or eigenvalues.shape != (alphas.shape[0],)
-        or dim != pairs_a.shape[1]
-        or k != alphas.shape[0]
-    ):
-        raise FormatError(
-            f"kernel model shapes disagree: {shapes}, dim {dim}, k {k}; "
-            "expected alphas (k, N), pairs (N, dim), eigenvalues (k,)"
-        )
-    if not all(np.all(np.isfinite(arr)) for arr in arrays.values()):
-        raise FormatError("kernel model contains non-finite values")
-    if gram_scale <= 0.0:
-        raise FormatError(f"kernel model gram_scale must be positive, got {gram_scale}")
-    return KernelBiasModel(
-        spec=spec,
-        pairs_a=pairs_a,
-        pairs_b=pairs_b,
-        alphas=alphas,
-        eigenvalues=eigenvalues,
-        gram_scale=gram_scale,
-        discarded_negative=discarded_negative,
-    )

@@ -46,10 +46,10 @@ def run_toy_demo(
     table = EmbeddingTable(words=words, matrix=points)
     sets = DefiningSets(tuple((2 * i, 2 * i + 1) for i in range(n_pairs)))
     model = fit_kernel_model(KernelSpec("rbf", gamma=gamma), table, sets, k=1)
-    pmap = fit_preimage_map(
+    weights = fit_preimage_map(
         model, table, sample=list(range(points.shape[0])), ridge_lambda=ridge_lambda
     )
-    neutralized = preimage_neutralize_matrix(model, points, pmap.ridge_weights.T)
+    neutralized = preimage_neutralize_matrix(model, points, weights)
     var_before = float(np.var(beta_matrix(model, points)[:, 0]))
     var_after = float(np.var(beta_matrix(model, neutralized)[:, 0]))
     stats = {"bias_variance_before": var_before, "bias_variance_after": var_after}

@@ -220,3 +220,18 @@ def weat_brute_force_p(s_values: np.ndarray, nx: int) -> float:
         if chosen - rest >= observed - 1e-12:
             hits += 1
     return hits / count
+
+
+def loop_average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based average-tie ranks by walking the sorted values run by run."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks

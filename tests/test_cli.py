@@ -12,8 +12,8 @@ from kerndebias import (
     write_embedding_text,
 )
 from kerndebias.cli import main
-from kerndebias.preimage import default_sample, preimage_to_dict
-from kerndebias.rkhs import kernel_model_from_dict
+from kerndebias.configio import model_from_dict
+from kerndebias.preimage import default_sample
 from kerndebias.seeding import rng_for
 from conftest import planted_bias_table, random_instance
 from oracles import primal_neutralize
@@ -129,6 +129,10 @@ def _earlier_format(data: dict) -> dict:
         ("pair_words", lambda v: 5),
         ("pair_words", lambda v: [["he", 3]]),
         ("pair_words", lambda v: None),
+        ("type", None),
+        ("type", lambda v: "quadratic"),
+        ("type", lambda v: 5),
+        ("type", lambda v: None),
     ],
     ids=[
         "alphas-short-rows", "alphas-1d", "pairs_b-short", "pairs_a-wide",
@@ -137,7 +141,7 @@ def _earlier_format(data: dict) -> dict:
         "k-text", "discarded_negative-float", "gram_scale-zero",
         "gram_scale-negative", "gram_scale-inf", "gram_scale-text", "gram_scale-bool",
         "pair_words-one-word", "pair_words-number", "pair_words-non-string",
-        "pair_words-null",
+        "pair_words-null", "type-missing", "type-quadratic", "type-number", "type-null",
     ],
 )
 def test_malformed_kernel_model_exits_2(planted_files, tmp_path, capsys, field, corrupt):
@@ -187,11 +191,12 @@ def test_malformed_kernel_model_exits_2(planted_files, tmp_path, capsys, field, 
         ("k", lambda v: float(v)),
         ("k", lambda v: True),
         ("dim", lambda v: str(v)),
+        ("basis", lambda v: [[1.5 * x for x in row] for row in v]),
     ],
     ids=[
         "basis-1d", "basis-short-rows", "basis-nan", "basis-text", "eigenvalues-long",
         "eigenvalues-inf", "dim-wrong", "k-wrong", "basis-missing", "eigenvalues-missing",
-        "k-float", "k-bool", "dim-text",
+        "k-float", "k-bool", "dim-text", "basis-scaled",
     ],
 )
 def test_malformed_linear_model_exits_2(planted_files, capsys, field, corrupt):
@@ -348,10 +353,27 @@ def test_out_of_range_apply_value_exits_2(planted_files, tmp_path, capsys, argv,
         (["--backend", "linear", "--kernel", "rbf"], "--backend kernel"),
         (["--backend", "linear", "--gamma", "5"], "--backend kernel"),
         (["--backend", "linear", "--kernel", "rbf", "--gamma", "5"], "--backend kernel"),
+        (["--backend", "linear", "--degree", "5"], "--degree needs --backend kernel"),
+        (["--backend", "linear", "--coef0", "3"], "--coef0 needs --backend kernel"),
+        (["--backend", "kernel", "--kernel", "rbf", "--degree", "3"],
+         "--degree does not apply to the rbf kernel"),
+        (["--backend", "kernel", "--kernel", "rbf", "--coef0", "1"],
+         "--coef0 does not apply to the rbf kernel"),
+        (["--backend", "kernel", "--kernel", "cosine", "--gamma", "1"],
+         "--gamma does not apply to the cosine kernel"),
+        (["--backend", "kernel", "--kernel", "linear", "--degree", "2"],
+         "--degree does not apply to the linear kernel"),
+        (["--backend", "kernel", "--kernel", '{"family": "rbf", "gamma": 0.5}',
+          "--gamma", "3"], "--gamma does not apply to a JSON --kernel spec"),
+        (["--backend", "kernel", "--kernel",
+          '{"family": "polynomial", "gamma": 1, "coef0": 1, "degree": 2}', "--degree", "3"],
+         "--degree does not apply to a JSON --kernel spec"),
     ],
     ids=[
         "linear-components-zero", "linear-components-negative", "kernel-components-zero",
         "kernel-components-negative", "linear-kernel", "linear-gamma", "linear-kernel-gamma",
+        "linear-degree", "linear-coef0", "rbf-degree", "rbf-coef0", "cosine-gamma",
+        "kernel-linear-degree", "json-gamma", "json-degree",
     ],
 )
 def test_out_of_range_fit_value_exits_2(planted_files, capsys, argv, message):
@@ -362,6 +384,24 @@ def test_out_of_range_fit_value_exits_2(planted_files, capsys, argv, message):
     ]) == 2
     assert message in capsys.readouterr().err
     assert not paths["model"].exists()
+
+
+@pytest.mark.parametrize(
+    "flags, spec",
+    [
+        ([], {"family": "polynomial", "gamma": 0.125, "coef0": 1.0, "degree": 2}),
+        (["--gamma", "0.5", "--coef0", "0", "--degree", "3"],
+         {"family": "polynomial", "gamma": 0.5, "coef0": 0.0, "degree": 3}),
+    ],
+    ids=["defaults", "given"],
+)
+def test_fit_kernel_flags_fill_the_family_parameters(planted_files, flags, spec):
+    paths = planted_files
+    assert main([
+        "fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+        "--backend", "kernel", "--kernel", "polynomial", *flags, "--out", str(paths["model"]),
+    ]) == 0
+    assert json.loads(paths["model"].read_text())["kernel"] == spec
 
 
 def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):
@@ -460,12 +500,14 @@ def _expected_preimage(paths, pairs, seed, extra):
     """Embedding text and pre-image block built from the library calls."""
     with open(paths["embeddings"], encoding="utf-8") as handle:
         table = unit_normalize(parse_embedding_text(handle))
-    model = kernel_model_from_dict(json.loads(paths["model"].read_text()))
+    model = model_from_dict(json.loads(paths["model"].read_text()))
     sample = default_sample(table, pairs, rng_for(seed, "preimage-sample"), extra=extra)
-    pmap = fit_preimage_map(model, table, sample)
-    matrix = preimage_neutralize_matrix(model, table.matrix, pmap.ridge_weights.T)
+    weights = fit_preimage_map(model, table, sample)
+    matrix = preimage_neutralize_matrix(model, table.matrix, weights)
     text = write_embedding_text(EmbeddingTable(words=table.words, matrix=matrix), precision=9)
-    return text, json.loads(json.dumps(preimage_to_dict(pmap)))
+    # The block records the (d, K) map W^T, the ridge strength and the sample.
+    block = {"ridge_weights": weights.T.tolist(), "ridge_lambda": 1e-6, "training_words": sample}
+    return text, json.loads(json.dumps(block))
 
 
 @pytest.mark.parametrize("source", ["sets", "pair_words"])
@@ -645,6 +687,17 @@ def test_out_model_written_without_ridge_block(generic_files, tmp_path, model):
     out_model = tmp_path / "out-model.json"
     assert _apply(paths, model, tmp_path / "out.txt", "--out-model", str(out_model)) == 0
     assert json.loads(out_model.read_text()) == data
+
+
+@pytest.mark.parametrize("model", ["linear", "kernel-linear"])
+@pytest.mark.parametrize("flag", [["--ridge-lambda", "5"], ["--preimage-sample", "3"]],
+                         ids=["ridge-lambda", "preimage-sample"])
+def test_ridge_flags_with_linear_kernel_model_exit_2(generic_files, tmp_path, capsys,
+                                                     model, flag):
+    paths = generic_files
+    assert _apply(paths, model, tmp_path / "out.txt", *flag) == 2
+    assert "nonlinear-kernel model" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_equalize_accepts_any_linear_kernel_model(generic_files, tmp_path, capsys):

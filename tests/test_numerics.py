@@ -3,6 +3,7 @@ import pytest
 
 from kerndebias import NumericalError, pearson, spearman, symmetric_eig
 from kerndebias.numerics import average_ranks
+from oracles import loop_average_ranks
 
 
 class TestSymmetricEig:
@@ -162,6 +163,14 @@ class TestSpearman:
         np.testing.assert_allclose(
             average_ranks(np.array([1.0, 1.0, 2.0])), [1.5, 1.5, 3.0]
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 500])
+    def test_ranks_match_loop_on_tied_inputs(self, rng, n):
+        # Few distinct values, so most entries are tied; -0.0 ties with 0.0.
+        for _ in range(20):
+            x = rng.integers(-3, 4, size=n).astype(np.float64) / 2.0
+            x[rng.random(n) < 0.2] = -0.0
+            np.testing.assert_array_equal(average_ranks(x), loop_average_ranks(x))
 
     def test_monotone_transform_invariance(self, rng):
         x = rng.normal(size=12)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from kerndebias import (
     fit_preimage_map,
     preimage_neutralize_matrix,
 )
-from kerndebias.preimage import default_sample, preimage_to_dict
+from kerndebias.preimage import default_sample
 from kerndebias.seeding import rng_for
 from conftest import planted_bias_table, random_instance
 from oracles import primal_linear_model, primal_neutralize
@@ -27,34 +25,34 @@ def planted_setup(rng, spec=None, k=1):
     return table, sets, model, linear, sample
 
 
-def neutralize_row(model, pmap, w: np.ndarray) -> np.ndarray:
-    return preimage_neutralize_matrix(model, w[None, :], pmap.ridge_weights.T)[0]
+def neutralize_row(model, weights, w: np.ndarray) -> np.ndarray:
+    return preimage_neutralize_matrix(model, w[None, :], weights)[0]
 
 
 class TestLinearExactness:
     def test_matches_projection_on_training_words(self, rng):
         table, sets, model, linear, sample = planted_setup(rng)
-        pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
+        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
         for idx in sample:
             w = table.matrix[idx]
             expected = w - linear.project(w)
-            assert np.linalg.norm(neutralize_row(model, pmap, w) - expected) <= 1e-6
+            assert np.linalg.norm(neutralize_row(model, weights, w) - expected) <= 1e-6
 
     def test_matches_projection_on_held_out_words(self, rng):
         table, sets, model, linear, sample = planted_setup(rng)
-        pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
+        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
         held_out = [i for i in range(len(table)) if i not in set(sample)]
         for idx in held_out:
             w = table.matrix[idx]
             expected = w - linear.project(w)
-            assert np.linalg.norm(neutralize_row(model, pmap, w) - expected) <= 1e-4
+            assert np.linalg.norm(neutralize_row(model, weights, w) - expected) <= 1e-4
 
     def test_learned_map_reproduces_bias_component(self, rng):
         table, sets, model, linear, sample = planted_setup(rng)
-        pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
+        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
         w = rng.normal(size=table.dim)
         np.testing.assert_allclose(
-            w - neutralize_row(model, pmap, w), linear.project(w), atol=1e-6
+            w - neutralize_row(model, weights, w), linear.project(w), atol=1e-6
         )
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -72,9 +70,9 @@ class TestLinearExactness:
 class TestRidgeBehavior:
     def test_huge_lambda_leaves_vectors_unchanged(self, rng):
         table, sets, model, _, sample = planted_setup(rng)
-        pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e12)
+        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e12)
         w = rng.normal(size=table.dim)
-        np.testing.assert_allclose(neutralize_row(model, pmap, w), w, atol=1e-8)
+        np.testing.assert_allclose(neutralize_row(model, weights, w), w, atol=1e-8)
 
     def test_sample_too_small(self, rng):
         table, sets, model, _, _ = planted_setup(rng)
@@ -106,27 +104,27 @@ class TestRidgeBehavior:
 class TestDecomposition:
     def test_zero_beta_point_unchanged(self, rng):
         table, sets, model, _, sample = planted_setup(rng, spec=KernelSpec("rbf", gamma=1.0))
-        pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
+        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
         w = rng.normal(size=table.dim)
         w[0] = 0.0  # mirror-symmetric: beta exactly zero
-        np.testing.assert_array_equal(neutralize_row(model, pmap, w), w)
+        np.testing.assert_array_equal(neutralize_row(model, weights, w), w)
 
     def test_additive_decomposition_exact(self, rng):
         # Exact by construction; the subtract-then-add round trip costs at
         # most one rounding per component.
         table, sets, model, _, sample = planted_setup(rng, spec=KernelSpec("rbf", gamma=0.8))
-        pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
+        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
         for _ in range(10):
             w = rng.normal(size=table.dim)
-            bias_part = beta_matrix(model, w[None, :])[0] @ pmap.ridge_weights.T
-            recomposed = neutralize_row(model, pmap, w) + bias_part
+            bias_part = beta_matrix(model, w[None, :])[0] @ weights
+            recomposed = neutralize_row(model, weights, w) + bias_part
             np.testing.assert_array_max_ulp(recomposed, w, maxulp=1)
 
     def test_deterministic(self, rng):
         table, sets, model, _, sample = planted_setup(rng, spec=KernelSpec("rbf", gamma=0.8))
         first = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
         second = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
-        np.testing.assert_array_equal(first.ridge_weights, second.ridge_weights)
+        np.testing.assert_array_equal(first, second)
         w = rng.normal(size=table.dim)
         np.testing.assert_array_equal(
             neutralize_row(model, first, w), neutralize_row(model, second, w)
@@ -150,8 +148,8 @@ class TestNonlinearRemoval:
 
         sets = DefiningSets(tuple((2 * i, 2 * i + 1) for i in range(n_pairs)))
         model = fit_kernel_model(KernelSpec("rbf", gamma=1.0), table, sets, k=1)
-        pmap = fit_preimage_map(model, table, list(range(2 * n_pairs)), ridge_lambda=1e-6)
-        neutralized = preimage_neutralize_matrix(model, points, pmap.ridge_weights.T)
+        weights = fit_preimage_map(model, table, list(range(2 * n_pairs)), ridge_lambda=1e-6)
+        neutralized = preimage_neutralize_matrix(model, points, weights)
         var_before = np.var(beta_matrix(model, points)[:, 0])
         var_after = np.var(beta_matrix(model, neutralized)[:, 0])
         assert var_after < var_before
@@ -169,13 +167,3 @@ class TestSampling:
         table, sets, model, _, _ = planted_setup(rng)
         with pytest.raises(FormatError, match="at least 0"):
             default_sample(table, sets.pairs, rng_for(7, "test"), extra=-5)
-
-    def test_serialization_round_trip(self, rng):
-        table, sets, model, _, sample = planted_setup(rng, spec=KernelSpec("rbf", gamma=0.9))
-        pmap = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
-        # The block `apply --out-model` writes records the map exactly.
-        data = json.loads(json.dumps(preimage_to_dict(pmap)))
-        assert set(data) == {"ridge_weights", "ridge_lambda", "training_words"}
-        np.testing.assert_array_equal(np.array(data["ridge_weights"]), pmap.ridge_weights)
-        assert data["ridge_lambda"] == pmap.ridge_lambda == 1e-6
-        assert data["training_words"] == [int(i) for i in sample]

@@ -16,8 +16,8 @@ from kerndebias import (
     gram_matrix,
     unit_normalize,
 )
+from kerndebias.configio import model_from_dict, model_to_dict
 from kerndebias.numerics import symmetric_eig
-from kerndebias.rkhs import kernel_model_from_dict, kernel_model_to_dict
 from conftest import planted_bias_table, random_instance
 from oracles import (
     direction_gram,
@@ -376,7 +376,7 @@ class TestSerialization:
         )
         model = fit_kernel_model(spec, table, sets, k=2)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(kernel_model_to_dict(model), indent=1))
+        path.write_text(json.dumps(model_to_dict(model, "kernel"), indent=1))
         loaded, data = kd.load_model(path)
         assert data["type"] == "kernel"
         z, w = rng.normal(size=(2, 10, 5))
@@ -388,8 +388,8 @@ class TestSerialization:
 
     def test_dict_round_trip_fields(self, rng):
         _, _, model = fitted_pair_models(rng, KernelSpec("sigmoid", gamma=0.2, coef0=1.0))
-        data = kernel_model_to_dict(model)
-        again = kernel_model_from_dict(data)
+        data = model_to_dict(model, "kernel")
+        again = model_from_dict(data)
         np.testing.assert_array_equal(again.pairs_a, model.pairs_a)
         np.testing.assert_array_equal(again.eigenvalues, model.eigenvalues)
         assert again.gram_scale == model.gram_scale
