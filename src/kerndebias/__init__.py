@@ -12,7 +12,8 @@ Core pieces:
   kernel fit with the linear kernel as a linear-kernel KernelBiasModel
   (beta(x) = x B^T); equalize.
 - :mod:`kerndebias.preimage` -- corrected vectors back in input space,
-  x - beta(x) W: exact for the linear kernel, a ridge map otherwise.
+  x - beta(x) W for every kernel, with the readout W = alpha (A - B):
+  the exact projection for the linear kernel.
 - :mod:`kerndebias.evaluation` -- association tests, professions
   correlation, indirect-bias SVM, similarity-judgment scoring, all through
   one backend's ``similarity_matrix(rows, cols)``: the (rows, cols)
@@ -41,7 +42,7 @@ from .linear import (
     resolve_word_sets,
 )
 from .numerics import SymmetricEigen, pearson, spearman, symmetric_eig
-from .preimage import fit_preimage_map, preimage_neutralize_matrix
+from .preimage import preimage_neutralize_matrix
 from .rkhs import (
     CorrectedMetric,
     KernelBiasModel,
@@ -70,7 +71,6 @@ __all__ = [
     "equalize_set",
     "fit_kernel_model",
     "fit_linear_subspace",
-    "fit_preimage_map",
     "gram_matrix",
     "load_model",
     "parse_embedding_text",

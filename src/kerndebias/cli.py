@@ -28,15 +28,8 @@ from .embeddings import (
 from .errors import DataError, FormatError, NumericalError
 from .kernels import _NEEDS_COEF0, _NEEDS_GAMMA, FAMILIES, KernelSpec, default_gamma
 from .linear import equalize_set, fit_linear_subspace, resolve_word_sets
-from .preimage import (
-    DEFAULT_EXTRA_SAMPLE,
-    DEFAULT_RIDGE_LAMBDA,
-    default_sample,
-    fit_preimage_map,
-    preimage_neutralize_matrix,
-)
-from .rkhs import KernelBiasModel, fit_kernel_model
-from .seeding import rng_for
+from .preimage import preimage_neutralize_matrix
+from .rkhs import fit_kernel_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,8 +140,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         spec = _kernel_spec_from_args(args, table.dim)
         model = fit_kernel_model(spec, table, sets, k=args.components)
     payload = configio.model_to_dict(model, args.backend)
-    if args.backend == "kernel":
-        payload["pair_words"] = [[table.words[a], table.words[b]] for a, b in sets.pairs]
     extra = (
         f", discarded {model.discarded_negative} negative eigenvalue(s)"
         if model.discarded_negative
@@ -164,73 +155,27 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _preimage_sample(args: argparse.Namespace, table: EmbeddingTable, data: dict) -> list[int]:
-    """The defining words, from --sets or the model's pair_words, plus a
-    seeded sample of the vocabulary."""
-    if args.sets is not None:
-        pairs = _resolve_sets(args, table)[0].pairs
-    else:
-        pairs = [
-            (table.row_index(a), table.row_index(b))
-            for a, b in data.get("pair_words") or []
-            if a in table and b in table
-        ]
-    if not pairs:
-        raise DataError(
-            "cannot locate defining words for the pre-image sample; pass --sets"
-        )
-    rng = rng_for(args.seed, "preimage-sample")
-    extra = DEFAULT_EXTRA_SAMPLE if args.preimage_sample is None else args.preimage_sample
-    return default_sample(table, pairs, rng, extra=extra)
-
-
-def _corrected_table(
-    args: argparse.Namespace, table: EmbeddingTable, model: KernelBiasModel, data: dict
-) -> EmbeddingTable:
-    """Every row x as x - beta(x) W, then the equality sets re-embedded.
-
-    W is exact for the linear kernel and a ridge map otherwise; only a
-    fitted map is recorded, as data["preimage"], with W^T as its (d, K)
-    ridge_weights.
-    """
-    data.pop("preimage", None)
-    if model.spec.family == "linear":
-        weights = model.input_directions()
-    else:
-        sample = _preimage_sample(args, table, data)
-        ridge_lambda = DEFAULT_RIDGE_LAMBDA if args.ridge_lambda is None else args.ridge_lambda
-        weights = fit_preimage_map(model, table, sample, ridge_lambda=ridge_lambda)
-        data["preimage"] = {
-            "ridge_weights": weights.T.tolist(),
-            "ridge_lambda": ridge_lambda,
-            "training_words": sample,
-        }
-    matrix = preimage_neutralize_matrix(model, table.matrix, weights)
-    if args.equalize:
-        for members in _resolve_sets(args, table)[1].sets:
-            for idx, vec in zip(members, equalize_set(model, table, members)):
-                matrix[idx] = vec
-    return EmbeddingTable(words=table.words, matrix=matrix)
-
-
 def cmd_apply(args: argparse.Namespace) -> int:
+    """Every row x as x - beta(x) W (preimage_neutralize_matrix), then, with
+    --equalize, the equality sets re-embedded."""
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     model, data = configio.load_model(args.model)
     evaluation.check_dimension(model.dim, table)
-    if model.spec.family == "linear":
-        if args.ridge_lambda is not None or args.preimage_sample is not None:
-            raise FormatError(
-                "--ridge-lambda and --preimage-sample need a nonlinear-kernel model; "
-                "a linear-kernel model's pre-image is exact"
-            )
-    elif args.equalize:
+    if args.equalize and model.spec.family != "linear":
         raise FormatError("--equalize needs a linear-kernel model")
     if args.equalize and args.sets is None:
         raise FormatError("--equalize requires --sets")
-    out_table = _corrected_table(args, table, model, data)
+    eq_sets = _resolve_sets(args, table)[1] if args.sets is not None else None
+    matrix = preimage_neutralize_matrix(model, table.matrix)
+    if args.equalize:
+        for members in eq_sets.sets:
+            for idx, vec in zip(members, equalize_set(model, table, members)):
+                matrix[idx] = vec
+    text = write_embedding_text(EmbeddingTable(words=table.words, matrix=matrix), args.precision)
     if args.out_model is not None:
+        data.pop("preimage", None)
         Path(args.out_model).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    _write_text(args.out, write_embedding_text(out_table, precision=args.precision))
+    _write_text(args.out, text)
     if args.out not in (None, "-"):
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -393,22 +338,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply = sub.add_parser("apply", help="write corrected embeddings")
     _add_common(p_apply)
     p_apply.add_argument("--model", required=True)
-    p_apply.add_argument("--sets", help="sets JSON (equalize / pre-image sample)")
+    p_apply.add_argument(
+        "--sets",
+        help="sets JSON, read and checked whenever given; its equality sets are "
+        "what --equalize re-embeds",
+    )
     p_apply.add_argument("--equalize", action="store_true", help="linear-kernel models only")
-    p_apply.add_argument(
-        "--ridge-lambda",
-        type=float,
-        help=f"pre-image ridge strength, nonlinear kernels only (default {DEFAULT_RIDGE_LAMBDA:g})",
-    )
-    p_apply.add_argument(
-        "--preimage-sample",
-        type=int,
-        help="extra vocabulary words in the pre-image fit, nonlinear kernels only "
-        f"(default {DEFAULT_EXTRA_SAMPLE})",
-    )
     p_apply.add_argument("--precision", type=int, default=9)
     p_apply.add_argument("--out", required=True, help="embedding output, - for stdout")
-    p_apply.add_argument("--out-model", help="re-write model JSON, with any fitted pre-image map")
+    p_apply.add_argument(
+        "--out-model", help="write the loaded model JSON back here, without a stale "
+        "'preimage' block"
+    )
     p_apply.set_defaults(func=cmd_apply)
 
     p_sim = sub.add_parser("sim", help="pairwise similarity queries")

@@ -10,6 +10,7 @@ config -- is read by read_json_object.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,15 +46,6 @@ def read_json_object(path: str | Path) -> dict:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object")
     return data
-
-
-def _check_word_pairs(path: str | Path, key: str, pairs: object) -> None:
-    """FormatError unless pairs is a list of [word, word] string pairs."""
-    if not isinstance(pairs, list):
-        raise FormatError(f"{path}: {key!r} must be a list of word pairs")
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)):
-            raise FormatError(f"{path}: {key!r} must be word pairs, got {pair!r}")
 
 
 def model_to_dict(model: KernelBiasModel, kind: str) -> dict:
@@ -139,14 +131,11 @@ def model_from_dict(data: dict) -> KernelBiasModel:
 def load_model(path: str | Path) -> tuple[KernelBiasModel, dict]:
     """A model file written by `fit`, and the dict it was parsed from.
 
-    The dict keeps the fields the model does not hold (`pair_words`, a
-    pre-image block), so a caller can read them or write the file back;
-    `pair_words`, when present, is checked to be word pairs.  Every
-    FormatError names the file.
+    Fields the model does not hold, such as entries that earlier versions
+    wrote, are left unread in the dict, so a caller can write the file
+    back.  Every FormatError names the file.
     """
     data = read_json_object(path)
-    if "pair_words" in data:
-        _check_word_pairs(path, "pair_words", data["pair_words"])
     try:
         return model_from_dict(data), data
     except FormatError as exc:
@@ -159,7 +148,9 @@ def load_sets_file(path: str | Path) -> tuple[list[list[str]], list[list[str]]]:
     defining = data.get("defining_sets")
     if not isinstance(defining, list) or not defining:
         raise FormatError(f"{path}: missing or empty 'defining_sets'")
-    _check_word_pairs(path, "defining_sets", defining)
+    for pair in defining:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)):
+            raise FormatError(f"{path}: 'defining_sets' must be word pairs, got {pair!r}")
     equality = data.get("equality_sets", [])
     if not isinstance(equality, list):
         raise FormatError(f"{path}: 'equality_sets' must be a list")
@@ -215,7 +206,12 @@ def load_word_list(path: str | Path) -> list[str]:
 
 
 def load_simlex_pairs(path: str | Path) -> list[tuple[str, str, float]]:
-    """Tab-separated word1, word2, score rows; a header row is skipped."""
+    """Tab-separated word1, word2, score rows; a header row is skipped.
+
+    Raises:
+        FormatError: naming file:line, on a row with fewer than 3 fields or
+            a score that is not a finite number.
+    """
     pairs: list[tuple[str, str, float]] = []
     for lineno, line in enumerate(
         Path(path).read_text(encoding="utf-8").splitlines(), start=1
@@ -231,6 +227,8 @@ def load_simlex_pairs(path: str | Path) -> list[tuple[str, str, float]]:
             if lineno == 1:
                 continue  # header
             raise FormatError(f"{path}:{lineno}: bad score {fields[2]!r}") from None
+        if not math.isfinite(score):
+            raise FormatError(f"{path}:{lineno}: score {fields[2]!r} is not finite")
         pairs.append((fields[0], fields[1], score))
     if not pairs:
         raise FormatError(f"{path}: no pairs found")

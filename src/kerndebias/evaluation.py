@@ -483,15 +483,15 @@ def indirect_bias_classification(
     vocabulary; there is no other source for the bias score.
 
     Raises:
-        FormatError: if n_biased or n_train is below 1, or svm_gamma, c_reg
-            or tol is not finite and positive.
+        FormatError: if n_biased is below 2 (one word per class) or n_train
+            below 1, or svm_gamma, c_reg or tol is not finite and positive.
         DataError: if an anchor word is not in the vocabulary, or the
             vocabulary is too small for a split.
         NumericalError: if the SVM solver does not converge.
     """
-    for name, count in (("n_biased", n_biased), ("n_train", n_train)):
-        if count < 1:
-            raise FormatError(f"{name} must be at least 1, got {count}")
+    for name, count, least in (("n_biased", n_biased, 2), ("n_train", n_train, 1)):
+        if count < least:
+            raise FormatError(f"{name} must be at least {least}, got {count}")
     gamma = svm_gamma if svm_gamma is not None else 1.0 / table.dim
     if not (math.isfinite(gamma) and gamma > 0):
         raise FormatError(f"svm_gamma must be finite and positive, got {gamma}")

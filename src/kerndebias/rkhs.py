@@ -140,15 +140,23 @@ class KernelBiasModel:
         """Bias coordinates of the rows of x: (n, K)."""
         return beta_matrix(self, x)
 
+    def readout(self) -> np.ndarray:
+        """The (K, d) input-space readout W = alpha (A - B): row k is
+        sum_i alpha_ki (a_i - b_i), bias direction k's dual expansion with
+        phi taken as the identity.  x - beta(x) W is every kernel's
+        pre-image; for the linear kernel W is orthonormal and
+        beta(x) = x W^T."""
+        return self.alphas @ (self.pairs_a - self.pairs_b)
+
     def input_directions(self) -> np.ndarray:
-        """The (K, d) orthonormal bias directions W = alpha (A - B) in input
-        space, so beta(x) = x W^T; FormatError unless the kernel is linear."""
+        """The (K, d) orthonormal bias directions in input space, readout();
+        FormatError unless the kernel is linear."""
         if self.spec.family != "linear":
             raise FormatError(
                 f"the {self.spec.family} kernel has no input-space bias "
                 "directions; this needs a linear-kernel model"
             )
-        return self.alphas @ (self.pairs_a - self.pairs_b)
+        return self.readout()
 
     @classmethod
     def from_basis(cls, basis: np.ndarray, eigenvalues: np.ndarray) -> "KernelBiasModel":

@@ -1,9 +1,10 @@
 """Seeded 2-D toy dataset with a nonlinear mirrored-pair bias.
 
 Points sit on a noisy parabolic arc; every point is paired with its
-left-right mirror image.  Fitting the kernel bias model on these pairs
-and pre-image-neutralizing the points removes most of the variance along
-the leading bias direction, which external plotting can visualize.
+left-right mirror image.  Fitting the rbf bias model on these pairs
+and neutralizing the points with the readout pre-image x - beta(x) W
+removes most of the variance along the leading bias direction, which
+external plotting can visualize.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .embeddings import EmbeddingTable
 from .errors import DataError
 from .kernels import KernelSpec
 from .linear import DefiningSets
-from .preimage import fit_preimage_map, preimage_neutralize_matrix
+from .preimage import preimage_neutralize_matrix
 from .rkhs import beta_matrix, fit_kernel_model
 from .seeding import rng_for
 
@@ -37,7 +38,7 @@ def generate_toy_points(seed: int, n_points: int) -> np.ndarray:
 
 
 def run_toy_demo(
-    seed: int, n_points: int, gamma: float = 1.0, ridge_lambda: float = 1e-6
+    seed: int, n_points: int, gamma: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Generate, fit, neutralize.  Returns (points, neutralized, stats)."""
     points = generate_toy_points(seed, n_points)
@@ -46,10 +47,7 @@ def run_toy_demo(
     table = EmbeddingTable(words=words, matrix=points)
     sets = DefiningSets(tuple((2 * i, 2 * i + 1) for i in range(n_pairs)))
     model = fit_kernel_model(KernelSpec("rbf", gamma=gamma), table, sets, k=1)
-    weights = fit_preimage_map(
-        model, table, sample=list(range(points.shape[0])), ridge_lambda=ridge_lambda
-    )
-    neutralized = preimage_neutralize_matrix(model, points, weights)
+    neutralized = preimage_neutralize_matrix(model, points)
     var_before = float(np.var(beta_matrix(model, points)[:, 0]))
     var_after = float(np.var(beta_matrix(model, neutralized)[:, 0]))
     stats = {"bias_variance_before": var_before, "bias_variance_after": var_after}

@@ -5,7 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kerndebias import DefiningSets, EmbeddingTable, unit_normalize
+from kerndebias import DefiningSets, EmbeddingTable, KernelSpec, unit_normalize
+
+
+# One kernel of every family, a convex combination among them.
+KERNEL_ZOO = [
+    KernelSpec("linear"),
+    KernelSpec("cosine"),
+    KernelSpec("rbf", gamma=0.8),
+    KernelSpec("laplace", gamma=0.5),
+    KernelSpec("polynomial", gamma=1.0, coef0=1.0, degree=3),
+    KernelSpec("sigmoid", gamma=0.3, coef0=0.5),
+    KernelSpec(
+        "convex_combination",
+        components=(
+            (0.4, KernelSpec("rbf", gamma=1.2)),
+            (0.35, KernelSpec("laplace", gamma=0.6)),
+            (0.25, KernelSpec("cosine")),
+        ),
+    ),
+]
 
 
 def random_table(rng: np.random.Generator, n_words: int, dim: int) -> EmbeddingTable:

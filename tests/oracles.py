@@ -71,6 +71,38 @@ def raw_beta(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     return psi @ model.alphas.T
 
 
+def ridge_preimage_weights(
+    model: KernelBiasModel, sample: np.ndarray, ridge_lambda: float = 1e-6
+) -> np.ndarray:
+    """The (K, d) weights W of a Bakir, Weston & Schoelkopf (2004)-style
+    ridge pre-image map, applied as x - beta(x) W: the ridge regression of
+    the centered sample rows on their centered bias coordinates."""
+    sample = np.asarray(sample, dtype=np.float64)
+    coords = raw_beta(model, sample)
+    coords_c = coords - coords.mean(axis=0)
+    targets_c = sample - sample.mean(axis=0)
+    normal = coords_c.T @ coords_c + ridge_lambda * np.eye(model.k)
+    return np.linalg.solve(normal, coords_c.T @ targets_c)
+
+
+def preimage_residual(model: KernelBiasModel, x: np.ndarray, x_new: np.ndarray) -> np.ndarray:
+    """Per row, r = ||phi(x') - P_perp phi(x)||^2 / ||P_perp phi(x)||^2 for
+    the candidate pre-image x' of the neutralized image of x, from kernel
+    values only:
+
+        (k(x', x') - 2 [k(x', x) - beta(x') . beta(x)] + k~(x, x)) / k~(x, x)
+
+    with k~(x, x) = k(x, x) - |beta(x)|^2.  r = 0 is an exact pre-image.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
+    bx, bn = raw_beta(model, x), raw_beta(model, x_new)
+    neutral = np.diag(gram_matrix(model.spec, x, x)) - np.sum(bx * bx, axis=1)
+    cross = np.diag(gram_matrix(model.spec, x_new, x)) - np.sum(bn * bx, axis=1)
+    new = np.diag(gram_matrix(model.spec, x_new, x_new))
+    return (new - 2.0 * cross + neutral) / neutral
+
+
 def direction_gram(model: KernelBiasModel) -> np.ndarray:
     """Gram of the fitted bias directions via raw kernel evaluations: the
     directions expand over the pair differences phi(a_i) - phi(b_i), whose

@@ -5,7 +5,6 @@ import pytest
 
 from kerndebias import (
     EmbeddingTable,
-    fit_preimage_map,
     parse_embedding_text,
     preimage_neutralize_matrix,
     unit_normalize,
@@ -13,8 +12,6 @@ from kerndebias import (
 )
 from kerndebias.cli import main
 from kerndebias.configio import model_from_dict
-from kerndebias.preimage import default_sample
-from kerndebias.seeding import rng_for
 from conftest import planted_bias_table, random_instance
 from oracles import primal_neutralize
 
@@ -125,10 +122,6 @@ def _earlier_format(data: dict) -> dict:
         ("gram_scale", lambda v: float("inf")),
         ("gram_scale", lambda v: str(v)),
         ("gram_scale", lambda v: True),
-        ("pair_words", lambda v: [["he"]]),
-        ("pair_words", lambda v: 5),
-        ("pair_words", lambda v: [["he", 3]]),
-        ("pair_words", lambda v: None),
         ("type", None),
         ("type", lambda v: "quadratic"),
         ("type", lambda v: 5),
@@ -140,8 +133,7 @@ def _earlier_format(data: dict) -> dict:
         "alphas-nan", "pairs_a-nan", "eigenvalues-inf", "earlier-format",
         "k-text", "discarded_negative-float", "gram_scale-zero",
         "gram_scale-negative", "gram_scale-inf", "gram_scale-text", "gram_scale-bool",
-        "pair_words-one-word", "pair_words-number", "pair_words-non-string",
-        "pair_words-null", "type-missing", "type-quadratic", "type-number", "type-null",
+        "type-missing", "type-quadratic", "type-number", "type-null",
     ],
 )
 def test_malformed_kernel_model_exits_2(planted_files, tmp_path, capsys, field, corrupt):
@@ -173,6 +165,28 @@ def test_malformed_kernel_model_exits_2(planted_files, tmp_path, capsys, field, 
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value", [[["he"]], 5, [["he", 3]], None],
+    ids=["pair_words-one-word", "pair_words-number", "pair_words-non-string",
+         "pair_words-null"],
+)
+def test_stale_pair_words_is_ignored(planted_files, tmp_path, value):
+    """Kernel files from before the readout pre-image carry pair_words;
+    nothing reads it now, so any value of it leaves every output as is."""
+    paths = planted_files
+    _fit_kernel(paths)
+    outputs = {}
+    for tag in ("clean", "stale"):
+        if tag == "stale":
+            data = json.loads(paths["model"].read_text())
+            paths["model"].write_text(json.dumps({**data, "pair_words": value}))
+        common = ["--embeddings", str(paths["embeddings"]), "--model", str(paths["model"])]
+        assert main(["sim", *common, "--out", str(tmp_path / f"{tag}.json"), "he", "n0"]) == 0
+        assert main(["apply", *common, "--out", str(tmp_path / f"{tag}.txt")]) == 0
+        outputs[tag] = [(tmp_path / f"{tag}.{ext}").read_text() for ext in ("json", "txt")]
+    assert outputs["stale"] == outputs["clean"]
 
 
 @pytest.mark.parametrize(
@@ -289,6 +303,7 @@ def test_weat_seed_flag_overrides_config_seed(planted_files, tmp_path):
         (["professions", "--neighbors", "-5"], "neighbor count"),
         (["professions", "--neighbors", "0"], "neighbor count"),
         (["classify", "--n-biased", "-10"], "n_biased"),
+        (["classify", "--n-biased", "1"], "n_biased must be at least 2"),
         (["classify", "--n-train", "0"], "n_train"),
         (["classify", "--c-reg", "0"], "c_reg"),
         (["classify", "--c-reg", "-1"], "c_reg"),
@@ -302,7 +317,8 @@ def test_weat_seed_flag_overrides_config_seed(planted_files, tmp_path):
         (["classify", "--svm-gamma", "nan"], "svm_gamma"),
     ],
     ids=[
-        "neighbors-negative", "neighbors-zero", "n-biased-negative", "n-train-zero",
+        "neighbors-negative", "neighbors-zero", "n-biased-negative", "n-biased-one",
+        "n-train-zero",
         "c-reg-zero", "c-reg-negative", "c-reg-nan", "c-reg-inf", "tol-negative",
         "tol-zero", "tol-inf", "svm-gamma-zero", "svm-gamma-negative", "svm-gamma-nan",
     ],
@@ -319,28 +335,40 @@ def test_out_of_range_eval_value_exits_2(planted_files, capsys, argv, name):
     assert name in capsys.readouterr().err
 
 
+def _exit_code(argv: list[str]) -> int:
+    """main's return value, or the status argparse exits with on a bad flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# --ridge-lambda and --preimage-sample are not apply flags; argparse exits 2 on them.
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["--ridge-lambda", "-1"], "ridge_lambda"),
-        (["--ridge-lambda", "nan"], "ridge_lambda"),
-        (["--ridge-lambda", "inf"], "ridge_lambda"),
-        (["--preimage-sample", "-5"], "pre-image sample"),
+        (["--precision", "0"], "precision must be in [1, 17]"),
+        (["--precision", "18"], "precision must be in [1, 17]"),
+        (["--ridge-lambda", "-1"], "unrecognized arguments: --ridge-lambda"),
+        (["--ridge-lambda", "nan"], "unrecognized arguments: --ridge-lambda"),
+        (["--ridge-lambda", "inf"], "unrecognized arguments: --ridge-lambda"),
+        (["--preimage-sample", "-5"], "unrecognized arguments: --preimage-sample"),
     ],
     ids=[
-        "ridge-lambda-negative", "ridge-lambda-nan", "ridge-lambda-inf",
-        "preimage-sample-negative",
+        "precision-zero", "precision-18", "ridge-lambda-negative", "ridge-lambda-nan",
+        "ridge-lambda-inf", "preimage-sample-negative",
     ],
 )
 def test_out_of_range_apply_value_exits_2(planted_files, tmp_path, capsys, argv, name):
     paths = planted_files
     _fit_kernel(paths)
-    assert main([
+    out, out_model = tmp_path / "out.txt", tmp_path / "out-model.json"
+    assert _exit_code([
         "apply", "--embeddings", str(paths["embeddings"]), "--model", str(paths["model"]),
-        "--out", str(tmp_path / "out.txt"), *argv,
+        "--out", str(out), "--out-model", str(out_model), *argv,
     ]) == 2
     assert name in capsys.readouterr().err
-    assert not (tmp_path / "out.txt").exists()
+    assert not out.exists() and not out_model.exists()
 
 
 @pytest.mark.parametrize(
@@ -476,6 +504,19 @@ def test_malformed_weat_number_exits_2(planted_files, capsys, field, value):
     assert repr(field) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("score", ["nan", "inf"])
+def test_non_finite_simlex_score_exits_2(planted_files, capsys, score):
+    paths = planted_files
+    lines = paths["simlex"].read_text().splitlines()
+    lines[3] = "\t".join(lines[3].split("\t")[:2] + [score])
+    paths["simlex"].write_text("\n".join(lines) + "\n")
+    assert main([
+        "eval", "simlex", "--embeddings", str(paths["embeddings"]),
+        "--pairs", str(paths["simlex"]),
+    ]) == 2
+    assert f"simlex.tsv:4: score '{score}' is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("target", ["embeddings", "professions"])
 def test_non_utf8_input_exits_2(planted_files, capsys, target):
     paths = planted_files
@@ -496,45 +537,33 @@ def test_demo_toy_rejects_nonpositive_gamma(tmp_path, capsys, gamma):
     assert not out.exists()
 
 
-def _expected_preimage(paths, pairs, seed, extra):
-    """Embedding text and pre-image block built from the library calls."""
-    with open(paths["embeddings"], encoding="utf-8") as handle:
-        table = unit_normalize(parse_embedding_text(handle))
-    model = model_from_dict(json.loads(paths["model"].read_text()))
-    sample = default_sample(table, pairs, rng_for(seed, "preimage-sample"), extra=extra)
-    weights = fit_preimage_map(model, table, sample)
-    matrix = preimage_neutralize_matrix(model, table.matrix, weights)
-    text = write_embedding_text(EmbeddingTable(words=table.words, matrix=matrix), precision=9)
-    # The block records the (d, K) map W^T, the ridge strength and the sample.
-    block = {"ridge_weights": weights.T.tolist(), "ridge_lambda": 1e-6, "training_words": sample}
-    return text, json.loads(json.dumps(block))
-
-
 @pytest.mark.parametrize("source", ["sets", "pair_words"])
 def test_kernel_apply_matches_library_preimage(planted_files, tmp_path, source):
+    """rbf apply writes preimage_neutralize_matrix at precision 9: with
+    --sets, and from a file that still carries the pair_words and preimage
+    entries of earlier files, which apply ignores."""
     paths = planted_files
     _fit_kernel(paths)
-    pair_words = json.loads(paths["model"].read_text())["pair_words"]
-    words = json.loads(paths["sets"].read_text())["defining_sets"]
-    assert pair_words == words
-    index = {w: i for i, w in enumerate(
-        line.split()[0] for line in paths["embeddings"].read_text().splitlines()
-    )}
-    pairs = tuple((index[a], index[b]) for a, b in words)
-    out, out_model = tmp_path / "applied.txt", tmp_path / "preimage.json"
+    data = json.loads(paths["model"].read_text())
+    assert "pair_words" not in data
+    out = tmp_path / "applied.txt"
     argv = [
         "apply", "--embeddings", str(paths["embeddings"]), "--model", str(paths["model"]),
-        "--seed", "9", "--preimage-sample", "20", "--out", str(out),
-        "--out-model", str(out_model),
+        "--out", str(out),
     ]
     if source == "sets":
         argv += ["--sets", str(paths["sets"])]
+    else:
+        pair_words = json.loads(paths["sets"].read_text())["defining_sets"]
+        paths["model"].write_text(json.dumps(
+            {**data, "pair_words": pair_words, "preimage": {"ridge_lambda": 1e-6}}
+        ))
     assert main(argv) == 0
-    text, block = _expected_preimage(paths, pairs, seed=9, extra=20)
-    assert out.read_text() == text
-    written = json.loads(out_model.read_text())
-    assert written["preimage"] == block
-    assert len(written["preimage"]["training_words"]) == 2 * len(pairs) + 20
+    with open(paths["embeddings"], encoding="utf-8") as handle:
+        table = unit_normalize(parse_embedding_text(handle))
+    matrix = preimage_neutralize_matrix(model_from_dict(data), table.matrix)
+    expected = EmbeddingTable(words=table.words, matrix=matrix)
+    assert out.read_text() == write_embedding_text(expected, precision=9)
 
 
 def _fit_linear(paths) -> None:
@@ -641,7 +670,7 @@ def generic_files(rng, tmp_path):
 
 
 def _apply(paths, model, out, *extra) -> int:
-    return main([
+    return _exit_code([
         "apply", "--embeddings", str(paths["embeddings"]), "--model", str(paths[model]),
         "--precision", "17", "--out", str(out), *extra,
     ])
@@ -678,11 +707,11 @@ def test_linear_file_apply_is_primal_projection(generic_files, tmp_path):
     assert out.read_text() == write_embedding_text(expected, precision=17)
 
 
-@pytest.mark.parametrize("model", ["linear", "kernel-linear"])
+@pytest.mark.parametrize("model", ["linear", "kernel-linear", "rbf"])
 def test_out_model_written_without_ridge_block(generic_files, tmp_path, model):
     paths = generic_files
     data = json.loads(paths[model].read_text())
-    # A block left by an earlier apply names a ridge map this one does not fit.
+    # A block left by an earlier apply names a ridge map that apply no longer fits.
     paths[model].write_text(json.dumps({**data, "preimage": {"ridge_lambda": 1.0}}))
     out_model = tmp_path / "out-model.json"
     assert _apply(paths, model, tmp_path / "out.txt", "--out-model", str(out_model)) == 0
@@ -696,7 +725,26 @@ def test_ridge_flags_with_linear_kernel_model_exit_2(generic_files, tmp_path, ca
                                                      model, flag):
     paths = generic_files
     assert _apply(paths, model, tmp_path / "out.txt", *flag) == 2
-    assert "nonlinear-kernel model" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "sets, code, message",
+    [("missing", 2, "No such file"), ("not-json", 2, "invalid JSON"),
+     ("no-table-word", 3, "no defining pairs")],
+)
+@pytest.mark.parametrize("model", ["linear", "kernel-linear", "rbf"])
+def test_apply_reads_sets_for_every_model(generic_files, tmp_path, capsys, model, sets,
+                                          code, message):
+    paths = generic_files
+    path = tmp_path / "sets.json"
+    if sets == "not-json":
+        path.write_text("{not json")
+    elif sets == "no-table-word":
+        path.write_text(json.dumps({"defining_sets": [["absent1", "absent2"]]}))
+    assert _apply(paths, model, tmp_path / "out.txt", "--sets", str(path)) == code
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
 
 

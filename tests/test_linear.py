@@ -20,7 +20,7 @@ from oracles import primal_linear_model
 
 def neutralize_row(model, w: np.ndarray) -> np.ndarray:
     """apply's x - beta(x) W with the exact linear weights W = alpha (A - B)."""
-    return preimage_neutralize_matrix(model, w[None, :], model.input_directions())[0]
+    return preimage_neutralize_matrix(model, w[None, :])[0]
 
 
 def project(model, w: np.ndarray) -> np.ndarray:

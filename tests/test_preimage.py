@@ -2,168 +2,166 @@ import numpy as np
 import pytest
 
 from kerndebias import (
-    DataError,
-    FormatError,
+    DefiningSets,
+    EmbeddingTable,
     KernelSpec,
     beta_matrix,
     fit_kernel_model,
-    fit_preimage_map,
     preimage_neutralize_matrix,
+    unit_normalize,
 )
-from kerndebias.preimage import default_sample
-from kerndebias.seeding import rng_for
-from conftest import planted_bias_table, random_instance
-from oracles import primal_linear_model, primal_neutralize
+from kerndebias.toydemo import run_toy_demo
+from conftest import KERNEL_ZOO, planted_bias_table, random_instance
+from oracles import (
+    preimage_residual,
+    primal_linear_model,
+    primal_neutralize,
+    ridge_preimage_weights,
+)
 
 
 def planted_setup(rng, spec=None, k=1):
-    table, sets, u = planted_bias_table(rng, n_pairs=8, n_neutral=24, dim=7)
-    spec = spec or KernelSpec("linear")
-    model = fit_kernel_model(spec, table, sets, k=k)
-    linear = primal_linear_model(table, sets, k)
-    sample = [i for pair in sets.pairs for i in pair]
-    return table, sets, model, linear, sample
+    table, sets, _ = planted_bias_table(rng, n_pairs=8, n_neutral=24, dim=7)
+    model = fit_kernel_model(spec or KernelSpec("linear"), table, sets, k=k)
+    return table, sets, model
 
 
-def neutralize_row(model, weights, w: np.ndarray) -> np.ndarray:
-    return preimage_neutralize_matrix(model, w[None, :], weights)[0]
+def neutralize_row(model, w: np.ndarray) -> np.ndarray:
+    return preimage_neutralize_matrix(model, w[None, :])[0]
 
 
 class TestLinearExactness:
     def test_matches_projection_on_training_words(self, rng):
-        table, sets, model, linear, sample = planted_setup(rng)
-        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
-        for idx in sample:
+        table, sets, model = planted_setup(rng)
+        linear = primal_linear_model(table, sets, 1)
+        for idx in (i for pair in sets.pairs for i in pair):
             w = table.matrix[idx]
             expected = w - linear.project(w)
-            assert np.linalg.norm(neutralize_row(model, weights, w) - expected) <= 1e-6
+            assert np.linalg.norm(neutralize_row(model, w) - expected) <= 1e-12
 
     def test_matches_projection_on_held_out_words(self, rng):
-        table, sets, model, linear, sample = planted_setup(rng)
-        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
-        held_out = [i for i in range(len(table)) if i not in set(sample)]
-        for idx in held_out:
+        table, sets, model = planted_setup(rng)
+        linear = primal_linear_model(table, sets, 1)
+        for idx in range(2 * len(sets), len(table)):
             w = table.matrix[idx]
             expected = w - linear.project(w)
-            assert np.linalg.norm(neutralize_row(model, weights, w) - expected) <= 1e-4
+            assert np.linalg.norm(neutralize_row(model, w) - expected) <= 1e-12
 
     def test_learned_map_reproduces_bias_component(self, rng):
-        table, sets, model, linear, sample = planted_setup(rng)
-        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-8)
+        # The readout alpha (A - B), fitted from the pairs alone, gives the
+        # bias component of a vector off the table and off the unit sphere.
+        table, sets, model = planted_setup(rng)
+        linear = primal_linear_model(table, sets, 1)
         w = rng.normal(size=table.dim)
-        np.testing.assert_allclose(
-            w - neutralize_row(model, weights, w), linear.project(w), atol=1e-6
-        )
+        np.testing.assert_allclose(w - neutralize_row(model, w), linear.project(w), atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_readout_matches_projection_without_mirror_pairs(self, rng, k):
-        # Generic pairs: their neutral parts do not cancel, and a ridge map
-        # fitted on the whole table misses the projection by about 0.5
-        # (max abs); the input directions alpha (A - B) give it exactly.
+        # Generic pairs: their neutral parts do not cancel.
         table, sets = random_instance(rng, n_words=40, dim=9, n_pairs=6)
         model = fit_kernel_model(KernelSpec("linear"), table, sets, k=k)
         expected = primal_neutralize(primal_linear_model(table, sets, k).basis, table.matrix)
-        got = preimage_neutralize_matrix(model, table.matrix, model.input_directions())
+        got = preimage_neutralize_matrix(model, table.matrix)
         assert np.max(np.abs(got - expected)) <= 1e-12
-
-
-class TestRidgeBehavior:
-    def test_huge_lambda_leaves_vectors_unchanged(self, rng):
-        table, sets, model, _, sample = planted_setup(rng)
-        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e12)
-        w = rng.normal(size=table.dim)
-        np.testing.assert_allclose(neutralize_row(model, weights, w), w, atol=1e-8)
-
-    def test_sample_too_small(self, rng):
-        table, sets, model, _, _ = planted_setup(rng)
-        with pytest.raises(DataError, match="at least 2"):
-            fit_preimage_map(model, table, [0], ridge_lambda=1e-6)
-
-    def test_singular_at_zero_lambda(self, rng):
-        # Sample entirely on the mirror hyperplane: every beta is zero, so
-        # the normal equations are singular without a ridge.
-        table, sets, model, _, _ = planted_setup(rng, spec=KernelSpec("rbf", gamma=1.0))
-        matrix = table.matrix.copy()
-        matrix[:, 0] = 0.0
-        flat = type(table)(words=table.words, matrix=matrix)
-        with pytest.raises(DataError, match="ridge_lambda > 0"):
-            fit_preimage_map(model, flat, list(range(6)), ridge_lambda=0.0)
-
-    def test_negative_lambda_rejected(self, rng):
-        table, sets, model, _, sample = planted_setup(rng)
-        with pytest.raises(FormatError, match="ridge_lambda"):
-            fit_preimage_map(model, table, sample, ridge_lambda=-1.0)
-
-    @pytest.mark.parametrize("ridge_lambda", [float("nan"), float("inf")])
-    def test_non_finite_lambda_rejected(self, rng, ridge_lambda):
-        table, sets, model, _, sample = planted_setup(rng)
-        with pytest.raises(FormatError, match="ridge_lambda"):
-            fit_preimage_map(model, table, sample, ridge_lambda=ridge_lambda)
 
 
 class TestDecomposition:
     def test_zero_beta_point_unchanged(self, rng):
-        table, sets, model, _, sample = planted_setup(rng, spec=KernelSpec("rbf", gamma=1.0))
-        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
-        w = rng.normal(size=table.dim)
+        _, _, model = planted_setup(rng, spec=KernelSpec("rbf", gamma=1.0))
+        w = rng.normal(size=model.dim)
         w[0] = 0.0  # mirror-symmetric: beta exactly zero
-        np.testing.assert_array_equal(neutralize_row(model, weights, w), w)
+        np.testing.assert_array_equal(neutralize_row(model, w), w)
 
     def test_additive_decomposition_exact(self, rng):
         # Exact by construction; the subtract-then-add round trip costs at
         # most one rounding per component.
-        table, sets, model, _, sample = planted_setup(rng, spec=KernelSpec("rbf", gamma=0.8))
-        weights = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
+        _, _, model = planted_setup(rng, spec=KernelSpec("rbf", gamma=0.8))
         for _ in range(10):
-            w = rng.normal(size=table.dim)
-            bias_part = beta_matrix(model, w[None, :])[0] @ weights
-            recomposed = neutralize_row(model, weights, w) + bias_part
+            w = rng.normal(size=model.dim)
+            bias_part = beta_matrix(model, w[None, :])[0] @ model.readout()
+            recomposed = neutralize_row(model, w) + bias_part
             np.testing.assert_array_max_ulp(recomposed, w, maxulp=1)
 
     def test_deterministic(self, rng):
-        table, sets, model, _, sample = planted_setup(rng, spec=KernelSpec("rbf", gamma=0.8))
-        first = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
-        second = fit_preimage_map(model, table, sample, ridge_lambda=1e-6)
-        np.testing.assert_array_equal(first, second)
-        w = rng.normal(size=table.dim)
+        table, _, model = planted_setup(rng, spec=KernelSpec("rbf", gamma=0.8))
         np.testing.assert_array_equal(
-            neutralize_row(model, first, w), neutralize_row(model, second, w)
+            preimage_neutralize_matrix(model, table.matrix),
+            preimage_neutralize_matrix(model, table.matrix),
         )
+
+
+def mirrored_parabola(rng, n_pairs: int) -> tuple[EmbeddingTable, DefiningSets]:
+    """Noisy parabola points, each paired with its left-right mirror."""
+    xs = rng.uniform(0.3, 1.0, size=n_pairs)
+    ys = xs**2 + rng.normal(0, 0.02, size=n_pairs)
+    points = np.empty((2 * n_pairs, 2))
+    points[0::2] = np.column_stack([xs, ys])
+    points[1::2] = np.column_stack([-xs, ys])
+    table = EmbeddingTable(words=tuple(f"p{i}" for i in range(2 * n_pairs)), matrix=points)
+    return table, DefiningSets(tuple((2 * i, 2 * i + 1) for i in range(n_pairs)))
 
 
 class TestNonlinearRemoval:
     def test_bias_coordinate_variance_shrinks(self, rng):
-        # Noisy parabola with mirrored pairs: after pre-image
-        # neutralization the leading bias coordinate loses variance.
-        n_pairs = 40
-        xs = rng.uniform(0.3, 1.0, size=n_pairs)
-        ys = xs**2 + rng.normal(0, 0.02, size=n_pairs)
-        points = np.empty((2 * n_pairs, 2))
-        points[0::2] = np.column_stack([xs, ys])
-        points[1::2] = np.column_stack([-xs, ys])
-        table = type(planted_bias_table(rng)[0])(
-            words=tuple(f"p{i}" for i in range(2 * n_pairs)), matrix=points
-        )
-        from kerndebias import DefiningSets
-
-        sets = DefiningSets(tuple((2 * i, 2 * i + 1) for i in range(n_pairs)))
+        table, sets = mirrored_parabola(rng, 40)
         model = fit_kernel_model(KernelSpec("rbf", gamma=1.0), table, sets, k=1)
-        weights = fit_preimage_map(model, table, list(range(2 * n_pairs)), ridge_lambda=1e-6)
-        neutralized = preimage_neutralize_matrix(model, points, weights)
-        var_before = np.var(beta_matrix(model, points)[:, 0])
+        neutralized = preimage_neutralize_matrix(model, table.matrix)
+        var_before = np.var(beta_matrix(model, table.matrix)[:, 0])
         var_after = np.var(beta_matrix(model, neutralized)[:, 0])
         assert var_after < var_before
 
+    @pytest.mark.parametrize("n_points", [20, 40, 60, 200])
+    def test_toy_demo_halves_bias_variance(self, n_points):
+        # The benchmark's toy check at its point counts and beyond.
+        for seed in range(10):
+            stats = run_toy_demo(seed, n_points)[2]
+            assert stats["bias_variance_after"] < 0.5 * stats["bias_variance_before"]
 
-class TestSampling:
-    def test_default_sample_contains_pair_words(self, rng):
-        table, sets, model, _, _ = planted_setup(rng)
-        sample = default_sample(table, sets.pairs, rng_for(7, "test"), extra=5)
-        pair_words = {i for pair in sets.pairs for i in pair}
-        assert pair_words.issubset(set(sample))
-        assert len(sample) == len(pair_words) + 5
 
-    def test_default_sample_negative_extra_rejected(self, rng):
-        table, sets, model, _, _ = planted_setup(rng)
-        with pytest.raises(FormatError, match="at least 0"):
-            default_sample(table, sets.pairs, rng_for(7, "test"), extra=-5)
+# The sigmoid kernel is indefinite: its r is no squared distance (it goes
+# negative), so no ordering of r ranks two pre-images.
+POSITIVE_ZOO = [spec for spec in KERNEL_ZOO if spec.family != "sigmoid"]
+RESIDUAL_CASES = [
+    (spec, k, fixture)
+    for spec in POSITIVE_ZOO
+    for k in (1, 2)
+    for fixture in ("random", "planted")
+    # The planted pairs differ along one input direction: rank 1 for these.
+    if not (fixture == "planted" and k == 2 and spec.family in ("linear", "cosine"))
+]
+
+
+def residual_fixture(rng, fixture: str) -> tuple[EmbeddingTable, DefiningSets]:
+    """40 unit rows, as apply reads them: generic pairs, or mirror pairs."""
+    if fixture == "planted":
+        return planted_bias_table(rng, n_pairs=8, n_neutral=24, dim=7)[:2]
+    table, sets = random_instance(rng, n_words=40, dim=9, n_pairs=6)
+    return unit_normalize(table), sets
+
+
+class TestResidual:
+    @pytest.mark.parametrize("fixture, k", [("random", 1), ("random", 2), ("planted", 1)])
+    def test_linear_readout_is_exact(self, rng, fixture, k):
+        table, sets = residual_fixture(rng, fixture)
+        model = fit_kernel_model(KernelSpec("linear"), table, sets, k=k)
+        x = table.matrix
+        r = preimage_residual(model, x, preimage_neutralize_matrix(model, x))
+        assert np.max(np.abs(r)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, k, fixture", RESIDUAL_CASES,
+        ids=[f"{spec.family}-k{k}-{fixture}" for spec, k, fixture in RESIDUAL_CASES],
+    )
+    def test_readout_at_most_ridge_map(self, rng, spec, k, fixture):
+        # The ridge map is fitted on every row, as apply's sample of at
+        # most 500 extra words was on a table this small.
+        table, sets = residual_fixture(rng, fixture)
+        model = fit_kernel_model(spec, table, sets, k=k)
+        x = table.matrix
+        readout = preimage_residual(model, x, preimage_neutralize_matrix(model, x))
+        ridge = preimage_residual(
+            model, x, x - beta_matrix(model, x) @ ridge_preimage_weights(model, x)
+        )
+        assert np.median(readout) <= np.median(ridge)
+        if fixture == "planted":
+            assert np.all(readout <= ridge)

@@ -18,7 +18,7 @@ from kerndebias import (
 )
 from kerndebias.configio import model_from_dict, model_to_dict
 from kerndebias.numerics import symmetric_eig
-from conftest import planted_bias_table, random_instance
+from conftest import KERNEL_ZOO, planted_bias_table, random_instance
 from oracles import (
     direction_gram,
     equalized_member_inner,
@@ -26,23 +26,6 @@ from oracles import (
     primal_linear_model,
     primal_neutralize,
 )
-
-KERNEL_ZOO = [
-    KernelSpec("linear"),
-    KernelSpec("cosine"),
-    KernelSpec("rbf", gamma=0.8),
-    KernelSpec("laplace", gamma=0.5),
-    KernelSpec("polynomial", gamma=1.0, coef0=1.0, degree=3),
-    KernelSpec("sigmoid", gamma=0.3, coef0=0.5),
-    KernelSpec(
-        "convex_combination",
-        components=(
-            (0.4, KernelSpec("rbf", gamma=1.2)),
-            (0.35, KernelSpec("laplace", gamma=0.6)),
-            (0.25, KernelSpec("cosine")),
-        ),
-    ),
-]
 
 NORMALIZED_KERNELS = [
     KernelSpec("rbf", gamma=0.9),
