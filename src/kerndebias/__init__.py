@@ -5,9 +5,11 @@ Core pieces:
 - :mod:`kerndebias.embeddings` -- embedding tables and their text format.
 - :mod:`kerndebias.kernels` -- kernel specs and Gram matrices.
 - :mod:`kerndebias.rkhs` -- the one bias fit, fit_kernel_model, the one
-  bias-model type, KernelBiasModel, and CorrectedMetric, the one corrected
-  metric k~(x, y) = k(x, y) - beta(x) . beta(y) over a model's (spec, beta)
-  or over none (plain cosine).
+  bias-model type, KernelBiasModel, its bias coordinates beta_matrix, and
+  CorrectedMetric, the one corrected metric
+  k~(x, y) = k(x, y) - beta(x) . beta(y): built over a table and a model,
+  or none (plain cosine), it caches beta of the vocabulary and answers
+  word and row queries.
 - :mod:`kerndebias.linear` -- the linear bias subspace, read out of the
   kernel fit with the linear kernel as a linear-kernel KernelBiasModel
   (beta(x) = x B^T); equalize.
@@ -15,10 +17,10 @@ Core pieces:
   x - beta(x) W for every kernel, with the readout W = alpha (A - B):
   the exact projection for the linear kernel.
 - :mod:`kerndebias.evaluation` -- association tests, professions
-  correlation, indirect-bias SVM, similarity-judgment scoring, all through
-  one backend's ``similarity_matrix(rows, cols)``: the (rows, cols)
-  corrected cosines in [-1, 1]; a queried word whose corrected self
-  product is at most 1e-12 k(w, w) raises DataError.
+  correlation, indirect-bias SVM, similarity-judgment scoring, each over
+  one CorrectedMetric and its ``similarity_matrix(rows, cols)``: the
+  (rows, cols) corrected cosines in [-1, 1]; a queried word whose
+  corrected self product is at most 1e-12 k(w, w) raises DataError.
 - :mod:`kerndebias.configio` -- input files, and the model file: the one
   place that writes (model_to_dict) and reads (model_from_dict, load_model)
   it.

@@ -26,10 +26,10 @@ from .embeddings import (
     write_embedding_text,
 )
 from .errors import DataError, FormatError, NumericalError
-from .kernels import _NEEDS_COEF0, _NEEDS_GAMMA, FAMILIES, KernelSpec, default_gamma
+from .kernels import _PARAMETER_FAMILIES, FAMILIES, KernelSpec, default_gamma
 from .linear import equalize_set, fit_linear_subspace, resolve_word_sets
 from .preimage import preimage_neutralize_matrix
-from .rkhs import fit_kernel_model
+from .rkhs import CorrectedMetric, check_dimension, fit_kernel_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,9 +68,7 @@ def _kernel_spec_from_args(args: argparse.Namespace, dim: int) -> KernelSpec:
         raise FormatError("convex_combination must be given as JSON")
     defaults = {"gamma": default_gamma(dim), "coef0": 1.0, "degree": 2}
     kwargs: dict = {}
-    for name, families in (
-        ("gamma", _NEEDS_GAMMA), ("coef0", _NEEDS_COEF0), ("degree", {"polynomial"})
-    ):
+    for name, families in _PARAMETER_FAMILIES.items():
         value = getattr(args, name)
         if family in families:
             kwargs[name] = defaults[name] if value is None else value
@@ -88,9 +86,9 @@ def _resolve_sets(args: argparse.Namespace, table: EmbeddingTable):
     return sets, eq_sets
 
 
-def _make_backend(args: argparse.Namespace, table: EmbeddingTable):
+def _metric(args: argparse.Namespace, table: EmbeddingTable) -> CorrectedMetric:
     model = configio.load_model(args.model)[0] if args.model is not None else None
-    return evaluation.CorrectedKernelBackend(table, model)
+    return CorrectedMetric(table, model)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -160,7 +158,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     --equalize, the equality sets re-embedded."""
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     model, data = configio.load_model(args.model)
-    evaluation.check_dimension(model.dim, table)
+    check_dimension(model.dim, table)
     if args.equalize and model.spec.family != "linear":
         raise FormatError("--equalize needs a linear-kernel model")
     if args.equalize and args.sets is None:
@@ -185,11 +183,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if len(args.words) % 2 != 0:
         raise FormatError("sim expects an even number of words (pairs)")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
-    backend = _make_backend(args, table)
+    metric = _metric(args, table)
     pairs = list(zip(args.words[0::2], args.words[1::2]))
-    values = evaluation.pair_similarities(backend, pairs)
+    values = evaluation.pair_similarities(metric, pairs)
     payload = {
-        "backend": backend.name,
+        "backend": metric.name,
         "pairs": [{"a": a, "b": b, "similarity": float(v)} for (a, b), v in zip(pairs, values)],
     }
     _write_text(args.out, json.dumps(payload, indent=1) + "\n")
@@ -198,16 +196,16 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 def cmd_eval_weat(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
-    backend = _make_backend(args, table)
+    metric = _metric(args, table)
     cfg = configio.load_weat_config(args.config)
     if args.permutations is not None:
         cfg = dataclasses.replace(cfg, permutations=args.permutations)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    result = evaluation.weat_test(backend, cfg)
+    result = evaluation.weat_test(metric, cfg)
     payload = {
         "test": "weat",
-        "backend": backend.name,
+        "backend": metric.name,
         "effect_size": result.effect_size,
         "p_value": result.p_value,
         "statistic": result.statistic,
@@ -220,10 +218,9 @@ def cmd_eval_weat(args: argparse.Namespace) -> int:
 
 def cmd_eval_professions(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
-    backend = _make_backend(args, table)
+    metric = _metric(args, table)
     correlation = evaluation.professions_correlation(
-        backend,
-        table,
+        metric,
         configio.load_word_list(args.professions),
         configio.load_word_list(args.male),
         configio.load_word_list(args.female),
@@ -232,7 +229,7 @@ def cmd_eval_professions(args: argparse.Namespace) -> int:
     )
     payload = {
         "test": "professions",
-        "backend": backend.name,
+        "backend": metric.name,
         "pearson": correlation,
         "neighbors": args.neighbors,
         "pool": args.pool,
@@ -243,10 +240,9 @@ def cmd_eval_professions(args: argparse.Namespace) -> int:
 
 def cmd_eval_classify(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
-    backend = _make_backend(args, table)
+    metric = _metric(args, table)
     result = evaluation.indirect_bias_classification(
-        backend,
-        table,
+        metric,
         n_biased=args.n_biased,
         n_train=args.n_train,
         svm_gamma=args.svm_gamma,
@@ -260,12 +256,12 @@ def cmd_eval_classify(args: argparse.Namespace) -> int:
 
 def cmd_eval_simlex(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
-    backend = _make_backend(args, table)
+    metric = _metric(args, table)
     pairs = configio.load_simlex_pairs(args.pairs)
-    correlation, dropped = evaluation.simlex_eval(backend, pairs)
+    correlation, dropped = evaluation.simlex_eval(metric, pairs)
     payload = {
         "test": "simlex",
-        "backend": backend.name,
+        "backend": metric.name,
         "spearman": correlation,
         "scored": len(pairs) - dropped,
         "dropped": dropped,
@@ -293,10 +289,12 @@ def cmd_demo_toy(args: argparse.Namespace) -> int:
 
 
 def _add_common(
-    parser: argparse.ArgumentParser, embeddings: bool = True, seed: int | None = 42
+    parser: argparse.ArgumentParser, embeddings: bool = True, seed: str = "ignored"
 ) -> None:
     """--embeddings and --no-normalize (unless embeddings is False) and
-    --seed, whose default None stands for the config's seed."""
+    --seed.  seed says what the stage does with the flag: "fixed" draws
+    with it (default 42), "config" overrides the config file's seed, and
+    "ignored" accepts it so that one --seed fits every stage."""
     if embeddings:
         parser.add_argument(
             "--embeddings", required=True, help="embedding text file, or - for stdin"
@@ -306,8 +304,12 @@ def _add_common(
             action="store_true",
             help="skip unit-normalizing vectors on load",
         )
-    default = "the config's seed" if seed is None else str(seed)
-    parser.add_argument("--seed", type=int, default=seed, help=f"run seed (default: {default})")
+    default, text = {
+        "fixed": (42, "run seed (default: 42)"),
+        "config": (None, "run seed (default: the config's seed)"),
+        "ignored": (None, "ignored: this stage draws no random numbers"),
+    }[seed]
+    parser.add_argument("--seed", type=int, default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_sub = p_eval.add_subparsers(dest="benchmark", required=True)
 
     p_weat = eval_sub.add_parser("weat", help="association test")
-    _add_common(p_weat, seed=None)
+    _add_common(p_weat, seed="config")
     p_weat.add_argument("--model", help="model JSON (omit for raw cosine)")
     p_weat.add_argument("--config", required=True, help="WEAT config JSON")
     p_weat.add_argument(
@@ -387,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.set_defaults(func=cmd_eval_professions)
 
     p_cls = eval_sub.add_parser("classify", help="indirect-bias SVM")
-    _add_common(p_cls)
+    _add_common(p_cls, seed="fixed")
     p_cls.add_argument("--model", help="model JSON (omit for raw metric)")
     p_cls.add_argument("--n-biased", type=int, default=5000)
     p_cls.add_argument("--n-train", type=int, default=1000)
@@ -405,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sl.set_defaults(func=cmd_eval_simlex)
 
     p_toy = sub.add_parser("demo-toy", help="2-D nonlinear removal demo CSV")
-    _add_common(p_toy, embeddings=False)
+    _add_common(p_toy, embeddings=False, seed="fixed")
     p_toy.add_argument("--n-points", type=int, default=200)
     p_toy.add_argument("--gamma", type=float, default=1.0, help="rbf width (default 1.0)")
     p_toy.add_argument("--out", help="CSV output path (default stdout)")

@@ -206,25 +206,29 @@ def load_word_list(path: str | Path) -> list[str]:
 
 
 def load_simlex_pairs(path: str | Path) -> list[tuple[str, str, float]]:
-    """Tab-separated word1, word2, score rows; a header row is skipped.
+    """Tab-separated word1, word2, score rows; blank lines are skipped, and
+    so is the first non-blank line when its score is not a number (a
+    header).
 
     Raises:
         FormatError: naming file:line, on a row with fewer than 3 fields or
             a score that is not a finite number.
     """
     pairs: list[tuple[str, str, float]] = []
+    first = None  # the number of the first non-blank line
     for lineno, line in enumerate(
         Path(path).read_text(encoding="utf-8").splitlines(), start=1
     ):
         if not line.strip():
             continue
+        first = first or lineno
         fields = line.split("\t")
         if len(fields) < 3:
             raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
         try:
             score = float(fields[2])
         except ValueError:
-            if lineno == 1:
+            if lineno == first:
                 continue  # header
             raise FormatError(f"{path}:{lineno}: bad score {fields[2]!r}") from None
         if not math.isfinite(score):

@@ -1,23 +1,25 @@
-"""Bias and quality evaluations over interchangeable similarity backends.
+"""Bias and quality evaluations over the corrected metric.
 
 Provides the word association test (effect size + one-sided permutation
 p-value), the professions neighbor-correlation benchmark, an SMO-trained
 kernel SVM for the indirect-bias classification protocol, and SimLex-style
-rank-correlation scoring.  Every protocol runs against any backend through
-one batched call, similarity_matrix(rows, cols): the (len(rows),
-len(cols)) cosines of the row words with the column words, clipped to
-[-1, 1].  WEAT makes one (X u Y) x (A u B) call, SimLex one call per
-chunk of pairs over the chunk's distinct first and second words, and
-professions one call per block of professions against all candidates.
+rank-correlation scoring.  Every protocol takes one rkhs.CorrectedMetric
+and queries words through one batched call, similarity_matrix(rows,
+cols): the (len(rows), len(cols)) corrected cosines of the row words with
+the column words, clipped to [-1, 1].  WEAT makes one (X u Y) x (A u B)
+call, SimLex one call per chunk of pairs over the chunk's distinct first
+and second words, and professions one call per block of professions
+against all candidates.  Professions and the indirect-bias protocol read
+the table from metric.table; the SVM measures squared distances with
+metric.squared_distance_matrix.
 
-The one backend, CorrectedKernelBackend, is a word-indexed view of
-rkhs.CorrectedMetric, the corrected metric
-k~(x, y) = k(x, y) - beta(x) . beta(y) over a bias model's spec and beta:
-with no model it is raw cosine (the linear kernel, no bias coordinates),
-with a linear-kernel model linear neutralization (beta(x) = x B^T), and
-any other model brings its own kernel and beta.  A query that names a fully
-neutralized word -- corrected self product at most 1e-12 k(w, w) --
-raises DataError naming it; the other words of the table still score.
+With no model the metric is raw cosine (the linear kernel, no bias
+coordinates), with a linear-kernel model linear neutralization
+(beta(x) = x B^T), and any other model brings its own kernel and beta.
+A query that names a fully neutralized word -- corrected self product at
+most 1e-12 k(w, w) -- raises DataError naming it; the other words of the
+table still score.  WEAT and SimLex need only `in` and similarity_matrix,
+so any object that has both can stand in for the metric.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, NumericalError
 from .kernels import _BLOCK_ELEMENTS
 from .numerics import pearson, spearman
-from .rkhs import CorrectedMetric, KernelBiasModel
+from .rkhs import CorrectedMetric
 from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
@@ -54,25 +56,7 @@ _SMO_MAX_ITER = 10_000_000
 _TAU = 1e-12
 
 
-class SimilarityBackend:
-    """Word-level similarity interface shared by all evaluations."""
-
-    name = "backend"
-
-    def __contains__(self, word: str) -> bool:
-        raise NotImplementedError
-
-    def similarity_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
-        """Cosines of every row word with every column word, in [-1, 1]."""
-        raise NotImplementedError
-
-    def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Pairwise squared distances between the rows of x and y in the
-        geometry this backend's similarity is measured in."""
-        raise NotImplementedError
-
-
-def pair_similarities(sim: SimilarityBackend, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+def pair_similarities(metric: CorrectedMetric, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
     """Similarity of each (a, b) pair.
 
     Every word is resolved first, in one call over the distinct first
@@ -83,57 +67,20 @@ def pair_similarities(sim: SimilarityBackend, pairs: Sequence[tuple[str, str]]) 
     grows linearly with the pair count and memory stays bounded.
     """
     words = [*dict.fromkeys(a for a, _ in pairs), *dict.fromkeys(b for _, b in pairs)]
-    sim.similarity_matrix(words, [])
+    metric.similarity_matrix(words, [])
     step = max(1, math.isqrt(_BLOCK_ELEMENTS))
     values = np.empty(len(pairs))
     for start in range(0, len(pairs), step):
         chunk = pairs[start : start + step]
         firsts = list(dict.fromkeys(a for a, _ in chunk))
         seconds = list(dict.fromkeys(b for _, b in chunk))
-        sims = sim.similarity_matrix(firsts, seconds)
+        sims = metric.similarity_matrix(firsts, seconds)
         row = {w: i for i, w in enumerate(firsts)}
         col = {w: j for j, w in enumerate(seconds)}
         values[start : start + len(chunk)] = sims[
             [row[a] for a, _ in chunk], [col[b] for _, b in chunk]
         ]
     return values
-
-
-def check_dimension(model_dim: int, table: EmbeddingTable) -> None:
-    """DataError unless a model of this dimension fits the table's vectors."""
-    if model_dim != table.dim:
-        raise DataError(f"model dimension {model_dim} != table dimension {table.dim}")
-
-
-class CorrectedKernelBackend(SimilarityBackend):
-    """Word-indexed view of the corrected metric over one table, named
-    after its model ("linear" or "kernel"), or "raw" without one.
-
-    beta(vocabulary) is computed once, so a similarity matrix costs one
-    raw Gram block plus a (rows x K) by (K x cols) product.
-    """
-
-    def __init__(self, table: EmbeddingTable, model: KernelBiasModel | None):
-        if model is not None:
-            check_dimension(model.dim, table)
-        self.name = "raw" if model is None else model.name
-        self._table = table
-        self.metric = CorrectedMetric(model)
-        self._beta = self.metric.beta(table.matrix)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._table
-
-    def similarity_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
-        ri = [self._table.row_index(w) for w in rows]
-        ci = [self._table.row_index(w) for w in cols]
-        matrix = self._table.matrix
-        return self.metric.cosine_matrix(
-            matrix[ri], matrix[ci], self._beta[ri], self._beta[ci], labels=(rows, cols)
-        )
-
-    def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.metric.squared_distance_matrix(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +121,14 @@ class WeatResult:
 
 
 def _associations(
-    sim: SimilarityBackend, words: Sequence[str], a_in: Sequence[str], b_in: Sequence[str]
+    metric: CorrectedMetric, words: Sequence[str], a_in: Sequence[str], b_in: Sequence[str]
 ) -> np.ndarray:
     """Mean similarity to A minus mean to B for each word, from one matrix."""
-    sims = sim.similarity_matrix(words, [*a_in, *b_in])
+    sims = metric.similarity_matrix(words, [*a_in, *b_in])
     return sims[:, : len(a_in)].mean(axis=1) - sims[:, len(a_in) :].mean(axis=1)
 
 
-def weat_test(sim: SimilarityBackend, cfg: WeatConfig) -> WeatResult:
+def weat_test(metric: CorrectedMetric, cfg: WeatConfig) -> WeatResult:
     """Effect size and one-sided permutation p-value for the association gap.
 
     The effect size is the standardized mean difference of per-word
@@ -190,10 +137,10 @@ def weat_test(sim: SimilarityBackend, cfg: WeatConfig) -> WeatResult:
     whose statistic reaches the observed one: exhaustive when the number
     of splits is at most 20000, otherwise seeded Monte Carlo.
     """
-    x_in = [w for w in cfg.x_words if w in sim]
-    y_in = [w for w in cfg.y_words if w in sim]
-    a_in = [w for w in cfg.a_words if w in sim]
-    b_in = [w for w in cfg.b_words if w in sim]
+    x_in = [w for w in cfg.x_words if w in metric]
+    y_in = [w for w in cfg.y_words if w in metric]
+    a_in = [w for w in cfg.a_words if w in metric]
+    b_in = [w for w in cfg.b_words if w in metric]
     if not a_in or not b_in:
         raise DataError("attribute sets are empty after vocabulary filtering")
     if len(x_in) != len(y_in):
@@ -206,7 +153,7 @@ def weat_test(sim: SimilarityBackend, cfg: WeatConfig) -> WeatResult:
     if len(x_in) + len(y_in) < 4:
         raise DataError("need at least 4 in-vocabulary target words")
 
-    s_values = _associations(sim, x_in + y_in, a_in, b_in)
+    s_values = _associations(metric, x_in + y_in, a_in, b_in)
     nx = len(x_in)
     std = float(s_values.std())  # population std
     # The scores are differences of mean cosines in [-1, 1]; a spread this
@@ -276,8 +223,7 @@ def original_bias_scores(
 
 
 def professions_correlation(
-    sim: SimilarityBackend,
-    table: EmbeddingTable,
+    metric: CorrectedMetric,
     professions: Sequence[str],
     male_words: Sequence[str],
     female_words: Sequence[str],
@@ -288,18 +234,20 @@ def professions_correlation(
 ) -> float:
     """Correlation of male-neighbor counts with original-space bias.
 
-    For every profession, its k nearest neighbors under `sim` are drawn
-    from the candidate pool (full vocabulary by default, or the union of
-    professions and gendered lexicons with pool="restricted"); the count
-    of neighbors in the male lexicon is correlated (Pearson) against the
-    profession's bias in the original space.
+    For every profession, its k nearest neighbors under the metric are
+    drawn from a candidate pool of metric.table (its full vocabulary by
+    default, or the union of professions and gendered lexicons with
+    pool="restricted"); the count of neighbors in the male lexicon is
+    correlated (Pearson) against the profession's bias in the original
+    space.
 
     Raises:
         FormatError: if k_neighbors is below 1.
     """
     if k_neighbors < 1:
         raise FormatError(f"neighbor count must be at least 1, got {k_neighbors}")
-    profs = [w for w in professions if w in table and w in sim]
+    table = metric.table
+    profs = [w for w in professions if w in metric]
     if len(profs) < 3:
         raise DataError("need at least three in-vocabulary professions")
     male_set = {w for w in male_words if w in table}
@@ -320,7 +268,7 @@ def professions_correlation(
     counts = np.empty(len(profs))
     for start in range(0, len(profs), step):
         rows = profs[start : start + step]
-        sims = sim.similarity_matrix(rows, candidates)
+        sims = metric.similarity_matrix(rows, candidates)
         sims[np.arange(len(rows)), [column[p] for p in rows]] = -np.inf
         top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
         counts[start : start + len(rows)] = is_male[top].sum(axis=1)
@@ -463,8 +411,7 @@ def svm_accuracy(model: SvmModel, vectors: np.ndarray, labels: np.ndarray) -> fl
 
 
 def indirect_bias_classification(
-    sim_backend: SimilarityBackend,
-    table: EmbeddingTable,
+    metric: CorrectedMetric,
     n_biased: int = 5000,
     n_train: int = 1000,
     svm_gamma: float | None = None,
@@ -476,28 +423,38 @@ def indirect_bias_classification(
 ) -> dict:
     """Indirect-bias protocol: can an SVM recover gender from geometry?
 
-    Takes the most male- and female-biased words by original-space bias
-    cos(w, male_anchor - female_anchor) (balanced halves), trains an RBF
-    SVM over the backend's squared distance on a sample drawn with `seed`,
-    and reports train/test accuracy.  Both anchors must be in the table's
+    Takes the n_biased most male- and female-biased words of metric.table
+    by original-space bias cos(w, male_anchor - female_anchor) (balanced
+    halves, at most half the table each), trains an RBF SVM over the
+    metric's squared distance on the first n_train of them in an order
+    drawn with `seed`, tests it on the rest (at least 2 words), and
+    reports train/test accuracy.  Both anchors must be in the table's
     vocabulary; there is no other source for the bias score.
 
     Raises:
-        FormatError: if n_biased is below 2 (one word per class) or n_train
-            below 1, or svm_gamma, c_reg or tol is not finite and positive.
-        DataError: if an anchor word is not in the vocabulary, or the
-            vocabulary is too small for a split.
+        FormatError: if n_biased is below 4 (2 training and 2 test words)
+            or n_train below 1, or svm_gamma, c_reg or tol is not finite
+            and positive.
+        DataError: if an anchor word is not in the vocabulary, the table
+            has fewer than 4 words, or the training words drawn hold only
+            one class.
         NumericalError: if the SVM solver does not converge.
     """
-    for name, count, least in (("n_biased", n_biased, 2), ("n_train", n_train, 1)):
+    for name, count, least in (("n_biased", n_biased, 4), ("n_train", n_train, 1)):
         if count < least:
             raise FormatError(f"{name} must be at least {least}, got {count}")
+    table = metric.table
     gamma = svm_gamma if svm_gamma is not None else 1.0 / table.dim
     if not (math.isfinite(gamma) and gamma > 0):
         raise FormatError(f"svm_gamma must be finite and positive, got {gamma}")
     bias = original_bias_scores(table, table.words, male_anchor, female_anchor)
     order = np.argsort(-bias, kind="stable")
     half = min(n_biased // 2, len(table) // 2)
+    if half < 2:
+        raise DataError(
+            f"vocabulary too small for an indirect-bias split: {len(table)} words, "
+            "need at least 4"
+        )
     male_idx = order[:half]
     female_idx = order[-half:]
     idx = np.concatenate([male_idx, female_idx])
@@ -507,15 +464,18 @@ def indirect_bias_classification(
     perm = rng.permutation(len(idx))
     idx, labels = idx[perm], labels[perm]
     n_train = min(n_train, len(idx) - 2)
-    if n_train < 2:
-        raise DataError("vocabulary too small for an indirect-bias split")
     train_idx, test_idx = idx[:n_train], idx[n_train:]
     train_labels, test_labels = labels[:n_train], labels[n_train:]
+    if np.all(train_labels == train_labels[0]):
+        raise DataError(
+            f"the {n_train} training words drawn from the {len(idx)} most biased "
+            "words are all of one class; raise --n-train or --n-biased"
+        )
 
-    kernel = rbf_on_squared_distance(sim_backend.squared_distance_matrix, gamma)
+    kernel = rbf_on_squared_distance(metric.squared_distance_matrix, gamma)
     model = svm_train(kernel, table.matrix[train_idx], train_labels, c_reg=c_reg, tol=tol)
     return {
-        "backend": sim_backend.name,
+        "backend": metric.name,
         "n_train": int(len(train_idx)),
         "n_test": int(len(test_idx)),
         "train_accuracy": svm_accuracy(model, table.matrix[train_idx], train_labels),
@@ -530,9 +490,9 @@ def indirect_bias_classification(
 
 
 def simlex_eval(
-    sim: SimilarityBackend, pairs: Sequence[tuple[str, str, float]]
+    metric: CorrectedMetric, pairs: Sequence[tuple[str, str, float]]
 ) -> tuple[float, int]:
-    """Spearman correlation of backend similarities with gold scores.
+    """Spearman correlation of corrected similarities with gold scores.
 
     Returns (correlation, dropped) where dropped counts pairs with an
     out-of-vocabulary word.
@@ -540,11 +500,11 @@ def simlex_eval(
     Raises:
         DataError: with fewer than two scorable pairs.
     """
-    scored = [(a, b, float(gold)) for a, b, gold in pairs if a in sim and b in sim]
+    scored = [(a, b, float(gold)) for a, b, gold in pairs if a in metric and b in metric]
     dropped = len(pairs) - len(scored)
     if len(scored) < 2:
         raise DataError(
             f"need at least two scorable pairs, got {len(scored)} ({dropped} dropped)"
         )
-    model_scores = pair_similarities(sim, [(a, b) for a, b, _ in scored])
+    model_scores = pair_similarities(metric, [(a, b) for a, b, _ in scored])
     return spearman(model_scores, np.array([gold for _, _, gold in scored])), dropped

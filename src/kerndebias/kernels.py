@@ -34,6 +34,9 @@ FAMILIES = (
 
 _NEEDS_GAMMA = {"rbf", "sigmoid", "polynomial", "laplace"}
 _NEEDS_COEF0 = {"sigmoid", "polynomial"}
+# The families that read each scalar parameter; any other family rejects it.
+_PARAMETER_FAMILIES = {"gamma": _NEEDS_GAMMA, "coef0": _NEEDS_COEF0, "degree": {"polynomial"}}
+_SPEC_KEYS = {"family", "components", *_PARAMETER_FAMILIES}
 
 # Element budget of one block (16 MiB of float64): a block's output
 # entries times the work array each entry needs (1 for a matrix-product
@@ -55,7 +58,9 @@ class KernelSpec:
     sigmoid/polynomial, degree for polynomial.  convex_combination takes
     (weight, KernelSpec) components with nonnegative weights summing to 1.
     gamma, coef0 and the weights must be finite numbers and degree an
-    integer; a bool, a string or a float degree raises FormatError.
+    integer; a bool, a string or a float degree raises FormatError, as
+    does a parameter the family does not read, or components outside
+    convex_combination.
     """
 
     family: str
@@ -70,7 +75,11 @@ class KernelSpec:
         for name, check in (("gamma", checked_finite), ("coef0", checked_finite),
                             ("degree", checked_integer)):
             if getattr(self, name) is not None:
+                if self.family not in _PARAMETER_FAMILIES[name]:
+                    raise FormatError(f"the {self.family} kernel takes no {name}")
                 object.__setattr__(self, name, check(getattr(self, name), name))
+        if self.components and self.family != "convex_combination":
+            raise FormatError(f"the {self.family} kernel takes no components")
         if self.family in _NEEDS_GAMMA:
             if self.gamma is None or not self.gamma > 0:
                 raise FormatError(f"{self.family} kernel requires gamma > 0")
@@ -110,22 +119,24 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelSpec":
-        """Rebuild a spec; FormatError on a missing field or a bad value
-        (checked as for any spec, so a bool or a float degree is rejected)."""
+        """Rebuild a spec; FormatError on a missing field, an unknown key
+        or a bad value (checked as for any spec, so a bool or a float
+        degree is rejected)."""
         if not isinstance(data, dict) or "family" not in data:
             raise FormatError("kernel spec must be an object with a 'family' key")
-        family = data["family"]
+        unknown = sorted(set(data) - _SPEC_KEYS)
+        if unknown:
+            raise FormatError(f"unknown kernel spec key(s): {', '.join(map(repr, unknown))}")
         try:
-            if family == "convex_combination":
-                comps = tuple(
-                    (c["weight"], cls.from_dict(c["spec"])) for c in data.get("components", [])
-                )
-                return cls(family=family, components=comps)
+            comps = tuple(
+                (c["weight"], cls.from_dict(c["spec"])) for c in data.get("components", [])
+            )
             return cls(
-                family=family,
+                family=data["family"],
                 gamma=data.get("gamma"),
                 coef0=data.get("coef0"),
                 degree=data.get("degree"),
+                components=comps,
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed kernel spec: {exc!r}") from None

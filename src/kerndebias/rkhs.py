@@ -18,15 +18,15 @@ direction k, computable from kernel evaluations against the training
 pairs.
 
 KernelBiasModel is the package's one bias-model type: a linear model is
-its linear-kernel instance, named "linear" after the kernel family (any
-other family is named "kernel").  Its `spec`, `dim`, `k` and `beta(x)`,
-the (n, K) bias coordinates of the rows of x, are all the metric reads.
-CorrectedMetric is the package's one copy of the metric: the corrected
-inner product, the cosine, the squared distance and the rule that
-rejects a fully neutralized vector (corrected self product at most
-1e-12 k(w, w)).  It is built over one such model, or over none (the
-linear kernel with K = 0: plain cosine), and it has matrix methods only.
-The similarity backend in `evaluation` is a word-indexed view of it.
+its linear-kernel instance.  beta_matrix(model, x) gives the (n, K) bias
+coordinates of the rows of x.  CorrectedMetric is the package's one copy
+of the metric and the one object every evaluation and the CLI query: it
+holds a table, the spec of its model (the linear kernel with K = 0, plain
+cosine, when there is none), a name ("raw", "linear" or "kernel") and beta
+of the table's vocabulary, computed once.  It answers word queries
+(`in`, similarity_matrix(rows, cols)) and row queries (inner products,
+cosines, squared distances), and it rejects a fully neutralized vector:
+corrected self product at most 1e-12 k(w, w).
 
 Scale convention: the eigenproblem is solved on gram_scale times M, the
 N x N Gram of the pair differences phi(a_i) - phi(b_i).  The dual
@@ -125,20 +125,12 @@ class KernelBiasModel:
             object.__setattr__(self, name, arr)
 
     @property
-    def name(self) -> str:
-        return "linear" if self.spec.family == "linear" else "kernel"
-
-    @property
     def k(self) -> int:
         return int(self.alphas.shape[0])
 
     @property
     def dim(self) -> int:
         return int(self.pairs_a.shape[1])
-
-    def beta(self, x: np.ndarray) -> np.ndarray:
-        """Bias coordinates of the rows of x: (n, K)."""
-        return beta_matrix(self, x)
 
     def readout(self) -> np.ndarray:
         """The (K, d) input-space readout W = alpha (A - B): row k is
@@ -236,6 +228,12 @@ def fit_kernel_model(
     )
 
 
+def check_dimension(model_dim: int, table: EmbeddingTable) -> None:
+    """DataError unless a model of this dimension fits the table's vectors."""
+    if model_dim != table.dim:
+        raise DataError(f"model dimension {model_dim} != table dimension {table.dim}")
+
+
 def beta_matrix(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     """Bias-direction coordinates of the feature images of rows of x: (n, K).
 
@@ -248,71 +246,92 @@ def beta_matrix(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     return psi @ model.alphas.T
 
 
-@dataclass(eq=False)
 class CorrectedMetric:
-    """k~(x, y) = k(x, y) - beta(x) . beta(y) over the spec and beta of a
-    bias model, or of the linear kernel with K = 0 when there is none (see
-    the module docstring).  Methods take rows; bx and by are the rows'
-    bias coordinates, computed here when not given.
+    """k~(x, y) = k(x, y) - beta(x) . beta(y) over one table, with the spec
+    and beta of a bias model, or of the linear kernel with K = 0 when there
+    is none (see the module docstring).
+
+    name is "raw" without a model, "linear" with a linear-kernel one and
+    "kernel" with any other.  beta of the vocabulary is computed once, at
+    construction, so a word query costs one raw Gram block plus a
+    (rows x K) by (K x cols) product.  Row queries take any (n, d) rows.
+
+    Raises:
+        DataError: if the model's dimension is not the table's.
     """
 
-    model: KernelBiasModel | None = None
+    def __init__(self, table: EmbeddingTable, model: KernelBiasModel | None = None):
+        if model is not None:
+            check_dimension(model.dim, table)
+        self.table = table
+        self.model = model
+        self.spec = _LINEAR_KERNEL if model is None else model.spec
+        self.name = (
+            "raw" if model is None else "linear" if self.spec.family == "linear" else "kernel"
+        )
+        self._beta = self._beta_of(table.matrix)
 
-    @property
-    def spec(self) -> KernelSpec:
-        return _LINEAR_KERNEL if self.model is None else self.model.spec
+    def __contains__(self, word: str) -> bool:
+        return word in self.table
 
-    def beta(self, x: np.ndarray) -> np.ndarray:
+    def _beta_of(self, x: np.ndarray) -> np.ndarray:
         """Bias coordinates of the rows of x: (n, K)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.model is None:
             return np.zeros((x.shape[0], 0))
-        return self.model.beta(x)
+        return beta_matrix(self.model, x)
 
-    def self_inner_products(self, x: np.ndarray, bx: np.ndarray | None = None) -> np.ndarray:
-        """Corrected k~(x_i, x_i) for every row of x."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        bx = self.beta(x) if bx is None else bx
-        return kernel_diag(self.spec, x) - np.sum(bx * bx, axis=1)
+    def similarity_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
+        """Corrected cosines of every row word with every column word, in
+        [-1, 1], from the cached beta.
 
-    def inner_product_matrix(
-        self, x: np.ndarray, y: np.ndarray,
-        bx: np.ndarray | None = None, by: np.ndarray | None = None,
-    ) -> np.ndarray:
+        Raises:
+            DataError: naming the first word that is not in the table, or
+                the first fully neutralized one (see cosine_matrix).
+        """
+        ri = [self.table.row_index(w) for w in rows]
+        ci = [self.table.row_index(w) for w in cols]
+        matrix = self.table.matrix
+        return self._cosines(
+            matrix[ri], matrix[ci], self._beta[ri], self._beta[ci], labels=(rows, cols)
+        )
+
+    def inner_product_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Corrected inner products for all row pairs of x and y."""
-        bx = self.beta(x) if bx is None else bx
-        by = self.beta(y) if by is None else by
-        return gram_matrix(self.spec, x, y) - bx @ by.T
+        return gram_matrix(self.spec, x, y) - self._beta_of(x) @ self._beta_of(y).T
 
-    def cosine_matrix(
-        self, x: np.ndarray, y: np.ndarray,
-        bx: np.ndarray | None = None, by: np.ndarray | None = None,
-        labels: tuple[Sequence, Sequence] | None = None,
-    ) -> np.ndarray:
+    def cosine_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Corrected cosines of all row pairs of x and y, clipped to [-1, 1].
 
         Raises:
             DataError: naming the first row of x, then of y, that is fully
                 neutralized: its corrected self product is at most
                 1e-12 k(w, w), so the correction leaves nothing of it and
-                its cosine is undefined.  labels name the rows of x and of
-                y in the message (row numbers by default).
+                its cosine is undefined.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        bx = self.beta(x) if bx is None else bx
-        by = self.beta(y) if by is None else by
+        return self._cosines(x, y, self._beta_of(x), self._beta_of(y))
+
+    def _cosines(
+        self, x: np.ndarray, y: np.ndarray, bx: np.ndarray, by: np.ndarray,
+        labels: tuple[Sequence, Sequence] | None = None,
+    ) -> np.ndarray:
+        """cosine_matrix over rows whose bias coordinates bx and by are
+        given; labels name the rows of x and of y in the error message
+        (row numbers by default)."""
         products = []
         for side, (rows, beta) in enumerate(((x, bx), (y, by))):
-            products.append(self.self_inner_products(rows, beta))
-            bad = np.nonzero(products[-1] <= 1e-12 * kernel_diag(self.spec, rows))[0]
+            diag = kernel_diag(self.spec, rows)
+            products.append(diag - np.sum(beta * beta, axis=1))
+            bad = np.nonzero(products[-1] <= 1e-12 * diag)[0]
             if bad.size:
                 name = repr(labels[side][bad[0]]) if labels else f"row {bad[0]} of {'xy'[side]}"
                 raise DataError(
                     f"word {name} is fully neutralized by the correction; "
                     "its cosine is undefined"
                 )
-        cross = self.inner_product_matrix(x, y, bx, by)
+        cross = gram_matrix(self.spec, x, y) - bx @ by.T
         return np.clip(cross / np.sqrt(products[0][:, None] * products[1][None, :]), -1.0, 1.0)
 
     def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -330,5 +349,5 @@ class CorrectedMetric:
             + kernel_diag(self.spec, y)[None, :]
         )
         if self.model is not None:  # K = 0 has no bias term
-            dist -= difference_distances(self.beta(x), self.beta(y))
+            dist -= difference_distances(self._beta_of(x), self._beta_of(y))
         return np.maximum(0.0, dist)

@@ -126,6 +126,8 @@ def _earlier_format(data: dict) -> dict:
         ("type", lambda v: "quadratic"),
         ("type", lambda v: 5),
         ("type", lambda v: None),
+        ("kernel", lambda v: {**v, "degree": 3}),
+        ("kernel", lambda v: {**v, "gammma": 0.5}),
     ],
     ids=[
         "alphas-short-rows", "alphas-1d", "pairs_b-short", "pairs_a-wide",
@@ -134,6 +136,7 @@ def _earlier_format(data: dict) -> dict:
         "k-text", "discarded_negative-float", "gram_scale-zero",
         "gram_scale-negative", "gram_scale-inf", "gram_scale-text", "gram_scale-bool",
         "type-missing", "type-quadratic", "type-number", "type-null",
+        "kernel-stray-degree", "kernel-unknown-key",
     ],
 )
 def test_malformed_kernel_model_exits_2(planted_files, tmp_path, capsys, field, corrupt):
@@ -303,7 +306,9 @@ def test_weat_seed_flag_overrides_config_seed(planted_files, tmp_path):
         (["professions", "--neighbors", "-5"], "neighbor count"),
         (["professions", "--neighbors", "0"], "neighbor count"),
         (["classify", "--n-biased", "-10"], "n_biased"),
-        (["classify", "--n-biased", "1"], "n_biased must be at least 2"),
+        (["classify", "--n-biased", "1"], "n_biased must be at least 4"),
+        (["classify", "--n-biased", "2"], "n_biased must be at least 4, got 2"),
+        (["classify", "--n-biased", "3"], "n_biased must be at least 4, got 3"),
         (["classify", "--n-train", "0"], "n_train"),
         (["classify", "--c-reg", "0"], "c_reg"),
         (["classify", "--c-reg", "-1"], "c_reg"),
@@ -318,7 +323,7 @@ def test_weat_seed_flag_overrides_config_seed(planted_files, tmp_path):
     ],
     ids=[
         "neighbors-negative", "neighbors-zero", "n-biased-negative", "n-biased-one",
-        "n-train-zero",
+        "n-biased-two", "n-biased-three", "n-train-zero",
         "c-reg-zero", "c-reg-negative", "c-reg-nan", "c-reg-inf", "tol-negative",
         "tol-zero", "tol-inf", "svm-gamma-zero", "svm-gamma-negative", "svm-gamma-nan",
     ],
@@ -443,6 +448,16 @@ def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):
     assert "'he'" in capsys.readouterr().err
 
 
+def test_one_class_training_draw_exits_3(planted_files, capsys):
+    paths = planted_files
+    assert main([
+        "eval", "classify", "--embeddings", str(paths["embeddings"]),
+        "--n-biased", "4", "--n-train", "1",
+    ]) == 3
+    err = capsys.readouterr().err
+    assert "all of one class" in err and "--n-train" in err and "--n-biased" in err
+
+
 def _convex(first: str, second: str) -> str:
     return (
         '{"family": "convex_combination", "components": ['
@@ -465,10 +480,14 @@ def _convex(first: str, second: str) -> str:
         '{"family": "sigmoid", "gamma": 0.5, "coef0": NaN}',
         _convex("NaN", "0.5"),
         _convex("true", "0.0"),
+        '{"family": "rbf", "gamma": 0.5, "degree": 3}',
+        '{"family": "linear", "gamma": 0.5}',
+        '{"family": "linear", "gammma": 0.5}',
     ],
     ids=[
         "gamma-text", "component-without-spec", "components-number", "degree-float",
         "degree-bool", "gamma-inf", "gamma-bool", "coef0-nan", "weight-nan", "weight-bool",
+        "rbf-stray-degree", "linear-stray-gamma", "unknown-key",
     ],
 )
 def test_malformed_kernel_spec_exits_2(planted_files, capsys, spec):
@@ -515,6 +534,48 @@ def test_non_finite_simlex_score_exits_2(planted_files, capsys, score):
         "--pairs", str(paths["simlex"]),
     ]) == 2
     assert f"simlex.tsv:4: score '{score}' is not finite" in capsys.readouterr().err
+
+
+def test_simlex_header_may_follow_blank_lines(planted_files, tmp_path, capsys):
+    paths = planted_files
+    text = paths["simlex"].read_text()
+    outputs = []
+    for label, content in (("plain", text), ("blank", "\n  \n" + text)):
+        paths["simlex"].write_text(content)
+        assert main([
+            "eval", "simlex", "--embeddings", str(paths["embeddings"]),
+            "--pairs", str(paths["simlex"]), "--out", str(tmp_path / label),
+        ]) == 0
+        outputs.append((tmp_path / f"{label}.json").read_text())
+    assert outputs[0] == outputs[1]
+    # Only the first non-blank line may be a header.
+    paths["simlex"].write_text("\n" + text.replace("\n", "\nword1\tword2\tscore\n", 1))
+    assert main([
+        "eval", "simlex", "--embeddings", str(paths["embeddings"]),
+        "--pairs", str(paths["simlex"]),
+    ]) == 2
+    assert "simlex.tsv:3: bad score 'score'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, seed_help",
+    [
+        (["fit"], "ignored: this stage draws no random numbers"),
+        (["apply"], "ignored: this stage draws no random numbers"),
+        (["sim"], "ignored: this stage draws no random numbers"),
+        (["eval", "professions"], "ignored: this stage draws no random numbers"),
+        (["eval", "simlex"], "ignored: this stage draws no random numbers"),
+        (["eval", "weat"], "run seed (default: the config's seed)"),
+        (["eval", "classify"], "run seed (default: 42)"),
+        (["demo-toy"], "run seed (default: 42)"),
+    ],
+    ids=["fit", "apply", "sim", "professions", "simlex", "weat", "classify", "demo-toy"],
+)
+def test_seed_help_says_what_the_stage_does_with_it(capsys, command, seed_help):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert f"--seed SEED {seed_help}" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("target", ["embeddings", "professions"])

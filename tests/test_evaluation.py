@@ -11,10 +11,8 @@ from kerndebias import (
     fit_kernel_model,
     fit_linear_subspace,
 )
-from kerndebias import evaluation
+from kerndebias import evaluation, rkhs
 from kerndebias.evaluation import (
-    CorrectedKernelBackend,
-    SimilarityBackend,
     WeatConfig,
     SvmModel,
     indirect_bias_classification,
@@ -30,8 +28,9 @@ from conftest import RNG_SEED, planted_bias_table, random_instance
 from oracles import cosine_row, four_term_distances, primal_neutralize, weat_brute_force_p
 
 
-class StubBackend(SimilarityBackend):
-    """Similarity read from an explicit table of rows."""
+class StubBackend:
+    """Similarity read from an explicit table of rows: the `in` and
+    similarity_matrix of a CorrectedMetric, and nothing else."""
 
     name = "stub"
 
@@ -51,11 +50,10 @@ class StubBackend(SimilarityBackend):
         return self.rows[a].get(b, self.rows[b].get(a, np.nan))
 
 
-def gram_backend(cosines: np.ndarray, words: list[str]) -> tuple[CorrectedKernelBackend, EmbeddingTable]:
-    """Backend whose raw cosines equal a prescribed PSD matrix exactly."""
+def gram_metric(cosines: np.ndarray, words: list[str]) -> CorrectedMetric:
+    """Raw metric whose cosines equal a prescribed PSD matrix exactly."""
     chol = np.linalg.cholesky(cosines + 1e-12 * np.eye(len(words)))
-    table = EmbeddingTable(words=tuple(words), matrix=chol)
-    return CorrectedKernelBackend(table, None), table
+    return CorrectedMetric(EmbeddingTable(words=tuple(words), matrix=chol))
 
 
 class TestBackends:
@@ -63,42 +61,66 @@ class TestBackends:
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=8, dim=6)
         linear = fit_linear_subspace(table, sets, 1)
         kernel = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=1)
-        backends = [
-            CorrectedKernelBackend(table, None),
-            CorrectedKernelBackend(table, linear),
-            CorrectedKernelBackend(table, kernel),
+        metrics = [
+            CorrectedMetric(table),
+            CorrectedMetric(table, linear),
+            CorrectedMetric(table, kernel),
         ]
         words = ["n0", "n1", "m0"]
-        for backend in backends:
-            sims = backend.similarity_matrix(words, words)
+        for metric in metrics:
+            sims = metric.similarity_matrix(words, words)
             np.testing.assert_allclose(np.diag(sims), 1.0, rtol=0, atol=1e-9)
             np.testing.assert_allclose(sims, sims.T, rtol=0, atol=1e-12)
 
     def test_similarity_row_matches_scalar(self, rng):
         table, sets, _ = planted_bias_table(rng, n_pairs=3, n_neutral=6, dim=5)
         kernel = fit_kernel_model(KernelSpec("laplace", gamma=0.5), table, sets, k=1)
-        backend = CorrectedKernelBackend(table, kernel)
+        metric = CorrectedMetric(table, kernel)
         words = ["n0", "n1", "n2", "m0"]
-        row = backend.similarity_matrix(["n3"], words)[0]
+        row = metric.similarity_matrix(["n3"], words)[0]
         for value, word in zip(row, words):
-            single = backend.similarity_matrix(["n3"], [word])[0, 0]
+            single = metric.similarity_matrix(["n3"], [word])[0, 0]
             assert value == pytest.approx(single, abs=1e-12)
 
     def test_cached_beta_matches_corrected_metric_cosine(self, rng):
+        # Word queries read the beta cached at construction; the row query
+        # computes beta of its rows afresh.
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=10, dim=6)
         for spec in (KernelSpec("rbf", gamma=0.8), KernelSpec("laplace", gamma=0.5)):
-            model = fit_kernel_model(spec, table, sets, k=2)
-            backend = CorrectedKernelBackend(table, model)
-            metric = CorrectedMetric(model)
+            metric = CorrectedMetric(table, fit_kernel_model(spec, table, sets, k=2))
             words = list(table.words)
             for word in ("n0", "m1", "f3"):
                 oracle = metric.cosine_matrix(table.lookup(word), table.matrix)[0]
                 np.testing.assert_allclose(
-                    backend.similarity_matrix([word], words)[0], oracle, rtol=0, atol=1e-12
+                    metric.similarity_matrix([word], words)[0], oracle, rtol=0, atol=1e-12
                 )
                 for c, value in zip(words[:6], oracle):
-                    single = backend.similarity_matrix([word], [c])[0, 0]
+                    single = metric.similarity_matrix([word], [c])[0, 0]
                     assert single == pytest.approx(value, abs=1e-12)
+
+    def test_beta_computed_once_at_construction(self, rng, monkeypatch):
+        table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=12, dim=6)
+        model = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=2)
+        calls = []
+        beta_matrix = rkhs.beta_matrix
+
+        def counting(model, x):
+            calls.append(len(x))
+            return beta_matrix(model, x)
+
+        monkeypatch.setattr(rkhs, "beta_matrix", counting)
+        CorrectedMetric(table)
+        assert calls == []
+        metric = CorrectedMetric(table, model)
+        assert calls == [len(table)]
+        words = list(table.words)
+        metric.similarity_matrix(words[:3], words)
+        evaluation.pair_similarities(metric, [("n0", "n1"), ("m0", "f2"), ("n0", "f3")])
+        professions_correlation(
+            metric, [f"n{i}" for i in range(8)], [f"m{i}" for i in range(1, 4)],
+            [f"f{i}" for i in range(1, 4)], k_neighbors=3, male_anchor="m0", female_anchor="f0",
+        )
+        assert calls == [len(table)]
 
     def test_squared_distance_matrix_per_backend(self, rng):
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=8, dim=6)
@@ -108,13 +130,13 @@ class TestBackends:
         basis = linear.input_directions()
         nx, ny = primal_neutralize(basis, x), primal_neutralize(basis, y)
         expected = {
-            CorrectedKernelBackend(table, None): difference_distances(x, y),
-            CorrectedKernelBackend(table, linear): difference_distances(nx, ny),
-            CorrectedKernelBackend(table, kernel): four_term_distances(kernel, x, y),
+            CorrectedMetric(table): difference_distances(x, y),
+            CorrectedMetric(table, linear): difference_distances(nx, ny),
+            CorrectedMetric(table, kernel): four_term_distances(kernel, x, y),
         }
-        for backend, oracle in expected.items():
+        for metric, oracle in expected.items():
             np.testing.assert_allclose(
-                backend.squared_distance_matrix(x, y), oracle, rtol=0, atol=1e-12
+                metric.squared_distance_matrix(x, y), oracle, rtol=0, atol=1e-12
             )
 
     @pytest.mark.parametrize("seed", range(5))
@@ -123,16 +145,16 @@ class TestBackends:
         table, sets = random_instance(rng, n_words=30, dim=7, n_pairs=4)
         model = fit_linear_subspace(table, sets, 2)
         words = list(table.words)
-        for backend, oracle_basis in (
-            (CorrectedKernelBackend(table, None), None),
-            (CorrectedKernelBackend(table, model), model.input_directions()),
+        for metric, oracle_basis in (
+            (CorrectedMetric(table), None),
+            (CorrectedMetric(table, model), model.input_directions()),
         ):
             for word in ("w0", "w9", "w29"):
                 oracle = cosine_row(table, word, words, oracle_basis)
                 np.testing.assert_allclose(
-                    backend.similarity_matrix([word], words)[0], oracle, rtol=0, atol=1e-12
+                    metric.similarity_matrix([word], words)[0], oracle, rtol=0, atol=1e-12
                 )
-                single = backend.similarity_matrix([word], ["w5"])[0, 0]
+                single = metric.similarity_matrix([word], ["w5"])[0, 0]
                 assert single == pytest.approx(oracle[5], abs=1e-12)
 
     @staticmethod
@@ -147,70 +169,70 @@ class TestBackends:
 
     def test_word_inside_linear_subspace_rejected(self, rng):
         table, model = self._table_with_word_inside_subspace(rng)
-        backend = CorrectedKernelBackend(table, model)
+        metric = CorrectedMetric(table, model)
         with pytest.raises(DataError, match="'inside'"):
-            backend.similarity_matrix(["w0", "w1"], ["w2", "inside"])
+            metric.similarity_matrix(["w0", "w1"], ["w2", "inside"])
 
     def test_zero_vector_rejected_by_raw_backend(self, rng):
         matrix = rng.normal(size=(5, 3))
         matrix[2] = 0.0
         table = EmbeddingTable(words=tuple(f"w{i}" for i in range(5)), matrix=matrix)
-        backend = CorrectedKernelBackend(table, None)
+        metric = CorrectedMetric(table)
         with pytest.raises(DataError, match="'w2'"):
-            backend.similarity_matrix(["w2"], ["w0"])
+            metric.similarity_matrix(["w2"], ["w0"])
 
     def test_other_words_score_beside_a_neutralized_word(self, rng):
         table, model = self._table_with_word_inside_subspace(rng)
-        backend = CorrectedKernelBackend(table, model)
+        metric = CorrectedMetric(table, model)
         words = [w for w in table.words if w != "inside"]
         basis = model.input_directions()
         oracle = np.array([cosine_row(table, w, words, basis) for w in words[:3]])
         np.testing.assert_allclose(
-            backend.similarity_matrix(words[:3], words), oracle, rtol=0, atol=1e-12
+            metric.similarity_matrix(words[:3], words), oracle, rtol=0, atol=1e-12
         )
         pairs = [("w0", "w1", 3.0), ("w2", "w3", 1.0), ("w4", "w5", 2.0), ("w0", "inside", 9.0)]
         with pytest.raises(DataError, match="'inside'"):
-            simlex_eval(backend, pairs)
-        score, dropped = simlex_eval(backend, pairs[:3])
+            simlex_eval(metric, pairs)
+        score, dropped = simlex_eval(metric, pairs[:3])
         assert np.isfinite(score) and dropped == 0
 
 
 class TestPairSimilarities:
     def test_chunks_match_one_full_gather(self, rng, monkeypatch):
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=12, dim=6)
-        backend = CorrectedKernelBackend(
+        metric = CorrectedMetric(
             table, fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=2)
         )
         words = list(table.words)
         pairs = [(words[i], words[j]) for i, j in rng.integers(0, len(words), size=(40, 2))]
         firsts = list(dict.fromkeys(a for a, _ in pairs))
         seconds = list(dict.fromkeys(b for _, b in pairs))
-        full = backend.similarity_matrix(firsts, seconds)
+        full = metric.similarity_matrix(firsts, seconds)
         expected = full[[firsts.index(a) for a, _ in pairs], [seconds.index(b) for _, b in pairs]]
 
         shapes = []
-        similarity_matrix = backend.similarity_matrix
+        similarity_matrix = metric.similarity_matrix
 
         def recording(rows, cols):
             shapes.append((len(rows), len(cols)))
             return similarity_matrix(rows, cols)
 
-        monkeypatch.setattr(backend, "similarity_matrix", recording)
+        monkeypatch.setattr(metric, "similarity_matrix", recording)
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 16)
-        got = evaluation.pair_similarities(backend, pairs)
+        got = evaluation.pair_similarities(metric, pairs)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         assert len(shapes) == 1 + 10  # one resolve call, then 40 pairs in chunks of 4
         assert all(rows * cols <= 16 for rows, cols in shapes[1:])
 
     def test_unknown_word_named_before_any_chunk(self, rng, monkeypatch):
         table, model = TestBackends._table_with_word_inside_subspace(rng)
-        backend = CorrectedKernelBackend(table, model)
+        metric = CorrectedMetric(table, model)
         pairs = [("w0", "inside"), ("w1", "w2"), ("w3", "w4"), ("zzz", "w5")]
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 4)
         with pytest.raises(DataError, match="'zzz' not in vocabulary"):
-            evaluation.pair_similarities(backend, pairs)
+            evaluation.pair_similarities(metric, pairs)
         with pytest.raises(DataError, match="'inside' is fully neutralized"):
-            evaluation.pair_similarities(backend, pairs[:3] + [("w4", "w5")])
+            evaluation.pair_similarities(metric, pairs[:3] + [("w4", "w5")])
 
 
 class TestWeatAssociation:
@@ -371,10 +393,9 @@ class TestProfessions:
 
     def test_constructed_table_perfect_correlation(self):
         words, cos = self._constructed_gram()
-        backend, table = gram_backend(cos, words)
+        metric = gram_metric(cos, words)
         r = professions_correlation(
-            backend,
-            table,
+            metric,
             professions=[f"p{i}" for i in range(5)],
             male_words=[f"m{j}" for j in range(4)],
             female_words=[f"f{j}" for j in range(4)],
@@ -408,10 +429,9 @@ class TestProfessions:
         # profession's bias score by the same factor.
         shrink = 0.8
         cos = (cos + shrink * np.eye(n)) / (1.0 + shrink)
-        backend, table = gram_backend(cos, words)
+        metric = gram_metric(cos, words)
         r = professions_correlation(
-            backend,
-            table,
+            metric,
             professions=[f"p{i}" for i in range(n_prof)],
             male_words=[f"m{j}" for j in range(4)],
             female_words=[f"f{j}" for j in range(4)],
@@ -422,19 +442,18 @@ class TestProfessions:
 
     def test_missing_anchor_rejected(self, rng):
         table, _ = random_instance(rng, n_words=8, n_pairs=1, dim=4)
-        backend = CorrectedKernelBackend(table, None)
+        metric = CorrectedMetric(table)
         with pytest.raises(DataError, match="he"):
             professions_correlation(
-                backend, table, ["w0", "w1", "w2"], ["w3"], ["w4"], k_neighbors=2
+                metric, ["w0", "w1", "w2"], ["w3"], ["w4"], k_neighbors=2
             )
 
     def test_constant_counts_rejected(self):
         words, cos = self._constructed_gram()
-        backend, table = gram_backend(cos, words)
+        metric = gram_metric(cos, words)
         with pytest.raises(NumericalError):
             professions_correlation(
-                backend,
-                table,
+                metric,
                 professions=[f"p{i}" for i in range(5)],
                 male_words=[],  # no male lexicon: all counts zero
                 female_words=["f0"],
@@ -559,16 +578,16 @@ class TestSvm:
 class TestIndirectBiasProtocol:
     def test_correction_reduces_recoverability(self, rng):
         table, sets, _ = planted_bias_table(rng, n_pairs=10, n_neutral=60, dim=6)
-        raw = CorrectedKernelBackend(table, None)
+        raw = CorrectedMetric(table)
         raw_result = indirect_bias_classification(
-            raw, table,
+            raw,
             n_biased=40, n_train=24, svm_gamma=2.0, c_reg=10.0, seed=11,
             male_anchor="m0", female_anchor="f0",
         )
         kernel = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=None)
-        corrected_backend = CorrectedKernelBackend(table, kernel)
+        corrected = CorrectedMetric(table, kernel)
         corrected_result = indirect_bias_classification(
-            corrected_backend, table,
+            corrected,
             n_biased=40, n_train=24, svm_gamma=2.0, c_reg=10.0, seed=11,
             male_anchor="m0", female_anchor="f0",
         )
@@ -577,24 +596,51 @@ class TestIndirectBiasProtocol:
 
     def test_deterministic_given_seed(self, rng):
         table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
-        backend = CorrectedKernelBackend(table, None)
+        metric = CorrectedMetric(table)
         a = indirect_bias_classification(
-            backend, table,
+            metric,
             n_biased=30, n_train=20, svm_gamma=1.0, seed=5,
             male_anchor="m0", female_anchor="f0",
         )
         b = indirect_bias_classification(
-            backend, table,
+            metric,
             n_biased=30, n_train=20, svm_gamma=1.0, seed=5,
             male_anchor="m0", female_anchor="f0",
         )
         assert a == b
 
+    def test_one_class_training_draw_names_the_counts(self, rng):
+        # At n_biased = 4 two training words are drawn from two per class:
+        # some seeds draw both classes, others only one.
+        table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
+        metric = CorrectedMetric(table)
+        outcomes = set()
+        for seed in range(12):
+            try:
+                result = indirect_bias_classification(
+                    metric, n_biased=4, n_train=80, svm_gamma=1.0, seed=seed,
+                    male_anchor="m0", female_anchor="f0",
+                )
+            except DataError as exc:
+                assert "all of one class; raise --n-train or --n-biased" in str(exc)
+                outcomes.add("one class")
+            else:
+                assert (result["n_train"], result["n_test"]) == (2, 2)
+                outcomes.add("split")
+        assert outcomes == {"one class", "split"}
+
+    def test_table_below_four_words_too_small(self):
+        table = EmbeddingTable(
+            words=("he", "she", "w"), matrix=np.array([[1.0, 0.2], [-1.0, 0.2], [0.1, 1.0]])
+        )
+        with pytest.raises(DataError, match="vocabulary too small"):
+            indirect_bias_classification(CorrectedMetric(table), n_biased=4, n_train=2)
+
     def test_missing_default_anchor_rejected(self, rng):
         table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
         with pytest.raises(DataError, match="'he'"):
             indirect_bias_classification(
-                CorrectedKernelBackend(table, None), table,
+                CorrectedMetric(table),
                 n_biased=30, n_train=20,
             )
 

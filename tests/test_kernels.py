@@ -227,6 +227,44 @@ class TestKernelSpecValidation:
                 components=((-0.5, KernelSpec("linear")), (1.5, KernelSpec("cosine"))),
             )
 
+    @pytest.mark.parametrize(
+        "family, params, name",
+        [
+            ("linear", {"gamma": 0.5}, "gamma"),
+            ("cosine", {"gamma": 1.0}, "gamma"),
+            ("rbf", {"gamma": 0.5, "coef0": 1.0}, "coef0"),
+            ("laplace", {"gamma": 0.5, "coef0": 0.0}, "coef0"),
+            ("rbf", {"gamma": 0.5, "degree": 3}, "degree"),
+            ("sigmoid", {"gamma": 0.5, "coef0": 1.0, "degree": 2}, "degree"),
+            ("linear", {"components": ((1.0, KernelSpec("cosine")),)}, "components"),
+            ("convex_combination",
+             {"gamma": 0.5, "components": ((1.0, KernelSpec("cosine")),)}, "gamma"),
+        ],
+        ids=["linear-gamma", "cosine-gamma", "rbf-coef0", "laplace-coef0", "rbf-degree",
+             "sigmoid-degree", "linear-components", "convex-gamma"],
+    )
+    def test_parameter_the_family_does_not_read_rejected(self, family, params, name):
+        with pytest.raises(FormatError, match=f"the {family} kernel takes no {name}"):
+            KernelSpec(family, **params)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"family": "rbf", "gamma": 0.5, "degree": 3}, "the rbf kernel takes no degree"),
+            ({"family": "cosine", "components": [{"weight": 1.0, "spec": {"family": "linear"}}]},
+             "the cosine kernel takes no components"),
+            ({"family": "linear", "gammma": 0.5}, "unknown kernel spec key(s): 'gammma'"),
+            ({"family": "convex_combination", "components": [
+                {"weight": 1.0, "spec": {"family": "rbf", "gamma": 1.0, "width": 2}}]},
+             "unknown kernel spec key(s): 'width'"),
+        ],
+        ids=["stray-degree", "stray-components", "unknown-key", "unknown-component-key"],
+    )
+    def test_from_dict_rejects_stray_and_unknown_keys(self, data, message):
+        with pytest.raises(FormatError) as exc:
+            KernelSpec.from_dict(data)
+        assert message in str(exc.value)
+
     def test_json_round_trip(self):
         for spec in ALL_SPECS:
             again = KernelSpec.from_json(spec.to_json())

@@ -143,7 +143,7 @@ class TestLinearKernelEquivalence:
             table = unit_normalize(table)
         linear = primal_linear_model(table, sets, k)
         kernel = fit_kernel_model(KernelSpec("linear"), table, sets, k=k)
-        return table, sets, linear, CorrectedMetric(kernel)
+        return table, sets, linear, CorrectedMetric(table, kernel)
 
     def test_inner_product(self, rng):
         _, _, linear, metric = self._models(rng)
@@ -183,7 +183,7 @@ class TestLinearKernelEquivalence:
         # Full rank: any training difference lies inside the bias span.
         table, sets = random_instance(rng, n_pairs=3, dim=6)
         model = fit_kernel_model(KernelSpec("linear"), table, sets, k=None)
-        metric = CorrectedMetric(model)
+        metric = CorrectedMetric(table, model)
         a, b = sets.pairs[0]
         z = table.matrix[a] - table.matrix[b]
         assert abs(metric.inner_product_matrix(z[None, :], z[None, :])[0, 0]) <= 1e-8 * (z @ z)
@@ -193,7 +193,7 @@ class TestCorrectedMetricProperties:
     def test_four_term_expansion_all_kernels(self, rng):
         for spec in KERNEL_ZOO:
             table, sets, model = fitted_pair_models(rng, spec, k=2)
-            metric = CorrectedMetric(model)
+            metric = CorrectedMetric(table, model)
             z, w = rng.normal(size=(2, 5, model.dim))
             oracle = [[four_term_inner(model, a, b) for b in w] for a in z]
             np.testing.assert_allclose(
@@ -214,8 +214,8 @@ class TestCorrectedMetricProperties:
         assert np.max(np.abs(direction_gram(model) - np.eye(model.k))) <= 1e-9
 
     def test_symmetry(self, rng):
-        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.6), k=2)
-        metric = CorrectedMetric(model)
+        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.6), k=2)
+        metric = CorrectedMetric(table, model)
         z, w = rng.normal(size=(2, 4, model.dim))
         inner = metric.inner_product_matrix(z, w)
         np.testing.assert_allclose(inner, metric.inner_product_matrix(w, z).T, rtol=0, atol=1e-12)
@@ -227,44 +227,45 @@ class TestCorrectedMetricProperties:
             if spec.family == "sigmoid":
                 continue
             table, sets, model = fitted_pair_models(rng, spec, k=2)
-            metric = CorrectedMetric(model)
-            values = metric.self_inner_products(rng.normal(size=(10, model.dim)))
+            metric = CorrectedMetric(table, model)
+            queries = rng.normal(size=(10, model.dim))
+            values = np.diag(metric.inner_product_matrix(queries, queries))
             assert np.all(values >= -1e-9), spec.family
 
     def test_corrected_gram_psd(self, rng):
         for spec in [KernelSpec("rbf", gamma=0.8), KernelSpec("laplace", gamma=0.5),
                      KernelSpec("linear")]:
             table, sets, model = fitted_pair_models(rng, spec, k=2)
-            metric = CorrectedMetric(model)
+            metric = CorrectedMetric(table, model)
             queries = rng.normal(size=(8, model.dim))
             gram = metric.inner_product_matrix(queries, queries)
             eig = symmetric_eig((gram + gram.T) / 2)
             assert eig.eigenvalues[-1] >= -1e-8, spec.family
 
     def test_cosine_self_is_one(self, rng):
-        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.9), k=1)
-        metric = CorrectedMetric(model)
+        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.9), k=1)
+        metric = CorrectedMetric(table, model)
         z = rng.normal(size=(1, model.dim))
         assert metric.cosine_matrix(z, z)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_fully_neutralized_rejected(self, rng):
         table, sets = random_instance(rng, n_pairs=3, dim=6)
         model = fit_kernel_model(KernelSpec("linear"), table, sets, k=None)
-        metric = CorrectedMetric(model)
+        metric = CorrectedMetric(table, model)
         a, b = sets.pairs[0]
         z = table.matrix[a] - table.matrix[b]  # entirely inside the span
         with pytest.raises(DataError, match="fully neutralized"):
             metric.cosine_matrix(z[None, :], rng.normal(size=(1, 6)))
 
     def test_squared_distance_zero_on_self(self, rng):
-        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.5), k=2)
-        metric = CorrectedMetric(model)
+        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.5), k=2)
+        metric = CorrectedMetric(table, model)
         z = rng.normal(size=(1, model.dim))
         assert metric.squared_distance_matrix(z, z)[0, 0] == 0.0
 
     def test_triangle_inequality_spot_check(self, rng):
-        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.7), k=2)
-        metric = CorrectedMetric(model)
+        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.7), k=2)
+        metric = CorrectedMetric(table, model)
         for _ in range(20):
             points = rng.normal(size=(3, model.dim))
             dist = np.sqrt(metric.squared_distance_matrix(points, points))
@@ -272,8 +273,8 @@ class TestCorrectedMetricProperties:
 
     def test_distance_matrix_matches_scalar(self, rng):
         # Against k~(x, x) - 2 k~(x, y) + k~(y, y) from the inner products.
-        _, _, model = fitted_pair_models(rng, KernelSpec("laplace", gamma=0.5), k=2)
-        metric = CorrectedMetric(model)
+        table, _, model = fitted_pair_models(rng, KernelSpec("laplace", gamma=0.5), k=2)
+        metric = CorrectedMetric(table, model)
         x = rng.normal(size=(3, model.dim))
         y = rng.normal(size=(4, model.dim))
         inner = metric.inner_product_matrix(np.vstack([x, y]), np.vstack([x, y]))
@@ -290,7 +291,7 @@ class TestEqualizeInvariance:
             table, sets = random_instance(rng, n_pairs=3, dim=5)
             table = unit_normalize(table)
             model = fit_kernel_model(spec, table, sets, k=2)
-            metric = CorrectedMetric(model)
+            metric = CorrectedMetric(table, model)
             members = table.matrix[[6, 7, 8]] if len(table) > 8 else table.matrix[:3]
             w = rng.normal(size=5)
             per_member = [
@@ -303,8 +304,8 @@ class TestEqualizeInvariance:
             assert mean_inner == pytest.approx(per_member[0], abs=1e-9)
 
     def test_two_identical_members_reduce_to_inner_product(self, rng):
-        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.8), k=2)
-        metric = CorrectedMetric(model)
+        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.8), k=2)
+        metric = CorrectedMetric(table, model)
         e = rng.normal(size=model.dim)
         w = rng.normal(size=model.dim)
         value = equalized_member_inner(model, w, np.vstack([e, e]), 0)
@@ -318,7 +319,7 @@ class TestScaleAndOrderInvariance:
             table, sets = random_instance(rng, n_pairs=4, dim=5)
             base = fit_kernel_model(spec, table, sets, k=2, gram_scale=1.0)
             doubled = fit_kernel_model(spec, table, sets, k=2, gram_scale=2.0)
-            m1, m2 = CorrectedMetric(base), CorrectedMetric(doubled)
+            m1, m2 = CorrectedMetric(table, base), CorrectedMetric(table, doubled)
             z, w = rng.normal(size=(2, 5, 5))
             np.testing.assert_allclose(
                 m1.inner_product_matrix(z, w), m2.inner_product_matrix(z, w), rtol=0, atol=1e-9,
@@ -328,9 +329,9 @@ class TestScaleAndOrderInvariance:
     def test_pair_permutation_invariance(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=5)
         spec = KernelSpec("rbf", gamma=0.8)
-        base = CorrectedMetric(fit_kernel_model(spec, table, sets, k=2))
+        base = CorrectedMetric(table, fit_kernel_model(spec, table, sets, k=2))
         permuted_sets = DefiningSets(tuple(reversed(sets.pairs)))
-        permuted = CorrectedMetric(fit_kernel_model(spec, table, permuted_sets, k=2))
+        permuted = CorrectedMetric(table, fit_kernel_model(spec, table, permuted_sets, k=2))
         z, w = rng.normal(size=(2, 5, 5))
         np.testing.assert_allclose(
             base.inner_product_matrix(z, w), permuted.inner_product_matrix(z, w), rtol=0, atol=1e-9
@@ -339,11 +340,11 @@ class TestScaleAndOrderInvariance:
     def test_pair_swap_invariance(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=5)
         spec = KernelSpec("laplace", gamma=0.5)
-        base = CorrectedMetric(fit_kernel_model(spec, table, sets, k=2))
+        base = CorrectedMetric(table, fit_kernel_model(spec, table, sets, k=2))
         swapped_sets = DefiningSets(
             tuple((b, a) if i % 2 == 0 else (a, b) for i, (a, b) in enumerate(sets.pairs))
         )
-        swapped = CorrectedMetric(fit_kernel_model(spec, table, swapped_sets, k=2))
+        swapped = CorrectedMetric(table, fit_kernel_model(spec, table, swapped_sets, k=2))
         z, w = rng.normal(size=(2, 5, 5))
         np.testing.assert_allclose(
             base.inner_product_matrix(z, w), swapped.inner_product_matrix(z, w), rtol=0, atol=1e-9
@@ -363,8 +364,8 @@ class TestSerialization:
         loaded, data = kd.load_model(path)
         assert data["type"] == "kernel"
         z, w = rng.normal(size=(2, 10, 5))
-        original = CorrectedMetric(model).inner_product_matrix(z, w)
-        reloaded = CorrectedMetric(loaded).inner_product_matrix(z, w)
+        original = CorrectedMetric(table, model).inner_product_matrix(z, w)
+        reloaded = CorrectedMetric(table, loaded).inner_product_matrix(z, w)
         assert np.max(np.abs(original - reloaded)) <= 1e-12
         assert loaded.spec == model.spec
         np.testing.assert_array_equal(loaded.alphas, model.alphas)
