@@ -2,7 +2,11 @@
 
 Core pieces:
 
-- :mod:`kerndebias.embeddings` -- embedding tables and their text format.
+- :mod:`kerndebias.embeddings` -- embedding tables and their text format;
+  read_embedding_file keeps each parsed table file in
+  $XDG_CACHE_HOME/kerndebias/tables-v1 (default ~/.cache/kerndebias/...),
+  used again only while the file's bytes equal the ones it was parsed
+  from.  Deleting that directory is always safe.
 - :mod:`kerndebias.kernels` -- kernel specs and Gram matrices.
 - :mod:`kerndebias.rkhs` -- the one bias fit, fit_kernel_model, the one
   bias-model type, KernelBiasModel, its bias coordinates beta_matrix, and
@@ -31,6 +35,7 @@ from .configio import load_model
 from .embeddings import (
     EmbeddingTable,
     parse_embedding_text,
+    read_embedding_file,
     unit_normalize,
     write_embedding_text,
 )
@@ -78,6 +83,7 @@ __all__ = [
     "parse_embedding_text",
     "pearson",
     "preimage_neutralize_matrix",
+    "read_embedding_file",
     "resolve_word_sets",
     "spearman",
     "symmetric_eig",

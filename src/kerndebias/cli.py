@@ -22,6 +22,7 @@ from . import configio, evaluation, toydemo
 from .embeddings import (
     EmbeddingTable,
     parse_embedding_text,
+    read_embedding_file,
     unit_normalize,
     write_embedding_text,
 )
@@ -45,11 +46,7 @@ logger = logging.getLogger("kerndebias")
 
 
 def _read_embeddings(path: str, normalize: bool) -> EmbeddingTable:
-    if path == "-":
-        table = parse_embedding_text(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            table = parse_embedding_text(handle)
+    table = parse_embedding_text(sys.stdin) if path == "-" else read_embedding_file(path)
     return unit_normalize(table) if normalize else table
 
 
@@ -297,7 +294,11 @@ def _add_common(
     "ignored" accepts it so that one --seed fits every stage."""
     if embeddings:
         parser.add_argument(
-            "--embeddings", required=True, help="embedding text file, or - for stdin"
+            "--embeddings", required=True,
+            help="embedding text file, or - for stdin; a file's parsed table is "
+            "kept in $XDG_CACHE_HOME/kerndebias (default ~/.cache/kerndebias) and "
+            "used again only while the file's bytes equal those it was parsed "
+            "from; deleting that directory is always safe",
         )
         parser.add_argument(
             "--no-normalize",

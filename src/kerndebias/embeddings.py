@@ -10,14 +10,28 @@ tries each block on a fast path first: one np.loadtxt call converts the
 whole block in C.  The per-line loop, which reads each token as
 ``float()`` does, runs only on a block the fast path rejects, and is the
 only code that handles malformed lines and reports errors.
+
+read_embedding_file parses a table file once and keeps the result on
+disk, in $XDG_CACHE_HOME/kerndebias/tables-v1/ (~/.cache/kerndebias/...
+when XDG_CACHE_HOME is unset): one entry per file path, at most
+_CACHE_ENTRIES of them, least recently used removed first.  An entry is
+used only while the file's bytes equal the copy it keeps of the bytes it
+was parsed from, so an edited file is always parsed again, and deleting
+the directory at any time is always safe.  An entry takes the file's
+size plus 8 bytes per component of disk.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import os
 import re
+import shutil
+import stat
+import zlib
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, BinaryIO, Iterable
 
 import numpy as np
 
@@ -29,6 +43,11 @@ _SPACE = re.compile(r"\s")
 # Lines per parse block, and rows in the parse buffer before its first
 # doubling.
 _INITIAL_ROWS = 128
+
+# Entries kept by read_embedding_file, and the size of the reads that
+# compare a file with an entry's copy of it.
+_CACHE_ENTRIES = 8
+_COMPARE_BYTES = 1 << 20
 
 # Rows already this close to unit norm are left untouched, which makes
 # unit_normalize exactly idempotent.
@@ -258,6 +277,210 @@ def parse_embedding_text(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
         if not builder.add_block(block):
             error = builder.add_lines(block)
     return builder.finish(error)
+
+
+def read_embedding_file(path: str) -> EmbeddingTable:
+    """parse_embedding_text of a UTF-8 file, through the on-disk table cache.
+
+    A regular file is looked up by its real path in the cache directory
+    (see the module docstring).  Its entry is used when the file's bytes
+    equal the entry's copy of them, compared _COMPARE_BYTES at a time,
+    and its words and matrix match their crc32; the table is then rebuilt
+    through EmbeddingTable.  Otherwise the file is parsed through a tee
+    that copies every byte parsed into a new entry, which replaces the
+    old one only once the parse has succeeded.  A FIFO or other
+    non-regular file is parsed without the cache, and so is every file
+    when the cache fails: its OSErrors never reach the caller.
+
+    Raises:
+        What parse_embedding_text of ``open(path, encoding="utf-8")``
+        raises, with the same messages.
+    """
+    with open(path, "rb") as source:
+        if stat.S_ISREG(os.fstat(source.fileno()).st_mode):
+            try:
+                root = _cache_root()
+                entry = os.path.join(root, _entry_name(path))
+                table = _cached_table(entry, source)
+                if table is not None:
+                    return table
+                source.seek(0)
+                return _parse_into_entry(source, root, entry)
+            except OSError:
+                source.seek(0)
+        with io.TextIOWrapper(source, encoding="utf-8") as text:
+            return parse_embedding_text(text)
+
+
+def _cache_root() -> str:
+    """The cache directory, made with mode 0700 where missing."""
+    home = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(home):
+        home = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(home):
+            raise OSError("no home directory for the table cache")
+    root = os.path.join(home, "kerndebias", "tables-v1")
+    os.makedirs(os.path.dirname(root), mode=0o700, exist_ok=True)
+    os.makedirs(root, mode=0o700, exist_ok=True)
+    return root
+
+
+def _entry_name(path: str) -> str:
+    """An entry's name: the crc32 of its file's real path.  Two paths with
+    one name share an entry, each replacing the other's."""
+    return f"{zlib.crc32(os.fsencode(os.path.realpath(path))):08x}"
+
+
+def _cached_table(entry: str, source: BinaryIO) -> EmbeddingTable | None:
+    """The table kept in entry, or None unless it is whole and was parsed
+    from exactly the bytes of source.
+
+    The files are opened relative to the entry directory's descriptor, so
+    all of them come from one entry even while another process replaces
+    it.  A hit marks the entry as just used.
+    """
+    try:
+        fd = os.open(entry, os.O_RDONLY | os.O_DIRECTORY)
+    except FileNotFoundError:
+        return None
+    try:
+        def opener(name: str, flags: int) -> int:
+            return os.open(name, flags, dir_fd=fd)
+
+        with open("source", "rb", opener=opener) as copy:
+            if not _same_bytes(source, copy):
+                return None
+        with open("crc32", "rb", opener=opener) as handle:
+            words_crc, matrix_crc = map(int, handle.read().split())
+        with open("words", "rb", opener=opener) as handle:
+            words = handle.read()
+        if zlib.crc32(words) != words_crc:
+            return None
+        with open("matrix.npy", "rb", opener=opener) as handle:
+            # Checked before np.load, so that it never parses a damaged header.
+            if _file_crc32(handle) != matrix_crc:
+                return None
+            handle.seek(0)
+            matrix = np.load(handle, allow_pickle=False)
+        table = EmbeddingTable(
+            words=tuple(words.decode("utf-8").split("\n")) if words else (), matrix=matrix
+        )
+    except (ValueError, EOFError, FormatError):
+        return None
+    finally:
+        os.close(fd)
+    try:
+        os.utime(entry)
+    except OSError:
+        pass
+    return table
+
+
+def _file_crc32(handle: BinaryIO) -> int:
+    """crc32 of a binary file's bytes from where it stands."""
+    buffer = bytearray(_COMPARE_BYTES)
+    view = memoryview(buffer)
+    crc = 0
+    while n := handle.readinto(buffer):
+        crc = zlib.crc32(view[:n], crc)
+    return crc
+
+
+def _same_bytes(a: BinaryIO, b: BinaryIO) -> bool:
+    """Whether two binary files, read from where they stand, hold the same bytes."""
+    if os.fstat(a.fileno()).st_size != os.fstat(b.fileno()).st_size:
+        return False
+    chunk_a, chunk_b = bytearray(_COMPARE_BYTES), bytearray(_COMPARE_BYTES)
+    while True:
+        n = a.readinto(chunk_a)
+        if n != b.readinto(chunk_b):
+            return False
+        if n < _COMPARE_BYTES:  # the end of both
+            return chunk_a[:n] == chunk_b[:n]
+        if chunk_a != chunk_b:
+            return False
+
+
+class _Tee(io.RawIOBase):
+    """Reads of a binary file, each also written to a copy.
+
+    A failed write stops the copy, not the reads: ``copied`` says whether
+    the copy holds every byte read.
+    """
+
+    def __init__(self, source: BinaryIO, copy: BinaryIO) -> None:
+        super().__init__()
+        self._source = source
+        self._copy = copy
+        self.copied = True
+
+    def readable(self) -> bool:
+        return True
+
+    def fileno(self) -> int:  # the parsed file, for callers that stat it
+        return self._source.fileno()
+
+    def readinto(self, buffer) -> int:
+        n = self._source.readinto(buffer)
+        if n and self.copied:
+            try:
+                self._copy.write(memoryview(buffer)[:n])
+            except OSError:
+                self.copied = False
+        return n
+
+    def close(self) -> None:
+        try:
+            self._copy.close()
+        except OSError:
+            self.copied = False
+        super().close()
+
+
+def _parse_into_entry(source: BinaryIO, root: str, entry: str) -> EmbeddingTable:
+    """Parse source, keeping the result as entry when all of it can be written.
+
+    The entry is built in a directory named after this process and moved
+    into place with os.replace; then the least recently used entries
+    beyond _CACHE_ENTRIES are removed.
+    """
+    work = os.path.join(root, f".tmp-{os.getpid()}")
+    shutil.rmtree(work, ignore_errors=True)
+    os.mkdir(work, 0o700)
+    try:
+        tee = _Tee(source, open(os.path.join(work, "source"), "wb"))
+        with io.TextIOWrapper(io.BufferedReader(tee), encoding="utf-8") as text:
+            table = parse_embedding_text(text)
+    except BaseException:
+        shutil.rmtree(work, ignore_errors=True)
+        raise
+    try:
+        if tee.copied:
+            words = "\n".join(table.words).encode("utf-8")
+            with open(os.path.join(work, "words"), "wb") as handle:
+                handle.write(words)
+            matrix_path = os.path.join(work, "matrix.npy")
+            np.save(matrix_path, table.matrix, allow_pickle=False)
+            with open(matrix_path, "rb") as handle:
+                matrix_crc = _file_crc32(handle)
+            with open(os.path.join(work, "crc32"), "w", encoding="ascii") as handle:
+                handle.write(f"{zlib.crc32(words)} {matrix_crc}\n")
+            shutil.rmtree(entry, ignore_errors=True)
+            os.replace(work, entry)
+            _evict(root)
+    except OSError:
+        pass
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return table
+
+
+def _evict(root: str) -> None:
+    """Remove all but the _CACHE_ENTRIES most recently used entries."""
+    with os.scandir(root) as scan:
+        entries = sorted(scan, key=lambda e: e.stat().st_mtime_ns, reverse=True)
+    for old in entries[_CACHE_ENTRIES:]:
+        shutil.rmtree(old.path, ignore_errors=True)
 
 
 def write_embedding_text(table: EmbeddingTable, precision: int = 9) -> str:

@@ -347,7 +347,8 @@ def svm_train(
             raise FormatError(f"{name} must be finite and positive, got {value}")
     vectors = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if set(np.unique(labels)) != {-1.0, 1.0}:
+    positive, negative = labels == 1.0, labels == -1.0
+    if not (positive.any() and negative.any() and np.all(positive | negative)):
         raise DataError("labels must contain both classes -1 and +1")
     gram = kernel(vectors, vectors)
     if not np.all(np.isfinite(gram)):
@@ -355,7 +356,6 @@ def svm_train(
     diag = np.diag(gram)
     alphas = np.zeros(len(labels))
     grad = -np.ones(len(labels))
-    positive = labels > 0
 
     for _ in range(_SMO_MAX_ITER):
         below_c = alphas < c_reg

@@ -96,17 +96,24 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values receive the average of their ranks.
+    """1-based ranks of a 1-D array; tied values receive the average of
+    their ranks.
 
     The group of equal values filling sorted positions start..end - 1
-    (0-based) gets rank (start + end + 1) / 2.
+    (0-based) gets rank (start + end + 1) / 2.  The groups are found in
+    one stable sort (np.unique would also load numpy.ma, 17 ms).
     """
-    _, inverse, counts = np.unique(
-        np.asarray(x, dtype=np.float64), return_inverse=True, return_counts=True
-    )
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return ((starts + ends + 1) / 2.0)[inverse]
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.empty(x.size, dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:

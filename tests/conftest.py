@@ -84,6 +84,14 @@ def planted_bias_table(
 RNG_SEED = 20240817
 
 
+@pytest.fixture(autouse=True)
+def private_table_cache(tmp_path, monkeypatch):
+    """Each test's own table cache, so no test reads or writes ~/.cache."""
+    cache = tmp_path / "xdg-cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(RNG_SEED)

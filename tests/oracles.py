@@ -267,3 +267,13 @@ def loop_average_ranks(x: np.ndarray) -> np.ndarray:
         ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
+
+
+def unique_average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based average-tie ranks through np.unique's counts and inverse."""
+    _, inverse, counts = np.unique(
+        np.asarray(x, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return ((starts + ends + 1) / 2.0)[inverse]

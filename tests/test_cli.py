@@ -1,4 +1,6 @@
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -886,3 +888,117 @@ def test_zero_vector_rejected_only_when_queried(tmp_path, capsys):
     assert sims == pytest.approx([0.6, 0.8], abs=1e-12)
     assert main([*argv, "a", "zero"]) == 3
     assert "'zero'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the table cache behind --embeddings
+# ---------------------------------------------------------------------------
+
+
+def _cache_entries(cache) -> list:
+    root = cache / "kerndebias" / "tables-v1"
+    return sorted(root.iterdir()) if root.exists() else []
+
+
+def _every_stage(paths, out) -> list[list[str]]:
+    """One argv per CLI stage over the table, writing under out."""
+    emb = ["--embeddings", str(paths["embeddings"])]
+    kernel, linear = str(out / "kernel.json"), str(out / "linear.json")
+    eq_sets = out / "eq-sets.json"
+    sets = json.loads(paths["sets"].read_text())
+    eq_sets.write_text(json.dumps({**sets, "equality_sets": [["m1", "f1"], ["m2", "f2"]]}))
+    weat = out / "weat.json"  # B unlike A after a linear fit, so no effect size is 0/0
+    weat.write_text(json.dumps({**json.loads(paths["weat"].read_text()), "B": ["n6", "n7"]}))
+    stages = [
+        ["fit", *emb, "--sets", str(paths["sets"]), "--backend", "kernel", "--kernel", "rbf",
+         "--gamma", "0.5", "--components", "2", "--out", kernel],
+        ["fit", *emb, "--sets", str(eq_sets), "--out", linear],
+        ["apply", *emb, "--model", kernel, "--out", str(out / "kernel.txt")],
+        ["apply", *emb, "--model", linear, "--sets", str(eq_sets), "--equalize",
+         "--out", str(out / "linear.txt")],
+        ["apply", *emb, "--no-normalize", "--model", linear, "--out", "-"],
+    ]
+    for tag, model in (("raw", []), ("linear", ["--model", linear]),
+                       ("kernel", ["--model", kernel])):
+        stages += [
+            ["sim", *emb, *model, "he", "she", "n0", "n1"],
+            ["eval", "weat", *emb, *model, "--config", str(weat),
+             "--out", str(out / f"weat-{tag}")],
+            ["eval", "professions", *emb, *model, "--professions", str(paths["professions"]),
+             "--male", str(paths["male"]), "--female", str(paths["female"]),
+             "--neighbors", "8", "--out", str(out / f"prof-{tag}")],
+            ["eval", "classify", *emb, *model, "--n-biased", "30", "--n-train", "16",
+             "--svm-gamma", "2.0", "--out", str(out / f"classify-{tag}")],
+            ["eval", "simlex", *emb, *model, "--pairs", str(paths["simlex"])],
+        ]
+    return stages
+
+
+def _run_stages(stages, out, capsys, before_each=None) -> list:
+    """Exit code, stdout and stderr of each stage, then every file under out."""
+    results = []
+    for argv in stages:
+        if before_each is not None:
+            before_each()
+        code = main(argv)
+        captured = capsys.readouterr()
+        results.append((argv[:2], code, captured.out, captured.err))
+    return results + sorted((p.name, p.read_bytes()) for p in out.iterdir())
+
+
+def test_warm_cache_outputs_equal_cold_outputs(planted_files, tmp_path, capsys, monkeypatch,
+                                               private_table_cache):
+    out = tmp_path / "out"
+    out.mkdir()
+    stages = _every_stage(planted_files, out)
+    cold = _run_stages(
+        stages, out, capsys, lambda: shutil.rmtree(private_table_cache, ignore_errors=True)
+    )
+    assert all(code == 0 for _, code, _, _ in cold[: len(stages)])
+    shutil.rmtree(out)
+    out.mkdir()
+    _every_stage(planted_files, out)
+    parses = []
+    monkeypatch.setattr("kerndebias.embeddings.parse_embedding_text", parses.append)
+    warm = _run_stages(stages, out, capsys)
+    assert parses == []  # every stage read the table from the cache
+    assert warm == cold
+    assert len(_cache_entries(private_table_cache)) == 1
+
+
+def test_malformed_table_exits_2_and_leaves_no_entry(planted_files, capsys, private_table_cache):
+    paths = planted_files
+    lines = paths["embeddings"].read_text().splitlines()
+    lines[5] = lines[5].rsplit(" ", 1)[0]
+    paths["embeddings"].write_text("\n".join(lines) + "\n")
+    for _ in range(2):
+        assert main(["sim", "--embeddings", str(paths["embeddings"]), "he", "she"]) == 2
+        assert capsys.readouterr().err == "error: line 6: expected 8 components, got 7\n"
+    assert _cache_entries(private_table_cache) == []
+
+
+def test_stdin_bypasses_the_cache(planted_files, capsys, monkeypatch, private_table_cache):
+    paths = planted_files
+    argv = ["sim", "--embeddings", "-", "he", "she"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(paths["embeddings"].read_text()))
+    assert main(argv) == 0
+    from_stdin = capsys.readouterr().out
+    assert _cache_entries(private_table_cache) == []
+    argv[2] = str(paths["embeddings"])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == from_stdin
+
+
+def test_unusable_cache_gives_the_same_output(planted_files, capsys, private_table_cache):
+    paths = planted_files
+    argv = ["sim", "--embeddings", str(paths["embeddings"]), "he", "she", "n0", "n1"]
+    assert main(argv) == 0
+    usable = capsys.readouterr()
+    for entry in _cache_entries(private_table_cache):
+        (entry / "matrix.npy").write_bytes(b"")
+    assert main(argv) == 0
+    assert capsys.readouterr() == usable
+    shutil.rmtree(private_table_cache)
+    private_table_cache.write_text("not a directory")
+    assert main(argv) == 0
+    assert capsys.readouterr() == usable

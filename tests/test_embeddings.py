@@ -1,5 +1,7 @@
 import io
 import itertools
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -323,3 +325,229 @@ class TestTableInvariants:
             )
             back = parse(write_embedding_text(table, precision=17))
             np.testing.assert_array_equal(back.matrix, table.matrix)
+
+
+def _entries(cache) -> list:
+    root = cache / "kerndebias" / "tables-v1"
+    return sorted(root.iterdir()) if root.exists() else []
+
+
+def _open_parse(path) -> EmbeddingTable:
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_embedding_text(handle)
+
+
+def _same_table(got: EmbeddingTable, want: EmbeddingTable) -> bool:
+    return (
+        got.words == want.words
+        and got.matrix.shape == want.matrix.shape
+        and got.matrix.tobytes() == want.matrix.tobytes()
+    )
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The streams read_embedding_file has parsed, in order."""
+    calls = []
+    parse_text = embeddings.parse_embedding_text
+    monkeypatch.setattr(
+        embeddings, "parse_embedding_text",
+        lambda stream: calls.append(stream) or parse_text(stream),
+    )
+    return calls
+
+
+class TestTableCache:
+    def test_cold_and_warm_reads_equal_the_parse(self, tmp_path, private_table_cache):
+        path = tmp_path / "table.txt"
+        for text in _parser_corpus():
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                want = _open_parse(path)
+            except FormatError as exc:
+                with pytest.raises(FormatError) as got:
+                    embeddings.read_embedding_file(str(path))
+                assert str(got.value) == str(exc), repr(text)
+                continue
+            for _ in ("cold", "warm"):
+                assert _same_table(embeddings.read_embedding_file(str(path)), want), repr(text)
+        assert len(_entries(private_table_cache)) == 1
+
+    def test_warm_read_is_a_hit(self, tmp_path, private_table_cache, parse_calls):
+        path = tmp_path / "table.txt"
+        path.write_text("3 2\na 1 2\nb 0.5 -1e-3\nc 3 4\n")
+        cold = embeddings.read_embedding_file(str(path))
+        warm = embeddings.read_embedding_file(str(path))
+        assert len(parse_calls) == 1
+        assert _same_table(warm, cold)
+        assert not warm.matrix.flags.writeable
+        # The entry is keyed by real path: a symlink to the file hits it too.
+        (tmp_path / "link.txt").symlink_to(path)
+        embeddings.read_embedding_file(str(tmp_path / "link.txt"))
+        assert len(parse_calls) == 1
+        assert len(_entries(private_table_cache)) == 1
+
+    def test_entry_dirs_are_private(self, tmp_path, private_table_cache):
+        path = tmp_path / "table.txt"
+        path.write_text("a 1 2\n")
+        embeddings.read_embedding_file(str(path))
+        root = private_table_cache / "kerndebias" / "tables-v1"
+        for directory in (root.parent, root, *_entries(private_table_cache)):
+            assert directory.stat().st_mode & 0o777 == 0o700
+
+    # A file of one compare read, and one of two with the change in each.
+    @pytest.mark.parametrize("n_rows, at", [(1, -1), (100_000, 0), (100_000, -1)])
+    def test_same_size_rewrite_is_parsed_again(self, tmp_path, parse_calls, n_rows, at):
+        path = tmp_path / "table.txt"
+        rows = [b"w%d 1.5 2\n" % i for i in range(n_rows)]
+        rows.insert(len(rows) if at == -1 else at, b"b 3 4\n")
+        path.write_bytes(b"".join(rows))
+        assert path.stat().st_size > embeddings._COMPARE_BYTES or n_rows == 1
+        embeddings.read_embedding_file(str(path))
+        stat = path.stat()
+        path.write_bytes(b"".join(rows).replace(b"b 3 4\n", b"b 3 5\n"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        table = embeddings.read_embedding_file(str(path))
+        assert len(parse_calls) == 2
+        np.testing.assert_array_equal(table.lookup("b"), [3.0, 5.0])
+
+    @pytest.mark.parametrize("name, corrupt", [
+        ("matrix.npy", lambda data: data[: len(data) - 8]),
+        ("matrix.npy", lambda data: data[:10] + b"garbage" + data[17:]),
+        ("matrix.npy", lambda data: data[:-1] + bytes([data[-1] ^ 1])),
+        ("matrix.npy", lambda data: data.replace(b"<f8", b"<i8")),
+        ("matrix.npy", lambda data: b""),
+        ("words", lambda data: data[:-1]),
+        ("words", lambda data: data.replace(b"b", b"z")),
+        ("words", lambda data: b"\xff" + data),
+        ("crc32", lambda data: b"0 0\n"),
+        ("crc32", lambda data: b"x\n"),
+        ("crc32", lambda data: data.split()[0]),
+    ], ids=["matrix-truncated", "matrix-header", "matrix-bit", "matrix-dtype",
+            "matrix-empty", "words-truncated", "words-renamed", "words-not-utf8",
+            "crc-mismatch", "crc-garbled", "crc-short"])
+    def test_damaged_entry_falls_back_to_a_parse(
+        self, tmp_path, private_table_cache, parse_calls, name, corrupt
+    ):
+        path = tmp_path / "table.txt"
+        path.write_text("a 1 2\nb 3 4\nc 5 6\n")
+        want = embeddings.read_embedding_file(str(path))
+        (entry,) = _entries(private_table_cache)
+        target = entry / name
+        target.write_bytes(corrupt(target.read_bytes()))
+        assert _same_table(embeddings.read_embedding_file(str(path)), want)
+        assert len(parse_calls) == 2
+        # The parse wrote a whole entry again.
+        assert _same_table(embeddings.read_embedding_file(str(path)), want)
+        assert len(parse_calls) == 2
+
+    @pytest.mark.parametrize("missing", ["source", "words", "matrix.npy", "crc32"])
+    def test_entry_missing_a_file_falls_back_to_a_parse(
+        self, tmp_path, private_table_cache, parse_calls, missing
+    ):
+        path = tmp_path / "table.txt"
+        path.write_text("a 1 2\nb 3 4\n")
+        want = embeddings.read_embedding_file(str(path))
+        (entry,) = _entries(private_table_cache)
+        (entry / missing).unlink()
+        assert _same_table(embeddings.read_embedding_file(str(path)), want)
+        assert len(parse_calls) == 2
+
+    def test_failed_parse_leaves_no_entry(self, tmp_path, private_table_cache):
+        path = tmp_path / "table.txt"
+        path.write_text("a 1 2\nb 3\n")
+        with pytest.raises(FormatError, match="line 2: expected 2 components, got 1"):
+            embeddings.read_embedding_file(str(path))
+        path.write_bytes(b"".join(b"w%d 1 2\n" % i for i in range(3000)) + b"caf\xe9 1 2\n")
+        with pytest.raises(UnicodeDecodeError) as got:
+            embeddings.read_embedding_file(str(path))
+        with pytest.raises(UnicodeDecodeError) as want:
+            _open_parse(path)
+        assert str(got.value) == str(want.value)
+        assert _entries(private_table_cache) == []
+
+    @pytest.mark.parametrize("fault", ["cache-home-is-a-file", "save-fails", "replace-fails",
+                                       "copy-write-fails"])
+    def test_unusable_cache_still_reads_the_table(
+        self, tmp_path, monkeypatch, private_table_cache, fault
+    ):
+        path = tmp_path / "table.txt"
+        path.write_bytes(b"".join(b"w%d %d.25 -%d\n" % (i, i, i) for i in range(3000)))
+
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if fault == "cache-home-is-a-file":
+            private_table_cache.write_text("")
+        elif fault == "save-fails":
+            monkeypatch.setattr(np, "save", fail)
+        elif fault == "replace-fails":
+            monkeypatch.setattr(os, "replace", fail)
+        else:
+            init = embeddings._Tee.__init__
+
+            def full_disk(self, source, copy_path):
+                init(self, source, copy_path)
+                self._copy.write = fail
+
+            monkeypatch.setattr(embeddings._Tee, "__init__", full_disk)
+        for _ in range(2):
+            assert _same_table(embeddings.read_embedding_file(str(path)), _open_parse(path))
+        if fault != "cache-home-is-a-file":
+            assert _entries(private_table_cache) == []
+
+    def test_fifo_bypasses_the_cache(self, tmp_path, private_table_cache, parse_calls):
+        fifo = tmp_path / "table.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("a 1 2\nb 3 4\n",))
+        writer.start()
+        try:
+            table = embeddings.read_embedding_file(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert table.words == ("a", "b")
+        assert len(parse_calls) == 1
+        assert _entries(private_table_cache) == []
+
+    def test_lru_cap(self, tmp_path, private_table_cache, parse_calls):
+        paths = [tmp_path / f"t{i}.txt" for i in range(embeddings._CACHE_ENTRIES + 3)]
+        for i, path in enumerate(paths):
+            path.write_text(f"w {i} 1\n")
+            embeddings.read_embedding_file(str(path))
+            assert len(_entries(private_table_cache)) == min(i + 1, embeddings._CACHE_ENTRIES)
+        # Give the kept entries distinct ages, oldest first in file order.
+        kept = sorted(_entries(private_table_cache), key=lambda e: e.stat().st_mtime_ns)
+        for age, entry in enumerate(kept):
+            os.utime(entry, ns=(0, (age + 1) * 10**9))
+        oldest = paths[len(paths) - len(kept)]
+        calls = len(parse_calls)
+        embeddings.read_embedding_file(str(oldest))  # a hit makes it the newest
+        assert len(parse_calls) == calls
+        (tmp_path / "new.txt").write_text("w 0 0\n")
+        embeddings.read_embedding_file(str(tmp_path / "new.txt"))
+        assert kept[0].exists() and not kept[1].exists()
+        assert len(_entries(private_table_cache)) == embeddings._CACHE_ENTRIES
+
+    def test_cold_read_does_not_hold_the_file(self, tmp_path, monkeypatch, rng):
+        block = 64
+        monkeypatch.setattr(embeddings, "_INITIAL_ROWS", block)
+        n, dim = 64 * block, 16
+        lines = [
+            f"w{i} " + " ".join(repr(float(v)) for v in row)
+            for i, row in enumerate(rng.normal(size=(n, dim)))
+        ]
+        block_bytes = max(len(line) for line in lines) * block
+        path = tmp_path / "table.txt"
+        path.write_text("\n".join(lines) + "\n")
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                table = embeddings.read_embedding_file(str(path))
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(table) == n
+            # The text is 2.5x the matrix: holding it whole breaks the bound.
+            bound = 2 * table.matrix.nbytes + 8 * block_bytes + 2 * embeddings._COMPARE_BYTES
+            assert peak - kept <= bound

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import kerndebias
 from kerndebias import NumericalError, pearson, spearman, symmetric_eig
 from kerndebias.numerics import average_ranks
-from oracles import loop_average_ranks
+from oracles import loop_average_ranks, unique_average_ranks
 
 
 class TestSymmetricEig:
@@ -171,6 +177,33 @@ class TestSpearman:
             x = rng.integers(-3, 4, size=n).astype(np.float64) / 2.0
             x[rng.random(n) < 0.2] = -0.0
             np.testing.assert_array_equal(average_ranks(x), loop_average_ranks(x))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 500])
+    def test_ranks_bit_identical_to_unique_formula(self, rng, n):
+        for levels in (1, 3, 50):
+            for _ in range(10):
+                x = rng.integers(0, levels, size=n) * rng.normal()
+                x[rng.random(n) < 0.1] = -0.0
+                ranks = average_ranks(x)
+                assert ranks.tobytes() == unique_average_ranks(x).tobytes()
+
+    def test_spearman_and_svm_leave_numpy_ma_unloaded(self):
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from kerndebias import spearman
+            from kerndebias.evaluation import svm_train
+            spearman(np.array([1.0, 2.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0, 2.0]))
+            svm_train(lambda a, b: a @ b.T, np.eye(4), np.array([1.0, -1.0, 1.0, -1.0]))
+            print("numpy.ma" in sys.modules)
+        """)
+        # The child imports the same kerndebias as this process.
+        package_root = os.path.dirname(os.path.dirname(kerndebias.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": package_root},
+        ).stdout
+        assert out.strip() == "False"
 
     def test_monotone_transform_invariance(self, rng):
         x = rng.normal(size=12)
