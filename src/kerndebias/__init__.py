@@ -6,7 +6,9 @@ Core pieces:
   read_embedding_file keeps each parsed table file in
   $XDG_CACHE_HOME/kerndebias/tables-v1 (default ~/.cache/kerndebias/...),
   used again only while the file's bytes equal the ones it was parsed
-  from.  Deleting that directory is always safe.
+  from.  Deleting that directory is always safe.  `apply` streams its
+  table through embeddings.iter_embedding_text, in bounded row blocks
+  whose bytes, joined, equal write_embedding_text's text.
 - :mod:`kerndebias.kernels` -- kernel specs and Gram matrices.
 - :mod:`kerndebias.rkhs` -- the one bias fit, fit_kernel_model, the one
   bias-model type, KernelBiasModel, its bias coordinates beta_matrix, and

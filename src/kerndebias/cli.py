@@ -5,8 +5,8 @@ emit corrected embeddings, `sim` for pairwise similarity queries,
 `eval weat|professions|classify|simlex` for the benchmarks, and
 `demo-toy` for the 2-D visualization dataset.
 
-Exit codes: 0 success, 2 config/IO error, 3 data insufficiency,
-4 numerical failure.
+Exit codes: 0 success, 2 config/IO error (any OSError, writes to --out and
+stdout included), 3 data insufficiency, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,16 +15,19 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
+import stat
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import configio, evaluation, toydemo
 from .embeddings import (
     EmbeddingTable,
+    iter_embedding_text,
     parse_embedding_text,
     read_embedding_file,
     unit_normalize,
-    write_embedding_text,
 )
 from .errors import DataError, FormatError, NumericalError
 from .kernels import _PARAMETER_FAMILIES, FAMILIES, KernelSpec, default_gamma
@@ -95,6 +98,39 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _write_blocks(path: str, blocks: Iterable[bytes]) -> None:
+    """Write blocks to path, or to stdout for "-".
+
+    A regular or new file is written to a temporary file beside it and
+    renamed onto it once whole, so a failed or interrupted write leaves the
+    earlier file as it was; a device or a pipe is written in place.
+    """
+    if path == "-":
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(blocks)
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as handle:
+            handle.writelines(blocks)
+        return
+    target = os.path.realpath(path)
+    work = f"{target}.tmp-{os.getpid()}"
+    try:
+        with open(work, "wb") as handle:
+            handle.writelines(blocks)
+        if mode is not None:
+            os.chmod(work, stat.S_IMODE(mode))
+        os.replace(work, target)
+    except BaseException:
+        if os.path.lexists(work):
+            os.unlink(work)
+        raise
+
+
 def _write_results(out: str | None, payload: dict) -> None:
     """Write <out>.json and <out>.csv (or stdout JSON when out is None).
 
@@ -152,7 +188,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     """Every row x as x - beta(x) W (preimage_neutralize_matrix), then, with
-    --equalize, the equality sets re-embedded."""
+    --equalize, the equality sets re-embedded; the text is streamed to
+    --out in the bounded blocks of embeddings.iter_embedding_text."""
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     model, data = configio.load_model(args.model)
     check_dimension(model.dim, table)
@@ -166,12 +203,12 @@ def cmd_apply(args: argparse.Namespace) -> int:
         for members in eq_sets.sets:
             for idx, vec in zip(members, equalize_set(model, table, members)):
                 matrix[idx] = vec
-    text = write_embedding_text(EmbeddingTable(words=table.words, matrix=matrix), args.precision)
+    blocks = iter_embedding_text(table.words, matrix, args.precision)
     if args.out_model is not None:
         data.pop("preimage", None)
         Path(args.out_model).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    _write_text(args.out, text)
-    if args.out not in (None, "-"):
+    _write_blocks(args.out, blocks)
+    if args.out != "-":
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -347,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
         "what --equalize re-embeds",
     )
     p_apply.add_argument("--equalize", action="store_true", help="linear-kernel models only")
-    p_apply.add_argument("--precision", type=int, default=9)
+    p_apply.add_argument(
+        "--precision", type=int, default=9,
+        help="decimal places per component, 1 to 17 (default 9)",
+    )
     p_apply.add_argument("--out", required=True, help="embedding output, - for stdout")
     p_apply.add_argument(
         "--out-model", help="write the loaded model JSON back here, without a stale "
@@ -422,10 +462,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        FormatError, FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError
-    ) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

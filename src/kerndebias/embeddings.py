@@ -19,6 +19,12 @@ used only while the file's bytes equal the copy it keeps of the bytes it
 was parsed from, so an edited file is always parsed again, and deleting
 the directory at any time is always safe.  An entry takes the file's
 size plus 8 bytes per component of disk.
+
+Tables are written with ("%s" + " %.{p}f" * dim) % (word, *row) per line,
+in blocks of at most _WRITE_COMPONENTS components.  iter_embedding_text
+yields the encoded blocks, which is how `apply` streams its table with
+bounded memory; write_embedding_text joins the same blocks into one
+string, so the two give the same bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import shutil
 import stat
 import zlib
 from dataclasses import dataclass, field
-from typing import IO, BinaryIO, Iterable
+from typing import IO, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +54,10 @@ _INITIAL_ROWS = 128
 # compare a file with an entry's copy of it.
 _CACHE_ENTRIES = 8
 _COMPARE_BYTES = 1 << 20
+
+# Components per block of iter_embedding_text.  A block's row strings,
+# its text and their encoding take about 100 bytes per component, 6 MB.
+_WRITE_COMPONENTS = 1 << 16
 
 # Rows already this close to unit norm are left untouched, which makes
 # unit_normalize exactly idempotent.
@@ -483,19 +493,50 @@ def _evict(root: str) -> None:
         shutil.rmtree(old.path, ignore_errors=True)
 
 
+def iter_embedding_text(
+    words: Sequence[str], matrix: np.ndarray, precision: int = 9
+) -> Iterator[bytes]:
+    """The UTF-8 text of the rows of matrix, each led by its word, in blocks
+    of at most _WRITE_COMPONENTS components.
+
+    Joined, the blocks are write_embedding_text's text, encoded.  The
+    precision, the shapes and the finiteness of matrix are checked when
+    this is called, before any block is made.
+
+    Raises:
+        FormatError: on a precision outside [1, 17], a matrix that is not
+            one row per word, or a non-finite component.
+    """
+    if not 1 <= precision <= 17:
+        raise FormatError(f"precision must be in [1, 17], got {precision}")
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != len(words):
+        raise FormatError(f"{len(words)} words but a matrix of shape {matrix.shape}")
+    rows = max(1, _WRITE_COMPONENTS // max(1, matrix.shape[1]))
+    starts = range(0, len(words), rows)
+    if not all(np.isfinite(matrix[i : i + rows]).all() for i in starts):
+        raise FormatError("embedding matrix contains non-finite values")
+    return (_format_block(words[i : i + rows], matrix[i : i + rows], precision) for i in starts)
+
+
+def _format_block(words: Sequence[str], block: np.ndarray, precision: int) -> bytes:
+    """Lines of ("%s" + " %.{precision}f" * dim) % (word, *row), encoded."""
+    # "%" and format() share one float formatter: "%.9f" % v == f"{v:.9f}".
+    fmt = "%s" + f" %.{precision}f" * block.shape[1] + "\n"
+    return "".join([fmt % (word, *row) for word, row in zip(words, block.tolist())]).encode()
+
+
 def write_embedding_text(table: EmbeddingTable, precision: int = 9) -> str:
     """Render a table in the text format with fixed-point components.
+
+    Each line is ("%s" + " %.{precision}f" * dim) % (word, *row); the text
+    is the blocks of iter_embedding_text, joined and decoded.
 
     Args:
         table: Table to write.
         precision: Decimal places per component, in [1, 17].
     """
-    if not 1 <= precision <= 17:
-        raise FormatError(f"precision must be in [1, 17], got {precision}")
-    # "%" and format() share one float formatter: "%.9f" % v == f"{v:.9f}".
-    fmt = "%s" + f" %.{precision}f" * table.dim
-    lines = [fmt % (word, *row.tolist()) for word, row in zip(table.words, table.matrix)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return b"".join(iter_embedding_text(table.words, table.matrix, precision)).decode("utf-8")
 
 
 def unit_normalize(table: EmbeddingTable) -> EmbeddingTable:

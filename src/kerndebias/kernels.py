@@ -141,9 +141,6 @@ class KernelSpec:
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed kernel spec: {exc!r}") from None
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_json(cls, text: str) -> "KernelSpec":
         try:

@@ -1,6 +1,11 @@
+import errno
 import io
 import json
+import os
 import shutil
+import stat
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from kerndebias import (
     unit_normalize,
     write_embedding_text,
 )
+from kerndebias import cli
 from kerndebias.cli import main
 from kerndebias.configio import model_from_dict
 from conftest import planted_bias_table, random_instance
@@ -768,6 +774,144 @@ def test_linear_file_apply_is_primal_projection(generic_files, tmp_path):
     basis = np.array(json.loads(paths["linear"].read_text())["basis"])
     expected = EmbeddingTable(words=table.words, matrix=primal_neutralize(basis, table.matrix))
     assert out.read_text() == write_embedding_text(expected, precision=17)
+
+
+@pytest.mark.parametrize("precision", ["1", "9", "17"])
+@pytest.mark.parametrize("model", ["linear", "rbf"])
+def test_apply_to_stdout_equals_apply_to_a_file(generic_files, tmp_path, capsys, model,
+                                                precision):
+    paths = generic_files
+    out = tmp_path / "out.txt"
+    assert _apply(paths, model, out, "--precision", precision) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert _apply(paths, model, "-", "--precision", precision) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["precision-zero", "non-finite"])
+def test_refused_apply_leaves_earlier_outputs_unchanged(generic_files, tmp_path, capsys, case):
+    paths = generic_files
+    out, out_model = tmp_path / "out.txt", tmp_path / "out-model.json"
+    out.write_bytes(b"earlier table\n")
+    out_model.write_bytes(b"earlier model\n")
+    extra, message = ["--precision", "0"], "precision must be in [1, 17], got 0"
+    if case == "non-finite":
+        # beta(x) overflows on a row this large along the first direction.
+        basis = np.array(json.loads(paths["linear"].read_text())["basis"])
+        huge = tmp_path / "huge.txt"
+        row = 1.7e308 * np.sign(basis[0])
+        huge.write_text("big " + " ".join(repr(float(v)) for v in row) + "\n")
+        extra = ["--embeddings", str(huge), "--no-normalize"]
+        message = "embedding matrix contains non-finite values"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = _apply(paths, "linear", out, "--out-model", str(out_model), *extra)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert out.read_bytes() == b"earlier table\n"
+    assert out_model.read_bytes() == b"earlier model\n"
+
+
+class _FullStdout:
+    """A stdout, text and binary, whose every write fails as on a full disk."""
+
+    def __init__(self):
+        self.buffer = self
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("stage", ["apply", "sim"])
+def test_stdout_write_error_exits_2(generic_files, capsys, monkeypatch, stage):
+    paths = generic_files
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    if stage == "apply":
+        code = _apply(paths, "rbf", "-")
+    else:
+        code = main(["sim", "--embeddings", str(paths["embeddings"]), "w0", "w1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("flag", ["--out", "--out-model"])
+def test_full_device_exits_2(generic_files, tmp_path, capsys, flag):
+    paths = generic_files
+    if flag == "--out":
+        code = _apply(paths, "rbf", "/dev/full")
+    else:
+        code = _apply(paths, "rbf", tmp_path / "out.txt", "--out-model", "/dev/full")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.ENOSPC}]")
+
+
+@pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "no space"), KeyboardInterrupt()])
+def test_failed_table_write_leaves_earlier_out_whole(generic_files, tmp_path, capsys,
+                                                     monkeypatch, failure):
+    paths = generic_files
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier table\n")
+    before = sorted(tmp_path.iterdir())
+
+    def failing_blocks(words, matrix, precision):
+        yield b"first block\n"
+        raise failure
+
+    monkeypatch.setattr(cli, "iter_embedding_text", failing_blocks)
+    if isinstance(failure, OSError):
+        assert _apply(paths, "rbf", out) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] no space\n"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            _apply(paths, "rbf", out)
+    assert out.read_bytes() == b"earlier table\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_table_write_keeps_mode_and_writes_through_links(generic_files, tmp_path, capsys):
+    paths = generic_files
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"earlier table\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert _apply(paths, "rbf", link) == 0
+    assert capsys.readouterr().out == f"wrote {link}\n"
+    assert link.is_symlink()
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert _apply(paths, "rbf", tmp_path / "direct.txt") == 0
+    assert target.read_bytes() == (tmp_path / "direct.txt").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_table_write_to_a_pipe_goes_in_place(generic_files, tmp_path, capsys):
+    paths = generic_files
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    before = set(tmp_path.iterdir())
+    # Held open at both ends, so no open of the pipe blocks, and the reader
+    # sees the end of the file once this is closed, whatever apply did.
+    held = os.open(pipe, os.O_RDWR)
+    received = []
+    with open(pipe, "rb") as source:
+        reader = threading.Thread(target=lambda: received.append(source.read()))
+        reader.start()
+        try:
+            assert _apply(paths, "rbf", pipe) == 0
+        finally:
+            os.close(held)
+            reader.join()
+    assert _apply(paths, "rbf", tmp_path / "direct.txt") == 0
+    assert received == [(tmp_path / "direct.txt").read_bytes()]
+    assert set(tmp_path.iterdir()) == before | {tmp_path / "direct.txt"}
+    assert stat.S_ISFIFO(pipe.lstat().st_mode)
 
 
 @pytest.mark.parametrize("model", ["linear", "kernel-linear", "rbf"])

@@ -16,6 +16,7 @@ from kerndebias import (
     unit_normalize,
     write_embedding_text,
 )
+from kerndebias.embeddings import iter_embedding_text
 from oracles import float_parse_embedding_text, fstring_embedding_text
 
 
@@ -184,6 +185,38 @@ class TestBlockParser:
 
 
 class TestWrite:
+    @pytest.mark.parametrize(
+        "words, matrix, message",
+        [
+            (("a",), [[1.0, np.inf]], "non-finite"),
+            (("a",), [[np.nan]], "non-finite"),
+            (("a", "b"), [[1.0]], "2 words but a matrix of shape (1, 1)"),
+            (("a",), [1.0], "1 words but a matrix of shape (1,)"),
+        ],
+        ids=["inf", "nan", "rows", "1-d"],
+    )
+    def test_stream_refuses_before_any_block(self, words, matrix, message):
+        with pytest.raises(FormatError) as exc:
+            iter_embedding_text(words, np.array(matrix), 9)
+        assert message in str(exc.value)
+
+    def test_stream_peak_memory_is_set_by_the_block(self, rng, monkeypatch):
+        block, dim = 4096, 16
+        monkeypatch.setattr(embeddings, "_WRITE_COMPONENTS", block)
+        bound = 200 * block + 64 * 1024
+        for rows in (16 * block // dim, 64 * block // dim):
+            matrix = rng.normal(size=(rows, dim))
+            words = [f"w{i}" for i in range(rows)]
+            tracemalloc.start()
+            try:
+                size = sum(len(text) for text in iter_embedding_text(words, matrix, 9))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+        # The larger table's text alone would break the bound.
+        assert size > 3 * bound
+
     def test_fixed_precision(self):
         table = EmbeddingTable(words=("a",), matrix=np.array([[1.0, 0.0]]))
         assert write_embedding_text(table, precision=6) == "a 1.000000 0.000000\n"
@@ -228,6 +261,27 @@ class TestOracleAgreement:
         assert write_embedding_text(table, precision=precision) == fstring_embedding_text(
             table.words, table.matrix, precision
         )
+
+    @pytest.mark.parametrize("precision", [1, 9, 17])
+    def test_small_blocks_join_to_the_whole_text(self, rng, monkeypatch, precision):
+        monkeypatch.setattr(embeddings, "_WRITE_COMPONENTS", 12)  # 3 rows of 4 per block
+        matrix = rng.normal(size=(20, 4)) * 10.0 ** rng.integers(-3, 3, size=(20, 4))
+        matrix[4, 1] = -1e300
+        words = tuple(f"w{i}" for i in range(19)) + ("caf\u00e9",)
+        blocks = list(iter_embedding_text(words, matrix, precision))
+        assert len(blocks) == 7
+        text = write_embedding_text(EmbeddingTable(words=words, matrix=matrix), precision)
+        assert text == fstring_embedding_text(words, matrix, precision)
+        assert b"".join(blocks) == text.encode("utf-8")
+
+    def test_rows_wider_than_a_block_and_empty_tables(self, rng, monkeypatch):
+        monkeypatch.setattr(embeddings, "_WRITE_COMPONENTS", 3)
+        matrix = rng.normal(size=(3, 5))
+        blocks = list(iter_embedding_text(("a", "b", "c"), matrix, 6))
+        assert len(blocks) == 3
+        assert b"".join(blocks).decode() == fstring_embedding_text("abc", matrix, 6)
+        assert list(iter_embedding_text((), np.zeros((0, 5)), 6)) == []
+        assert b"".join(iter_embedding_text(("a", "b"), np.zeros((2, 0)), 6)) == b"a\nb\n"
 
     def test_parser_matches_per_token_float(self, rng):
         values = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-20, 20, size=(5, 4))

@@ -267,7 +267,7 @@ class TestKernelSpecValidation:
 
     def test_json_round_trip(self):
         for spec in ALL_SPECS:
-            again = KernelSpec.from_json(spec.to_json())
+            again = KernelSpec.from_json(json.dumps(spec.to_dict()))
             assert again == spec
 
     def test_json_shape(self):
