@@ -6,7 +6,9 @@ emit corrected embeddings, `sim` for pairwise similarity queries,
 `demo-toy` for the 2-D visualization dataset.
 
 Exit codes: 0 success, 2 config/IO error (any OSError, writes to --out and
-stdout included), 3 data insufficiency, 4 numerical failure.
+stdout included), 3 data insufficiency, 4 numerical failure.  Every output
+file is written through _write_file, which renames a whole new file into
+place, so a failed write leaves the earlier file as it was.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import logging
 import os
 import stat
 import sys
-from pathlib import Path
 from typing import Iterable
 
 from . import configio, evaluation, toydemo
@@ -95,20 +96,25 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_file(path, [text.encode("utf-8")])
 
 
 def _write_blocks(path: str, blocks: Iterable[bytes]) -> None:
-    """Write blocks to path, or to stdout for "-".
+    """Write blocks to path (_write_file), or to stdout for "-"."""
+    if path == "-":
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(blocks)
+    else:
+        _write_file(path, blocks)
+
+
+def _write_file(path: str, blocks: Iterable[bytes]) -> None:
+    """Write blocks to the file path; every output file is written here.
 
     A regular or new file is written to a temporary file beside it and
     renamed onto it once whole, so a failed or interrupted write leaves the
     earlier file as it was; a device or a pipe is written in place.
     """
-    if path == "-":
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(blocks)
-        return
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -141,7 +147,7 @@ def _write_results(out: str | None, payload: dict) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    Path(out + ".json").write_text(text, encoding="utf-8")
+    _write_text(out + ".json", text)
     columns: dict[str, object] = {}
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -150,7 +156,7 @@ def _write_results(out: str | None, payload: dict) -> None:
             columns[key] = value
     header = ",".join(columns)
     row = ",".join(str(value) for value in columns.values())
-    Path(out + ".csv").write_text(header + "\n" + row + "\n", encoding="utf-8")
+    _write_text(out + ".csv", header + "\n" + row + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +182,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if model.discarded_negative
         else ""
     )
-    Path(args.out).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    _write_file(args.out, [(json.dumps(payload, indent=1) + "\n").encode("utf-8")])
     print(
         f"fitted {args.backend} model: {len(sets)} pairs, "
         f"components={args.components}, eigenvalues="
@@ -189,7 +195,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_apply(args: argparse.Namespace) -> int:
     """Every row x as x - beta(x) W (preimage_neutralize_matrix), then, with
     --equalize, the equality sets re-embedded; the text is streamed to
-    --out in the bounded blocks of embeddings.iter_embedding_text."""
+    --out in the bounded blocks of embeddings.iter_embedding_text, and
+    --out-model is written only once the table is whole."""
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     model, data = configio.load_model(args.model)
     check_dimension(model.dim, table)
@@ -203,11 +210,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
         for members in eq_sets.sets:
             for idx, vec in zip(members, equalize_set(model, table, members)):
                 matrix[idx] = vec
-    blocks = iter_embedding_text(table.words, matrix, args.precision)
+    _write_blocks(args.out, iter_embedding_text(table.words, matrix, args.precision))
     if args.out_model is not None:
         data.pop("preimage", None)
-        Path(args.out_model).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    _write_blocks(args.out, blocks)
+        _write_file(args.out_model, [(json.dumps(data, indent=1) + "\n").encode("utf-8")])
     if args.out != "-":
         print(f"wrote {args.out}")
     return EXIT_OK

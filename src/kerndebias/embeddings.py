@@ -20,11 +20,17 @@ was parsed from, so an edited file is always parsed again, and deleting
 the directory at any time is always safe.  An entry takes the file's
 size plus 8 bytes per component of disk.
 
-Tables are written with ("%s" + " %.{p}f" * dim) % (word, *row) per line,
-in blocks of at most _WRITE_COMPONENTS components.  iter_embedding_text
-yields the encoded blocks, which is how `apply` streams its table with
-bounded memory; write_embedding_text joins the same blocks into one
-string, so the two give the same bytes.
+Tables are written with the bytes of ("%s" + " %.{p}f" * dim) % (word,
+*row) per line, in blocks of at most _WRITE_COMPONENTS components.
+iter_embedding_text yields the encoded blocks, which is how `apply` streams
+its table with bounded memory; write_embedding_text joins the same blocks
+into one string, so the two give the same bytes.  Each block is formatted
+in numpy, not value by value: "%.pf" prints |v|·10^p rounded to an integer,
+ties to even, and that integer is computed exactly in int64 from Dekker's
+two-product of |v| and 10^p (see _scaled_integers), so the digits are
+those of "%" for every finite value.  Only a block holding a |v|·10^p of
+2^62 or more, out of int64's reach, is formatted with "%" itself; unit
+rows never are, at any precision from 1 to 17.
 """
 
 from __future__ import annotations
@@ -55,9 +61,15 @@ _INITIAL_ROWS = 128
 _CACHE_ENTRIES = 8
 _COMPARE_BYTES = 1 << 20
 
-# Components per block of iter_embedding_text.  A block's row strings,
-# its text and their encoding take about 100 bytes per component, 6 MB.
+# Components per block of iter_embedding_text.  A block's work arrays and
+# text take about 110 bytes per component at precision 9 and 150 at 17,
+# 7 to 10 MB.
 _WRITE_COMPONENTS = 1 << 16
+
+# Veltkamp's splitter for float64 (2^27 + 1), and the bound on |v|·10^p
+# below which _format_block rounds in int64.
+_SPLIT = 134217729.0
+_FAST_LIMIT = 2.0**62
 
 # Rows already this close to unit norm are left untouched, which makes
 # unit_normalize exactly idempotent.
@@ -520,7 +532,106 @@ def iter_embedding_text(
 
 
 def _format_block(words: Sequence[str], block: np.ndarray, precision: int) -> bytes:
-    """Lines of ("%s" + " %.{precision}f" * dim) % (word, *row), encoded."""
+    """Lines of ("%s" + " %.{precision}f" * dim) % (word, *row), encoded.
+
+    "%.pf" prints the exact value of |v|·10^p rounded to the nearest
+    integer n, ties to even, with a "-" wherever v's sign bit is set (so
+    -0.0 and tiny negatives print as "-0.000...").  Here n is exact too:
+    Dekker's two-product gives |v|·10^p as hi + lo with no error, and
+    exact float comparisons of lo with the half-way points around rint(hi)
+    decide the rounding and its ties (_scaled_integers).  That needs
+    |v|·10^p < 2^62, so that n fits int64; a block holding a larger value
+    goes to _percent_block.  The digits of n are laid out in one uint8
+    cell matrix: per value a space, a sign, a fixed number of integer
+    digits, a point and p decimals, and a newline per row.  One boolean
+    mask drops the unused sign and leading-zero cells, and the rows are
+    joined with their words.
+    """
+    scale = 10.0 ** precision
+    magnitude = np.abs(block)
+    with np.errstate(over="ignore"):
+        hi = magnitude * scale
+    if hi.size and hi.max() >= _FAST_LIMIT:
+        return _percent_block(words, block, precision)
+    n = _scaled_integers(magnitude, hi, scale)
+    del magnitude, hi
+    int_digits = len(str(int(n.max(initial=0)) // 10**precision))
+    width = int_digits + precision + 3
+    rows, dim = block.shape
+    cells = np.empty((rows, dim * width + 1), np.uint8)
+    keep = np.ones(cells.shape, bool)
+    # Views of the cells of each value; the last column is the newline.
+    value_cells = cells[:, :-1].reshape(rows, dim, width)
+    value_keep = keep[:, :-1].reshape(rows, dim, width)
+    cells[:, -1] = ord("\n")
+    value_cells[..., 0] = ord(" ")
+    value_cells[..., 1] = ord("-")
+    value_cells[..., 2 + int_digits] = ord(".")
+    # Not np.signbit(block, out=...): numpy 2.4 writes a strided out wrongly.
+    value_keep[..., 1] = np.signbit(block)
+    digits = [*range(width - 1, 2 + int_digits, -1), *range(1 + int_digits, 1, -1)]
+    rest = n
+    for k, cell in enumerate(digits):
+        if k > precision:  # a leading zero of the integer part is dropped
+            np.greater_equal(n, 10**k, out=value_keep[..., cell])
+        quotient = rest // 10
+        value_cells[..., cell] = rest - quotient * 10 + ord("0")
+        rest = quotient
+    body = memoryview(cells[keep])
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    parts: list = []
+    start = 0
+    for word, end in zip(words, ends):
+        parts += (word.encode(), body[start:end])
+        start = end
+    return b"".join(parts)
+
+
+def _scaled_integers(magnitude: np.ndarray, hi: np.ndarray, scale: float) -> np.ndarray:
+    """The int64 n = round(magnitude·scale), ties to even, exactly.
+
+    hi = fl(a·s) and lo = a·s − hi are Dekker's two-product of a and s:
+    both are split into 26-bit halves (Veltkamp) whose products are
+    exact, so hi + lo equals a·s, and |lo| <= ulp(hi)/2.  Then n0 =
+    rint(hi) and f = hi − n0 are exact, with |f| <= 1/2.  Where hi >= 2^53,
+    hi is even and f is 0, and lo may exceed 1/2: rint(lo) moves to n0
+    (its ties to even keep the sum's), and what is left of lo is at most
+    1/2.  a·s − n0 = f + lo then lies in (−1, 1), so n is n0, n0 + 1 when
+    lo > 1/2 − f, or n0 − 1 when lo < −1/2 − f; where lo equals either
+    edge, a·s is half-way and n is the even neighbour.  The edges are
+    exact wherever lo can reach them (f and 1/2 are multiples of
+    ulp(hi) <= 1/2 there), so every comparison is exact.  Needs
+    a·s < 2^62, so that n fits int64, and no underflow in the products
+    where they decide a tie (a >= 1/(2s), far above the subnormals).
+    """
+    s_hi, s_lo = _split(scale)
+    a_hi, a_lo = _split(magnitude)
+    lo = a_hi * s_hi - hi
+    lo += a_hi * s_lo
+    lo += a_lo * s_hi
+    lo += a_lo * s_lo
+    whole = np.rint(hi)
+    frac = hi - whole
+    carry = np.rint(lo)
+    lo -= carry
+    n = whole.astype(np.int64) + carry.astype(np.int64)
+    odd = (n & 1).astype(bool)
+    edge = 0.5 - frac
+    n += (lo > edge) | ((lo == edge) & odd)
+    edge -= 1.0
+    n -= (lo < edge) | ((lo == edge) & odd)
+    return n
+
+
+def _split(x):
+    """Veltkamp's split of float64 x into hi + lo, each of at most 26 bits."""
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _percent_block(words: Sequence[str], block: np.ndarray, precision: int) -> bytes:
+    """_format_block's text made with "%", one row at a time."""
     # "%" and format() share one float formatter: "%.9f" % v == f"{v:.9f}".
     fmt = "%s" + f" %.{precision}f" * block.shape[1] + "\n"
     return "".join([fmt % (word, *row) for word, row in zip(words, block.tolist())]).encode()
@@ -529,8 +640,10 @@ def _format_block(words: Sequence[str], block: np.ndarray, precision: int) -> by
 def write_embedding_text(table: EmbeddingTable, precision: int = 9) -> str:
     """Render a table in the text format with fixed-point components.
 
-    Each line is ("%s" + " %.{precision}f" * dim) % (word, *row); the text
-    is the blocks of iter_embedding_text, joined and decoded.
+    Each line is ("%s" + " %.{precision}f" * dim) % (word, *row), to the
+    byte: every component is rounded exactly, ties to even (see
+    _format_block).  The text is the blocks of iter_embedding_text, joined
+    and decoded.
 
     Args:
         table: Table to write.

@@ -8,6 +8,7 @@ tautology.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
@@ -214,6 +215,20 @@ def fstring_embedding_text(words, matrix: np.ndarray, precision: int) -> str:
         for word, row in zip(words, matrix)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def decimal_fixed_point(v: float, precision: int) -> str:
+    """``"%.{precision}f" % v`` by exact decimal arithmetic.
+
+    Decimal(v) is the exact binary value of v; quantize rounds it once to
+    the given places, ties to even, and keeps the sign of -0.0 and of
+    negatives that round to zero.  The context's 400 digits hold every
+    double's integer part plus 17 decimals, so quantize never fails.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 400
+        quantum = decimal.Decimal(10) ** -precision
+        return f"{decimal.Decimal(v).quantize(quantum, decimal.ROUND_HALF_EVEN):f}"
 
 
 def float_parse_embedding_text(text: str) -> tuple[list[str], np.ndarray]:

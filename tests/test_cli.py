@@ -875,6 +875,67 @@ def test_failed_table_write_leaves_earlier_out_whole(generic_files, tmp_path, ca
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("earlier", [True, False], ids=["earlier-model", "no-model"])
+@pytest.mark.parametrize("failure", ["full-device", "failing-blocks"])
+def test_failed_table_write_leaves_out_model_unwritten(generic_files, tmp_path, capsys,
+                                                       monkeypatch, failure, earlier):
+    paths = generic_files
+    out, out_model = tmp_path / "out.txt", tmp_path / "out-model.json"
+    if earlier:
+        out_model.write_bytes(b"earlier model\n")
+    before = sorted(tmp_path.iterdir())
+    if failure == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs the /dev/full device")
+        out = "/dev/full"
+    else:
+        def failing_blocks(words, matrix, precision):
+            yield b"first block\n"
+            raise OSError(errno.ENOSPC, "no space")
+
+        monkeypatch.setattr(cli, "iter_embedding_text", failing_blocks)
+    assert _apply(paths, "rbf", out, "--out-model", str(out_model)) == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.ENOSPC}]")
+    assert sorted(tmp_path.iterdir()) == before
+    if earlier:
+        assert out_model.read_bytes() == b"earlier model\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's RLIMIT_FSIZE")
+@pytest.mark.parametrize("stage", ["fit", "sim", "eval"])
+def test_failed_file_write_leaves_earlier_output_whole(generic_files, tmp_path, capsys, stage):
+    """A write that fails part way (the file-size limit, as on a full disk)
+    leaves the earlier file whole: every output file goes to a temporary
+    file that is renamed into place."""
+    import resource
+
+    paths = generic_files
+    common = ["--embeddings", str(paths["embeddings"])]
+    earlier = tmp_path / ("model.json" if stage != "eval" else "result.json")
+    earlier.write_bytes(b"earlier output\n" * 64)
+    argv = {
+        "fit": ["fit", *common, "--sets", str(paths["sets"]), "--out", str(earlier)],
+        "sim": ["sim", *common, "--out", str(earlier), "w0", "w1"],
+        "eval": ["eval", "simlex", *common, "--pairs", str(tmp_path / "pairs.tsv"),
+                 "--out", str(tmp_path / "result")],
+    }[stage]
+    (tmp_path / "pairs.tsv").write_text("w0\tw1\t1.0\nw2\tw3\t2.0\nw4\tw5\t3.0\n")
+    main(argv)  # the table's first parse and cache entry, outside the limit
+    earlier.write_bytes(b"earlier output\n" * 64)
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard))
+    try:
+        code = main(argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EFBIG}]")
+    assert earlier.read_bytes() == b"earlier output\n" * 64
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_table_write_keeps_mode_and_writes_through_links(generic_files, tmp_path, capsys):
     paths = generic_files
     target = tmp_path / "target.txt"

@@ -17,7 +17,7 @@ from kerndebias import (
     write_embedding_text,
 )
 from kerndebias.embeddings import iter_embedding_text
-from oracles import float_parse_embedding_text, fstring_embedding_text
+from oracles import decimal_fixed_point, float_parse_embedding_text, fstring_embedding_text
 
 
 def parse(text: str) -> EmbeddingTable:
@@ -282,6 +282,59 @@ class TestOracleAgreement:
         assert b"".join(blocks).decode() == fstring_embedding_text("abc", matrix, 6)
         assert list(iter_embedding_text((), np.zeros((0, 5)), 6)) == []
         assert b"".join(iter_embedding_text(("a", "b"), np.zeros((2, 0)), 6)) == b"a\nb\n"
+
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_writer_matches_exact_decimal_rounding(self, rng, monkeypatch, precision):
+        scale = 10.0**precision
+        k = rng.integers(0, 10 ** min(precision, 15), size=64).astype(float)
+        half_ways = (k + 0.5) / scale
+        bound = 2.0**62 / scale  # _format_block's int64 limit on |v|·10^p
+        values = np.concatenate([
+            rng.integers(-(2**20), 2**20, size=64) / 2.0 ** (precision + 1),  # exact ties
+            half_ways, np.nextafter(half_ways, np.inf), np.nextafter(half_ways, -np.inf),
+            -half_ways,
+            [-0.0, 0.0, -1e-300, -0.1 / scale, -0.49 / scale, 0.5 / scale, -0.5 / scale],
+            [5e-324, -5e-324, 2.5e-310, -2.2250738585072014e-308],  # subnormals
+            [np.nextafter(bound, 0.0), -np.nextafter(bound, 0.0), bound, -bound,
+             np.nextafter(bound, np.inf), -bound * (1 + 2.0**-40)],
+            rng.normal(size=64) * 10.0 ** rng.integers(-20, 4, size=64),
+        ])
+        values = np.concatenate([values, np.zeros(-len(values) % 4)])
+        matrix = values.reshape(-1, 4)
+        # Two rows per block; the words at block starts are not ASCII.
+        monkeypatch.setattr(embeddings, "_WRITE_COMPONENTS", 8)
+        words = [f"w{i}" if i % 2 else f"caf\u00e9{i}\u65e5" for i in range(len(matrix))]
+        expected = "".join(
+            word + "".join(" " + decimal_fixed_point(float(v), precision) for v in row) + "\n"
+            for word, row in zip(words, matrix)
+        )
+        assert b"".join(iter_embedding_text(words, matrix, precision)) == expected.encode()
+
+    def test_decimal_oracle_agrees_with_percent_formatting(self):
+        for v, precision, text in [(0.125, 2, "0.12"), (0.375, 2, "0.38"), (2.675, 2, "2.67"),
+                                   (-0.0, 3, "-0.000"), (-1e-12, 5, "-0.00000"),
+                                   (1e22, 1, "10000000000000000000000.0")]:
+            assert decimal_fixed_point(v, precision) == text == f"{v:.{precision}f}"
+
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_unit_rows_never_take_the_percent_fallback(self, rng, monkeypatch, precision):
+        calls = []
+        percent_block = embeddings._percent_block
+        monkeypatch.setattr(embeddings, "_percent_block",
+                            lambda *args: calls.append(args) or percent_block(*args))
+        monkeypatch.setattr(embeddings, "_WRITE_COMPONENTS", 40)  # 5 rows of 8 per block
+        matrix = rng.normal(size=(30, 8))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        matrix[:8] = np.eye(8) * np.where(np.arange(8) % 2, -1.0, 1.0)[:, None]
+        words = [f"w{i}" for i in range(30)]
+        text = b"".join(iter_embedding_text(words, matrix, precision))
+        assert calls == []
+        assert text == fstring_embedding_text(words, matrix, precision).encode()
+        # One value just past the int64 bound sends its block, and only it, to "%".
+        matrix[17, 3] = -(2.0**62) / 10.0**precision * (1 + 2.0**-40)
+        text = b"".join(iter_embedding_text(words, matrix, precision))
+        assert [len(args[0]) for args in calls] == [5] and calls[0][0][0] == "w15"
+        assert text == fstring_embedding_text(words, matrix, precision).encode()
 
     def test_parser_matches_per_token_float(self, rng):
         values = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-20, 20, size=(5, 4))
