@@ -182,13 +182,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if model.discarded_negative
         else ""
     )
-    _write_file(args.out, [(json.dumps(payload, indent=1) + "\n").encode("utf-8")])
+    _write_text(args.out, json.dumps(payload, indent=1) + "\n")
+    progress = sys.stderr if args.out == "-" else sys.stdout
     print(
         f"fitted {args.backend} model: {len(sets)} pairs, "
         f"components={args.components}, eigenvalues="
-        f"[{', '.join(f'{v:.6g}' for v in model.eigenvalues)}]{extra}"
+        f"[{', '.join(f'{v:.6g}' for v in model.eigenvalues)}]{extra}",
+        file=progress,
     )
-    print(f"wrote {args.out}")
+    print(f"wrote {args.out}", file=progress)
     return EXIT_OK
 
 
@@ -196,7 +198,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
     """Every row x as x - beta(x) W (preimage_neutralize_matrix), then, with
     --equalize, the equality sets re-embedded; the text is streamed to
     --out in the bounded blocks of embeddings.iter_embedding_text, and
-    --out-model is written only once the table is whole."""
+    --out-model is written only once the table is whole.  Either may be
+    - (stdout), but not both."""
+    if args.out == "-" and args.out_model == "-":
+        raise FormatError("--out and --out-model cannot both be - (stdout)")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     model, data = configio.load_model(args.model)
     check_dimension(model.dim, table)
@@ -213,9 +218,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
     _write_blocks(args.out, iter_embedding_text(table.words, matrix, args.precision))
     if args.out_model is not None:
         data.pop("preimage", None)
-        _write_file(args.out_model, [(json.dumps(data, indent=1) + "\n").encode("utf-8")])
+        _write_text(args.out_model, json.dumps(data, indent=1) + "\n")
     if args.out != "-":
-        print(f"wrote {args.out}")
+        print(f"wrote {args.out}", file=sys.stderr if args.out_model == "-" else sys.stdout)
     return EXIT_OK
 
 
@@ -350,7 +355,11 @@ def _add_common(
         )
     default, text = {
         "fixed": (42, "run seed (default: 42)"),
-        "config": (None, "run seed (default: the config's seed)"),
+        "config": (
+            None,
+            f"Monte Carlo p-value seed, used only above {evaluation.EXACT_LIMIT} "
+            "target words (default: the config's seed)",
+        ),
         "ignored": (None, "ignored: this stage draws no random numbers"),
     }[seed]
     parser.add_argument("--seed", type=int, default=default, help=text)
@@ -378,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument("--degree", type=int, help="polynomial degree (default 2)")
     p_fit.add_argument("--components", type=int, default=1, help="bias directions K")
-    p_fit.add_argument("--out", required=True, help="model JSON output path")
+    p_fit.add_argument("--out", required=True, help="model JSON output, - for stdout")
     p_fit.set_defaults(func=cmd_fit)
 
     p_apply = sub.add_parser("apply", help="write corrected embeddings")
@@ -396,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_apply.add_argument("--out", required=True, help="embedding output, - for stdout")
     p_apply.add_argument(
-        "--out-model", help="write the loaded model JSON back here, without a stale "
-        "'preimage' block"
+        "--out-model", help="write the loaded model JSON back here (- for stdout), "
+        "without a stale 'preimage' block"
     )
     p_apply.set_defaults(func=cmd_apply)
 
@@ -417,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_weat.add_argument("--config", required=True, help="WEAT config JSON")
     p_weat.add_argument(
         "--permutations", type=int,
-        help=f"override config permutation count (1 to {evaluation.MAX_PERMUTATIONS})",
+        help="override the config's Monte Carlo permutation count (1 to "
+        f"{evaluation.MAX_PERMUTATIONS}), used only above {evaluation.EXACT_LIMIT} "
+        "target words; at or below, the p-value is exact",
     )
     p_weat.add_argument("--out", help="output prefix (.json/.csv)")
     p_weat.set_defaults(func=cmd_eval_weat)

@@ -24,7 +24,6 @@ so any object that has both can stand in for the metric.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -41,7 +40,10 @@ from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
 
-EXHAUSTIVE_LIMIT = 20000
+# Most target words (|X| + |Y|) whose WEAT p-value is counted exactly over
+# every equal split: 2^16 subset sums per half, about 16 ms and a few MB
+# on a 2-vCPU Xeon host.  Above it the p-value is seeded Monte Carlo.
+EXACT_LIMIT = 32
 DEFAULT_PERMUTATIONS = 100000
 DEFAULT_SEED = 42
 # Most Monte Carlo permutations a WEAT config may ask for: a p-value
@@ -128,14 +130,50 @@ def _associations(
     return sims[:, : len(a_in)].mean(axis=1) - sims[:, len(a_in) :].mean(axis=1)
 
 
+def _subset_sums_by_size(values: np.ndarray) -> list[np.ndarray]:
+    """sums[k]: the sum of every k-element subset of values (2^len in all)."""
+    sums = [np.zeros(1)]
+    for value in values:
+        grown = [*sums, np.empty(0)]
+        for k in range(len(sums), 0, -1):
+            grown[k] = np.concatenate([grown[k], sums[k - 1] + value])
+        sums = grown
+    return sums
+
+
+def _exact_hits(s_values: np.ndarray, nx: int, threshold: float) -> int:
+    """Number of nx-word subsets of s_values whose sum reaches threshold.
+
+    Meet in the middle: the subset sums of each half are listed by size,
+    and for each size i one searchsorted over the other half's sorted
+    (nx - i)-subset sums counts the pairs with a + b >= threshold.
+    """
+    half = len(s_values) // 2
+    left = _subset_sums_by_size(s_values[:half])
+    right = [np.sort(sums) for sums in _subset_sums_by_size(s_values[half:])]
+    hits = 0
+    for i in range(max(0, nx - (len(right) - 1)), min(nx, len(left) - 1) + 1):
+        others = right[nx - i]
+        below = np.searchsorted(others, threshold - left[i], side="left")
+        hits += len(others) * len(left[i]) - int(below.sum())
+    return hits
+
+
 def weat_test(metric: CorrectedMetric, cfg: WeatConfig) -> WeatResult:
     """Effect size and one-sided permutation p-value for the association gap.
 
     The effect size is the standardized mean difference of per-word
     association scores between the target lists (population std over the
     union).  The p-value is the fraction of equal-size splits of the union
-    whose statistic reaches the observed one: exhaustive when the number
-    of splits is at most 20000, otherwise seeded Monte Carlo.
+    whose statistic (sum over the chosen words minus sum over the rest)
+    reaches the observed one.  "Reaches" allows 1e-12 times the sum of
+    |scores| for rounding, far above any summation error, so tied splits
+    and the observed split itself always count, and p >= 1/C(n, |X|).
+
+    With at most EXACT_LIMIT (32) target words the count is exact, by
+    meet in the middle (_exact_hits), and no random number is drawn:
+    cfg.permutations and cfg.seed are read only above 32 words, where
+    the p-value is seeded Monte Carlo over that many drawn splits.
     """
     x_in = [w for w in cfg.x_words if w in metric]
     y_in = [w for w in cfg.y_words if w in metric]
@@ -161,22 +199,15 @@ def weat_test(metric: CorrectedMetric, cfg: WeatConfig) -> WeatResult:
     if std <= 1e-12:
         raise NumericalError(f"degenerate association scores: zero spread (std {std:.3g})")
     effect = (float(s_values[:nx].mean()) - float(s_values[nx:].mean())) / std
-
-    total = float(s_values.sum())
-
-    def split_statistics(idx: np.ndarray) -> np.ndarray:
-        # Sum over each row's chosen words minus sum over the rest, as
-        # 2 * chosen - total, so the observed split and every other one
-        # are computed identically.
-        return 2.0 * s_values[idx].sum(axis=1) - total
-
-    observed = split_statistics(np.arange(nx)[None])[0]
+    chosen = float(s_values[:nx].sum())
+    observed = 2.0 * chosen - float(s_values.sum())
+    # A split's statistic is 2 * (its chosen words' sum) - total, so it
+    # reaches the observed one when that sum reaches threshold.
+    threshold = chosen - 1e-12 * float(np.abs(s_values).sum())
     n_union = len(s_values)
-    n_splits = math.comb(n_union, nx)
-    exhaustive = n_splits <= EXHAUSTIVE_LIMIT
+    exhaustive = n_union <= EXACT_LIMIT
     if exhaustive:
-        splits = np.array(list(itertools.combinations(range(n_union), nx)))
-        p_value = int(np.sum(split_statistics(splits) >= observed)) / n_splits
+        p_value = _exact_hits(s_values, nx, threshold) / math.comb(n_union, nx)
     else:
         rng = rng_for(cfg.seed, "weat-permutation")
         hits = 0
@@ -185,7 +216,7 @@ def weat_test(metric: CorrectedMetric, cfg: WeatConfig) -> WeatResult:
             m = min(20000, remaining)
             keys = rng.random((m, n_union))
             idx = np.argpartition(keys, nx - 1, axis=1)[:, :nx]
-            hits += int(np.sum(split_statistics(idx) >= observed))
+            hits += int(np.sum(s_values[idx].sum(axis=1) >= threshold))
             remaining -= m
         p_value = hits / cfg.permutations
 

@@ -4,7 +4,9 @@ import json
 import os
 import shutil
 import stat
+import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -17,6 +19,7 @@ from kerndebias import (
     unit_normalize,
     write_embedding_text,
 )
+import kerndebias
 from kerndebias import cli
 from kerndebias.cli import main
 from kerndebias.configio import model_from_dict
@@ -289,10 +292,11 @@ def test_weat_explicit_permutations_accepted(planted_files, tmp_path):
 
 
 def test_weat_seed_flag_overrides_config_seed(planted_files, tmp_path):
-    # 9 + 9 targets take the seeded Monte Carlo branch.
+    # 17 + 17 targets, above the exact limit, take the seeded Monte Carlo
+    # branch.
     paths = planted_files
     config = json.loads(paths["weat"].read_text())
-    targets = {"X": [f"n{i}" for i in range(9)], "Y": [f"n{i}" for i in range(9, 18)]}
+    targets = {"X": [f"n{i}" for i in range(17)], "Y": [f"n{i}" for i in range(17, 34)]}
     results = {}
     for config_seed, flag in ((1, None), (2, None), (1, 2)):
         paths["weat"].write_text(json.dumps(
@@ -306,6 +310,38 @@ def test_weat_seed_flag_overrides_config_seed(planted_files, tmp_path):
     assert not results[1, None]["exhaustive"]
     assert results[1, 2] == results[2, None]
     assert results[1, 2]["p_value"] != results[1, None]["p_value"]
+
+
+def test_exact_weat_leaves_numpy_random_unloaded(planted_files, tmp_path):
+    # 16 + 16 targets, the most the exact p-value takes: no draw, so the
+    # stage never imports numpy.random.
+    paths = planted_files
+    config = json.loads(paths["weat"].read_text())
+    paths["weat"].write_text(json.dumps(
+        {**config, "X": [f"n{i}" for i in range(16)], "Y": [f"n{i}" for i in range(16, 32)]}
+    ))
+    out = tmp_path / "weat"
+    argv = ["eval", "weat", "--embeddings", str(paths["embeddings"]),
+            "--config", str(paths["weat"]), "--out", str(out)]
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy
+        eager = "numpy.random" in sys.modules
+        from kerndebias.cli import main
+        code = main({argv!r})
+        print(eager, code, "numpy.random" in sys.modules)
+    """)
+    # The child imports the same kerndebias as this process.
+    package_root = os.path.dirname(os.path.dirname(kerndebias.__file__))
+    eager, exit_code, loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": package_root},
+    ).stdout.split()
+    assert exit_code == "0"
+    assert json.loads(out.with_suffix(".json").read_text())["exhaustive"]
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert loaded == "False"
 
 
 @pytest.mark.parametrize(
@@ -573,7 +609,8 @@ def test_simlex_header_may_follow_blank_lines(planted_files, tmp_path, capsys):
         (["sim"], "ignored: this stage draws no random numbers"),
         (["eval", "professions"], "ignored: this stage draws no random numbers"),
         (["eval", "simlex"], "ignored: this stage draws no random numbers"),
-        (["eval", "weat"], "run seed (default: the config's seed)"),
+        (["eval", "weat"], "Monte Carlo p-value seed, used only above 32 target words "
+                           "(default: the config's seed)"),
         (["eval", "classify"], "run seed (default: 42)"),
         (["demo-toy"], "run seed (default: 42)"),
     ],
@@ -786,6 +823,45 @@ def test_apply_to_stdout_equals_apply_to_a_file(generic_files, tmp_path, capsys,
     assert capsys.readouterr().out == f"wrote {out}\n"
     assert _apply(paths, model, "-", "--precision", precision) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_fit_to_stdout_equals_fit_to_a_file(generic_files, tmp_path, capsys, monkeypatch):
+    paths = generic_files
+    monkeypatch.chdir(tmp_path)
+    fit = ["fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+           "--components", "2", "--backend", "kernel", "--kernel", "rbf"]
+    assert main([*fit, "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode("utf-8") == paths["rbf"].read_bytes()
+    assert captured.err.startswith("fitted kernel model: 6 pairs")
+    assert captured.err.endswith("wrote -\n")
+    assert not (tmp_path / "-").exists()
+
+
+def test_apply_out_model_to_stdout(generic_files, tmp_path, capsys, monkeypatch):
+    paths = generic_files
+    monkeypatch.chdir(tmp_path)
+    out, out_model = tmp_path / "out.txt", tmp_path / "out-model.json"
+    assert _apply(paths, "rbf", out, "--out-model", str(out_model)) == 0
+    capsys.readouterr()
+    table = out.read_bytes()
+    assert _apply(paths, "rbf", out, "--out-model", "-") == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode("utf-8") == out_model.read_bytes()
+    assert captured.err == f"wrote {out}\n"
+    assert out.read_bytes() == table
+    assert not (tmp_path / "-").exists()
+
+
+def test_apply_out_and_out_model_both_stdout_exit_2(generic_files, tmp_path, capsys,
+                                                    monkeypatch):
+    paths = generic_files
+    monkeypatch.chdir(tmp_path)
+    assert _apply(paths, "rbf", "-", "--out-model", "-") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out and --out-model cannot both be - (stdout)\n"
+    assert not (tmp_path / "-").exists()
 
 
 @pytest.mark.parametrize("case", ["precision-zero", "non-finite"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,10 @@ class TestWeatAssociation:
             weat_test(stub, cfg)
 
 
+# Association scores for tied splits: decimals with no exact binary form.
+TIE_GRID = np.array([0.1, 0.2, 0.3, 0.7])
+
+
 def make_weat_stub(x_scores, y_scores):
     """Stub where s(w) = score via sim(w, a) = score, sim(w, b) = 0."""
     rows = {"a": {}, "b": {}}
@@ -306,8 +312,7 @@ class TestWeatTest:
         assert 0.45 <= result.p_value <= 0.75
 
     def test_matches_brute_force_enumeration_exactly(self, rng):
-        for trial in range(5):
-            nx = int(rng.integers(2, 5))
+        for nx in range(2, 9):
             x_scores = rng.normal(size=nx)
             y_scores = rng.normal(size=nx)
             stub, cfg = make_weat_stub(x_scores, y_scores)
@@ -315,9 +320,34 @@ class TestWeatTest:
             s_values = np.concatenate([x_scores, y_scores])
             assert result.exhaustive
             assert result.p_value == weat_brute_force_p(s_values, nx)
+            assert result.p_value >= 1 / math.comb(2 * nx, nx)
 
-    def test_monte_carlo_close_to_exhaustive(self, rng):
-        # 9 + 9 targets: 48620 splits exceed the exhaustive limit.
+    def test_exact_p_counts_ties_like_brute_force(self, rng):
+        # Mirrored twins on decimals that binary cannot hold: many splits
+        # tie with the observed one, up to the order of summation.
+        for nx in range(2, 9):
+            values = rng.permutation(TIE_GRID[np.arange(nx) % len(TIE_GRID)])
+            stub, cfg = make_weat_stub(values, values[::-1])
+            result = weat_test(stub, cfg)
+            s_values = np.concatenate([values, values[::-1]])
+            assert result.exhaustive
+            assert result.p_value == weat_brute_force_p(s_values, nx)
+            assert result.p_value >= 1 / math.comb(2 * nx, nx)
+
+    def test_exact_path_draws_no_random_numbers(self, rng, monkeypatch):
+        def never(*args):
+            raise AssertionError("the exact path must not draw")
+
+        monkeypatch.setattr(evaluation, "rng_for", never)
+        stub, cfg = make_weat_stub(rng.normal(size=16), rng.normal(size=16))
+        result = weat_test(stub, cfg)
+        assert result.exhaustive
+        assert 0.0 < result.p_value <= 1.0
+
+    def test_monte_carlo_close_to_exhaustive(self, rng, monkeypatch):
+        # 9 + 9 targets with the exact limit below 18 take the Monte Carlo
+        # path; 48620 splits keep the brute-force oracle quick.
+        monkeypatch.setattr(evaluation, "EXACT_LIMIT", 16)
         x_scores = rng.normal(loc=0.4, size=9)
         y_scores = rng.normal(size=9)
         stub, cfg = make_weat_stub(x_scores, y_scores)
@@ -328,7 +358,20 @@ class TestWeatTest:
         bound = 3.0 * np.sqrt(max(exact * (1 - exact), 1e-6) / cfg.permutations)
         assert abs(result.p_value - exact) <= bound
 
-    def test_monte_carlo_seed_reproducible(self, rng):
+    def test_monte_carlo_counts_ties(self, rng, monkeypatch):
+        # Mirrored twins on a few decimals: a drawn split that ties with the
+        # observed one, summed in another order, must still count.
+        monkeypatch.setattr(evaluation, "EXACT_LIMIT", 16)
+        values = rng.choice(TIE_GRID, size=9)
+        stub, cfg = make_weat_stub(values, values[::-1])
+        result = weat_test(stub, cfg)
+        assert not result.exhaustive
+        exact = weat_brute_force_p(np.concatenate([values, values[::-1]]), 9)
+        bound = 3.0 * np.sqrt(max(exact * (1 - exact), 1e-6) / cfg.permutations)
+        assert abs(result.p_value - exact) <= bound
+
+    def test_monte_carlo_seed_reproducible(self, rng, monkeypatch):
+        monkeypatch.setattr(evaluation, "EXACT_LIMIT", 16)
         x_scores = rng.normal(size=10)
         y_scores = rng.normal(size=10)
         stub, cfg = make_weat_stub(x_scores, y_scores)
