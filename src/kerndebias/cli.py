@@ -5,10 +5,16 @@ emit corrected embeddings, `sim` for pairwise similarity queries,
 `eval weat|professions|classify|simlex` for the benchmarks, and
 `demo-toy` for the 2-D visualization dataset.
 
+Every benchmark runs through one body, cmd_eval: it builds the metric
+(_metric), asks the benchmark's payload function (_weat, _professions,
+_classify or _simlex) for its result fields, and writes them after the
+test and backend names (_write_results).
+
 Exit codes: 0 success, 2 config/IO error (any OSError, writes to --out and
-stdout included), 3 data insufficiency, 4 numerical failure.  Every output
-file is written through _write_file, which renames a whole new file into
-place, so a failed write leaves the earlier file as it was.
+stdout included), 3 data insufficiency, 4 numerical failure.  For every
+output flag, - means stdout; any other path is written through _write_file,
+which renames a whole new file into place, so a failed write leaves the
+earlier file as it was.
 """
 
 from __future__ import annotations
@@ -87,25 +93,24 @@ def _resolve_sets(args: argparse.Namespace, table: EmbeddingTable):
     return sets, eq_sets
 
 
-def _metric(args: argparse.Namespace, table: EmbeddingTable) -> CorrectedMetric:
+def _metric(args: argparse.Namespace) -> CorrectedMetric:
+    """The --embeddings table's metric, corrected by --model when given."""
+    table = _read_embeddings(args.embeddings, not args.no_normalize)
     model = configio.load_model(args.model)[0] if args.model is not None else None
     return CorrectedMetric(table, model)
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write(path: str | None, blocks: Iterable[bytes]) -> None:
+    """Write blocks to stdout for None or "-", else to path (_write_file)."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        _write_file(path, [text.encode("utf-8")])
-
-
-def _write_blocks(path: str, blocks: Iterable[bytes]) -> None:
-    """Write blocks to path (_write_file), or to stdout for "-"."""
-    if path == "-":
         sys.stdout.flush()
         sys.stdout.buffer.writelines(blocks)
     else:
         _write_file(path, blocks)
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    _write(path, [(json.dumps(payload, indent=1) + "\n").encode("utf-8")])
 
 
 def _write_file(path: str, blocks: Iterable[bytes]) -> None:
@@ -138,16 +143,15 @@ def _write_file(path: str, blocks: Iterable[bytes]) -> None:
 
 
 def _write_results(out: str | None, payload: dict) -> None:
-    """Write <out>.json and <out>.csv (or stdout JSON when out is None).
+    """Write <out>.json and <out>.csv (or stdout JSON when out is None or -).
 
     The CSV has one column per payload field, named after it; a dict field
     such as n_used gives one column per key (n_used_X, ..., n_used_B).
     """
-    text = json.dumps(payload, indent=1) + "\n"
-    if out is None:
-        sys.stdout.write(text)
+    if out is None or out == "-":
+        _write_json(out, payload)
         return
-    _write_text(out + ".json", text)
+    _write_json(out + ".json", payload)
     columns: dict[str, object] = {}
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -156,7 +160,7 @@ def _write_results(out: str | None, payload: dict) -> None:
             columns[key] = value
     header = ",".join(columns)
     row = ",".join(str(value) for value in columns.values())
-    _write_text(out + ".csv", header + "\n" + row + "\n")
+    _write(out + ".csv", [(header + "\n" + row + "\n").encode("utf-8")])
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if model.discarded_negative
         else ""
     )
-    _write_text(args.out, json.dumps(payload, indent=1) + "\n")
+    _write_json(args.out, payload)
     progress = sys.stderr if args.out == "-" else sys.stdout
     print(
         f"fitted {args.backend} model: {len(sets)} pairs, "
@@ -215,10 +219,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
         for members in eq_sets.sets:
             for idx, vec in zip(members, equalize_set(model, table, members)):
                 matrix[idx] = vec
-    _write_blocks(args.out, iter_embedding_text(table.words, matrix, args.precision))
+    _write(args.out, iter_embedding_text(table.words, matrix, args.precision))
     if args.out_model is not None:
         data.pop("preimage", None)
-        _write_text(args.out_model, json.dumps(data, indent=1) + "\n")
+        _write_json(args.out_model, data)
     if args.out != "-":
         print(f"wrote {args.out}", file=sys.stderr if args.out_model == "-" else sys.stdout)
     return EXIT_OK
@@ -227,99 +231,59 @@ def cmd_apply(args: argparse.Namespace) -> int:
 def cmd_sim(args: argparse.Namespace) -> int:
     if len(args.words) % 2 != 0:
         raise FormatError("sim expects an even number of words (pairs)")
-    table = _read_embeddings(args.embeddings, not args.no_normalize)
-    metric = _metric(args, table)
+    metric = _metric(args)
     pairs = list(zip(args.words[0::2], args.words[1::2]))
     values = evaluation.pair_similarities(metric, pairs)
     payload = {
         "backend": metric.name,
         "pairs": [{"a": a, "b": b, "similarity": float(v)} for (a, b), v in zip(pairs, values)],
     }
-    _write_text(args.out, json.dumps(payload, indent=1) + "\n")
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
-def cmd_eval_weat(args: argparse.Namespace) -> int:
-    table = _read_embeddings(args.embeddings, not args.no_normalize)
-    metric = _metric(args, table)
+def cmd_eval(args: argparse.Namespace) -> int:
+    """One body for every benchmark: args.evaluate(metric, args) returns the
+    benchmark's result fields, written after its name and the backend's."""
+    metric = _metric(args)
+    fields = args.evaluate(metric, args)
+    _write_results(args.out, {"test": args.benchmark, "backend": metric.name, **fields})
+    return EXIT_OK
+
+
+def _weat(metric: CorrectedMetric, args: argparse.Namespace) -> dict:
     cfg = configio.load_weat_config(args.config)
-    if args.permutations is not None:
-        cfg = dataclasses.replace(cfg, permutations=args.permutations)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    result = evaluation.weat_test(metric, cfg)
-    payload = {
-        "test": "weat",
-        "backend": metric.name,
-        "effect_size": result.effect_size,
-        "p_value": result.p_value,
-        "statistic": result.statistic,
-        "n_used": result.n_used,
-        "exhaustive": result.exhaustive,
-    }
-    _write_results(args.out, payload)
-    return EXIT_OK
+    overrides = {"permutations": args.permutations, "seed": args.seed}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    return dataclasses.asdict(evaluation.weat_test(metric, cfg))
 
 
-def cmd_eval_professions(args: argparse.Namespace) -> int:
-    table = _read_embeddings(args.embeddings, not args.no_normalize)
-    metric = _metric(args, table)
+def _professions(metric: CorrectedMetric, args: argparse.Namespace) -> dict:
+    lists = [configio.load_word_list(path) for path in (args.professions, args.male, args.female)]
     correlation = evaluation.professions_correlation(
-        metric,
-        configio.load_word_list(args.professions),
-        configio.load_word_list(args.male),
-        configio.load_word_list(args.female),
-        k_neighbors=args.neighbors,
-        pool=args.pool,
+        metric, *lists, k_neighbors=args.neighbors, pool=args.pool
     )
-    payload = {
-        "test": "professions",
-        "backend": metric.name,
-        "pearson": correlation,
-        "neighbors": args.neighbors,
-        "pool": args.pool,
-    }
-    _write_results(args.out, payload)
-    return EXIT_OK
+    return {"pearson": correlation, "neighbors": args.neighbors, "pool": args.pool}
 
 
-def cmd_eval_classify(args: argparse.Namespace) -> int:
-    table = _read_embeddings(args.embeddings, not args.no_normalize)
-    metric = _metric(args, table)
-    result = evaluation.indirect_bias_classification(
-        metric,
-        n_biased=args.n_biased,
-        n_train=args.n_train,
-        svm_gamma=args.svm_gamma,
-        c_reg=args.c_reg,
-        tol=args.tol,
-        seed=args.seed,
+def _classify(metric: CorrectedMetric, args: argparse.Namespace) -> dict:
+    return evaluation.indirect_bias_classification(
+        metric, n_biased=args.n_biased, n_train=args.n_train, svm_gamma=args.svm_gamma,
+        c_reg=args.c_reg, tol=args.tol, seed=args.seed,
     )
-    _write_results(args.out, {"test": "classify", **result})
-    return EXIT_OK
 
 
-def cmd_eval_simlex(args: argparse.Namespace) -> int:
-    table = _read_embeddings(args.embeddings, not args.no_normalize)
-    metric = _metric(args, table)
+def _simlex(metric: CorrectedMetric, args: argparse.Namespace) -> dict:
     pairs = configio.load_simlex_pairs(args.pairs)
     correlation, dropped = evaluation.simlex_eval(metric, pairs)
-    payload = {
-        "test": "simlex",
-        "backend": metric.name,
-        "spearman": correlation,
-        "scored": len(pairs) - dropped,
-        "dropped": dropped,
-    }
-    _write_results(args.out, payload)
-    return EXIT_OK
+    return {"spearman": correlation, "scored": len(pairs) - dropped, "dropped": dropped}
 
 
 def cmd_demo_toy(args: argparse.Namespace) -> int:
     points, neutralized, stats = toydemo.run_toy_demo(
         seed=args.seed, n_points=args.n_points, gamma=args.gamma
     )
-    _write_text(args.out, toydemo.toy_demo_csv(points, neutralized))
+    _write(args.out, [toydemo.toy_demo_csv(points, neutralized).encode("utf-8")])
     print(
         f"bias-direction variance: {stats['bias_variance_before']:.6g} -> "
         f"{stats['bias_variance_after']:.6g}",
@@ -413,16 +377,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("sim", help="pairwise similarity queries")
     _add_common(p_sim)
     p_sim.add_argument("--model", help="model JSON (omit for raw cosine)")
-    p_sim.add_argument("--out", help="JSON output path (default stdout)")
+    p_sim.add_argument("--out", help="JSON output path (omit or - for stdout)")
     p_sim.add_argument("words", nargs="+", help="word pairs: a b [c d ...]")
     p_sim.set_defaults(func=cmd_sim)
 
     p_eval = sub.add_parser("eval", help="run a benchmark")
     eval_sub = p_eval.add_subparsers(dest="benchmark", required=True)
 
-    p_weat = eval_sub.add_parser("weat", help="association test")
-    _add_common(p_weat, seed="config")
-    p_weat.add_argument("--model", help="model JSON (omit for raw cosine)")
+    def eval_parser(name, summary, evaluate, seed="ignored"):
+        p = eval_sub.add_parser(name, help=summary)
+        _add_common(p, seed=seed)
+        p.add_argument("--model", help="model JSON (omit for raw cosine)")
+        p.add_argument(
+            "--out", help="output prefix for PREFIX.json and PREFIX.csv "
+            "(omit or - for the JSON on stdout)",
+        )
+        p.set_defaults(func=cmd_eval, evaluate=evaluate)
+        return p
+
+    p_weat = eval_parser("weat", "association test", _weat, seed="config")
     p_weat.add_argument("--config", required=True, help="WEAT config JSON")
     p_weat.add_argument(
         "--permutations", type=int,
@@ -430,45 +403,33 @@ def build_parser() -> argparse.ArgumentParser:
         f"{evaluation.MAX_PERMUTATIONS}), used only above {evaluation.EXACT_LIMIT} "
         "target words; at or below, the p-value is exact",
     )
-    p_weat.add_argument("--out", help="output prefix (.json/.csv)")
-    p_weat.set_defaults(func=cmd_eval_weat)
 
-    p_prof = eval_sub.add_parser("professions", help="neighbor-bias correlation")
-    _add_common(p_prof)
-    p_prof.add_argument("--model", help="model JSON (omit for raw cosine)")
+    p_prof = eval_parser("professions", "neighbor-bias correlation", _professions)
     p_prof.add_argument("--professions", required=True, help="profession word list")
     p_prof.add_argument("--male", required=True, help="male lexicon word list")
     p_prof.add_argument("--female", required=True, help="female lexicon word list")
     p_prof.add_argument("--neighbors", type=int, default=100)
-    p_prof.add_argument(
-        "--pool", choices=("vocabulary", "restricted"), default="vocabulary"
-    )
-    p_prof.add_argument("--out", help="output prefix (.json/.csv)")
-    p_prof.set_defaults(func=cmd_eval_professions)
+    p_prof.add_argument("--pool", choices=("vocabulary", "restricted"), default="vocabulary")
 
-    p_cls = eval_sub.add_parser("classify", help="indirect-bias SVM")
-    _add_common(p_cls, seed="fixed")
-    p_cls.add_argument("--model", help="model JSON (omit for raw metric)")
+    p_cls = eval_parser("classify", "indirect-bias SVM", _classify, seed="fixed")
     p_cls.add_argument("--n-biased", type=int, default=5000)
     p_cls.add_argument("--n-train", type=int, default=1000)
     p_cls.add_argument("--svm-gamma", type=float)
     p_cls.add_argument("--c-reg", type=float, default=1.0)
     p_cls.add_argument("--tol", type=float, default=1e-3)
-    p_cls.add_argument("--out", help="output prefix (.json/.csv)")
-    p_cls.set_defaults(func=cmd_eval_classify)
 
-    p_sl = eval_sub.add_parser("simlex", help="similarity-judgment correlation")
-    _add_common(p_sl)
-    p_sl.add_argument("--model", help="model JSON (omit for raw cosine)")
+    p_sl = eval_parser("simlex", "similarity-judgment correlation", _simlex)
     p_sl.add_argument("--pairs", required=True, help="tab-separated word1 word2 score")
-    p_sl.add_argument("--out", help="output prefix (.json/.csv)")
-    p_sl.set_defaults(func=cmd_eval_simlex)
 
     p_toy = sub.add_parser("demo-toy", help="2-D nonlinear removal demo CSV")
     _add_common(p_toy, embeddings=False, seed="fixed")
-    p_toy.add_argument("--n-points", type=int, default=200)
+    p_toy.add_argument(
+        "--n-points", type=int, default=200,
+        help="points, at least 10; an odd count is rounded down to the nearest even "
+        "number (default 200)",
+    )
     p_toy.add_argument("--gamma", type=float, default=1.0, help="rbf width (default 1.0)")
-    p_toy.add_argument("--out", help="CSV output path (default stdout)")
+    p_toy.add_argument("--out", help="CSV output path (omit or - for stdout)")
     p_toy.set_defaults(func=cmd_demo_toy)
 
     return parser

@@ -462,6 +462,9 @@ def indirect_bias_classification(
     reports train/test accuracy.  Both anchors must be in the table's
     vocabulary; there is no other source for the bias score.
 
+    Returns a dict of n_train, n_test, train_accuracy, test_accuracy and
+    svm_gamma; it does not name the metric's backend.
+
     Raises:
         FormatError: if n_biased is below 4 (2 training and 2 test words)
             or n_train below 1, or svm_gamma, c_reg or tol is not finite
@@ -506,7 +509,6 @@ def indirect_bias_classification(
     kernel = rbf_on_squared_distance(metric.squared_distance_matrix, gamma)
     model = svm_train(kernel, table.matrix[train_idx], train_labels, c_reg=c_reg, tol=tol)
     return {
-        "backend": metric.name,
         "n_train": int(len(train_idx)),
         "n_test": int(len(test_idx)),
         "train_accuracy": svm_accuracy(model, table.matrix[train_idx], train_labels),

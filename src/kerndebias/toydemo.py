@@ -23,7 +23,8 @@ CSV_HEADER = "x,y,x_ntr,y_ntr"
 
 
 def generate_toy_points(seed: int, n_points: int) -> np.ndarray:
-    """(n_points, 2) array of mirrored pairs in consecutive rows."""
+    """(2 * (n_points // 2), 2) array of mirrored pairs in consecutive rows:
+    an odd n_points is rounded down to the nearest even number."""
     if n_points < 10:
         raise DataError("toy demo needs at least 10 points")
     n_pairs = n_points // 2

@@ -738,6 +738,56 @@ def test_eval_csv_columns_named_after_the_metric(planted_files, tmp_path):
         assert lines[1] == ",".join(str(values[name]) for name in header.split(","))
 
 
+def _eval_args(paths) -> dict:
+    """Each benchmark's own flags over the planted files."""
+    return {
+        "weat": ["--config", str(paths["weat"])],
+        "professions": ["--professions", str(paths["professions"]), "--male", str(paths["male"]),
+                        "--female", str(paths["female"]), "--neighbors", "8"],
+        "classify": ["--n-biased", "30", "--n-train", "16", "--svm-gamma", "2.0"],
+        "simlex": ["--pairs", str(paths["simlex"])],
+    }
+
+
+@pytest.mark.parametrize("test", ["weat", "professions", "classify", "simlex"])
+def test_eval_out_dash_writes_json_to_stdout(planted_files, tmp_path, capsys, monkeypatch,
+                                             test):
+    paths = planted_files
+    argv = ["eval", test, "--embeddings", str(paths["embeddings"]), *_eval_args(paths)[test]]
+    assert main([*argv, "--out", str(tmp_path / "result")]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "-"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "result.json").read_text()
+    assert not (tmp_path / "-.json").exists()
+    assert not (tmp_path / "-.csv").exists()
+
+
+@pytest.mark.parametrize("stage", ["sim", "apply", "weat", "professions", "classify", "simlex"])
+def test_model_dimension_mismatch_exits_3(planted_files, rng, tmp_path, capsys, stage):
+    """Every stage that loads a model checks it against the table first."""
+    paths = planted_files
+    wide, sets = random_instance(rng, n_words=20, dim=12, n_pairs=4)
+    narrow, _ = random_instance(rng, n_words=20, dim=7, n_pairs=4)
+    (tmp_path / "wide.txt").write_text(write_embedding_text(wide, precision=17))
+    (tmp_path / "narrow.txt").write_text(write_embedding_text(narrow, precision=17))
+    (tmp_path / "wide-sets.json").write_text(json.dumps(
+        {"defining_sets": [[wide.words[a], wide.words[b]] for a, b in sets.pairs]}
+    ))
+    model = str(tmp_path / "wide-model.json")
+    assert main(["fit", "--embeddings", str(tmp_path / "wide.txt"),
+                 "--sets", str(tmp_path / "wide-sets.json"), "--out", model]) == 0
+    capsys.readouterr()
+    common = ["--embeddings", str(tmp_path / "narrow.txt"), "--model", model]
+    argv = {
+        "sim": ["sim", *common, *narrow.words[:2]],
+        "apply": ["apply", *common, "--out", str(tmp_path / "out.txt")],
+        **{test: ["eval", test, *common, *args] for test, args in _eval_args(paths).items()},
+    }[stage]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: model dimension 12 != table dimension 7\n"
+
+
 def test_linear_weat_on_mirrored_attributes_exits_4(planted_files, capsys):
     """m_i and f_i differ only along the planted direction, so neutralizing
     makes A = {m1, m2} and B = {f1, f2} the same vectors: every association
@@ -1116,6 +1166,12 @@ def test_demo_toy_writes_csv(tmp_path):
     assert lines[0] == "x,y,x_ntr,y_ntr"
     assert len(lines) == 21
     assert all(len(line.split(",")) == 4 for line in lines[1:])
+
+
+def test_demo_toy_rounds_an_odd_point_count_down(tmp_path):
+    out = tmp_path / "toy.csv"
+    assert main(["demo-toy", "--n-points", "11", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 10
 
 
 @pytest.mark.parametrize("target", ["model", "weat"])
