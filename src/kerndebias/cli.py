@@ -12,15 +12,27 @@ test and backend names (_write_results).
 
 Exit codes: 0 success, 2 config/IO error (any OSError, writes to --out and
 stdout included), 3 data insufficiency, 4 numerical failure.  For every
-output flag, - means stdout; any other path is written through _write_file,
-which renames a whole new file into place, so a failed write leaves the
-earlier file as it was.
+output flag, - means stdout; any other path is written through
+_write_files, which renames whole new files into place only once every
+file of the command is written, so a failed write leaves the earlier files
+as they were.
+
+main(argv) runs one command and returns its exit code, and may be called
+many times in one process.  run() is the process entry of `python -m
+kerndebias.cli` and of the `kerndebias` script: it calls main(), then
+gc.freeze(), then exits with main's code.  Freezing moves every object
+left alive into the collector's permanent generation, so interpreter
+finalization (atexit, flushes, file closes) still runs but no longer
+walks the whole module graph with the cyclic collector on the way out.
+That is only right at process exit: in main it would leave a calling
+process's heap frozen after every command.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import os
@@ -101,49 +113,60 @@ def _metric(args: argparse.Namespace) -> CorrectedMetric:
 
 
 def _write(path: str | None, blocks: Iterable[bytes]) -> None:
-    """Write blocks to stdout for None or "-", else to path (_write_file)."""
+    """Write blocks to stdout for None or "-", else to path (_write_files)."""
     if path is None or path == "-":
         sys.stdout.flush()
         sys.stdout.buffer.writelines(blocks)
     else:
-        _write_file(path, blocks)
+        _write_files([(path, blocks)])
+
+
+def _json_bytes(payload: dict) -> list[bytes]:
+    return [(json.dumps(payload, indent=1) + "\n").encode("utf-8")]
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    _write(path, [(json.dumps(payload, indent=1) + "\n").encode("utf-8")])
+    _write(path, _json_bytes(payload))
 
 
-def _write_file(path: str, blocks: Iterable[bytes]) -> None:
-    """Write blocks to the file path; every output file is written here.
+def _write_files(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
+    """Write each (path, blocks) in turn; every output file is written here.
 
-    A regular or new file is written to a temporary file beside it and
-    renamed onto it once whole, so a failed or interrupted write leaves the
-    earlier file as it was; a device or a pipe is written in place.
+    A regular or new file is written to a temporary file beside it, and the
+    temporary files are renamed into place only once every one is whole,
+    so a failed or interrupted write leaves all the earlier files as they
+    were; a device or a pipe is written in place.
     """
+    renames: list[tuple[str, str]] = []
     try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as handle:
-            handle.writelines(blocks)
-        return
-    target = os.path.realpath(path)
-    work = f"{target}.tmp-{os.getpid()}"
-    try:
-        with open(work, "wb") as handle:
-            handle.writelines(blocks)
-        if mode is not None:
-            os.chmod(work, stat.S_IMODE(mode))
-        os.replace(work, target)
+        for path, blocks in outputs:
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
+                with open(path, "wb") as handle:
+                    handle.writelines(blocks)
+                continue
+            target = os.path.realpath(path)
+            work = f"{target}.tmp-{os.getpid()}"
+            renames.append((work, target))
+            with open(work, "wb") as handle:
+                handle.writelines(blocks)
+            if mode is not None:
+                os.chmod(work, stat.S_IMODE(mode))
+        for work, target in renames:
+            os.replace(work, target)
     except BaseException:
-        if os.path.lexists(work):
-            os.unlink(work)
+        for work, _ in renames:
+            if os.path.lexists(work):
+                os.unlink(work)
         raise
 
 
 def _write_results(out: str | None, payload: dict) -> None:
-    """Write <out>.json and <out>.csv (or stdout JSON when out is None or -).
+    """Write <out>.json and <out>.csv as one pair (or stdout JSON when out
+    is None or -).
 
     The CSV has one column per payload field, named after it; a dict field
     such as n_used gives one column per key (n_used_X, ..., n_used_B).
@@ -151,7 +174,6 @@ def _write_results(out: str | None, payload: dict) -> None:
     if out is None or out == "-":
         _write_json(out, payload)
         return
-    _write_json(out + ".json", payload)
     columns: dict[str, object] = {}
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -160,7 +182,10 @@ def _write_results(out: str | None, payload: dict) -> None:
             columns[key] = value
     header = ",".join(columns)
     row = ",".join(str(value) for value in columns.values())
-    _write(out + ".csv", [(header + "\n" + row + "\n").encode("utf-8")])
+    _write_files([
+        (out + ".json", _json_bytes(payload)),
+        (out + ".csv", [(header + "\n" + row + "\n").encode("utf-8")]),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -454,5 +479,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
 
 
+def run() -> None:
+    """The process entry: exit with main()'s code, the heap frozen first."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import logging
 import os
 import shutil
 import stat
@@ -1339,3 +1340,138 @@ def test_unusable_cache_gives_the_same_output(planted_files, capsys, private_tab
     private_table_cache.write_text("not a directory")
     assert main(argv) == 0
     assert capsys.readouterr() == usable
+
+
+def test_failed_eval_write_leaves_the_earlier_pair(planted_files, tmp_path, capsys):
+    """PREFIX.json and PREFIX.csv are renamed into place only once both are
+    written: a CSV that cannot be written leaves the earlier JSON."""
+    paths = planted_files
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "r.csv").mkdir()
+    (out / "r.json").write_text("old")
+    assert main([
+        "eval", "simlex", "--embeddings", str(paths["embeddings"]),
+        "--pairs", str(paths["simlex"]), "--out", str(out / "r"),
+    ]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert (out / "r.json").read_text() == "old"
+    assert sorted(p.name for p in out.iterdir()) == ["r.csv", "r.json"]
+
+
+# ---------------------------------------------------------------------------
+# the process entry: python -m kerndebias.cli, through cli.run()
+# ---------------------------------------------------------------------------
+
+# Child processes import the same kerndebias as this process.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(kerndebias.__file__))
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": _PACKAGE_ROOT},
+    )
+
+
+def _process(argv: list[str]) -> subprocess.CompletedProcess:
+    return _python("-m", "kerndebias.cli", *argv)
+
+
+def test_run_freezes_after_main_and_exits_with_its_code(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3
+    assert events == ["main", "freeze"]
+
+
+def _warning_case(paths, case):
+    """argv of a run that warns once, the logger it warns on, and a function
+    that gives the warning's message once the run is done."""
+    common = ["--embeddings", str(paths["embeddings"])]
+    fit = ["fit", *common, "--sets", str(paths["sets"]), "--out", str(paths["model"])]
+    if case == "sets":
+        sets = json.loads(paths["sets"].read_text())
+        paths["sets"].write_text(json.dumps(
+            {"defining_sets": [*sets["defining_sets"], ["he", "nope"]]}
+        ))
+        return fit, "kerndebias", lambda: "dropping defining pair ['he', 'nope']: missing ['nope']"
+    if case == "eigenvalues":
+
+        def message():
+            count = json.loads(paths["model"].read_text())["discarded_negative"]
+            assert count > 0
+            return (f"discarding {count} negative eigenvalue(s) of the centered Gram "
+                    "(indefinite kernel)")
+
+        sigmoid = ["--backend", "kernel", "--kernel", "sigmoid", "--gamma", "1", "--coef0", "0"]
+        return [*fit, *sigmoid], "kerndebias.rkhs", message
+    config = json.loads(paths["weat"].read_text())
+    paths["weat"].write_text(json.dumps({**config, "X": [*config["X"], "n6"]}))
+    return (
+        ["eval", "weat", *common, "--config", str(paths["weat"])],
+        "kerndebias.evaluation",
+        lambda: "target lists unbalanced after filtering (4 vs 3); truncating to 3",
+    )
+
+
+@pytest.mark.parametrize("case", ["sets", "eigenvalues", "weat"])
+def test_warning_reaches_stderr_and_its_logger(planted_files, caplog, case):
+    argv, logger, message = _warning_case(planted_files, case)
+    proc = _process(argv)
+    assert proc.returncode == 0
+    assert proc.stderr.decode() == f"WARNING: {message()}\n"
+    with caplog.at_level(logging.WARNING):
+        assert main(argv) == 0
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        (logger, "WARNING", message())
+    ]
+
+
+@pytest.mark.parametrize("model", ["linear", "rbf"])
+def test_process_apply_to_stdout_equals_apply_to_a_file(generic_files, tmp_path, model):
+    paths = generic_files
+    out = tmp_path / "out.txt"
+    apply = ["apply", "--embeddings", str(paths["embeddings"]), "--model", str(paths[model])]
+    to_file = _process([*apply, "--out", str(out)])
+    to_stdout = _process([*apply, "--out", "-"])
+    assert (to_file.returncode, to_stdout.returncode) == (0, 0)
+    assert to_file.stdout == f"wrote {out}\n".encode()
+    assert to_stdout.stdout == out.read_bytes()
+    assert to_file.stderr == to_stdout.stderr == b""
+
+
+def test_process_sim_to_stdout_writes_whole_json(generic_files, capsys):
+    paths = generic_files
+    argv = ["sim", "--embeddings", str(paths["embeddings"]), "--model", str(paths["rbf"]),
+            "--out", "-", "w0", "w1", "w2", "w3", "w4", "w5"]
+    proc = _process(argv)
+    assert proc.returncode == 0
+    assert [pair["b"] for pair in json.loads(proc.stdout)["pairs"]] == ["w1", "w3", "w5"]
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("usage", 2), ("config", 2), ("data", 3), ("numerical", 4)],
+)
+def test_process_exit_code_reaches_the_parent(planted_files, case, code):
+    paths = planted_files
+    _fit_linear(paths)
+    common = ["--embeddings", str(paths["embeddings"])]
+    argv = {
+        "usage": ["sim", "he", "she"],
+        "config": ["sim", *common, "he"],
+        "data": ["sim", *common, "nope", "nada"],
+        # the input of test_linear_weat_on_mirrored_attributes_exits_4
+        "numerical": ["eval", "weat", *common, "--model", str(paths["model"]),
+                      "--config", str(paths["weat"])],
+    }[case]
+    proc = _process(argv)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"usage: " if case == "usage" else b"error: ")
