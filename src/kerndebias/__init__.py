@@ -3,8 +3,8 @@
 Core pieces:
 
 - :mod:`kerndebias.embeddings` -- embedding tables and their text format;
-  read_embedding_file keeps each parsed table file in
-  $XDG_CACHE_HOME/kerndebias/tables-v1 (default ~/.cache/kerndebias/...),
+  read_embedding_file keeps each parsed table file as one entry file in
+  $XDG_CACHE_HOME/kerndebias/tables-v2 (default ~/.cache/kerndebias/...),
   used again only while the file's bytes equal the ones it was parsed
   from.  Deleting that directory is always safe.  `apply` streams its
   table through embeddings.iter_embedding_text, in bounded row blocks

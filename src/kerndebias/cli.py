@@ -68,6 +68,8 @@ logger = logging.getLogger("kerndebias")
 
 
 def _read_embeddings(path: str, normalize: bool) -> EmbeddingTable:
+    if path == "-":  # decoded as a file is, whatever the locale; never cached
+        sys.stdin.reconfigure(encoding="utf-8", newline=None)
     table = parse_embedding_text(sys.stdin) if path == "-" else read_embedding_file(path)
     return unit_normalize(table) if normalize else table
 

@@ -12,13 +12,14 @@ whole block in C.  The per-line loop, which reads each token as
 only code that handles malformed lines and reports errors.
 
 read_embedding_file parses a table file once and keeps the result on
-disk, in $XDG_CACHE_HOME/kerndebias/tables-v1/ (~/.cache/kerndebias/...
-when XDG_CACHE_HOME is unset): one entry per file path, at most
-_CACHE_ENTRIES of them, least recently used removed first.  An entry is
-used only while the file's bytes equal the copy it keeps of the bytes it
-was parsed from, so an edited file is always parsed again, and deleting
-the directory at any time is always safe.  An entry takes the file's
-size plus 8 bytes per component of disk.
+disk, in $XDG_CACHE_HOME/kerndebias/tables-v2/ (~/.cache/kerndebias/...
+when XDG_CACHE_HOME is unset): one entry file per file path, at most
+_CACHE_ENTRIES of them, least recently used removed first.  An entry
+holds the bytes the table was parsed from, the matrix as little-endian
+float64, the words in UTF-8 and _TRAILER.  It is used only while the
+file's bytes equal its copy of them, so an edited file is always parsed
+again, and deleting the directory at any time is always safe.  An entry
+takes the file's size plus 8 bytes per component of disk.
 
 Tables are written with the bytes of ("%s" + " %.{p}f" * dim) % (word,
 *row) per line, in blocks of at most _WRITE_COMPONENTS components.
@@ -35,12 +36,13 @@ rows never are, at any precision from 1 to 17.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import os
 import re
-import shutil
 import stat
+import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import IO, BinaryIO, Iterable, Iterator, Sequence
@@ -52,14 +54,15 @@ from .errors import DataError, FormatError
 _INT_TOKEN = re.compile(r"^[+-]?\d+$")
 _SPACE = re.compile(r"\s")
 
-# Lines per parse block, and rows in the parse buffer before its first
-# doubling.
+# Lines per parse block.
 _INITIAL_ROWS = 128
 
-# Entries kept by read_embedding_file, and the size of the reads that
-# compare a file with an entry's copy of it.
+# Entries kept by read_embedding_file, the size of the reads that
+# compare a file with an entry's copy of it, and an entry's trailer: the
+# sizes of its source copy, matrix and words, and their crc32.
 _CACHE_ENTRIES = 8
 _COMPARE_BYTES = 1 << 20
+_TRAILER = struct.Struct("<QQQI")
 
 # Components per block of iter_embedding_text.  A block's work arrays and
 # text take about 110 bytes per component at precision 9 and 150 at 17,
@@ -142,46 +145,29 @@ def _is_header(tokens: list[str]) -> bool:
 class _TableBuilder:
     """Parse state carried from one block of lines to the next.
 
-    Rows go into a float64 buffer that doubles when full; linenos keeps
-    each row's line number for the non-finite check at the end.
+    rows holds the parsed rows as 2-D float64 arrays, one per block, each
+    checked finite when it is read; finish joins them once.
     """
 
     def __init__(self) -> None:
         self.words: list[str] = []
-        self.linenos: list[int] = []
+        self.rows: list[np.ndarray] = []
         self.seen: set[str] = set()
         self.dim: int | None = None
-        self.buf = np.empty((0, 0))
         self.header_possible = True  # until the first non-blank line
-
-    def _set_dim(self, dim: int) -> None:
-        self.dim = dim
-        self.buf = np.empty((_INITIAL_ROWS, dim))
-
-    def _reserve(self, rows: int) -> None:
-        """Room for `rows` more rows, doubling the buffer as often as needed."""
-        n = len(self.words)
-        size = self.buf.shape[0]
-        if n + rows > size:
-            while n + rows > size:
-                size *= 2
-            grown = np.empty((size, self.dim))
-            grown[:n] = self.buf[:n]
-            self.buf = grown
 
     def add_block(self, block: list[tuple[int, str]]) -> bool:
         """Add a block of (line number, line) through one np.loadtxt call.
 
         Returns False, with the state unchanged, when anything in the
-        block does not fit: a token numpy cannot read, a column count
-        other than dim, a duplicate word or a line with no components.
-        Non-finite rows are kept, as the per-line loop keeps them.
+        block does not fit: a token numpy cannot read, a non-finite value,
+        a column count other than dim, a duplicate word or a line with no
+        components.
         """
         words: list[str] = []
-        linenos: list[int] = []
         rests: list[str] = []
         header_possible = self.header_possible
-        for lineno, raw in block:
+        for _, raw in block:
             parts = raw.split(None, 1)
             if not parts:
                 continue
@@ -192,7 +178,6 @@ class _TableBuilder:
             if len(parts) == 1:
                 return False
             words.append(parts[0])
-            linenos.append(lineno)
             rests.append(parts[1])
         if words:
             if len(set(words)) < len(words) or not self.seen.isdisjoint(words):
@@ -205,15 +190,11 @@ class _TableBuilder:
             except ValueError:
                 return False
             dim = values.shape[1] if self.dim is None else self.dim
-            if values.shape != (len(words), dim):
+            if values.shape != (len(words), dim) or not np.isfinite(values).all():
                 return False
-            if self.dim is None:
-                self._set_dim(dim)
-            self._reserve(len(words))
-            n = len(self.words)
-            self.buf[n : n + len(words)] = values
+            self.dim = dim
+            self.rows.append(values)
             self.words += words
-            self.linenos += linenos
             self.seen.update(words)
         self.header_possible = header_possible
         return True
@@ -221,9 +202,10 @@ class _TableBuilder:
     def add_lines(self, block: list[tuple[int, str]]) -> str | None:
         """Add a block line by line; the message of its first bad line, if any.
 
-        Each line's tokens go straight into the buffer, which parses them
-        as ``float()`` does.  A non-finite row is kept: finish reports it.
+        Each line's tokens are converted by np.array, which parses them as
+        ``float()`` does, and a non-finite row is reported at its line.
         """
+        rows: list[np.ndarray] = []
         for lineno, raw in block:
             tokens = raw.split()
             if not tokens:
@@ -236,32 +218,29 @@ class _TableBuilder:
             if not values:
                 return f"line {lineno}: no vector components"
             if self.dim is None:
-                self._set_dim(len(values))
+                self.dim = len(values)
             elif len(values) != self.dim:
                 return f"line {lineno}: expected {self.dim} components, got {len(values)}"
             if word in self.seen:
                 return f"line {lineno}: duplicate word {word!r}"
-            self._reserve(1)
             try:
-                self.buf[len(self.words)] = values
+                row = np.array(values, dtype=np.float64)
             except ValueError as exc:
                 return f"line {lineno}: {exc}"
+            if not np.isfinite(row).all():
+                return f"line {lineno}: non-finite value for {word!r}"
             self.seen.add(word)
             self.words.append(word)
-            self.linenos.append(lineno)
+            rows.append(row)
+        if rows:
+            self.rows.append(np.stack(rows))
         return None
 
     def finish(self, error: str | None) -> EmbeddingTable:
-        # A non-finite row read before a structural error is the earlier error.
-        matrix = self.buf[: len(self.words)]
-        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-        if bad.size:
-            row = int(bad[0])
-            raise FormatError(
-                f"line {self.linenos[row]}: non-finite value for {self.words[row]!r}"
-            )
         if error is not None:
             raise FormatError(error)
+        matrix = np.concatenate(self.rows) if self.rows else np.empty((0, 0))
+        self.rows.clear()  # freed before EmbeddingTable copies the matrix
         return EmbeddingTable(words=tuple(self.words), matrix=matrix)
 
 
@@ -273,11 +252,12 @@ def parse_embedding_text(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
     the rest, and one np.loadtxt call converts all the rests, splitting in
     numpy's C tokenizer and converting with the correctly rounded
     PyOS_string_to_double that ``float()`` also uses.  A block that does
-    not fit is parsed again, from the same state, by the per-line loop,
-    which reads each token with ``float()`` (so it also takes "1_0" and
-    non-ASCII digits) and is the only code that reports errors.  Errors
-    are reported for the first offending line in file order.  Memory
-    beyond the table is one block of text.
+    not fit, or holds a non-finite value, is parsed again, from the same
+    state, by the per-line loop, which reads each token with ``float()``
+    (so it also takes "1_0" and non-ASCII digits) and is the only code
+    that reports errors.  Errors are reported for the first offending line
+    in file order.  The rows are kept as one array per block and joined
+    once at the end; memory beyond that is one block of text.
 
     Args:
         stream: Iterable of lines (an open file works).
@@ -307,12 +287,13 @@ def read_embedding_file(path: str) -> EmbeddingTable:
     A regular file is looked up by its real path in the cache directory
     (see the module docstring).  Its entry is used when the file's bytes
     equal the entry's copy of them, compared _COMPARE_BYTES at a time,
-    and its words and matrix match their crc32; the table is then rebuilt
-    through EmbeddingTable.  Otherwise the file is parsed through a tee
-    that copies every byte parsed into a new entry, which replaces the
-    old one only once the parse has succeeded.  A FIFO or other
-    non-regular file is parsed without the cache, and so is every file
-    when the cache fails: its OSErrors never reach the caller.
+    and its matrix and words match the entry's crc32; the table is then
+    rebuilt through EmbeddingTable.  Otherwise the file is parsed through
+    a tee that copies every byte parsed into a new entry file, which gets
+    the matrix, the words and the trailer and replaces the old entry only
+    once the parse has succeeded.  A FIFO or other non-regular file is
+    parsed without the cache, and so is every file when the cache fails:
+    its OSErrors never reach the caller.
 
     Raises:
         What parse_embedding_text of ``open(path, encoding="utf-8")``
@@ -341,7 +322,7 @@ def _cache_root() -> str:
         home = os.path.join(os.path.expanduser("~"), ".cache")
         if not os.path.isabs(home):
             raise OSError("no home directory for the table cache")
-    root = os.path.join(home, "kerndebias", "tables-v1")
+    root = os.path.join(home, "kerndebias", "tables-v2")
     os.makedirs(os.path.dirname(root), mode=0o700, exist_ok=True)
     os.makedirs(root, mode=0o700, exist_ok=True)
     return root
@@ -357,70 +338,52 @@ def _cached_table(entry: str, source: BinaryIO) -> EmbeddingTable | None:
     """The table kept in entry, or None unless it is whole and was parsed
     from exactly the bytes of source.
 
-    The files are opened relative to the entry directory's descriptor, so
-    all of them come from one entry even while another process replaces
-    it.  A hit marks the entry as just used.
+    The entry file is opened once, so all of it comes from one entry even
+    while another process replaces it.  Its trailer's sizes must add up
+    to the file's and the first must be source's; then the source copy is
+    compared, and the matrix and words are read once and checked against
+    the crc.  A hit marks the entry as just used.
     """
     try:
-        fd = os.open(entry, os.O_RDONLY | os.O_DIRECTORY)
+        handle = open(entry, "rb")
     except FileNotFoundError:
         return None
-    try:
-        def opener(name: str, flags: int) -> int:
-            return os.open(name, flags, dir_fd=fd)
-
-        with open("source", "rb", opener=opener) as copy:
-            if not _same_bytes(source, copy):
-                return None
-        with open("crc32", "rb", opener=opener) as handle:
-            words_crc, matrix_crc = map(int, handle.read().split())
-        with open("words", "rb", opener=opener) as handle:
-            words = handle.read()
-        if zlib.crc32(words) != words_crc:
+    with handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size < _TRAILER.size:
             return None
-        with open("matrix.npy", "rb", opener=opener) as handle:
-            # Checked before np.load, so that it never parses a damaged header.
-            if _file_crc32(handle) != matrix_crc:
-                return None
-            handle.seek(0)
-            matrix = np.load(handle, allow_pickle=False)
-        table = EmbeddingTable(
-            words=tuple(words.decode("utf-8").split("\n")) if words else (), matrix=matrix
-        )
-    except (ValueError, EOFError, FormatError):
+        handle.seek(size - _TRAILER.size)
+        n_source, n_matrix, n_words, crc = _TRAILER.unpack(handle.read(_TRAILER.size))
+        if n_source + n_matrix + n_words + _TRAILER.size != size or (
+            n_source != os.fstat(source.fileno()).st_size
+        ):
+            return None
+        handle.seek(0)
+        if not _same_bytes(source, handle, n_source):
+            return None
+        matrix, words = handle.read(n_matrix), handle.read(n_words)
+    if zlib.crc32(words, zlib.crc32(matrix)) != crc:
         return None
-    finally:
-        os.close(fd)
     try:
+        names = tuple(words.decode("utf-8").split("\n")) if words else ()
+        shape = (len(names), n_matrix // 8 // max(len(names), 1))
+        table = EmbeddingTable(words=names, matrix=np.frombuffer(matrix, "<f8").reshape(shape))
+    except (ValueError, FormatError):
+        return None
+    with contextlib.suppress(OSError):
         os.utime(entry)
-    except OSError:
-        pass
     return table
 
 
-def _file_crc32(handle: BinaryIO) -> int:
-    """crc32 of a binary file's bytes from where it stands."""
-    buffer = bytearray(_COMPARE_BYTES)
-    view = memoryview(buffer)
-    crc = 0
-    while n := handle.readinto(buffer):
-        crc = zlib.crc32(view[:n], crc)
-    return crc
-
-
-def _same_bytes(a: BinaryIO, b: BinaryIO) -> bool:
-    """Whether two binary files, read from where they stand, hold the same bytes."""
-    if os.fstat(a.fileno()).st_size != os.fstat(b.fileno()).st_size:
-        return False
-    chunk_a, chunk_b = bytearray(_COMPARE_BYTES), bytearray(_COMPARE_BYTES)
-    while True:
-        n = a.readinto(chunk_a)
-        if n != b.readinto(chunk_b):
+def _same_bytes(a: BinaryIO, b: BinaryIO, size: int) -> bool:
+    """Whether two binary files, read from where they stand, hold the same
+    next size bytes."""
+    while size > 0:
+        n = min(size, _COMPARE_BYTES)
+        if a.read(n) != b.read(n):
             return False
-        if n < _COMPARE_BYTES:  # the end of both
-            return chunk_a[:n] == chunk_b[:n]
-        if chunk_a != chunk_b:
-            return False
+        size -= n
+    return True
 
 
 class _Tee(io.RawIOBase):
@@ -451,49 +414,35 @@ class _Tee(io.RawIOBase):
                 self.copied = False
         return n
 
-    def close(self) -> None:
-        try:
-            self._copy.close()
-        except OSError:
-            self.copied = False
-        super().close()
-
 
 def _parse_into_entry(source: BinaryIO, root: str, entry: str) -> EmbeddingTable:
     """Parse source, keeping the result as entry when all of it can be written.
 
-    The entry is built in a directory named after this process and moved
-    into place with os.replace; then the least recently used entries
-    beyond _CACHE_ENTRIES are removed.
+    The tee copies the bytes parsed into a file named after this process.
+    Once the parse has succeeded, the matrix, the words and the trailer
+    follow them, and os.replace moves the file into place; then the least
+    recently used entries beyond _CACHE_ENTRIES are removed.
     """
     work = os.path.join(root, f".tmp-{os.getpid()}")
-    shutil.rmtree(work, ignore_errors=True)
-    os.mkdir(work, 0o700)
     try:
-        tee = _Tee(source, open(os.path.join(work, "source"), "wb"))
-        with io.TextIOWrapper(io.BufferedReader(tee), encoding="utf-8") as text:
-            table = parse_embedding_text(text)
-    except BaseException:
-        shutil.rmtree(work, ignore_errors=True)
-        raise
-    try:
-        if tee.copied:
-            words = "\n".join(table.words).encode("utf-8")
-            with open(os.path.join(work, "words"), "wb") as handle:
-                handle.write(words)
-            matrix_path = os.path.join(work, "matrix.npy")
-            np.save(matrix_path, table.matrix, allow_pickle=False)
-            with open(matrix_path, "rb") as handle:
-                matrix_crc = _file_crc32(handle)
-            with open(os.path.join(work, "crc32"), "w", encoding="ascii") as handle:
-                handle.write(f"{zlib.crc32(words)} {matrix_crc}\n")
-            shutil.rmtree(entry, ignore_errors=True)
-            os.replace(work, entry)
-            _evict(root)
-    except OSError:
-        pass
+        with open(work, "wb") as copy:
+            tee = _Tee(source, copy)
+            with io.TextIOWrapper(io.BufferedReader(tee), encoding="utf-8") as text:
+                table = parse_embedding_text(text)
+            with contextlib.suppress(OSError):
+                if tee.copied:
+                    words = "\n".join(table.words).encode("utf-8")
+                    matrix = table.matrix.astype("<f8", copy=False)
+                    crc = zlib.crc32(words, zlib.crc32(matrix))
+                    trailer = _TRAILER.pack(copy.tell(), matrix.nbytes, len(words), crc)
+                    for part in (matrix, words, trailer):
+                        copy.write(part)
+                    copy.close()
+                    os.replace(work, entry)
+                    _evict(root)
     finally:
-        shutil.rmtree(work, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            os.unlink(work)
     return table
 
 
@@ -502,7 +451,7 @@ def _evict(root: str) -> None:
     with os.scandir(root) as scan:
         entries = sorted(scan, key=lambda e: e.stat().st_mtime_ns, reverse=True)
     for old in entries[_CACHE_ENTRIES:]:
-        shutil.rmtree(old.path, ignore_errors=True)
+        os.unlink(old.path)
 
 
 def iter_embedding_text(

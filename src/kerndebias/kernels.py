@@ -215,30 +215,34 @@ def _rbf_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(dist, 0.0, out=dist)
 
 
-def _gram_block(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if spec.family == "linear":
-        return x @ y.T
-    if spec.family == "cosine":
-        xn = np.linalg.norm(x, axis=1)
-        yn = np.linalg.norm(y, axis=1)
-        if np.any(xn == 0.0) or np.any(yn == 0.0):
-            raise DataError("cosine kernel is undefined for a zero vector")
-        g = (x / xn[:, None]) @ (y / yn[:, None]).T
-        return np.clip(g, -1.0, 1.0)
+def _dot_kernel(spec: KernelSpec, dots: np.ndarray) -> np.ndarray:
+    """A linear, sigmoid or polynomial kernel's values from x . y."""
     if spec.family == "sigmoid":
-        return np.tanh(spec.gamma * (x @ y.T) + spec.coef0)
+        return np.tanh(spec.gamma * dots + spec.coef0)
     if spec.family == "polynomial":
-        return (spec.gamma * (x @ y.T) + spec.coef0) ** spec.degree
+        return (spec.gamma * dots + spec.coef0) ** spec.degree
+    return dots
+
+
+def _cosine_norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of x; DataError on a zero row, where cosine is undefined."""
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        raise DataError("cosine kernel is undefined for a zero vector")
+    return norms
+
+
+def _gram_block(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if spec.family in ("linear", "sigmoid", "polynomial"):
+        return _dot_kernel(spec, x @ y.T)
+    if spec.family == "cosine":
+        g = (x / _cosine_norms(x)[:, None]) @ (y / _cosine_norms(y)[:, None]).T
+        return np.clip(g, -1.0, 1.0)
     if spec.family == "rbf":
         return np.exp(-spec.gamma * _rbf_distances(x, y))
     if spec.family == "laplace":
         return np.exp(-spec.gamma * difference_distances(x, y, squared=False))
-    if spec.family == "convex_combination":
-        out = np.zeros((x.shape[0], y.shape[0]))
-        for weight, sub in spec.components:
-            out += weight * _gram_block(sub, x, y)
-        return out
-    raise FormatError(f"unknown kernel family {spec.family!r}")
+    return sum(weight * _gram_block(sub, x, y) for weight, sub in spec.components)
 
 
 def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -258,22 +262,10 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def kernel_diag(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     """k(x_i, x_i) for every row, without forming the full Gram."""
     x = _as_matrix(x)
-    if spec.family in ("rbf", "laplace"):
-        return np.ones(x.shape[0])
-    if spec.family == "cosine":
-        if np.any(np.linalg.norm(x, axis=1) == 0.0):
-            raise DataError("cosine kernel is undefined for a zero vector")
-        return np.ones(x.shape[0])
-    sq = np.sum(x * x, axis=1)
-    if spec.family == "linear":
-        return sq
-    if spec.family == "sigmoid":
-        return np.tanh(spec.gamma * sq + spec.coef0)
-    if spec.family == "polynomial":
-        return (spec.gamma * sq + spec.coef0) ** spec.degree
+    if spec.family in ("linear", "sigmoid", "polynomial"):
+        return _dot_kernel(spec, np.sum(x * x, axis=1))
     if spec.family == "convex_combination":
-        out = np.zeros(x.shape[0])
-        for weight, sub in spec.components:
-            out += weight * kernel_diag(sub, x)
-        return out
-    raise FormatError(f"unknown kernel family {spec.family!r}")
+        return sum(weight * kernel_diag(sub, x) for weight, sub in spec.components)
+    if spec.family == "cosine":
+        _cosine_norms(x)
+    return np.ones(x.shape[0])

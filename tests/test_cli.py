@@ -1234,7 +1234,7 @@ def test_zero_vector_rejected_only_when_queried(tmp_path, capsys):
 
 
 def _cache_entries(cache) -> list:
-    root = cache / "kerndebias" / "tables-v1"
+    root = cache / "kerndebias" / "tables-v2"
     return sorted(root.iterdir()) if root.exists() else []
 
 
@@ -1318,7 +1318,7 @@ def test_malformed_table_exits_2_and_leaves_no_entry(planted_files, capsys, priv
 def test_stdin_bypasses_the_cache(planted_files, capsys, monkeypatch, private_table_cache):
     paths = planted_files
     argv = ["sim", "--embeddings", "-", "he", "she"]
-    monkeypatch.setattr("sys.stdin", io.StringIO(paths["embeddings"].read_text()))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(paths["embeddings"].read_bytes())))
     assert main(argv) == 0
     from_stdin = capsys.readouterr().out
     assert _cache_entries(private_table_cache) == []
@@ -1332,8 +1332,11 @@ def test_unusable_cache_gives_the_same_output(planted_files, capsys, private_tab
     argv = ["sim", "--embeddings", str(paths["embeddings"]), "he", "she", "n0", "n1"]
     assert main(argv) == 0
     usable = capsys.readouterr()
+    trailer = kerndebias.embeddings._TRAILER
     for entry in _cache_entries(private_table_cache):
-        (entry / "matrix.npy").write_bytes(b"")
+        data = bytearray(entry.read_bytes())
+        data[trailer.unpack(data[-trailer.size :])[0]] ^= 1  # the matrix's first byte
+        entry.write_bytes(data)
     assert main(argv) == 0
     assert capsys.readouterr() == usable
     shutil.rmtree(private_table_cache)
@@ -1442,6 +1445,24 @@ def test_process_apply_to_stdout_equals_apply_to_a_file(generic_files, tmp_path,
     assert to_file.stdout == f"wrote {out}\n".encode()
     assert to_stdout.stdout == out.read_bytes()
     assert to_file.stderr == to_stdout.stderr == b""
+
+
+def test_stdin_is_read_as_a_file_is_whatever_the_locale(tmp_path):
+    table = tmp_path / "table.txt"
+    table.write_bytes("café 1 0\rnaïve 0.6 0.8\r\nw 0 1\n".encode("utf-8"))
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT, "PYTHONIOENCODING": "latin-1"}
+
+    def sim(source: str) -> subprocess.CompletedProcess:
+        argv = ["-m", "kerndebias.cli", "sim", "--embeddings", source, "café", "naïve"]
+        return subprocess.run([sys.executable, *argv], input=table.read_bytes(),
+                              capture_output=True, timeout=60, env=env)
+
+    from_file, from_stdin = sim(str(table)), sim("-")
+    assert (from_file.returncode, from_file.stderr) == (0, b"")
+    assert json.loads(from_file.stdout.decode("latin-1"))["pairs"][0]["a"] == "café"
+    assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (
+        0, from_file.stdout, b""
+    )
 
 
 def test_process_sim_to_stdout_writes_whole_json(generic_files, capsys):

@@ -3,6 +3,7 @@ import itertools
 import os
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -435,8 +436,36 @@ class TestTableInvariants:
 
 
 def _entries(cache) -> list:
-    root = cache / "kerndebias" / "tables-v1"
+    root = cache / "kerndebias" / "tables-v2"
     return sorted(root.iterdir()) if root.exists() else []
+
+
+class _Entry:
+    """A cache entry file's bytes and the offsets of its regions."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.trailer = len(data) - embeddings._TRAILER.size
+        self.sizes = embeddings._TRAILER.unpack(data[self.trailer :])[:3]
+        n_source, n_matrix, n_words = self.sizes
+        self.matrix = n_source
+        self.words = n_source + n_matrix
+        assert self.words + n_words == self.trailer
+
+    def matrix_bytes(self) -> np.ndarray:
+        return np.frombuffer(self.data[self.matrix : self.words], "<f8")
+
+    def words_bytes(self) -> bytes:
+        return self.data[self.words : self.trailer]
+
+    def flip(self, at: int) -> bytes:
+        """The entry with one bit of the byte at `at` flipped."""
+        return self.data[:at] + bytes([self.data[at] ^ 1]) + self.data[at + 1 :]
+
+    def with_words(self, words: bytes) -> bytes:
+        """The entry with these words, of the same size, under a matching crc."""
+        crc = zlib.crc32(words, zlib.crc32(self.data[self.matrix : self.words]))
+        return self.data[: self.words] + words + embeddings._TRAILER.pack(*self.sizes, crc)
 
 
 def _open_parse(path) -> EmbeddingTable:
@@ -498,8 +527,9 @@ class TestTableCache:
         path = tmp_path / "table.txt"
         path.write_text("a 1 2\n")
         embeddings.read_embedding_file(str(path))
-        root = private_table_cache / "kerndebias" / "tables-v1"
-        for directory in (root.parent, root, *_entries(private_table_cache)):
+        root = private_table_cache / "kerndebias" / "tables-v2"
+        assert [entry.is_file() for entry in _entries(private_table_cache)] == [True]
+        for directory in (root.parent, root):
             assert directory.stat().st_mode & 0o777 == 0o700
 
     # A file of one compare read, and one of two with the change in each.
@@ -518,37 +548,41 @@ class TestTableCache:
         assert len(parse_calls) == 2
         np.testing.assert_array_equal(table.lookup("b"), [3.0, 5.0])
 
-    @pytest.mark.parametrize("name, corrupt", [
-        ("matrix.npy", lambda data: data[: len(data) - 8]),
-        ("matrix.npy", lambda data: data[:10] + b"garbage" + data[17:]),
-        ("matrix.npy", lambda data: data[:-1] + bytes([data[-1] ^ 1])),
-        ("matrix.npy", lambda data: data.replace(b"<f8", b"<i8")),
-        ("matrix.npy", lambda data: b""),
-        ("words", lambda data: data[:-1]),
-        ("words", lambda data: data.replace(b"b", b"z")),
-        ("words", lambda data: b"\xff" + data),
-        ("crc32", lambda data: b"0 0\n"),
-        ("crc32", lambda data: b"x\n"),
-        ("crc32", lambda data: data.split()[0]),
+    @pytest.mark.parametrize("corrupt", [
+        lambda e: e.data[: e.matrix + 5],
+        lambda e: e.data[: e.matrix] + b"garbage" + e.data[e.matrix + 7 :],
+        lambda e: e.flip(e.words - 1),
+        lambda e: e.data[: e.matrix] + e.matrix_bytes().byteswap().tobytes() + e.data[e.words :],
+        lambda e: e.data[: e.matrix] + e.data[e.words :],
+        lambda e: e.data[: e.trailer - 1],
+        lambda e: e.data[: e.words] + e.words_bytes().replace(b"b", b"z") + e.data[e.trailer :],
+        lambda e: e.with_words(b"\xff" + e.words_bytes()[1:]),
+        lambda e: e.flip(len(e.data) - 1),
+        lambda e: e.flip(e.trailer),
+        lambda e: e.flip(e.trailer + 15),
+        lambda e: e.data[:-1],
+        lambda e: e.data[:5],
+        lambda e: e.flip(2),
+        lambda e: b"",
     ], ids=["matrix-truncated", "matrix-header", "matrix-bit", "matrix-dtype",
             "matrix-empty", "words-truncated", "words-renamed", "words-not-utf8",
-            "crc-mismatch", "crc-garbled", "crc-short"])
+            "crc-mismatch", "crc-garbled", "sizes-huge", "crc-short", "source-truncated",
+            "source-bit", "entry-empty"])
     def test_damaged_entry_falls_back_to_a_parse(
-        self, tmp_path, private_table_cache, parse_calls, name, corrupt
+        self, tmp_path, private_table_cache, parse_calls, corrupt
     ):
         path = tmp_path / "table.txt"
         path.write_text("a 1 2\nb 3 4\nc 5 6\n")
         want = embeddings.read_embedding_file(str(path))
         (entry,) = _entries(private_table_cache)
-        target = entry / name
-        target.write_bytes(corrupt(target.read_bytes()))
+        entry.write_bytes(corrupt(_Entry(entry.read_bytes())))
         assert _same_table(embeddings.read_embedding_file(str(path)), want)
         assert len(parse_calls) == 2
         # The parse wrote a whole entry again.
         assert _same_table(embeddings.read_embedding_file(str(path)), want)
         assert len(parse_calls) == 2
 
-    @pytest.mark.parametrize("missing", ["source", "words", "matrix.npy", "crc32"])
+    @pytest.mark.parametrize("missing", ["source", "words", "matrix", "trailer"])
     def test_entry_missing_a_file_falls_back_to_a_parse(
         self, tmp_path, private_table_cache, parse_calls, missing
     ):
@@ -556,7 +590,12 @@ class TestTableCache:
         path.write_text("a 1 2\nb 3 4\n")
         want = embeddings.read_embedding_file(str(path))
         (entry,) = _entries(private_table_cache)
-        (entry / missing).unlink()
+        e = _Entry(entry.read_bytes())  # cut one region out of the entry
+        start, end = {
+            "source": (0, e.matrix), "matrix": (e.matrix, e.words),
+            "words": (e.words, e.trailer), "trailer": (e.trailer, len(e.data)),
+        }[missing]
+        entry.write_bytes(e.data[:start] + e.data[end:])
         assert _same_table(embeddings.read_embedding_file(str(path)), want)
         assert len(parse_calls) == 2
 
@@ -586,18 +625,33 @@ class TestTableCache:
 
         if fault == "cache-home-is-a-file":
             private_table_cache.write_text("")
-        elif fault == "save-fails":
-            monkeypatch.setattr(np, "save", fail)
         elif fault == "replace-fails":
             monkeypatch.setattr(os, "replace", fail)
         else:
+            # The copy fails once while the tee writes to it, or, after the
+            # parse, while the matrix, words and trailer are appended.
             init = embeddings._Tee.__init__
+            parse_text = embeddings.parse_embedding_text
+            copies = []
 
-            def full_disk(self, source, copy_path):
-                init(self, source, copy_path)
-                self._copy.write = fail
+            def fail_once(data):
+                del copies[-1].write  # later writes succeed
+                fail()
 
-            monkeypatch.setattr(embeddings._Tee, "__init__", full_disk)
+            def keep_copy(self, source, copy):
+                init(self, source, copy)
+                copies.append(copy)
+                if fault == "copy-write-fails":
+                    copy.write = fail_once
+
+            def parse_then_fail(stream):
+                table = parse_text(stream)
+                if fault == "save-fails":
+                    copies[-1].write = fail
+                return table
+
+            monkeypatch.setattr(embeddings._Tee, "__init__", keep_copy)
+            monkeypatch.setattr(embeddings, "parse_embedding_text", parse_then_fail)
         for _ in range(2):
             assert _same_table(embeddings.read_embedding_file(str(path)), _open_parse(path))
         if fault != "cache-home-is-a-file":
