@@ -31,64 +31,63 @@ Core pieces:
   place that writes (model_to_dict) and reads (model_from_dict, load_model)
   it.
 - :mod:`kerndebias.cli` -- the `kerndebias` command.
+
+Every layer loads on first use.  ``import kerndebias`` runs no module of
+the package: each name in __all__ is imported from its module when it is
+first looked up on the package (PEP 562 ``__getattr__``).  The command
+line runs only the layers its subcommand calls, yet registers every layer
+in sys.modules under its name, because a tracer looks the layers up there
+to wrap the functions it times (see kerndebias.cli).
 """
 
-from .configio import load_model
-from .embeddings import (
-    EmbeddingTable,
-    parse_embedding_text,
-    read_embedding_file,
-    unit_normalize,
-    write_embedding_text,
-)
-from .errors import DataError, FormatError, KerndebiasError, NumericalError
-from .kernels import KernelSpec, default_gamma, gram_matrix
-from .linear import (
-    DefiningSets,
-    EqualitySets,
-    equalize_set,
-    fit_linear_subspace,
-    resolve_word_sets,
-)
-from .numerics import SymmetricEigen, pearson, spearman, symmetric_eig
-from .preimage import preimage_neutralize_matrix
-from .rkhs import (
-    CorrectedMetric,
-    KernelBiasModel,
-    beta_matrix,
-    build_centered_gram,
-    fit_kernel_model,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrectedMetric",
-    "DataError",
-    "DefiningSets",
-    "EmbeddingTable",
-    "EqualitySets",
-    "FormatError",
-    "KernelBiasModel",
-    "KernelSpec",
-    "KerndebiasError",
-    "NumericalError",
-    "SymmetricEigen",
-    "beta_matrix",
-    "build_centered_gram",
-    "default_gamma",
-    "equalize_set",
-    "fit_kernel_model",
-    "fit_linear_subspace",
-    "gram_matrix",
-    "load_model",
-    "parse_embedding_text",
-    "pearson",
-    "preimage_neutralize_matrix",
-    "read_embedding_file",
-    "resolve_word_sets",
-    "spearman",
-    "symmetric_eig",
-    "unit_normalize",
-    "write_embedding_text",
-]
+# Each public name and the module that defines it.
+_EXPORTS = {
+    "load_model": "configio",
+    "EmbeddingTable": "embeddings",
+    "parse_embedding_text": "embeddings",
+    "read_embedding_file": "embeddings",
+    "unit_normalize": "embeddings",
+    "write_embedding_text": "embeddings",
+    "DataError": "errors",
+    "FormatError": "errors",
+    "KerndebiasError": "errors",
+    "NumericalError": "errors",
+    "KernelSpec": "kernels",
+    "default_gamma": "kernels",
+    "gram_matrix": "kernels",
+    "DefiningSets": "linear",
+    "EqualitySets": "linear",
+    "equalize_set": "linear",
+    "fit_linear_subspace": "linear",
+    "resolve_word_sets": "linear",
+    "SymmetricEigen": "numerics",
+    "pearson": "numerics",
+    "spearman": "numerics",
+    "symmetric_eig": "numerics",
+    "preimage_neutralize_matrix": "preimage",
+    "CorrectedMetric": "rkhs",
+    "KernelBiasModel": "rkhs",
+    "beta_matrix": "rkhs",
+    "build_centered_gram": "rkhs",
+    "fit_kernel_model": "rkhs",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """A public name, imported from its module at its first use."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -26,6 +26,17 @@ finalization (atexit, flushes, file closes) still runs but no longer
 walks the whole module graph with the cyclic collector on the way out.
 That is only right at process exit: in main it would leave a calling
 process's heap frozen after every command.
+
+Each command loads, builds and checks only what it runs.  evaluation,
+linear, preimage and toydemo are registered in sys.modules, and bound on
+the package, by _lazy, and run only when a command first looks a name up
+in them; so this module refers to them as module.name at call time.  They
+are registered rather than left unimported because a tracer finds the
+layers by name in sys.modules right after ``import kerndebias.cli`` and
+wraps the functions it times there, where these lookups then find them.
+build_parser(argv) adds only the arguments of the subcommand that argv
+starts with, and logging is imported only when a warning is emitted
+(errors.warn).
 """
 
 from __future__ import annotations
@@ -33,14 +44,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import importlib.util
 import json
-import logging
 import os
 import stat
 import sys
-from typing import Iterable
+import types
+from typing import Iterable, Sequence
 
-from . import configio, evaluation, toydemo
+from . import configio, errors
 from .embeddings import (
     EmbeddingTable,
     iter_embedding_text,
@@ -50,16 +62,30 @@ from .embeddings import (
 )
 from .errors import DataError, FormatError, NumericalError
 from .kernels import _PARAMETER_FAMILIES, FAMILIES, KernelSpec, default_gamma
-from .linear import equalize_set, fit_linear_subspace, resolve_word_sets
-from .preimage import preimage_neutralize_matrix
 from .rkhs import CorrectedMetric, check_dimension, fit_kernel_model
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """kerndebias.<name>, in sys.modules and on the package as an import
+    leaves it, whose body runs at the first attribute lookup."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+evaluation, linear, preimage, toydemo = map(_lazy, ["evaluation", "linear", "preimage", "toydemo"])
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-logger = logging.getLogger("kerndebias")
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +95,8 @@ logger = logging.getLogger("kerndebias")
 
 def _read_embeddings(path: str, normalize: bool) -> EmbeddingTable:
     if path == "-":  # decoded as a file is, whatever the locale; never cached
+        if sys.stdin is None:
+            raise FormatError("--embeddings -: standard input is closed")
         sys.stdin.reconfigure(encoding="utf-8", newline=None)
     table = parse_embedding_text(sys.stdin) if path == "-" else read_embedding_file(path)
     return unit_normalize(table) if normalize else table
@@ -101,9 +129,9 @@ def _kernel_spec_from_args(args: argparse.Namespace, dim: int) -> KernelSpec:
 
 def _resolve_sets(args: argparse.Namespace, table: EmbeddingTable):
     defining, equality = configio.load_sets_file(args.sets)
-    sets, eq_sets, warnings = resolve_word_sets(table, defining, equality)
+    sets, eq_sets, warnings = linear.resolve_word_sets(table, defining, equality)
     for message in warnings:
-        logger.warning("%s", message)
+        errors.warn("kerndebias", "%s", message)
     return sets, eq_sets
 
 
@@ -203,7 +231,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     sets, _ = _resolve_sets(args, table)
     if args.backend == "linear":
-        model = fit_linear_subspace(table, sets, args.components)
+        model = linear.fit_linear_subspace(table, sets, args.components)
     else:
         spec = _kernel_spec_from_args(args, table.dim)
         model = fit_kernel_model(spec, table, sets, k=args.components)
@@ -241,10 +269,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
     if args.equalize and args.sets is None:
         raise FormatError("--equalize requires --sets")
     eq_sets = _resolve_sets(args, table)[1] if args.sets is not None else None
-    matrix = preimage_neutralize_matrix(model, table.matrix)
+    matrix = preimage.preimage_neutralize_matrix(model, table.matrix)
     if args.equalize:
         for members in eq_sets.sets:
-            for idx, vec in zip(members, equalize_set(model, table, members)):
+            for idx, vec in zip(members, linear.equalize_set(model, table, members)):
                 matrix[idx] = vec
     _write(args.out, iter_embedding_text(table.words, matrix, args.precision))
     if args.out_model is not None:
@@ -344,128 +372,177 @@ def _add_common(
             action="store_true",
             help="skip unit-normalizing vectors on load",
         )
-    default, text = {
-        "fixed": (42, "run seed (default: 42)"),
-        "config": (
-            None,
-            f"Monte Carlo p-value seed, used only above {evaluation.EXACT_LIMIT} "
+    if seed == "fixed":
+        parser.add_argument("--seed", type=int, default=42, help="run seed (default: 42)")
+    elif seed == "config":
+        parser.add_argument(
+            "--seed", type=int,
+            help=f"Monte Carlo p-value seed, used only above {evaluation.EXACT_LIMIT} "
             "target words (default: the config's seed)",
-        ),
-        "ignored": (None, "ignored: this stage draws no random numbers"),
-    }[seed]
-    parser.add_argument("--seed", type=int, default=default, help=text)
+        )
+    else:
+        parser.add_argument(
+            "--seed", type=int, help="ignored: this stage draws no random numbers"
+        )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kerndebias",
-        description="Fit linear/kernel bias subspaces, correct embeddings or "
-        "metrics, and evaluate residual bias.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit a bias model")
-    _add_common(p_fit)
-    p_fit.add_argument("--sets", required=True, help="defining/equality sets JSON")
-    p_fit.add_argument("--backend", choices=("linear", "kernel"), default="linear")
-    p_fit.add_argument("--kernel", help="kernel family name or KernelSpec JSON")
-    p_fit.add_argument(
+def _fit_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _add_common(p)
+    p.add_argument("--sets", required=True, help="defining/equality sets JSON")
+    p.add_argument("--backend", choices=("linear", "kernel"), default="linear")
+    p.add_argument("--kernel", help="kernel family name or KernelSpec JSON")
+    p.add_argument(
         "--gamma", type=float,
         help="kernel width for rbf, laplace, polynomial and sigmoid (default 1/dim)",
     )
-    p_fit.add_argument(
-        "--coef0", type=float, help="offset for polynomial and sigmoid (default 1.0)"
-    )
-    p_fit.add_argument("--degree", type=int, help="polynomial degree (default 2)")
-    p_fit.add_argument("--components", type=int, default=1, help="bias directions K")
-    p_fit.add_argument("--out", required=True, help="model JSON output, - for stdout")
-    p_fit.set_defaults(func=cmd_fit)
+    p.add_argument("--coef0", type=float, help="offset for polynomial and sigmoid (default 1.0)")
+    p.add_argument("--degree", type=int, help="polynomial degree (default 2)")
+    p.add_argument("--components", type=int, default=1, help="bias directions K")
+    p.add_argument("--out", required=True, help="model JSON output, - for stdout")
+    p.set_defaults(func=cmd_fit)
 
-    p_apply = sub.add_parser("apply", help="write corrected embeddings")
-    _add_common(p_apply)
-    p_apply.add_argument("--model", required=True)
-    p_apply.add_argument(
+
+def _apply_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _add_common(p)
+    p.add_argument("--model", required=True)
+    p.add_argument(
         "--sets",
         help="sets JSON, read and checked whenever given; its equality sets are "
         "what --equalize re-embeds",
     )
-    p_apply.add_argument("--equalize", action="store_true", help="linear-kernel models only")
-    p_apply.add_argument(
+    p.add_argument("--equalize", action="store_true", help="linear-kernel models only")
+    p.add_argument(
         "--precision", type=int, default=9,
         help="decimal places per component, 1 to 17 (default 9)",
     )
-    p_apply.add_argument("--out", required=True, help="embedding output, - for stdout")
-    p_apply.add_argument(
+    p.add_argument("--out", required=True, help="embedding output, - for stdout")
+    p.add_argument(
         "--out-model", help="write the loaded model JSON back here (- for stdout), "
         "without a stale 'preimage' block"
     )
-    p_apply.set_defaults(func=cmd_apply)
+    p.set_defaults(func=cmd_apply)
 
-    p_sim = sub.add_parser("sim", help="pairwise similarity queries")
-    _add_common(p_sim)
-    p_sim.add_argument("--model", help="model JSON (omit for raw cosine)")
-    p_sim.add_argument("--out", help="JSON output path (omit or - for stdout)")
-    p_sim.add_argument("words", nargs="+", help="word pairs: a b [c d ...]")
-    p_sim.set_defaults(func=cmd_sim)
 
-    p_eval = sub.add_parser("eval", help="run a benchmark")
-    eval_sub = p_eval.add_subparsers(dest="benchmark", required=True)
+def _sim_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _add_common(p)
+    p.add_argument("--model", help="model JSON (omit for raw cosine)")
+    p.add_argument("--out", help="JSON output path (omit or - for stdout)")
+    p.add_argument("words", nargs="+", help="word pairs: a b [c d ...]")
+    p.set_defaults(func=cmd_sim)
 
-    def eval_parser(name, summary, evaluate, seed="ignored"):
-        p = eval_sub.add_parser(name, help=summary)
-        _add_common(p, seed=seed)
-        p.add_argument("--model", help="model JSON (omit for raw cosine)")
-        p.add_argument(
-            "--out", help="output prefix for PREFIX.json and PREFIX.csv "
-            "(omit or - for the JSON on stdout)",
-        )
-        p.set_defaults(func=cmd_eval, evaluate=evaluate)
-        return p
 
-    p_weat = eval_parser("weat", "association test", _weat, seed="config")
-    p_weat.add_argument("--config", required=True, help="WEAT config JSON")
-    p_weat.add_argument(
+def _eval_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _add_subcommands(p, "benchmark", _BENCHMARKS, argv)
+
+
+def _benchmark_arguments(p: argparse.ArgumentParser, evaluate, seed: str = "ignored") -> None:
+    """The arguments every benchmark takes, and its payload function."""
+    _add_common(p, seed=seed)
+    p.add_argument("--model", help="model JSON (omit for raw cosine)")
+    p.add_argument(
+        "--out", help="output prefix for PREFIX.json and PREFIX.csv "
+        "(omit or - for the JSON on stdout)",
+    )
+    p.set_defaults(func=cmd_eval, evaluate=evaluate)
+
+
+def _weat_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _benchmark_arguments(p, _weat, seed="config")
+    p.add_argument("--config", required=True, help="WEAT config JSON")
+    p.add_argument(
         "--permutations", type=int,
         help="override the config's Monte Carlo permutation count (1 to "
         f"{evaluation.MAX_PERMUTATIONS}), used only above {evaluation.EXACT_LIMIT} "
         "target words; at or below, the p-value is exact",
     )
 
-    p_prof = eval_parser("professions", "neighbor-bias correlation", _professions)
-    p_prof.add_argument("--professions", required=True, help="profession word list")
-    p_prof.add_argument("--male", required=True, help="male lexicon word list")
-    p_prof.add_argument("--female", required=True, help="female lexicon word list")
-    p_prof.add_argument("--neighbors", type=int, default=100)
-    p_prof.add_argument("--pool", choices=("vocabulary", "restricted"), default="vocabulary")
 
-    p_cls = eval_parser("classify", "indirect-bias SVM", _classify, seed="fixed")
-    p_cls.add_argument("--n-biased", type=int, default=5000)
-    p_cls.add_argument("--n-train", type=int, default=1000)
-    p_cls.add_argument("--svm-gamma", type=float)
-    p_cls.add_argument("--c-reg", type=float, default=1.0)
-    p_cls.add_argument("--tol", type=float, default=1e-3)
+def _professions_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _benchmark_arguments(p, _professions)
+    p.add_argument("--professions", required=True, help="profession word list")
+    p.add_argument("--male", required=True, help="male lexicon word list")
+    p.add_argument("--female", required=True, help="female lexicon word list")
+    p.add_argument("--neighbors", type=int, default=100)
+    p.add_argument("--pool", choices=("vocabulary", "restricted"), default="vocabulary")
 
-    p_sl = eval_parser("simlex", "similarity-judgment correlation", _simlex)
-    p_sl.add_argument("--pairs", required=True, help="tab-separated word1 word2 score")
 
-    p_toy = sub.add_parser("demo-toy", help="2-D nonlinear removal demo CSV")
-    _add_common(p_toy, embeddings=False, seed="fixed")
-    p_toy.add_argument(
+def _classify_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _benchmark_arguments(p, _classify, seed="fixed")
+    p.add_argument("--n-biased", type=int, default=5000)
+    p.add_argument("--n-train", type=int, default=1000)
+    p.add_argument("--svm-gamma", type=float)
+    p.add_argument("--c-reg", type=float, default=1.0)
+    p.add_argument("--tol", type=float, default=1e-3)
+
+
+def _simlex_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _benchmark_arguments(p, _simlex)
+    p.add_argument("--pairs", required=True, help="tab-separated word1 word2 score")
+
+
+def _toy_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _add_common(p, embeddings=False, seed="fixed")
+    p.add_argument(
         "--n-points", type=int, default=200,
         help="points, at least 10; an odd count is rounded down to the nearest even "
         "number (default 200)",
     )
-    p_toy.add_argument("--gamma", type=float, default=1.0, help="rbf width (default 1.0)")
-    p_toy.add_argument("--out", help="CSV output path (omit or - for stdout)")
-    p_toy.set_defaults(func=cmd_demo_toy)
+    p.add_argument("--gamma", type=float, default=1.0, help="rbf width (default 1.0)")
+    p.add_argument("--out", help="CSV output path (omit or - for stdout)")
+    p.set_defaults(func=cmd_demo_toy)
 
+
+# Each subcommand and each eval benchmark: its summary in --help, and the
+# function that adds its arguments given the argv that follows its name.
+_COMMANDS = {
+    "fit": ("fit a bias model", _fit_arguments),
+    "apply": ("write corrected embeddings", _apply_arguments),
+    "sim": ("pairwise similarity queries", _sim_arguments),
+    "eval": ("run a benchmark", _eval_arguments),
+    "demo-toy": ("2-D nonlinear removal demo CSV", _toy_arguments),
+}
+_BENCHMARKS = {
+    "weat": ("association test", _weat_arguments),
+    "professions": ("neighbor-bias correlation", _professions_arguments),
+    "classify": ("indirect-bias SVM", _classify_arguments),
+    "simlex": ("similarity-judgment correlation", _simlex_arguments),
+}
+
+
+def _add_subcommands(
+    parser: argparse.ArgumentParser, dest: str, commands: dict, argv: Sequence[str]
+) -> None:
+    """One subparser per entry of commands, each listed with its summary.
+
+    When argv starts with one of the names, only that subparser gets its
+    arguments: argparse hands it all of argv after the name, so a parse of
+    argv reaches no other.  Otherwise every subparser gets them.
+    """
+    sub = parser.add_subparsers(dest=dest, required=True)
+    chosen = argv[0] if argv and argv[0] in commands else None
+    for name, (summary, add_arguments) in commands.items():
+        subparser = sub.add_parser(name, help=summary)
+        if chosen in (None, name):
+            add_arguments(subparser, argv[1:] if chosen else ())
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The kerndebias parser: every subcommand listed, and the arguments of
+    only those a parse of argv can reach, so that it parses argv exactly as
+    the full parser, build_parser(), does."""
+    parser = argparse.ArgumentParser(
+        prog="kerndebias",
+        description="Fit linear/kernel bias subspaces, correct embeddings or "
+        "metrics, and evaluate residual bias.",
+    )
+    _add_subcommands(parser, "command", _COMMANDS, argv)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    errors.LOG_FORMAT = "%(levelname)s: %(message)s"
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

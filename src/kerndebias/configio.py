@@ -12,13 +12,16 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FormatError, checked_finite, checked_integer
-from .evaluation import DEFAULT_PERMUTATIONS, DEFAULT_SEED, WeatConfig
 from .kernels import KernelSpec
 from .rkhs import KernelBiasModel
+
+if TYPE_CHECKING:
+    from .evaluation import WeatConfig
 
 # The arrays of each model-file type, with their shapes over k (bias
 # directions), dim (input dimension) and n (defining pairs).
@@ -162,6 +165,8 @@ def load_sets_file(path: str | Path) -> tuple[list[list[str]], list[list[str]]]:
 
 def load_weat_config(path: str | Path) -> WeatConfig:
     """WEAT config: {"X": [...], "Y": [...], "A": [...], "B": [...], ...}."""
+    from .evaluation import DEFAULT_PERMUTATIONS, DEFAULT_SEED, WeatConfig
+
     data = read_json_object(path)
     lists = {}
     for key in ("X", "Y", "A", "B"):

@@ -93,29 +93,10 @@ class EmbeddingTable:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        words = tuple(self.words)
         matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise FormatError(f"embedding matrix must be 2-D, got {matrix.ndim}-D")
-        if matrix.shape[0] != len(self.words):
-            raise FormatError(
-                f"{len(self.words)} words but {matrix.shape[0]} matrix rows"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise FormatError("embedding matrix contains non-finite values")
-        index = dict(zip(self.words, range(len(self.words))))
-        if len(index) < len(self.words) or _SPACE.search("".join(self.words)):
-            seen: set[str] = set()
-            for word in self.words:  # name the first offending word
-                if word in seen:
-                    raise FormatError(f"duplicate word {word!r}")
-                if _SPACE.search(word):
-                    raise FormatError(f"word {word!r} contains whitespace")
-                seen.add(word)
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        object.__setattr__(self, "words", tuple(self.words))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_index", index)
+        index = _checked_index(words, matrix)
+        _own(self, words, matrix.copy(), index)
 
     @property
     def dim(self) -> int:
@@ -135,6 +116,50 @@ class EmbeddingTable:
 
     def lookup(self, word: str) -> np.ndarray:
         return self.matrix[self.row_index(word)]
+
+
+def _checked_index(words: tuple[str, ...], matrix: np.ndarray) -> dict[str, int]:
+    """Each word's row, once matrix is checked to be a finite float64
+    matrix of one row per word, and the words unique and free of
+    whitespace."""
+    if matrix.ndim != 2:
+        raise FormatError(f"embedding matrix must be 2-D, got {matrix.ndim}-D")
+    if matrix.shape[0] != len(words):
+        raise FormatError(f"{len(words)} words but {matrix.shape[0]} matrix rows")
+    if not np.all(np.isfinite(matrix)):
+        raise FormatError("embedding matrix contains non-finite values")
+    index = dict(zip(words, range(len(words))))
+    if len(index) < len(words) or _SPACE.search("".join(words)):
+        seen: set[str] = set()
+        for word in words:  # name the first offending word
+            if word in seen:
+                raise FormatError(f"duplicate word {word!r}")
+            if _SPACE.search(word):
+                raise FormatError(f"word {word!r} contains whitespace")
+            seen.add(word)
+    return index
+
+
+def _own(
+    table: EmbeddingTable, words: tuple[str, ...], matrix: np.ndarray, index: dict[str, int]
+) -> EmbeddingTable:
+    """table made of checked parts; matrix, which no caller holds, is made
+    read-only and kept without a copy."""
+    matrix.setflags(write=False)
+    object.__setattr__(table, "words", words)
+    object.__setattr__(table, "matrix", matrix)
+    object.__setattr__(table, "_index", index)
+    return table
+
+
+def _new_table(
+    words: tuple[str, ...], matrix: np.ndarray, index: dict[str, int] | None = None
+) -> EmbeddingTable:
+    """An EmbeddingTable that keeps matrix, a new float64 array, without
+    copying it: checked here unless the index of its checked words is given."""
+    if index is None:
+        index = _checked_index(words, matrix)
+    return _own(object.__new__(EmbeddingTable), words, matrix, index)
 
 
 def _is_header(tokens: list[str]) -> bool:
@@ -240,8 +265,7 @@ class _TableBuilder:
         if error is not None:
             raise FormatError(error)
         matrix = np.concatenate(self.rows) if self.rows else np.empty((0, 0))
-        self.rows.clear()  # freed before EmbeddingTable copies the matrix
-        return EmbeddingTable(words=tuple(self.words), matrix=matrix)
+        return _new_table(tuple(self.words), matrix)
 
 
 def parse_embedding_text(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
@@ -287,8 +311,9 @@ def read_embedding_file(path: str) -> EmbeddingTable:
     A regular file is looked up by its real path in the cache directory
     (see the module docstring).  Its entry is used when the file's bytes
     equal the entry's copy of them, compared _COMPARE_BYTES at a time,
-    and its matrix and words match the entry's crc32; the table is then
-    rebuilt through EmbeddingTable.  Otherwise the file is parsed through
+    and its matrix and words match the entry's crc32; the matrix is read
+    straight into the table's array, and checked once, as EmbeddingTable
+    checks it.  Otherwise the file is parsed through
     a tee that copies every byte parsed into a new entry file, which gets
     the matrix, the words and the trailer and replaces the old entry only
     once the parse has succeeded.  A FIFO or other non-regular file is
@@ -359,15 +384,17 @@ def _cached_table(entry: str, source: BinaryIO) -> EmbeddingTable | None:
         ):
             return None
         handle.seek(0)
-        if not _same_bytes(source, handle, n_source):
+        if n_matrix % 8 or not _same_bytes(source, handle, n_source):
             return None
-        matrix, words = handle.read(n_matrix), handle.read(n_words)
+        matrix = np.empty(n_matrix // 8, "<f8")
+        if handle.readinto(matrix) != n_matrix:
+            return None
+        words = handle.read(n_words)
     if zlib.crc32(words, zlib.crc32(matrix)) != crc:
         return None
     try:
         names = tuple(words.decode("utf-8").split("\n")) if words else ()
-        shape = (len(names), n_matrix // 8 // max(len(names), 1))
-        table = EmbeddingTable(words=names, matrix=np.frombuffer(matrix, "<f8").reshape(shape))
+        table = _new_table(names, matrix.reshape(len(names), -1 if names else 0))
     except (ValueError, FormatError):
         return None
     with contextlib.suppress(OSError):
@@ -615,4 +642,5 @@ def unit_normalize(table: EmbeddingTable) -> EmbeddingTable:
     if zero.size:
         raise DataError(f"cannot normalize zero vector for word {table.words[zero[0]]!r}")
     scale = np.where(np.abs(norms - 1.0) <= _UNIT_SLACK, 1.0, norms)
-    return EmbeddingTable(words=table.words, matrix=table.matrix / scale[:, None])
+    # Finite rows divided by their positive norms stay finite.
+    return _new_table(table.words, table.matrix / scale[:, None], table._index)

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the checks on
-decoded JSON numbers that raise FormatError.
+"""Exception hierarchy shared across the package, the checks on decoded
+JSON numbers that raise FormatError, and warn, which every warning the
+package logs goes through.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific class that applies.
@@ -7,6 +8,11 @@ the most specific class that applies.
 
 import math
 import numbers
+
+# The format of the command line's warnings, "WARNING: <message>": None
+# until cli.main sets it, and until then warn leaves logging as the caller
+# configured it.
+LOG_FORMAT: str | None = None
 
 
 class KerndebiasError(Exception):
@@ -47,3 +53,18 @@ def checked_finite(value: object, name: str) -> float:
         except OverflowError:  # an integer beyond the float range
             pass
     raise FormatError(f"{name!r} must be a finite number, got {value!r}")
+
+
+def warn(logger: str, message: str, *args: object) -> None:
+    """Log message % args as a WARNING on the named logger.
+
+    logging is imported here, not with the package, since most runs warn
+    about nothing.  Once the command line has set LOG_FORMAT, this also
+    applies logging.basicConfig with it, which does nothing where the root
+    logger already has a handler.
+    """
+    import logging
+
+    if LOG_FORMAT is not None:
+        logging.basicConfig(level=logging.WARNING, format=LOG_FORMAT)
+    logging.getLogger(logger).warning(message, *args)

@@ -24,7 +24,6 @@ so any object that has both can stand in for the metric.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,13 +31,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError, FormatError, NumericalError
+from .errors import DataError, FormatError, NumericalError, warn
 from .kernels import _BLOCK_ELEMENTS
 from .numerics import pearson, spearman
 from .rkhs import CorrectedMetric
 from .seeding import rng_for
-
-logger = logging.getLogger(__name__)
 
 # Most target words (|X| + |Y|) whose WEAT p-value is counted exactly over
 # every equal split: 2^16 subset sums per half, about 16 ms and a few MB
@@ -183,7 +180,8 @@ def weat_test(metric: CorrectedMetric, cfg: WeatConfig) -> WeatResult:
         raise DataError("attribute sets are empty after vocabulary filtering")
     if len(x_in) != len(y_in):
         keep = min(len(x_in), len(y_in))
-        logger.warning(
+        warn(
+            __name__,
             "target lists unbalanced after filtering (%d vs %d); truncating to %d",
             len(x_in), len(y_in), keep,
         )

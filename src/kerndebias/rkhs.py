@@ -39,21 +39,18 @@ exactly; tests enforce this.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, warn
 from .kernels import KernelSpec, difference_distances, gram_matrix, kernel_diag
 from .numerics import symmetric_eig
 
 if TYPE_CHECKING:
     from .linear import DefiningSets
-
-logger = logging.getLogger(__name__)
 
 # Eigenvalues at or below this fraction of the largest are treated as
 # numerically zero when ranking the bias directions.
@@ -203,7 +200,8 @@ def fit_kernel_model(
     rank = int(np.sum(positive))
     n_negative = int(np.sum(eig.eigenvalues < -threshold))
     if n_negative:
-        logger.warning(
+        warn(
+            __name__,
             "discarding %d negative eigenvalue(s) of the centered Gram "
             "(indefinite kernel)",
             n_negative,

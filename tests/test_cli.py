@@ -1496,3 +1496,202 @@ def test_process_exit_code_reaches_the_parent(planted_files, case, code):
     assert proc.returncode == code
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"usage: " if case == "usage" else b"error: ")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a process started with fd 0 closed")
+def test_embeddings_from_closed_stdin_exits_2():
+    # The child closes fd 0 and then becomes the command, so sys.stdin is None.
+    argv = [sys.executable, "-m", "kerndebias.cli", "sim", "--embeddings", "-", "a", "b"]
+    proc = _python("-c", f"import os; os.close(0); os.execv({sys.executable!r}, {argv!r})")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"error: --embeddings -: standard input is closed\n"
+    )
+
+
+# A name each lazily loaded layer defines: in the module's namespace only
+# once its body has run.
+_LAYER_BODIES = {
+    "evaluation": "weat_test",
+    "linear": "fit_linear_subspace",
+    "preimage": "preimage_neutralize_matrix",
+    "toydemo": "run_toy_demo",
+}
+
+
+def _run_in_child(argv: list[str]) -> dict:
+    """main(argv) in a new process: its exit code, the layers of
+    _LAYER_BODIES whose bodies ran, and whether logging was imported before
+    kerndebias (numpy already loaded) and after the run."""
+    code = textwrap.dedent(f"""
+        import json
+        import sys
+        import numpy
+        logging_before = "logging" in sys.modules
+        from kerndebias.cli import main
+        code = main({argv!r})
+
+        def ran(layer, body):
+            module = sys.modules.get("kerndebias." + layer)
+            # object.__getattribute__ reads a lazy module's namespace
+            # without running its body.
+            return module is not None and body in object.__getattribute__(module, "__dict__")
+
+        print(json.dumps({{
+            "code": code,
+            "ran": sorted(layer for layer, body in {_LAYER_BODIES!r}.items() if ran(layer, body)),
+            "logging": [logging_before, "logging" in sys.modules],
+        }}))
+    """)
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout.decode().splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "stage, ran",
+    [
+        ("fit", ["linear"]),
+        ("apply", ["preimage"]),
+        ("sim", ["evaluation"]),
+        ("simlex", ["evaluation"]),
+        ("demo-toy", ["linear", "preimage", "toydemo"]),
+    ],
+)
+def test_each_stage_runs_only_the_layers_it_uses(planted_files, tmp_path, private_table_cache,
+                                                 stage, ran):
+    paths = planted_files
+    _fit_linear(paths)
+    common = ["--embeddings", str(paths["embeddings"])]
+    argv = {
+        "fit": ["fit", *common, "--sets", str(paths["sets"]), "--out", str(tmp_path / "m.json")],
+        "apply": ["apply", *common, "--model", str(paths["model"]),
+                  "--out", str(tmp_path / "t.txt")],
+        "sim": ["sim", *common, "--out", str(tmp_path / "s.json"), "he", "she"],
+        "simlex": ["eval", "simlex", *common, "--pairs", str(paths["simlex"]),
+                   "--out", str(tmp_path / "simlex")],
+        "demo-toy": ["demo-toy", "--n-points", "20", "--out", str(tmp_path / "toy.csv")],
+    }[stage]
+    result = _run_in_child(argv)
+    assert result["code"] == 0
+    assert result["ran"] == ran
+    before, after = result["logging"]
+    assert after == before  # nothing warned, so logging was left unimported
+
+
+# The names a tracer of the layers looks up right after `import kerndebias.cli`:
+# each layer's module in sys.modules, and the functions it wraps there.
+_TRACED = {
+    "embeddings": ["parse_embedding_text", "unit_normalize", "write_embedding_text"],
+    "numerics": ["symmetric_eig"],
+    "linear": ["fit_linear_subspace", "equalize_set"],
+    "kernels": ["gram_matrix", "kernel_diag"],
+    "rkhs": ["fit_kernel_model", "beta_matrix", "CorrectedMetric"],
+    "preimage": ["preimage_neutralize_matrix"],
+    "evaluation": ["professions_correlation", "weat_test", "svm_train", "svm_accuracy",
+                   "rbf_on_squared_distance"],
+    "toydemo": ["run_toy_demo"],
+    "cli": ["main"],
+}
+
+
+def test_every_traced_layer_is_found_by_name_after_importing_the_cli(planted_files, tmp_path,
+                                                                     private_table_cache):
+    paths = planted_files
+    common = ["--embeddings", str(paths["embeddings"])]
+    commands = [
+        ["fit", *common, "--sets", str(paths["sets"]), "--out", str(paths["model"])],
+        ["apply", *common, "--model", str(paths["model"]), "--out", str(tmp_path / "t.txt")],
+        ["eval", "weat", *common, "--config", str(paths["weat"]), "--out", str(tmp_path / "w")],
+        ["demo-toy", "--n-points", "20", "--out", str(tmp_path / "toy.csv")],
+    ]
+    code = textwrap.dedent(f"""
+        import json
+        import sys
+        import kerndebias.cli
+
+        package = sys.modules["kerndebias"]
+        missing, unbound = [], []
+        for layer, names in {_TRACED!r}.items():
+            module = sys.modules.get("kerndebias." + layer)
+            if getattr(package, layer, None) is not module:
+                unbound.append(layer)
+            missing += [f"{{layer}}.{{name}}" for name in names
+                        if not callable(getattr(module, name, None))]
+
+        # Replace one function of each lazy layer where it is defined, as a
+        # tracer does, and run a command that calls it.
+        called = []
+
+        def replace(layer, name):
+            module = sys.modules["kerndebias." + layer]
+            original = getattr(module, name)
+
+            def traced(*args, **kwargs):
+                called.append(f"{{layer}}.{{name}}")
+                return original(*args, **kwargs)
+
+            setattr(module, name, traced)
+
+        for layer, name in [("linear", "fit_linear_subspace"),
+                            ("preimage", "preimage_neutralize_matrix"),
+                            ("evaluation", "weat_test"), ("toydemo", "run_toy_demo")]:
+            replace(layer, name)
+        codes = [kerndebias.cli.main(argv) for argv in {commands!r}]
+        print(json.dumps([missing, unbound, codes, called]))
+    """)
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    missing, unbound, codes, called = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert (missing, unbound, codes) == ([], [], [0, 0, 0, 0])
+    assert called == [
+        "linear.fit_linear_subspace", "preimage.preimage_neutralize_matrix",
+        "evaluation.weat_test", "toydemo.run_toy_demo",
+    ]
+
+
+def _parse_exit(parse, argv: list[str], capsys) -> tuple:
+    """The exit code, stdout and stderr of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+_COMMAND_NAMES = ["fit", "apply", "sim", "eval", "demo-toy"]
+_BENCHMARK_NAMES = ["weat", "professions", "classify", "simlex"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([name, "--help"] for name in _COMMAND_NAMES),
+        *(["eval", name, "--help"] for name in _BENCHMARK_NAMES),
+        [],
+        ["nope"],
+        ["eval"],
+        ["eval", "nope"],
+        ["fit", "--embeddings", "t.txt"],
+        ["eval", "simlex", "--embeddings", "t.txt"],
+        ["sim", "--embeddings", "t.txt", "--bogus", "a", "b"],
+        ["demo-toy", "--n-points", "x"],
+    ],
+    ids=lambda argv: " ".join(argv) or "bare",
+)
+def test_one_subcommand_parser_answers_as_the_full_parser(capsys, argv):
+    code, out, err = _parse_exit(main, argv, capsys)
+    assert (code, out, err) == _parse_exit(cli.build_parser().parse_args, argv, capsys)
+    if "--help" in argv:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: kerndebias") and "error: " in err
+
+
+@pytest.mark.parametrize(
+    "argv, names", [(["--help"], _COMMAND_NAMES), (["eval", "--help"], _BENCHMARK_NAMES)]
+)
+def test_help_lists_every_subcommand(capsys, argv, names):
+    out = _parse_exit(main, argv, capsys)[1]
+    listed = out.split("{" + ",".join(names) + "}\n")[1].split("\n\n")[0]
+    assert [line.split()[0] for line in listed.splitlines()] == names

@@ -398,6 +398,14 @@ class TestNormalize:
         twice = unit_normalize(once)
         np.testing.assert_array_equal(once.matrix, twice.matrix)
 
+    def test_result_is_a_read_only_table_of_its_own(self, rng):
+        table = EmbeddingTable(words=("a", "b", "c"), matrix=rng.normal(size=(3, 4)))
+        normed = unit_normalize(table)
+        assert normed.words == table.words and normed.row_index("c") == 2
+        assert "d" not in normed
+        assert not normed.matrix.flags.writeable
+        assert not np.shares_memory(normed.matrix, table.matrix)
+
 
 class TestTableInvariants:
     def test_duplicate_word_rejected(self):
@@ -557,6 +565,7 @@ class TestTableCache:
         lambda e: e.data[: e.trailer - 1],
         lambda e: e.data[: e.words] + e.words_bytes().replace(b"b", b"z") + e.data[e.trailer :],
         lambda e: e.with_words(b"\xff" + e.words_bytes()[1:]),
+        lambda e: e.with_words(e.words_bytes().replace(b"b", b"a")),
         lambda e: e.flip(len(e.data) - 1),
         lambda e: e.flip(e.trailer),
         lambda e: e.flip(e.trailer + 15),
@@ -566,8 +575,8 @@ class TestTableCache:
         lambda e: b"",
     ], ids=["matrix-truncated", "matrix-header", "matrix-bit", "matrix-dtype",
             "matrix-empty", "words-truncated", "words-renamed", "words-not-utf8",
-            "crc-mismatch", "crc-garbled", "sizes-huge", "crc-short", "source-truncated",
-            "source-bit", "entry-empty"])
+            "words-duplicate", "crc-mismatch", "crc-garbled", "sizes-huge", "crc-short",
+            "source-truncated", "source-bit", "entry-empty"])
     def test_damaged_entry_falls_back_to_a_parse(
         self, tmp_path, private_table_cache, parse_calls, corrupt
     ):
