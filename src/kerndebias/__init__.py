@@ -14,8 +14,8 @@ Core pieces:
   bias-model type, KernelBiasModel, its bias coordinates beta_matrix, and
   CorrectedMetric, the one corrected metric
   k~(x, y) = k(x, y) - beta(x) . beta(y): built over a table and a model,
-  or none (plain cosine), it caches beta of the vocabulary and answers
-  word and row queries.
+  or none (plain cosine), it answers word and row queries, and keeps the
+  beta of each word a word query touches.
 - :mod:`kerndebias.linear` -- the linear bias subspace, read out of the
   kernel fit with the linear kernel as a linear-kernel KernelBiasModel
   (beta(x) = x B^T); equalize.

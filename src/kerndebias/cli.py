@@ -30,10 +30,11 @@ process's heap frozen after every command.
 Each command loads, builds and checks only what it runs.  evaluation,
 linear, preimage and toydemo are registered in sys.modules, and bound on
 the package, by _lazy, and run only when a command first looks a name up
-in them; so this module refers to them as module.name at call time.  They
-are registered rather than left unimported because a tracer finds the
-layers by name in sys.modules right after ``import kerndebias.cli`` and
-wraps the functions it times there, where these lookups then find them.
+in them; so this module refers to them as module.name at call time.
+`sim` runs none of them: its pair_similarities is rkhs's.  They are
+registered rather than left unimported because a tracer finds the layers
+by name in sys.modules right after ``import kerndebias.cli`` and wraps
+the functions it times there, where these lookups then find them.
 build_parser(argv) adds only the arguments of the subcommand that argv
 starts with, and logging is imported only when a warning is emitted
 (errors.warn).
@@ -62,7 +63,7 @@ from .embeddings import (
 )
 from .errors import DataError, FormatError, NumericalError
 from .kernels import _PARAMETER_FAMILIES, FAMILIES, KernelSpec, default_gamma
-from .rkhs import CorrectedMetric, check_dimension, fit_kernel_model
+from .rkhs import CorrectedMetric, check_dimension, fit_kernel_model, pair_similarities
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -256,11 +257,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_apply(args: argparse.Namespace) -> int:
     """Every row x as x - beta(x) W (preimage_neutralize_matrix), then, with
     --equalize, the equality sets re-embedded; the text is streamed to
-    --out in the bounded blocks of embeddings.iter_embedding_text, and
-    --out-model is written only once the table is whole.  Either may be
-    - (stdout), but not both."""
+    --out in the bounded blocks of embeddings.iter_embedding_text.  Two
+    output files are written as one set (_write_files); with - (stdout)
+    for one of them, --out-model is written only once the table is whole.
+    --out and --out-model may not both be stdout, nor one file."""
     if args.out == "-" and args.out_model == "-":
         raise FormatError("--out and --out-model cannot both be - (stdout)")
+    if args.out_model not in (None, "-") and args.out != "-" and (
+        os.path.realpath(args.out) == os.path.realpath(args.out_model)
+    ):
+        raise FormatError(f"--out and --out-model are the same file: {args.out_model}")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     model, data = configio.load_model(args.model)
     check_dimension(model.dim, table)
@@ -274,10 +280,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
         for members in eq_sets.sets:
             for idx, vec in zip(members, linear.equalize_set(model, table, members)):
                 matrix[idx] = vec
-    _write(args.out, iter_embedding_text(table.words, matrix, args.precision))
-    if args.out_model is not None:
-        data.pop("preimage", None)
-        _write_json(args.out_model, data)
+    text = iter_embedding_text(table.words, matrix, args.precision)
+    data.pop("preimage", None)
+    if args.out_model is not None and "-" not in (args.out, args.out_model):
+        _write_files([(args.out, text), (args.out_model, _json_bytes(data))])
+    else:
+        _write(args.out, text)
+        if args.out_model is not None:
+            _write_json(args.out_model, data)
     if args.out != "-":
         print(f"wrote {args.out}", file=sys.stderr if args.out_model == "-" else sys.stdout)
     return EXIT_OK
@@ -288,7 +298,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         raise FormatError("sim expects an even number of words (pairs)")
     metric = _metric(args)
     pairs = list(zip(args.words[0::2], args.words[1::2]))
-    values = evaluation.pair_similarities(metric, pairs)
+    values = pair_similarities(metric, pairs)
     payload = {
         "backend": metric.name,
         "pairs": [{"a": a, "b": b, "similarity": float(v)} for (a, b), v in zip(pairs, values)],

@@ -64,9 +64,9 @@ _CACHE_ENTRIES = 8
 _COMPARE_BYTES = 1 << 20
 _TRAILER = struct.Struct("<QQQI")
 
-# Components per block of iter_embedding_text.  A block's work arrays and
-# text take about 110 bytes per component at precision 9 and 150 at 17,
-# 7 to 10 MB.
+# Components per block of iter_embedding_text, and of unit_normalize's
+# squares.  A text block's work arrays and text take about 110 bytes per
+# component at precision 9 and 150 at 17, 7 to 10 MB.
 _WRITE_COMPONENTS = 1 << 16
 
 # Veltkamp's splitter for float64 (2^27 + 1), and the bound on |v|·10^p
@@ -404,10 +404,15 @@ def _cached_table(entry: str, source: BinaryIO) -> EmbeddingTable | None:
 
 def _same_bytes(a: BinaryIO, b: BinaryIO, size: int) -> bool:
     """Whether two binary files, read from where they stand, hold the same
-    next size bytes."""
+    next size bytes.  They are read _COMPARE_BYTES at a time into two
+    buffers made once."""
+    first = bytearray(min(size, _COMPARE_BYTES))
+    second = bytearray(len(first))
     while size > 0:
-        n = min(size, _COMPARE_BYTES)
-        if a.read(n) != b.read(n):
+        if size < len(first):
+            del first[size:], second[size:]
+        n = len(first)
+        if a.readinto(first) != n or b.readinto(second) != n or first != second:
             return False
         size -= n
     return True
@@ -637,10 +642,21 @@ def unit_normalize(table: EmbeddingTable) -> EmbeddingTable:
     Raises:
         DataError: if any row has zero norm (names the word).
     """
-    norms = np.linalg.norm(table.matrix, axis=1)
+    matrix = table.matrix
+    # np.linalg.norm(matrix, axis=1)'s arithmetic, sqrt(add.reduce(x * x)),
+    # a block of rows at a time, so no temporary is the matrix's size.
+    rows = max(1, _WRITE_COMPONENTS // max(1, matrix.shape[1]))
+    squares = np.empty((min(rows, len(matrix)), matrix.shape[1]))
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), rows):
+        block = matrix[start : start + rows]
+        part = squares[: len(block)]
+        np.multiply(block, block, out=part)
+        np.add.reduce(part, axis=1, out=norms[start : start + len(block)])
+    np.sqrt(norms, out=norms)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise DataError(f"cannot normalize zero vector for word {table.words[zero[0]]!r}")
     scale = np.where(np.abs(norms - 1.0) <= _UNIT_SLACK, 1.0, norms)
     # Finite rows divided by their positive norms stay finite.
-    return _new_table(table.words, table.matrix / scale[:, None], table._index)
+    return _new_table(table.words, matrix / scale[:, None], table._index)

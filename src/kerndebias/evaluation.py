@@ -8,9 +8,11 @@ and queries words through one batched call, similarity_matrix(rows,
 cols): the (len(rows), len(cols)) corrected cosines of the row words with
 the column words, clipped to [-1, 1].  WEAT makes one (X u Y) x (A u B)
 call, SimLex one call per chunk of pairs over the chunk's distinct first
-and second words, and professions one call per block of professions
-against all candidates.  Professions and the indirect-bias protocol read
-the table from metric.table; the SVM measures squared distances with
+and second words (rkhs.pair_similarities, which lives beside the metric
+and is imported here, so evaluation.pair_similarities still names it),
+and professions one call per block of professions against all
+candidates.  Professions and the indirect-bias protocol read the table
+from metric.table; the SVM measures squared distances with
 metric.squared_distance_matrix.
 
 With no model the metric is raw cosine (the linear kernel, no bias
@@ -34,7 +36,7 @@ from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, NumericalError, warn
 from .kernels import _BLOCK_ELEMENTS
 from .numerics import pearson, spearman
-from .rkhs import CorrectedMetric
+from .rkhs import CorrectedMetric, pair_similarities
 from .seeding import rng_for
 
 # Most target words (|X| + |Y|) whose WEAT p-value is counted exactly over
@@ -53,33 +55,6 @@ MAX_PERMUTATIONS = 10**8
 # singular Gram matrix still gives a finite step.
 _SMO_MAX_ITER = 10_000_000
 _TAU = 1e-12
-
-
-def pair_similarities(metric: CorrectedMetric, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-    """Similarity of each (a, b) pair.
-
-    Every word is resolved first, in one call over the distinct first
-    words and then the distinct second words, so an unknown or fully
-    neutralized word raises before any work.  The pairs are then taken
-    in consecutive chunks of at most isqrt(_BLOCK_ELEMENTS), each one
-    matrix over its distinct first and second words and a gather: work
-    grows linearly with the pair count and memory stays bounded.
-    """
-    words = [*dict.fromkeys(a for a, _ in pairs), *dict.fromkeys(b for _, b in pairs)]
-    metric.similarity_matrix(words, [])
-    step = max(1, math.isqrt(_BLOCK_ELEMENTS))
-    values = np.empty(len(pairs))
-    for start in range(0, len(pairs), step):
-        chunk = pairs[start : start + step]
-        firsts = list(dict.fromkeys(a for a, _ in chunk))
-        seconds = list(dict.fromkeys(b for _, b in chunk))
-        sims = metric.similarity_matrix(firsts, seconds)
-        row = {w: i for i, w in enumerate(firsts)}
-        col = {w: j for j, w in enumerate(seconds)}
-        values[start : start + len(chunk)] = sims[
-            [row[a] for a, _ in chunk], [col[b] for _, b in chunk]
-        ]
-    return values
 
 
 # ---------------------------------------------------------------------------

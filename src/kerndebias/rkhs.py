@@ -22,11 +22,14 @@ its linear-kernel instance.  beta_matrix(model, x) gives the (n, K) bias
 coordinates of the rows of x.  CorrectedMetric is the package's one copy
 of the metric and the one object every evaluation and the CLI query: it
 holds a table, the spec of its model (the linear kernel with K = 0, plain
-cosine, when there is none), a name ("raw", "linear" or "kernel") and beta
-of the table's vocabulary, computed once.  It answers word queries
-(`in`, similarity_matrix(rows, cols)) and row queries (inner products,
-cosines, squared distances), and it rejects a fully neutralized vector:
-corrected self product at most 1e-12 k(w, w).
+cosine, when there is none) and a name ("raw", "linear" or "kernel").  It
+answers word queries (`in`, similarity_matrix(rows, cols)) and row queries
+(inner products, cosines, squared distances), and it rejects a fully
+neutralized vector: corrected self product at most 1e-12 k(w, w).  A
+word's beta is computed the first time a word query touches it, and kept:
+a query pays only for the words it names, and each word once.
+pair_similarities answers a list of word pairs through similarity_matrix,
+in bounded chunks.
 
 Scale convention: the eigenproblem is solved on gram_scale times M, the
 N x N Gram of the pair differences phi(a_i) - phi(b_i).  The dual
@@ -39,6 +42,7 @@ exactly; tests enforce this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -46,7 +50,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, warn
-from .kernels import KernelSpec, difference_distances, gram_matrix, kernel_diag
+from .kernels import _BLOCK_ELEMENTS, KernelSpec, difference_distances, gram_matrix, kernel_diag
 from .numerics import symmetric_eig
 
 if TYPE_CHECKING:
@@ -250,9 +254,11 @@ class CorrectedMetric:
     is none (see the module docstring).
 
     name is "raw" without a model, "linear" with a linear-kernel one and
-    "kernel" with any other.  beta of the vocabulary is computed once, at
-    construction, so a word query costs one raw Gram block plus a
-    (rows x K) by (K x cols) product.  Row queries take any (n, d) rows.
+    "kernel" with any other.  Construction computes no beta.  A word
+    query first computes, in one beta_matrix call, beta of those of its
+    words no earlier query touched, and keeps it; then it costs one raw
+    Gram block plus a (rows x K) by (K x cols) product.  Row queries take
+    any (n, d) rows, and compute their beta each time.
 
     Raises:
         DataError: if the model's dimension is not the table's.
@@ -267,7 +273,9 @@ class CorrectedMetric:
         self.name = (
             "raw" if model is None else "linear" if self.spec.family == "linear" else "kernel"
         )
-        self._beta = self._beta_of(table.matrix)
+        # Row i of _beta is word i's beta once _known[i] is set.
+        self._beta = np.empty((len(table), 0 if model is None else model.k))
+        self._known = np.full(len(table), model is None)
 
     def __contains__(self, word: str) -> bool:
         return word in self.table
@@ -279,9 +287,20 @@ class CorrectedMetric:
             return np.zeros((x.shape[0], 0))
         return beta_matrix(self.model, x)
 
+    def _word_beta(self, indices: list[int]) -> None:
+        """Compute beta of the table rows at indices that are not yet known,
+        in one beta_matrix call."""
+        # A mask, not np.unique, which loads numpy.ma (see numerics).
+        wanted = np.zeros(len(self._known), bool)
+        wanted[indices] = True
+        new = np.flatnonzero(wanted & ~self._known)
+        if new.size:
+            self._beta[new] = beta_matrix(self.model, self.table.matrix[new])
+            self._known[new] = True
+
     def similarity_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
         """Corrected cosines of every row word with every column word, in
-        [-1, 1], from the cached beta.
+        [-1, 1], from the kept beta.
 
         Raises:
             DataError: naming the first word that is not in the table, or
@@ -289,6 +308,7 @@ class CorrectedMetric:
         """
         ri = [self.table.row_index(w) for w in rows]
         ci = [self.table.row_index(w) for w in cols]
+        self._word_beta(ri + ci)
         matrix = self.table.matrix
         return self._cosines(
             matrix[ri], matrix[ci], self._beta[ri], self._beta[ci], labels=(rows, cols)
@@ -349,3 +369,31 @@ class CorrectedMetric:
         if self.model is not None:  # K = 0 has no bias term
             dist -= difference_distances(self._beta_of(x), self._beta_of(y))
         return np.maximum(0.0, dist)
+
+
+def pair_similarities(metric: CorrectedMetric, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Similarity of each (a, b) pair, from metric.similarity_matrix.
+
+    Every word is resolved first, in one call over the distinct first
+    words and then the distinct second words, so an unknown or fully
+    neutralized word raises before any work.  The pairs are then taken
+    in consecutive chunks of at most isqrt(_BLOCK_ELEMENTS), each one
+    matrix over its distinct first and second words and a gather: work
+    grows linearly with the pair count and memory stays bounded.  Any
+    object with a similarity_matrix can stand in for the metric.
+    """
+    words = [*dict.fromkeys(a for a, _ in pairs), *dict.fromkeys(b for _, b in pairs)]
+    metric.similarity_matrix(words, [])
+    step = max(1, math.isqrt(_BLOCK_ELEMENTS))
+    values = np.empty(len(pairs))
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start : start + step]
+        firsts = list(dict.fromkeys(a for a, _ in chunk))
+        seconds = list(dict.fromkeys(b for _, b in chunk))
+        sims = metric.similarity_matrix(firsts, seconds)
+        row = {w: i for i, w in enumerate(firsts)}
+        col = {w: j for j, w in enumerate(seconds)}
+        values[start : start + len(chunk)] = sims[
+            [row[a] for a, _ in chunk], [col[b] for _, b in chunk]
+        ]
+    return values

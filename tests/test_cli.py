@@ -915,6 +915,36 @@ def test_apply_out_and_out_model_both_stdout_exit_2(generic_files, tmp_path, cap
     assert not (tmp_path / "-").exists()
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_apply_out_and_out_model_one_file_exit_2(generic_files, tmp_path, capsys, link):
+    paths = generic_files
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier table\n")
+    out_model = out
+    if link:
+        out_model = tmp_path / "link.json"
+        out_model.symlink_to(out)
+    before = sorted(tmp_path.iterdir())
+    assert _apply(paths, "rbf", out, "--out-model", str(out_model)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out and --out-model are the same file: {out_model}\n"
+    assert out.read_bytes() == b"earlier table\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_failed_out_model_write_leaves_earlier_out_unchanged(generic_files, tmp_path, capsys):
+    paths = generic_files
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier table\n")
+    before = sorted(tmp_path.iterdir())
+    out_model = tmp_path / "missing" / "m.json"
+    assert _apply(paths, "rbf", out, "--out-model", str(out_model)) == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.ENOENT}]")
+    assert out.read_bytes() == b"earlier table\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("case", ["precision-zero", "non-finite"])
 def test_refused_apply_leaves_earlier_outputs_unchanged(generic_files, tmp_path, capsys, case):
     paths = generic_files
@@ -1552,7 +1582,7 @@ def _run_in_child(argv: list[str]) -> dict:
     [
         ("fit", ["linear"]),
         ("apply", ["preimage"]),
-        ("sim", ["evaluation"]),
+        ("sim", []),
         ("simlex", ["evaluation"]),
         ("demo-toy", ["linear", "preimage", "toydemo"]),
     ],

@@ -398,6 +398,22 @@ class TestNormalize:
         twice = unit_normalize(once)
         np.testing.assert_array_equal(once.matrix, twice.matrix)
 
+    def test_equals_division_by_numpy_norm_bit_for_bit(self, rng):
+        # dim 300 does not divide 2^16: 218 rows a block, so 3 blocks and
+        # part of a fourth; every seventh row is already of unit norm.
+        dim = 300
+        n = 3 * (embeddings._WRITE_COMPONENTS // dim) + 5
+        matrix = rng.normal(size=(n, dim)) * rng.uniform(0.01, 100.0, size=(n, 1))
+        unit = np.arange(n) % 7 == 0
+        matrix[unit] /= np.linalg.norm(matrix[unit], axis=1)[:, None]
+        norms = np.linalg.norm(matrix, axis=1)
+        assert np.all(np.abs(norms[unit] - 1.0) <= embeddings._UNIT_SLACK)
+        assert not np.any(np.abs(norms[~unit] - 1.0) <= embeddings._UNIT_SLACK)
+        table = EmbeddingTable(words=tuple(f"w{i}" for i in range(n)), matrix=matrix)
+        normed = unit_normalize(table).matrix
+        assert np.array_equal(normed[unit], matrix[unit])
+        assert np.array_equal(normed[~unit], (matrix / norms[:, None])[~unit])
+
     def test_result_is_a_read_only_table_of_its_own(self, rng):
         table = EmbeddingTable(words=("a", "b", "c"), matrix=rng.normal(size=(3, 4)))
         normed = unit_normalize(table)
@@ -555,6 +571,27 @@ class TestTableCache:
         table = embeddings.read_embedding_file(str(path))
         assert len(parse_calls) == 2
         np.testing.assert_array_equal(table.lookup("b"), [3.0, 5.0])
+
+    # A rewrite of the last byte alone, in a file of part of one compare
+    # read, of exactly one, and of one and a byte.
+    @pytest.mark.parametrize("size", [
+        100, embeddings._COMPARE_BYTES, embeddings._COMPARE_BYTES + 1,
+    ], ids=["short", "one-read", "one-read-and-a-byte"])
+    def test_last_byte_rewrite_is_parsed_again(self, tmp_path, parse_calls, size):
+        path = tmp_path / "table.txt"
+        rows = b"".join(b"w%d 1.5 2\n" % i for i in range(size // 20))
+        last = b"b 3" + b" " * (size - len(rows) - len(b"b 3 4")) + b" 4"
+        path.write_bytes(rows + last)
+        assert path.stat().st_size == size
+        embeddings.read_embedding_file(str(path))
+        stat = path.stat()
+        path.write_bytes(rows + last[:-1] + b"5")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        table = embeddings.read_embedding_file(str(path))
+        assert len(parse_calls) == 2
+        np.testing.assert_array_equal(table.lookup("b"), [3.0, 5.0])
+        assert embeddings.read_embedding_file(str(path)).lookup("b").tolist() == [3.0, 5.0]
+        assert len(parse_calls) == 2
 
     @pytest.mark.parametrize("corrupt", [
         lambda e: e.data[: e.matrix + 5],

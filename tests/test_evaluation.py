@@ -100,29 +100,49 @@ class TestBackends:
                     single = metric.similarity_matrix([word], [c])[0, 0]
                     assert single == pytest.approx(value, abs=1e-12)
 
-    def test_beta_computed_once_at_construction(self, rng, monkeypatch):
+    def test_beta_computed_on_demand_once_per_row(self, rng, monkeypatch):
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=12, dim=6)
         model = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=2)
+        word_of = {row.tobytes(): word for word, row in zip(table.words, table.matrix)}
         calls = []
         beta_matrix = rkhs.beta_matrix
 
-        def counting(model, x):
-            calls.append(len(x))
+        def recording(model, x):
+            calls.append([word_of[row.tobytes()] for row in np.asarray(x)])
             return beta_matrix(model, x)
 
-        monkeypatch.setattr(rkhs, "beta_matrix", counting)
-        CorrectedMetric(table)
-        assert calls == []
-        metric = CorrectedMetric(table, model)
-        assert calls == [len(table)]
+        monkeypatch.setattr(rkhs, "beta_matrix", recording)
         words = list(table.words)
-        metric.similarity_matrix(words[:3], words)
-        evaluation.pair_similarities(metric, [("n0", "n1"), ("m0", "f2"), ("n0", "f3")])
+        CorrectedMetric(table).similarity_matrix(words, words)
+        rkhs.pair_similarities(CorrectedMetric(table, model), [("n0", "n1")])
+        assert calls == [["n0", "n1"]]
+
+        calls.clear()
+        metric = CorrectedMetric(table, model)
+        assert calls == []
+        # One call per query, over its rows and columns not yet known.
+        metric.similarity_matrix(words[4:1:-1], words[2:6])
+        assert calls == [words[2:6]]
+        metric.similarity_matrix(words[3:5], [words[8], words[3], words[6], words[8]])
+        assert calls == [words[2:6], [words[6], words[8]]]
+        metric.similarity_matrix(words[2:4], [words[6]])
+        assert len(calls) == 2
         professions_correlation(
             metric, [f"n{i}" for i in range(8)], [f"m{i}" for i in range(1, 4)],
             [f"f{i}" for i in range(1, 4)], k_neighbors=3, male_anchor="m0", female_anchor="f0",
         )
-        assert calls == [len(table)]
+        assert len(calls) == 3 and sorted(sum(calls, [])) == sorted(words)
+
+        # The SVM's squared distances are row queries: no word's beta is
+        # kept, so the first word query after it computes every row.
+        fresh = CorrectedMetric(table, model)
+        indirect_bias_classification(
+            fresh, n_biased=30, n_train=20, svm_gamma=1.0, seed=5,
+            male_anchor="m0", female_anchor="f0",
+        )
+        calls.clear()
+        fresh.similarity_matrix(words, [])
+        assert calls == [words]
 
     def test_squared_distance_matrix_per_backend(self, rng):
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=8, dim=6)
@@ -220,7 +240,7 @@ class TestPairSimilarities:
             return similarity_matrix(rows, cols)
 
         monkeypatch.setattr(metric, "similarity_matrix", recording)
-        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 16)
+        monkeypatch.setattr(rkhs, "_BLOCK_ELEMENTS", 16)
         got = evaluation.pair_similarities(metric, pairs)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         assert len(shapes) == 1 + 10  # one resolve call, then 40 pairs in chunks of 4
@@ -230,7 +250,7 @@ class TestPairSimilarities:
         table, model = TestBackends._table_with_word_inside_subspace(rng)
         metric = CorrectedMetric(table, model)
         pairs = [("w0", "inside"), ("w1", "w2"), ("w3", "w4"), ("zzz", "w5")]
-        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 4)
+        monkeypatch.setattr(rkhs, "_BLOCK_ELEMENTS", 4)
         with pytest.raises(DataError, match="'zzz' not in vocabulary"):
             evaluation.pair_similarities(metric, pairs)
         with pytest.raises(DataError, match="'inside' is fully neutralized"):
