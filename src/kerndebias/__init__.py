@@ -32,17 +32,39 @@ Core pieces:
   it.
 - :mod:`kerndebias.cli` -- the `kerndebias` command.
 
-Every layer loads on first use.  ``import kerndebias`` runs no module of
-the package: each name in __all__ is imported from its module when it is
-first looked up on the package (PEP 562 ``__getattr__``).  The command
-line runs only the layers its subcommand calls, yet registers every layer
-in sys.modules under its name, because a tracer looks the layers up there
-to wrap the functions it times (see kerndebias.cli).
+Every layer loads on first use.  ``import kerndebias`` registers each
+submodule but cli in sys.modules, unrun, through importlib.util.LazyLoader,
+and binds it on the package.  A module reaches another layer as ``from .
+import layer`` and calls ``layer.name`` at call time, so each command runs
+only the layers it calls, and a tracer finds every layer by name right
+after ``import kerndebias.cli``.  The names in __all__ are read from their
+modules at first lookup (PEP 562 ``__getattr__``).  cli is left out
+because ``python -m kerndebias.cli`` warns (runpy's RuntimeWarning) when
+the module it runs is already in sys.modules.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+# Every submodule but cli (see above).
+_LAYERS = [
+    "configio", "embeddings", "errors", "evaluation", "kernels", "linear",
+    "numerics", "preimage", "rkhs", "seeding", "toydemo",
+]
+
+
+def _register(name: str):
+    """kerndebias.<name>, in sys.modules, its body run at the first lookup."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _register(name) for name in _LAYERS})
 
 # Each public name and the module that defines it.
 _EXPORTS = {
@@ -80,11 +102,11 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
-    """A public name, imported from its module at its first use."""
+    """A public name, read from its module at its first use."""
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    value = getattr(globals()[module], name)
     globals()[name] = value
     return value
 

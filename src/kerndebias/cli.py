@@ -11,11 +11,11 @@ _classify or _simlex) for its result fields, and writes them after the
 test and backend names (_write_results).
 
 Exit codes: 0 success, 2 config/IO error (any OSError, writes to --out and
-stdout included), 3 data insufficiency, 4 numerical failure.  For every
-output flag, - means stdout; any other path is written through
-_write_files, which renames whole new files into place only once every
-file of the command is written, so a failed write leaves the earlier files
-as they were.
+stdout included), 3 data insufficiency, 4 numerical failure.  Every output
+of a command, stdout included, is written by one _write_files call: -
+means stdout, which is written in its turn and flushed before any file is
+renamed into place, so a failed write leaves every earlier file as it was;
+an output to - with stdout closed exits 2 before anything is written.
 
 main(argv) runs one command and returns its exit code, and may be called
 many times in one process.  run() is the process entry of `python -m
@@ -27,14 +27,10 @@ walks the whole module graph with the cyclic collector on the way out.
 That is only right at process exit: in main it would leave a calling
 process's heap frozen after every command.
 
-Each command loads, builds and checks only what it runs.  evaluation,
-linear, preimage and toydemo are registered in sys.modules, and bound on
-the package, by _lazy, and run only when a command first looks a name up
-in them; so this module refers to them as module.name at call time.
-`sim` runs none of them: its pair_similarities is rkhs's.  They are
-registered rather than left unimported because a tracer finds the layers
-by name in sys.modules right after ``import kerndebias.cli`` and wraps
-the functions it times there, where these lookups then find them.
+Each command loads, builds and checks only what it runs.  The layers it
+may not need (evaluation, linear, preimage and toydemo) come from the
+package's lazy registry (see kerndebias/__init__), so this module calls
+them as module.name at call time; `sim` runs none of them.
 build_parser(argv) adds only the arguments of the subcommand that argv
 starts with, and logging is imported only when a warning is emitted
 (errors.warn).
@@ -45,15 +41,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import importlib.util
 import json
 import os
 import stat
 import sys
-import types
 from typing import Iterable, Sequence
 
-from . import configio, errors
+from . import configio, errors, evaluation, linear, preimage, toydemo
 from .embeddings import (
     EmbeddingTable,
     iter_embedding_text,
@@ -64,24 +58,6 @@ from .embeddings import (
 from .errors import DataError, FormatError, NumericalError
 from .kernels import _PARAMETER_FAMILIES, FAMILIES, KernelSpec, default_gamma
 from .rkhs import CorrectedMetric, check_dimension, fit_kernel_model, pair_similarities
-
-
-def _lazy(name: str) -> types.ModuleType:
-    """kerndebias.<name>, in sys.modules and on the package as an import
-    leaves it, whose body runs at the first attribute lookup."""
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-evaluation, linear, preimage, toydemo = map(_lazy, ["evaluation", "linear", "preimage", "toydemo"])
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,34 +119,30 @@ def _metric(args: argparse.Namespace) -> CorrectedMetric:
     return CorrectedMetric(table, model)
 
 
-def _write(path: str | None, blocks: Iterable[bytes]) -> None:
-    """Write blocks to stdout for None or "-", else to path (_write_files)."""
-    if path is None or path == "-":
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(blocks)
-    else:
-        _write_files([(path, blocks)])
-
-
 def _json_bytes(payload: dict) -> list[bytes]:
     return [(json.dumps(payload, indent=1) + "\n").encode("utf-8")]
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    _write(path, _json_bytes(payload))
-
-
 def _write_files(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
-    """Write each (path, blocks) in turn; every output file is written here.
+    """Write each (path, blocks) in turn; every output is written here.
 
+    "-" is stdout, written in its turn, and flushed once every output is
+    written; FormatError if stdout is closed, before anything is written.
     A regular or new file is written to a temporary file beside it, and the
-    temporary files are renamed into place only once every one is whole,
-    so a failed or interrupted write leaves all the earlier files as they
-    were; a device or a pipe is written in place.
+    temporary files are renamed into place only after that flush, so a
+    failed or interrupted write leaves all the earlier files as they were;
+    a device or a pipe is written in place.
     """
+    to_stdout = any(path == "-" for path, _ in outputs)
+    if to_stdout and sys.stdout is None:
+        raise FormatError("standard output is closed")
     renames: list[tuple[str, str]] = []
     try:
         for path, blocks in outputs:
+            if path == "-":
+                sys.stdout.flush()
+                sys.stdout.buffer.writelines(blocks)
+                continue
             try:
                 mode = os.stat(path).st_mode
             except FileNotFoundError:
@@ -186,6 +158,8 @@ def _write_files(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
                 handle.writelines(blocks)
             if mode is not None:
                 os.chmod(work, stat.S_IMODE(mode))
+        if to_stdout:
+            sys.stdout.flush()
         for work, target in renames:
             os.replace(work, target)
     except BaseException:
@@ -195,15 +169,15 @@ def _write_files(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
         raise
 
 
-def _write_results(out: str | None, payload: dict) -> None:
+def _write_results(out: str, payload: dict) -> None:
     """Write <out>.json and <out>.csv as one pair (or stdout JSON when out
-    is None or -).
+    is -).
 
     The CSV has one column per payload field, named after it; a dict field
     such as n_used gives one column per key (n_used_X, ..., n_used_B).
     """
-    if out is None or out == "-":
-        _write_json(out, payload)
+    if out == "-":
+        _write_files([(out, _json_bytes(payload))])
         return
     columns: dict[str, object] = {}
     for key, value in payload.items():
@@ -242,7 +216,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if model.discarded_negative
         else ""
     )
-    _write_json(args.out, payload)
+    _write_files([(args.out, _json_bytes(payload))])
     progress = sys.stderr if args.out == "-" else sys.stdout
     print(
         f"fitted {args.backend} model: {len(sets)} pairs, "
@@ -257,10 +231,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_apply(args: argparse.Namespace) -> int:
     """Every row x as x - beta(x) W (preimage_neutralize_matrix), then, with
     --equalize, the equality sets re-embedded; the text is streamed to
-    --out in the bounded blocks of embeddings.iter_embedding_text.  Two
-    output files are written as one set (_write_files); with - (stdout)
-    for one of them, --out-model is written only once the table is whole.
-    --out and --out-model may not both be stdout, nor one file."""
+    --out in the bounded blocks of embeddings.iter_embedding_text.  --out
+    and --out-model are written as one set (_write_files), and may not
+    both be stdout, nor one file."""
     if args.out == "-" and args.out_model == "-":
         raise FormatError("--out and --out-model cannot both be - (stdout)")
     if args.out_model not in (None, "-") and args.out != "-" and (
@@ -282,12 +255,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
                 matrix[idx] = vec
     text = iter_embedding_text(table.words, matrix, args.precision)
     data.pop("preimage", None)
-    if args.out_model is not None and "-" not in (args.out, args.out_model):
-        _write_files([(args.out, text), (args.out_model, _json_bytes(data))])
-    else:
-        _write(args.out, text)
-        if args.out_model is not None:
-            _write_json(args.out_model, data)
+    model_output = [] if args.out_model is None else [(args.out_model, _json_bytes(data))]
+    _write_files([(args.out, text), *model_output])
     if args.out != "-":
         print(f"wrote {args.out}", file=sys.stderr if args.out_model == "-" else sys.stdout)
     return EXIT_OK
@@ -303,7 +272,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         "backend": metric.name,
         "pairs": [{"a": a, "b": b, "similarity": float(v)} for (a, b), v in zip(pairs, values)],
     }
-    _write_json(args.out, payload)
+    _write_files([(args.out, _json_bytes(payload))])
     return EXIT_OK
 
 
@@ -348,7 +317,7 @@ def cmd_demo_toy(args: argparse.Namespace) -> int:
     points, neutralized, stats = toydemo.run_toy_demo(
         seed=args.seed, n_points=args.n_points, gamma=args.gamma
     )
-    _write(args.out, [toydemo.toy_demo_csv(points, neutralized).encode("utf-8")])
+    _write_files([(args.out, [toydemo.toy_demo_csv(points, neutralized).encode("utf-8")])])
     print(
         f"bias-direction variance: {stats['bias_variance_before']:.6g} -> "
         f"{stats['bias_variance_after']:.6g}",
@@ -436,7 +405,7 @@ def _apply_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
 def _sim_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
     _add_common(p)
     p.add_argument("--model", help="model JSON (omit for raw cosine)")
-    p.add_argument("--out", help="JSON output path (omit or - for stdout)")
+    p.add_argument("--out", default="-", help="JSON output path (omit or - for stdout)")
     p.add_argument("words", nargs="+", help="word pairs: a b [c d ...]")
     p.set_defaults(func=cmd_sim)
 
@@ -450,7 +419,7 @@ def _benchmark_arguments(p: argparse.ArgumentParser, evaluate, seed: str = "igno
     _add_common(p, seed=seed)
     p.add_argument("--model", help="model JSON (omit for raw cosine)")
     p.add_argument(
-        "--out", help="output prefix for PREFIX.json and PREFIX.csv "
+        "--out", default="-", help="output prefix for PREFIX.json and PREFIX.csv "
         "(omit or - for the JSON on stdout)",
     )
     p.set_defaults(func=cmd_eval, evaluate=evaluate)
@@ -494,11 +463,11 @@ def _toy_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
     _add_common(p, embeddings=False, seed="fixed")
     p.add_argument(
         "--n-points", type=int, default=200,
-        help="points, at least 10; an odd count is rounded down to the nearest even "
-        "number (default 200)",
+        help=f"points, 10 to {toydemo.MAX_POINTS}; an odd count is rounded down to the "
+        "nearest even number (default 200)",
     )
     p.add_argument("--gamma", type=float, default=1.0, help="rbf width (default 1.0)")
-    p.add_argument("--out", help="CSV output path (omit or - for stdout)")
+    p.add_argument("--out", default="-", help="CSV output path (omit or - for stdout)")
     p.set_defaults(func=cmd_demo_toy)
 
 
@@ -555,7 +524,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except (FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,16 +12,13 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import evaluation
 from .errors import FormatError, checked_finite, checked_integer
 from .kernels import KernelSpec
 from .rkhs import KernelBiasModel
-
-if TYPE_CHECKING:
-    from .evaluation import WeatConfig
 
 # The arrays of each model-file type, with their shapes over k (bias
 # directions), dim (input dimension) and n (defining pairs).
@@ -163,10 +160,8 @@ def load_sets_file(path: str | Path) -> tuple[list[list[str]], list[list[str]]]:
     return defining, equality
 
 
-def load_weat_config(path: str | Path) -> WeatConfig:
+def load_weat_config(path: str | Path) -> evaluation.WeatConfig:
     """WEAT config: {"X": [...], "Y": [...], "A": [...], "B": [...], ...}."""
-    from .evaluation import DEFAULT_PERMUTATIONS, DEFAULT_SEED, WeatConfig
-
     data = read_json_object(path)
     lists = {}
     for key in ("X", "Y", "A", "B"):
@@ -174,11 +169,9 @@ def load_weat_config(path: str | Path) -> WeatConfig:
         if not (isinstance(value, list) and value and all(isinstance(w, str) for w in value)):
             raise FormatError(f"{path}: missing or invalid word list {key!r}")
         lists[key] = tuple(value)
-    numbers = {
-        key: checked_integer(data.get(key, default), key)
-        for key, default in (("permutations", DEFAULT_PERMUTATIONS), ("seed", DEFAULT_SEED))
-    }
-    return WeatConfig(
+    defaults = {"permutations": evaluation.DEFAULT_PERMUTATIONS, "seed": evaluation.DEFAULT_SEED}
+    numbers = {key: checked_integer(data.get(key, value), key) for key, value in defaults.items()}
+    return evaluation.WeatConfig(
         x_words=lists["X"],
         y_words=lists["Y"],
         a_words=lists["A"],

@@ -44,17 +44,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import linear
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, warn
 from .kernels import _BLOCK_ELEMENTS, KernelSpec, difference_distances, gram_matrix, kernel_diag
 from .numerics import symmetric_eig
-
-if TYPE_CHECKING:
-    from .linear import DefiningSets
 
 # Eigenvalues at or below this fraction of the largest are treated as
 # numerically zero when ranking the bias directions.
@@ -168,7 +166,7 @@ class KernelBiasModel:
 def fit_kernel_model(
     spec: KernelSpec,
     table: EmbeddingTable,
-    sets: DefiningSets,
+    sets: linear.DefiningSets,
     k: int | None = 1,
     gram_scale: float = 1.0,
 ) -> KernelBiasModel:

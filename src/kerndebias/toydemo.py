@@ -9,11 +9,13 @@ external plotting can visualize.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError
-from .kernels import KernelSpec
+from .errors import FormatError
+from .kernels import _BLOCK_ELEMENTS, KernelSpec
 from .linear import DefiningSets
 from .preimage import preimage_neutralize_matrix
 from .rkhs import beta_matrix, fit_kernel_model
@@ -21,12 +23,17 @@ from .seeding import rng_for
 
 CSV_HEADER = "x,y,x_ntr,y_ntr"
 
+# The most points the demo takes: the fit's (n/2, n/2) pair Gram then fits
+# one block budget.
+MAX_POINTS = 2 * math.isqrt(_BLOCK_ELEMENTS)
+
 
 def generate_toy_points(seed: int, n_points: int) -> np.ndarray:
     """(2 * (n_points // 2), 2) array of mirrored pairs in consecutive rows:
-    an odd n_points is rounded down to the nearest even number."""
-    if n_points < 10:
-        raise DataError("toy demo needs at least 10 points")
+    an odd n_points is rounded down to the nearest even number.
+    FormatError unless 10 <= n_points <= MAX_POINTS."""
+    if not 10 <= n_points <= MAX_POINTS:
+        raise FormatError(f"toy demo needs 10 to {MAX_POINTS} points, got {n_points}")
     n_pairs = n_points // 2
     rng = rng_for(seed, "toy-demo")
     xs = rng.uniform(0.25, 1.0, size=n_pairs)

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import pkgutil
 import shutil
 import stat
 import subprocess
@@ -21,7 +22,7 @@ from kerndebias import (
     write_embedding_text,
 )
 import kerndebias
-from kerndebias import cli
+from kerndebias import cli, toydemo
 from kerndebias.cli import main
 from kerndebias.configio import model_from_dict
 from conftest import planted_bias_table, random_instance
@@ -997,6 +998,30 @@ def test_stdout_write_error_exits_2(generic_files, capsys, monkeypatch, stage):
     assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
+def _exec_after(setup: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -m kerndebias.cli argv`, run by a child process that first
+    runs setup, a statement on its own file descriptors, then execs it."""
+    argv = [sys.executable, "-m", "kerndebias.cli", *argv]
+    return _python("-c", f"import os; {setup}; os.execv({sys.executable!r}, {argv!r})")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_model_to_full_stdout_leaves_the_table_file(generic_files, tmp_path):
+    paths = generic_files
+    out = tmp_path / "t.txt"
+    out.write_bytes(b"earlier table\n")
+    before = sorted(tmp_path.iterdir())
+    proc = _exec_after(
+        "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)",
+        ["apply", "--embeddings", str(paths["embeddings"]), "--model", str(paths["rbf"]),
+         "--out", str(out), "--out-model", "-"],
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: [Errno {errno.ENOSPC}]".encode())
+    assert out.read_bytes() == b"earlier table\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("flag", ["--out", "--out-model"])
 def test_full_device_exits_2(generic_files, tmp_path, capsys, flag):
@@ -1203,6 +1228,20 @@ def test_demo_toy_rounds_an_odd_point_count_down(tmp_path):
     out = tmp_path / "toy.csv"
     assert main(["demo-toy", "--n-points", "11", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 10
+
+
+@pytest.mark.parametrize("n_points", [9, 10, toydemo.MAX_POINTS, toydemo.MAX_POINTS + 1])
+def test_demo_toy_takes_10_to_max_points(tmp_path, capsys, n_points):
+    out = tmp_path / "toy.csv"
+    code = main(["demo-toy", "--n-points", str(n_points), "--out", str(out)])
+    err = capsys.readouterr().err
+    if 10 <= n_points <= toydemo.MAX_POINTS:
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + n_points
+    else:
+        assert code == 2
+        assert err == f"error: toy demo needs 10 to {toydemo.MAX_POINTS} points, got {n_points}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["model", "weat"])
@@ -1536,6 +1575,71 @@ def test_embeddings_from_closed_stdin_exits_2():
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, b"", b"error: --embeddings -: standard input is closed\n"
     )
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a process started with fd 1 closed")
+def test_file_output_with_closed_stdout_exits_0(planted_files, tmp_path):
+    # fd 1 closed, so sys.stdout is None.
+    out = tmp_path / "s.json"
+    proc = _exec_after("os.close(1)", [
+        "sim", "--embeddings", str(planted_files["embeddings"]), "--out", str(out), "he", "she",
+    ])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert [pair["b"] for pair in json.loads(out.read_text())["pairs"]] == ["she"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a process started with fd 1 closed")
+@pytest.mark.parametrize("stage", ["sim", "apply"])
+def test_stdout_output_with_closed_stdout_exits_2(planted_files, tmp_path, stage):
+    paths = planted_files
+    _fit_linear(paths)
+    out = tmp_path / "t.txt"
+    out.write_bytes(b"earlier table\n")
+    common = ["--embeddings", str(paths["embeddings"])]
+    argv = {
+        "sim": ["sim", *common, "he", "she"],
+        "apply": ["apply", *common, "--model", str(paths["model"]), "--out", str(out),
+                  "--out-model", "-"],
+    }[stage]
+    proc = _exec_after("os.close(1)", argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"error: standard output is closed\n"
+    )
+    assert out.read_bytes() == b"earlier table\n"
+
+
+def test_module_entry_point_warns_nothing(planted_files):
+    # runpy warns when the module it runs is already in sys.modules.
+    proc = _python("-W", "error::RuntimeWarning", "-m", "kerndebias.cli",
+                   "sim", "--embeddings", str(planted_files["embeddings"]), "he", "she")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_every_submodule_but_cli_is_registered_on_the_package():
+    modules = {info.name for info in pkgutil.iter_modules(kerndebias.__path__)}
+    assert sorted(kerndebias._LAYERS) == sorted(modules - {"cli"})
+    for name in kerndebias._LAYERS:
+        assert sys.modules[f"kerndebias.{name}"] is getattr(kerndebias, name)
+
+
+def test_import_leaves_every_registered_layer_unrun():
+    code = textwrap.dedent("""
+        import json
+        import sys
+        import kerndebias
+
+        def ran(name):
+            # object.__getattribute__ reads a lazy module's namespace
+            # without running its body.
+            namespace = object.__getattribute__(sys.modules["kerndebias." + name], "__dict__")
+            return any(not key.startswith("__") for key in namespace)
+
+        print(json.dumps([[name for name in kerndebias._LAYERS if ran(name)],
+                          "numpy" in sys.modules]))
+    """)
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [[], False]
 
 
 # A name each lazily loaded layer defines: in the module's namespace only
