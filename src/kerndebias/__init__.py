@@ -14,8 +14,8 @@ Core pieces:
   bias-model type, KernelBiasModel, its bias coordinates beta_matrix, and
   CorrectedMetric, the one corrected metric
   k~(x, y) = k(x, y) - beta(x) . beta(y): built over a table and a model,
-  or none (plain cosine), it answers word and row queries, and keeps the
-  beta of each word a word query touches.
+  or none (plain cosine), it answers queries over words of its table
+  only, and keeps the beta of each word a query touches.
 - :mod:`kerndebias.linear` -- the linear bias subspace, read out of the
   kernel fit with the linear kernel as a linear-kernel KernelBiasModel
   (beta(x) = x B^T); equalize.
@@ -23,10 +23,11 @@ Core pieces:
   x - beta(x) W for every kernel, with the readout W = alpha (A - B):
   the exact projection for the linear kernel.
 - :mod:`kerndebias.evaluation` -- association tests, professions
-  correlation, indirect-bias SVM, similarity-judgment scoring, each over
-  one CorrectedMetric and its ``similarity_matrix(rows, cols)``: the
-  (rows, cols) corrected cosines in [-1, 1]; a queried word whose
-  corrected self product is at most 1e-12 k(w, w) raises DataError.
+  correlation, similarity-judgment scoring, each over one CorrectedMetric
+  and its ``similarity_matrix(rows, cols)``: the (rows, cols) corrected
+  cosines in [-1, 1]; a queried word whose corrected self product is at
+  most 1e-12 k(w, w) raises DataError.  The indirect-bias SVM trains and
+  scores on one corrected rbf Gram from ``squared_distance_matrix``.
 - :mod:`kerndebias.configio` -- input files, and the model file: the one
   place that writes (model_to_dict) and reads (model_from_dict, load_model)
   it.

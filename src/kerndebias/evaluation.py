@@ -4,16 +4,19 @@ Provides the word association test (effect size + one-sided permutation
 p-value), the professions neighbor-correlation benchmark, an SMO-trained
 kernel SVM for the indirect-bias classification protocol, and SimLex-style
 rank-correlation scoring.  Every protocol takes one rkhs.CorrectedMetric
-and queries words through one batched call, similarity_matrix(rows,
-cols): the (len(rows), len(cols)) corrected cosines of the row words with
-the column words, clipped to [-1, 1].  WEAT makes one (X u Y) x (A u B)
-call, SimLex one call per chunk of pairs over the chunk's distinct first
-and second words (rkhs.pair_similarities, which lives beside the metric
-and is imported here, so evaluation.pair_similarities still names it),
-and professions one call per block of professions against all
-candidates.  Professions and the indirect-bias protocol read the table
-from metric.table; the SVM measures squared distances with
-metric.squared_distance_matrix.
+and queries it by word.  WEAT, SimLex and professions use one batched
+call, similarity_matrix(rows, cols): the (len(rows), len(cols)) corrected
+cosines of the row words with the column words, clipped to [-1, 1].
+WEAT makes one (X u Y) x (A u B) call, SimLex one call per chunk of
+pairs over the chunk's distinct first and second words
+(rkhs.pair_similarities, which lives beside the metric and is imported
+here, so evaluation.pair_similarities still names it), and professions
+one call per block of professions against all candidates.  Professions
+and the indirect-bias protocol read the table from metric.table.  The
+SVM (svm_train) takes a precomputed kernel matrix: the indirect-bias
+protocol makes one query, metric.squared_distance_matrix(drawn words,
+training words), and trains and scores on the one corrected rbf Gram
+exp(-gamma d^2) it gives.
 
 With no model the metric is raw cosine (the linear kernel, no bias
 coordinates), with a linear-kernel model linear neutralization
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -290,43 +293,23 @@ def professions_correlation(
 
 @dataclass(eq=False)
 class SvmModel:
-    """Dual SVM state: coefficients, bias, training data, kernel."""
+    """Dual SVM state: coefficients, bias and training labels."""
 
     dual_coef: np.ndarray  # (n,) alpha_i in [0, C]
     bias: float
-    vectors: np.ndarray  # (n, d) training vectors
     labels: np.ndarray  # (n,) in {-1, +1}
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def decision_values(self, x: np.ndarray) -> np.ndarray:
-        """Decision values of the rows of x, from one kernel call."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self.kernel(x, self.vectors) @ (self.dual_coef * self.labels) + self.bias
-
-
-def rbf_on_squared_distance(
-    sqdist: Callable[[np.ndarray, np.ndarray], np.ndarray], gamma: float
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Classifier kernel exp(-gamma * d^2) over a pluggable squared distance.
-
-    Passing a corrected-metric squared distance evaluates the classifier
-    in the bias-removed space.
-    """
-
-    def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.exp(-gamma * sqdist(x, y))
-
-    return kernel
+    def decision_values(self, gram_rows: np.ndarray) -> np.ndarray:
+        """Decision values of the rows of gram_rows, the (m, n) kernel
+        values of m points against the n training points."""
+        return gram_rows @ (self.dual_coef * self.labels) + self.bias
 
 
 def svm_train(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    vectors: np.ndarray,
-    labels: np.ndarray,
-    c_reg: float = 1.0,
-    tol: float = 1e-3,
+    gram: np.ndarray, labels: np.ndarray, c_reg: float = 1.0, tol: float = 1e-3
 ) -> SvmModel:
-    """Train a soft-margin kernel SVM with SMO.
+    """Train a soft-margin kernel SVM with SMO on the (n, n) kernel matrix
+    of its n training points.
 
     Solves the dual min 0.5 a'Qa - sum(a) over 0 <= a <= c_reg, y'a = 0,
     with Q = yy' * K, keeping the gradient G = Qa - 1 up to date.  Each
@@ -342,19 +325,23 @@ def svm_train(
 
     Raises:
         FormatError: unless c_reg and tol are finite and positive.
-        DataError: unless both labels -1 and +1 are present.
+        DataError: unless both labels -1 and +1 are present, and gram is
+            (n, n) with n the number of labels.
         NumericalError: if the kernel matrix is not finite, or the gap is
             still above tol after _SMO_MAX_ITER steps.
     """
     for name, value in (("c_reg", c_reg), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise FormatError(f"{name} must be finite and positive, got {value}")
-    vectors = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     positive, negative = labels == 1.0, labels == -1.0
     if not (positive.any() and negative.any() and np.all(positive | negative)):
         raise DataError("labels must contain both classes -1 and +1")
-    gram = kernel(vectors, vectors)
+    gram = np.asarray(gram, dtype=np.float64)
+    if gram.shape != (len(labels), len(labels)):
+        raise DataError(
+            f"the SVM kernel matrix must be ({len(labels)}, {len(labels)}), got {gram.shape}"
+        )
     if not np.all(np.isfinite(gram)):
         raise NumericalError("non-finite values in the SVM kernel matrix")
     diag = np.diag(gram)
@@ -401,16 +388,15 @@ def svm_train(
         # At a bound, y_t G_t is an upper or lower limit on rho by side.
         upper_side = (alphas >= c_reg) != positive
         rho = 0.5 * float(np.min(y_grad[upper_side]) + np.max(y_grad[~upper_side]))
-    return SvmModel(
-        dual_coef=alphas, bias=-rho, vectors=vectors, labels=labels, kernel=kernel
-    )
+    return SvmModel(dual_coef=alphas, bias=-rho, labels=labels)
 
 
-def svm_accuracy(model: SvmModel, vectors: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose predicted label matches: +1 where the
-    decision value is at least 0 (a zero value counts as +1), else -1."""
+def svm_accuracy(model: SvmModel, gram_rows: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of points whose predicted label matches, from their (m,
+    n_train) kernel values gram_rows: +1 where the decision value is at
+    least 0 (a zero value counts as +1), else -1."""
     labels = np.asarray(labels, dtype=np.float64)
-    preds = np.where(model.decision_values(vectors) >= 0, 1.0, -1.0)
+    preds = np.where(model.decision_values(gram_rows) >= 0, 1.0, -1.0)
     return float(np.mean(preds == labels))
 
 
@@ -471,7 +457,6 @@ def indirect_bias_classification(
     perm = rng.permutation(len(idx))
     idx, labels = idx[perm], labels[perm]
     n_train = min(n_train, len(idx) - 2)
-    train_idx, test_idx = idx[:n_train], idx[n_train:]
     train_labels, test_labels = labels[:n_train], labels[n_train:]
     if np.all(train_labels == train_labels[0]):
         raise DataError(
@@ -479,13 +464,15 @@ def indirect_bias_classification(
             "words are all of one class; raise --n-train or --n-biased"
         )
 
-    kernel = rbf_on_squared_distance(metric.squared_distance_matrix, gamma)
-    model = svm_train(kernel, table.matrix[train_idx], train_labels, c_reg=c_reg, tol=tol)
+    # One corrected Gram: every drawn word against the training words.
+    drawn = [table.words[i] for i in idx]
+    gram = np.exp(-gamma * metric.squared_distance_matrix(drawn, drawn[:n_train]))
+    model = svm_train(gram[:n_train], train_labels, c_reg=c_reg, tol=tol)
     return {
-        "n_train": int(len(train_idx)),
-        "n_test": int(len(test_idx)),
-        "train_accuracy": svm_accuracy(model, table.matrix[train_idx], train_labels),
-        "test_accuracy": svm_accuracy(model, table.matrix[test_idx], test_labels),
+        "n_train": int(n_train),
+        "n_test": int(len(test_labels)),
+        "train_accuracy": svm_accuracy(model, gram[:n_train], train_labels),
+        "test_accuracy": svm_accuracy(model, gram[n_train:], test_labels),
         "svm_gamma": float(gamma),
     }
 

@@ -23,11 +23,13 @@ coordinates of the rows of x.  CorrectedMetric is the package's one copy
 of the metric and the one object every evaluation and the CLI query: it
 holds a table, the spec of its model (the linear kernel with K = 0, plain
 cosine, when there is none) and a name ("raw", "linear" or "kernel").  It
-answers word queries (`in`, similarity_matrix(rows, cols)) and row queries
-(inner products, cosines, squared distances), and it rejects a fully
-neutralized vector: corrected self product at most 1e-12 k(w, w).  A
-word's beta is computed the first time a word query touches it, and kept:
-a query pays only for the words it names, and each word once.
+has one query form: words of its table.  `in` tells whether a word is
+there, and similarity_matrix(rows, cols), inner_product_matrix(rows, cols)
+and squared_distance_matrix(rows, cols) score every row word against
+every column word.  A similarity query rejects a fully neutralized word:
+corrected self product at most 1e-12 k(w, w).  A word's beta is computed
+the first time a query touches it, and kept: a query pays only for the
+words it names, and each word once.
 pair_similarities answers a list of word pairs through similarity_matrix,
 in bounded chunks.
 
@@ -252,11 +254,11 @@ class CorrectedMetric:
     is none (see the module docstring).
 
     name is "raw" without a model, "linear" with a linear-kernel one and
-    "kernel" with any other.  Construction computes no beta.  A word
-    query first computes, in one beta_matrix call, beta of those of its
-    words no earlier query touched, and keeps it; then it costs one raw
-    Gram block plus a (rows x K) by (K x cols) product.  Row queries take
-    any (n, d) rows, and compute their beta each time.
+    "kernel" with any other.  Construction computes no beta.  Every query
+    takes words of the table.  It first computes, in one beta_matrix
+    call, beta of those of its words no earlier query touched, and keeps
+    it per word; then it costs one raw Gram block and one (rows x cols)
+    bias term from the kept beta.
 
     Raises:
         DataError: if the model's dimension is not the table's.
@@ -278,94 +280,77 @@ class CorrectedMetric:
     def __contains__(self, word: str) -> bool:
         return word in self.table
 
-    def _beta_of(self, x: np.ndarray) -> np.ndarray:
-        """Bias coordinates of the rows of x: (n, K)."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.model is None:
-            return np.zeros((x.shape[0], 0))
-        return beta_matrix(self.model, x)
+    def _resolve(
+        self, rows: Sequence[str], cols: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Vectors and beta of the row words and of the column words, (x,
+        y, bx, by), after computing, in one beta_matrix call, beta of
+        those no earlier query touched.
 
-    def _word_beta(self, indices: list[int]) -> None:
-        """Compute beta of the table rows at indices that are not yet known,
-        in one beta_matrix call."""
+        Raises:
+            DataError: naming the first word that is not in the table.
+        """
+        ri = [self.table.row_index(w) for w in rows]
+        ci = [self.table.row_index(w) for w in cols]
         # A mask, not np.unique, which loads numpy.ma (see numerics).
         wanted = np.zeros(len(self._known), bool)
-        wanted[indices] = True
+        wanted[ri + ci] = True
         new = np.flatnonzero(wanted & ~self._known)
         if new.size:
             self._beta[new] = beta_matrix(self.model, self.table.matrix[new])
             self._known[new] = True
+        matrix = self.table.matrix
+        return matrix[ri], matrix[ci], self._beta[ri], self._beta[ci]
+
+    def _cross(self, x: np.ndarray, y: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+        """k(x, y) - bx by^T for every row pair of x and y."""
+        return gram_matrix(self.spec, x, y) - bx @ by.T
+
+    def inner_product_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
+        """Corrected inner products of every row word with every column word."""
+        return self._cross(*self._resolve(rows, cols))
 
     def similarity_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
-        """Corrected cosines of every row word with every column word, in
-        [-1, 1], from the kept beta.
+        """Corrected cosines of every row word with every column word,
+        clipped to [-1, 1].
 
         Raises:
             DataError: naming the first word that is not in the table, or
-                the first fully neutralized one (see cosine_matrix).
-        """
-        ri = [self.table.row_index(w) for w in rows]
-        ci = [self.table.row_index(w) for w in cols]
-        self._word_beta(ri + ci)
-        matrix = self.table.matrix
-        return self._cosines(
-            matrix[ri], matrix[ci], self._beta[ri], self._beta[ci], labels=(rows, cols)
-        )
-
-    def inner_product_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Corrected inner products for all row pairs of x and y."""
-        return gram_matrix(self.spec, x, y) - self._beta_of(x) @ self._beta_of(y).T
-
-    def cosine_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Corrected cosines of all row pairs of x and y, clipped to [-1, 1].
-
-        Raises:
-            DataError: naming the first row of x, then of y, that is fully
+                the first row word, then column word, that is fully
                 neutralized: its corrected self product is at most
                 1e-12 k(w, w), so the correction leaves nothing of it and
                 its cosine is undefined.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        return self._cosines(x, y, self._beta_of(x), self._beta_of(y))
-
-    def _cosines(
-        self, x: np.ndarray, y: np.ndarray, bx: np.ndarray, by: np.ndarray,
-        labels: tuple[Sequence, Sequence] | None = None,
-    ) -> np.ndarray:
-        """cosine_matrix over rows whose bias coordinates bx and by are
-        given; labels name the rows of x and of y in the error message
-        (row numbers by default)."""
+        x, y, bx, by = self._resolve(rows, cols)
         products = []
-        for side, (rows, beta) in enumerate(((x, bx), (y, by))):
-            diag = kernel_diag(self.spec, rows)
+        for words, vectors, beta in ((rows, x, bx), (cols, y, by)):
+            diag = kernel_diag(self.spec, vectors)
             products.append(diag - np.sum(beta * beta, axis=1))
             bad = np.nonzero(products[-1] <= 1e-12 * diag)[0]
             if bad.size:
-                name = repr(labels[side][bad[0]]) if labels else f"row {bad[0]} of {'xy'[side]}"
                 raise DataError(
-                    f"word {name} is fully neutralized by the correction; "
+                    f"word {words[bad[0]]!r} is fully neutralized by the correction; "
                     "its cosine is undefined"
                 )
-        cross = gram_matrix(self.spec, x, y) - bx @ by.T
+        cross = self._cross(x, y, bx, by)
         return np.clip(cross / np.sqrt(products[0][:, None] * products[1][None, :]), -1.0, 1.0)
 
-    def squared_distance_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Pairwise corrected squared distances, clamped at zero.
+    def squared_distance_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
+        """Corrected squared distances of every row word from every column
+        word, clamped at zero.
 
         Computed as k(x, x) - 2 k(x, y) + k(y, y) - ||beta(x) - beta(y)||^2
-        with the bias term from direct differences, so a row is exactly 0
+        with the bias term from direct differences, so a word is exactly 0
         from itself whenever its kernel part is.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        x, y, bx, by = self._resolve(rows, cols)
         dist = (
             kernel_diag(self.spec, x)[:, None]
             - 2.0 * gram_matrix(self.spec, x, y)
             + kernel_diag(self.spec, y)[None, :]
         )
         if self.model is not None:  # K = 0 has no bias term
-            dist -= difference_distances(self._beta_of(x), self._beta_of(y))
+            dist -= difference_distances(bx, by)
         return np.maximum(0.0, dist)
 
 

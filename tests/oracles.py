@@ -3,7 +3,9 @@
 These deliberately avoid the library's corrected-metric shortcuts: all
 feature-space quantities are expanded into raw kernel evaluations against
 the training pairs, so agreement with the library is evidence, not
-tautology.
+tautology.  corrected() is the one exception: it runs the library's
+metric, which takes words of its table, over arbitrary rows, so the tests
+can hold it to the oracles here.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kerndebias import EmbeddingTable, KernelBiasModel, gram_matrix
+from kerndebias import CorrectedMetric, EmbeddingTable, KernelBiasModel, gram_matrix
 from kerndebias.linear import DefiningSets
 
 
@@ -70,6 +72,20 @@ def raw_beta(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     psi = gram_matrix(model.spec, x, model.pairs_a) - gram_matrix(model.spec, x, model.pairs_b)
     return psi @ model.alphas.T
+
+
+def corrected(
+    model: KernelBiasModel | None, method: str, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """CorrectedMetric(table, model).<method>(x words, y words), on a table
+    of the rows of x, as words x0, x1, ..., then of the rows of y, as
+    y0, y1, ...: the metric's word query over arbitrary rows."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x_words = [f"x{i}" for i in range(len(x))]
+    y_words = [f"y{j}" for j in range(len(y))]
+    table = EmbeddingTable(words=(*x_words, *y_words), matrix=np.vstack([x, y]))
+    return getattr(CorrectedMetric(table, model), method)(x_words, y_words)
 
 
 def ridge_preimage_weights(

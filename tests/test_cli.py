@@ -1721,8 +1721,7 @@ _TRACED = {
     "kernels": ["gram_matrix", "kernel_diag"],
     "rkhs": ["fit_kernel_model", "beta_matrix", "CorrectedMetric"],
     "preimage": ["preimage_neutralize_matrix"],
-    "evaluation": ["professions_correlation", "weat_test", "svm_train", "svm_accuracy",
-                   "rbf_on_squared_distance"],
+    "evaluation": ["professions_correlation", "weat_test", "svm_train", "svm_accuracy"],
     "toydemo": ["run_toy_demo"],
     "cli": ["main"],
 }

@@ -18,16 +18,19 @@ from kerndebias.evaluation import (
     WeatConfig,
     SvmModel,
     indirect_bias_classification,
+    original_bias_scores,
     professions_correlation,
-    rbf_on_squared_distance,
     simlex_eval,
     svm_accuracy,
     svm_train,
     weat_test,
 )
 from kerndebias.kernels import difference_distances
+from kerndebias.seeding import rng_for
 from conftest import RNG_SEED, planted_bias_table, random_instance
-from oracles import cosine_row, four_term_distances, primal_neutralize, weat_brute_force_p
+from oracles import (
+    corrected, cosine_row, four_term_distances, primal_neutralize, weat_brute_force_p,
+)
 
 
 class StubBackend:
@@ -85,14 +88,16 @@ class TestBackends:
             assert value == pytest.approx(single, abs=1e-12)
 
     def test_cached_beta_matches_corrected_metric_cosine(self, rng):
-        # Word queries read the beta cached at construction; the row query
-        # computes beta of its rows afresh.
+        # Word queries read the beta the metric keeps; the oracle's query,
+        # over a fresh table of the same rows, computes beta afresh.
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=10, dim=6)
         for spec in (KernelSpec("rbf", gamma=0.8), KernelSpec("laplace", gamma=0.5)):
             metric = CorrectedMetric(table, fit_kernel_model(spec, table, sets, k=2))
             words = list(table.words)
             for word in ("n0", "m1", "f3"):
-                oracle = metric.cosine_matrix(table.lookup(word), table.matrix)[0]
+                oracle = corrected(
+                    metric.model, "similarity_matrix", table.lookup(word), table.matrix
+                )[0]
                 np.testing.assert_allclose(
                     metric.similarity_matrix([word], words)[0], oracle, rtol=0, atol=1e-12
                 )
@@ -133,21 +138,26 @@ class TestBackends:
         )
         assert len(calls) == 3 and sorted(sum(calls, [])) == sorted(words)
 
-        # The SVM's squared distances are row queries: no word's beta is
-        # kept, so the first word query after it computes every row.
+        # Classify queries the words it draws, the 5 most and the 5 least
+        # biased of the 20, in one call; a query over every word after it
+        # computes only the other 10.
         fresh = CorrectedMetric(table, model)
+        calls.clear()
         indirect_bias_classification(
-            fresh, n_biased=30, n_train=20, svm_gamma=1.0, seed=5,
+            fresh, n_biased=10, n_train=6, svm_gamma=1.0, seed=5,
             male_anchor="m0", female_anchor="f0",
         )
-        calls.clear()
+        order = np.argsort(-original_bias_scores(table, words, "m0", "f0"), kind="stable")
+        drawn = {words[i] for i in [*order[:5], *order[-5:]]}
+        assert calls == [[w for w in words if w in drawn]]
         fresh.similarity_matrix(words, [])
-        assert calls == [words]
+        assert calls[1:] == [[w for w in words if w not in drawn]]
 
     def test_squared_distance_matrix_per_backend(self, rng):
         table, sets, _ = planted_bias_table(rng, n_pairs=4, n_neutral=8, dim=6)
         linear = fit_linear_subspace(table, sets, 1)
         kernel = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=2)
+        words = list(table.words)
         x, y = table.matrix[:5], table.matrix[5:12]
         basis = linear.input_directions()
         nx, ny = primal_neutralize(basis, x), primal_neutralize(basis, y)
@@ -158,7 +168,8 @@ class TestBackends:
         }
         for metric, oracle in expected.items():
             np.testing.assert_allclose(
-                metric.squared_distance_matrix(x, y), oracle, rtol=0, atol=1e-12
+                metric.squared_distance_matrix(words[:5], words[5:12]), oracle,
+                rtol=0, atol=1e-12,
             )
 
     @pytest.mark.parametrize("seed", range(5))
@@ -537,34 +548,39 @@ XOR_VECTORS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_LABELS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def rbf_kernel(gamma):
-    return rbf_on_squared_distance(difference_distances, gamma)
+def rbf_gram(gamma, x, y):
+    """rbf kernel values exp(-gamma ||x_i - y_j||^2) of the rows of x and y."""
+    return np.exp(-gamma * difference_distances(x, y))
 
 
 class TestSvm:
     def test_separable_blobs_perfect_training_accuracy(self, rng):
         vectors, labels = blob_data(rng)
-        model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=10.0)
-        assert svm_accuracy(model, vectors, labels) == 1.0
+        gram = rbf_gram(0.5, vectors, vectors)
+        model = svm_train(gram, labels, c_reg=10.0)
+        assert svm_accuracy(model, gram, labels) == 1.0
 
     def test_xor_rbf_succeeds_linear_fails(self):
-        rbf_model = svm_train(rbf_kernel(1.0), XOR_VECTORS, XOR_LABELS, c_reg=10.0)
-        assert svm_accuracy(rbf_model, XOR_VECTORS, XOR_LABELS) == 1.0
-        linear_model = svm_train(lambda x, y: x @ y.T, XOR_VECTORS, XOR_LABELS, c_reg=10.0)
-        assert svm_accuracy(linear_model, XOR_VECTORS, XOR_LABELS) < 1.0
+        gram = rbf_gram(1.0, XOR_VECTORS, XOR_VECTORS)
+        rbf_model = svm_train(gram, XOR_LABELS, c_reg=10.0)
+        assert svm_accuracy(rbf_model, gram, XOR_LABELS) == 1.0
+        linear = XOR_VECTORS @ XOR_VECTORS.T
+        linear_model = svm_train(linear, XOR_LABELS, c_reg=10.0)
+        assert svm_accuracy(linear_model, linear, XOR_LABELS) < 1.0
 
     def test_dual_coefficients_in_box(self, rng):
         vectors, labels = blob_data(rng)
         c_reg = 3.0
-        model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=c_reg)
+        model = svm_train(rbf_gram(0.5, vectors, vectors), labels, c_reg=c_reg)
         assert np.all(model.dual_coef >= -1e-12)
         assert np.all(model.dual_coef <= c_reg + 1e-12)
 
     def test_kkt_conditions_on_exit(self, rng):
         vectors, labels = blob_data(rng)
         c_reg, tol = 2.0, 1e-3
-        model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=c_reg, tol=tol)
-        for i, value in enumerate(model.decision_values(vectors)):
+        gram = rbf_gram(0.5, vectors, vectors)
+        model = svm_train(gram, labels, c_reg=c_reg, tol=tol)
+        for i, value in enumerate(model.decision_values(gram)):
             ye = labels[i] * (value - labels[i])
             if model.dual_coef[i] < 1e-9:
                 assert ye >= -10 * tol
@@ -575,29 +591,31 @@ class TestSvm:
 
     def test_far_support_vector_predicts_own_class(self, rng):
         vectors, labels = blob_data(rng)
-        model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=10.0)
+        model = svm_train(rbf_gram(0.5, vectors, vectors), labels, c_reg=10.0)
         far = np.array([[3.0, 3.0], [-3.0, -3.0]])
-        assert svm_accuracy(model, far, np.array([1.0, -1.0])) == 1.0
+        assert svm_accuracy(model, rbf_gram(0.5, far, vectors), np.array([1.0, -1.0])) == 1.0
 
     def test_mirrored_data_gives_antisymmetric_decisions(self, rng):
         base = rng.normal(size=(12, 2)) + np.array([1.5, 0.0])
         vectors = np.vstack([base, -base])
         labels = np.concatenate([np.ones(12), -np.ones(12)])
-        model = svm_train(rbf_kernel(0.7), vectors, labels, c_reg=5.0)
+        model = svm_train(rbf_gram(0.7, vectors, vectors), labels, c_reg=5.0)
         t = rng.normal(size=(6, 2))
         np.testing.assert_allclose(
-            model.decision_values(t), -model.decision_values(-t), rtol=0, atol=2e-3
+            model.decision_values(rbf_gram(0.7, t, vectors)),
+            -model.decision_values(rbf_gram(0.7, -t, vectors)), rtol=0, atol=2e-3,
         )
 
     def test_duplicate_points_do_not_move_decision(self, rng):
         vectors, labels = blob_data(rng, n_per_class=12)
-        model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=100.0)
+        model = svm_train(rbf_gram(0.5, vectors, vectors), labels, c_reg=100.0)
         dup_vectors = np.vstack([vectors, vectors[:1]])
         dup_labels = np.concatenate([labels, labels[:1]])
-        dup_model = svm_train(rbf_kernel(0.5), dup_vectors, dup_labels, c_reg=100.0)
+        dup_model = svm_train(rbf_gram(0.5, dup_vectors, dup_vectors), dup_labels, c_reg=100.0)
         t = rng.normal(size=(8, 2)) * 2
         np.testing.assert_allclose(
-            model.decision_values(t), dup_model.decision_values(t), rtol=0, atol=1e-3
+            model.decision_values(rbf_gram(0.5, t, vectors)),
+            dup_model.decision_values(rbf_gram(0.5, t, dup_vectors)), rtol=0, atol=1e-3,
         )
 
     @pytest.mark.parametrize("seed", [RNG_SEED, *range(10)])
@@ -605,37 +623,45 @@ class TestSvm:
         # Solved to a KKT gap far below the bound, so the bound holds at any seed.
         rng = np.random.default_rng(seed)
         vectors, labels = blob_data(rng)
-        model = svm_train(rbf_kernel(0.5), vectors, labels, c_reg=10.0, tol=1e-8)
+        model = svm_train(rbf_gram(0.5, vectors, vectors), labels, c_reg=10.0, tol=1e-8)
         perm = rng.permutation(len(labels))
         permuted = svm_train(
-            rbf_kernel(0.5), vectors[perm], labels[perm], c_reg=10.0, tol=1e-8
+            rbf_gram(0.5, vectors[perm], vectors[perm]), labels[perm], c_reg=10.0, tol=1e-8
         )
         t = rng.normal(size=(10, 2)) * 2
         np.testing.assert_allclose(
-            model.decision_values(t), permuted.decision_values(t), rtol=0, atol=1e-6
+            model.decision_values(rbf_gram(0.5, t, vectors)),
+            permuted.decision_values(rbf_gram(0.5, t, vectors[perm])), rtol=0, atol=1e-6,
         )
 
     def test_zero_decision_value_counts_as_positive(self):
         vectors = np.eye(3)
-        model = SvmModel(np.zeros(3), 0.0, vectors, np.array([1.0, -1.0, 1.0]), rbf_kernel(1.0))
-        np.testing.assert_array_equal(model.decision_values(vectors), 0.0)
-        assert svm_accuracy(model, vectors, np.array([1.0, -1.0, 1.0])) == pytest.approx(2 / 3)
+        model = SvmModel(np.zeros(3), 0.0, np.array([1.0, -1.0, 1.0]))
+        gram = rbf_gram(1.0, vectors, vectors)
+        np.testing.assert_array_equal(model.decision_values(gram), 0.0)
+        assert svm_accuracy(model, gram, np.array([1.0, -1.0, 1.0])) == pytest.approx(2 / 3)
 
     def test_single_class_rejected(self, rng):
         vectors = rng.normal(size=(6, 2))
         with pytest.raises(DataError):
-            svm_train(rbf_kernel(1.0), vectors, np.ones(6))
+            svm_train(rbf_gram(1.0, vectors, vectors), np.ones(6))
+
+    @pytest.mark.parametrize("shape", [(6, 5), (5, 5), (7, 7), (36,)])
+    def test_gram_not_n_by_n_rejected(self, shape):
+        # 6 labels: the Gram must be (6, 6).
+        with pytest.raises(DataError, match=r"must be \(6, 6\)"):
+            svm_train(np.ones(shape), np.array([1.0, -1.0] * 3))
 
     def test_iteration_cap_raises(self, rng, monkeypatch):
         monkeypatch.setattr(evaluation, "_SMO_MAX_ITER", 3)
         vectors, labels = blob_data(rng)
         with pytest.raises(NumericalError, match="KKT gap"):
-            svm_train(rbf_kernel(0.5), vectors, labels, c_reg=10.0)
+            svm_train(rbf_gram(0.5, vectors, vectors), labels, c_reg=10.0)
 
     def test_non_finite_kernel_rejected(self, rng):
         vectors, labels = blob_data(rng)
         with pytest.raises(NumericalError, match="non-finite"):
-            svm_train(rbf_kernel(float("nan")), vectors, labels)
+            svm_train(rbf_gram(float("nan"), vectors, vectors), labels)
 
 
 class TestIndirectBiasProtocol:
@@ -656,6 +682,27 @@ class TestIndirectBiasProtocol:
         )
         assert raw_result["train_accuracy"] >= 0.9
         assert corrected_result["test_accuracy"] <= raw_result["test_accuracy"]
+
+    def test_accuracies_match_svm_on_four_term_gram(self, rng):
+        # The words classify draws, in its seeded order, scored by an SVM
+        # on the oracle's corrected rbf Gram.
+        table, sets, _ = planted_bias_table(rng, n_pairs=10, n_neutral=60, dim=6)
+        model = fit_kernel_model(KernelSpec("rbf", gamma=0.8), table, sets, k=1)
+        result = indirect_bias_classification(
+            CorrectedMetric(table, model),
+            n_biased=40, n_train=24, svm_gamma=2.0, c_reg=10.0, seed=11,
+            male_anchor="m0", female_anchor="f0",
+        )
+        order = np.argsort(-original_bias_scores(table, table.words, "m0", "f0"), kind="stable")
+        idx = np.concatenate([order[:20], order[-20:]])
+        labels = np.concatenate([np.ones(20), -np.ones(20)])
+        perm = rng_for(11, "indirect-bias-split").permutation(40)
+        x, labels = table.matrix[idx[perm]], labels[perm]
+        gram = np.exp(-2.0 * four_term_distances(model, x, x[:24]))
+        svm = svm_train(gram[:24], labels[:24], c_reg=10.0)
+        assert result["train_accuracy"] == svm_accuracy(svm, gram[:24], labels[:24])
+        assert result["test_accuracy"] == svm_accuracy(svm, gram[24:], labels[24:])
+        assert (result["n_train"], result["n_test"]) == (24, 16)
 
     def test_deterministic_given_seed(self, rng):
         table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)

@@ -21,6 +21,7 @@ from kerndebias.numerics import symmetric_eig
 from conftest import KERNEL_ZOO, planted_bias_table, random_instance
 from oracles import (
     direction_gram,
+    corrected,
     equalized_member_inner,
     four_term_inner,
     primal_linear_model,
@@ -142,40 +143,44 @@ class TestLinearKernelEquivalence:
         if unit:
             table = unit_normalize(table)
         linear = primal_linear_model(table, sets, k)
-        kernel = fit_kernel_model(KernelSpec("linear"), table, sets, k=k)
-        return table, sets, linear, CorrectedMetric(table, kernel)
+        return table, sets, linear, fit_kernel_model(KernelSpec("linear"), table, sets, k=k)
 
     def test_inner_product(self, rng):
-        _, _, linear, metric = self._models(rng)
+        _, _, linear, model = self._models(rng)
         z, w = rng.normal(size=(2, 20, 6))
         oracle = primal_neutralize(linear.basis, z) @ primal_neutralize(linear.basis, w).T
-        np.testing.assert_allclose(metric.inner_product_matrix(z, w), oracle, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            corrected(model, "inner_product_matrix", z, w), oracle, rtol=0, atol=1e-9
+        )
 
     def test_cosine(self, rng):
-        _, _, linear, metric = self._models(rng)
+        _, _, linear, model = self._models(rng)
         z, w = rng.normal(size=(2, 10, 6))
         nz, nw = primal_neutralize(linear.basis, z), primal_neutralize(linear.basis, w)
         oracle = (nz @ nw.T) / np.outer(np.linalg.norm(nz, axis=1), np.linalg.norm(nw, axis=1))
-        np.testing.assert_allclose(metric.cosine_matrix(z, w), oracle, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            corrected(model, "similarity_matrix", z, w), oracle, rtol=0, atol=1e-9
+        )
 
     def test_squared_distance(self, rng):
-        _, _, linear, metric = self._models(rng)
+        _, _, linear, model = self._models(rng)
         z, w = rng.normal(size=(2, 10, 6))
         nz, nw = primal_neutralize(linear.basis, z), primal_neutralize(linear.basis, w)
         diff = nz[:, None, :] - nw[None, :, :]
         np.testing.assert_allclose(
-            metric.squared_distance_matrix(z, w), np.sum(diff * diff, axis=2), rtol=0, atol=1e-9
+            corrected(model, "squared_distance_matrix", z, w), np.sum(diff * diff, axis=2),
+            rtol=0, atol=1e-9,
         )
 
     def test_equalized_inner_product(self, rng):
-        table, _, linear, metric = self._models(rng, unit=True)
+        table, _, linear, model = self._models(rng, unit=True)
         members = table.matrix[:3]
         w = rng.normal(size=6)
         mu = members.mean(axis=0)
         nw = primal_neutralize(linear.basis, w[None, :])[0]
         oracle = nw @ primal_neutralize(linear.basis, mu[None, :])[0]
         for e in range(len(members)):
-            assert equalized_member_inner(metric.model, w, members, e) == pytest.approx(
+            assert equalized_member_inner(model, w, members, e) == pytest.approx(
                 oracle, abs=1e-9
             )
 
@@ -183,23 +188,33 @@ class TestLinearKernelEquivalence:
         # Full rank: any training difference lies inside the bias span.
         table, sets = random_instance(rng, n_pairs=3, dim=6)
         model = fit_kernel_model(KernelSpec("linear"), table, sets, k=None)
-        metric = CorrectedMetric(table, model)
         a, b = sets.pairs[0]
         z = table.matrix[a] - table.matrix[b]
-        assert abs(metric.inner_product_matrix(z[None, :], z[None, :])[0, 0]) <= 1e-8 * (z @ z)
+        assert abs(corrected(model, "inner_product_matrix", z, z)[0, 0]) <= 1e-8 * (z @ z)
 
 
 class TestCorrectedMetricProperties:
     def test_four_term_expansion_all_kernels(self, rng):
         for spec in KERNEL_ZOO:
-            table, sets, model = fitted_pair_models(rng, spec, k=2)
-            metric = CorrectedMetric(table, model)
+            _, _, model = fitted_pair_models(rng, spec, k=2)
             z, w = rng.normal(size=(2, 5, model.dim))
             oracle = [[four_term_inner(model, a, b) for b in w] for a in z]
             np.testing.assert_allclose(
-                metric.inner_product_matrix(z, w), oracle, rtol=0, atol=1e-9,
+                corrected(model, "inner_product_matrix", z, w), oracle, rtol=0, atol=1e-9,
                 err_msg=spec.family,
             )
+
+    def test_public_callables_are_the_three_word_queries(self, rng):
+        public = {
+            name for name, value in vars(CorrectedMetric).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert public == {"similarity_matrix", "inner_product_matrix", "squared_distance_matrix"}
+        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.6), k=2)
+        metric = CorrectedMetric(table, model)
+        for name in sorted(public):
+            with pytest.raises(DataError, match="'nope' not in vocabulary"):
+                getattr(metric, name)([table.words[0]], ["nope"])
 
     # The bias directions are orthonormal: alpha G alpha^T = I.
     def test_orthogonality_diagnostic_all_kernels(self, rng):
@@ -214,74 +229,68 @@ class TestCorrectedMetricProperties:
         assert np.max(np.abs(direction_gram(model) - np.eye(model.k))) <= 1e-9
 
     def test_symmetry(self, rng):
-        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.6), k=2)
-        metric = CorrectedMetric(table, model)
+        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.6), k=2)
         z, w = rng.normal(size=(2, 4, model.dim))
-        inner = metric.inner_product_matrix(z, w)
-        np.testing.assert_allclose(inner, metric.inner_product_matrix(w, z).T, rtol=0, atol=1e-12)
-        cosine = metric.cosine_matrix(z, w)
-        np.testing.assert_allclose(cosine, metric.cosine_matrix(w, z).T, rtol=0, atol=1e-12)
+        for method in ("inner_product_matrix", "similarity_matrix"):
+            np.testing.assert_allclose(
+                corrected(model, method, z, w), corrected(model, method, w, z).T,
+                rtol=0, atol=1e-12,
+            )
 
     def test_self_products_nonnegative_psd_kernels(self, rng):
         for spec in KERNEL_ZOO:
             if spec.family == "sigmoid":
                 continue
-            table, sets, model = fitted_pair_models(rng, spec, k=2)
-            metric = CorrectedMetric(table, model)
+            _, _, model = fitted_pair_models(rng, spec, k=2)
             queries = rng.normal(size=(10, model.dim))
-            values = np.diag(metric.inner_product_matrix(queries, queries))
+            values = np.diag(corrected(model, "inner_product_matrix", queries, queries))
             assert np.all(values >= -1e-9), spec.family
 
     def test_corrected_gram_psd(self, rng):
         for spec in [KernelSpec("rbf", gamma=0.8), KernelSpec("laplace", gamma=0.5),
                      KernelSpec("linear")]:
-            table, sets, model = fitted_pair_models(rng, spec, k=2)
-            metric = CorrectedMetric(table, model)
+            _, _, model = fitted_pair_models(rng, spec, k=2)
             queries = rng.normal(size=(8, model.dim))
-            gram = metric.inner_product_matrix(queries, queries)
+            gram = corrected(model, "inner_product_matrix", queries, queries)
             eig = symmetric_eig((gram + gram.T) / 2)
             assert eig.eigenvalues[-1] >= -1e-8, spec.family
 
     def test_cosine_self_is_one(self, rng):
-        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.9), k=1)
-        metric = CorrectedMetric(table, model)
+        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.9), k=1)
         z = rng.normal(size=(1, model.dim))
-        assert metric.cosine_matrix(z, z)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert corrected(model, "similarity_matrix", z, z)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_fully_neutralized_rejected(self, rng):
         table, sets = random_instance(rng, n_pairs=3, dim=6)
         model = fit_kernel_model(KernelSpec("linear"), table, sets, k=None)
-        metric = CorrectedMetric(table, model)
         a, b = sets.pairs[0]
         z = table.matrix[a] - table.matrix[b]  # entirely inside the span
-        with pytest.raises(DataError, match="fully neutralized"):
-            metric.cosine_matrix(z[None, :], rng.normal(size=(1, 6)))
+        with pytest.raises(DataError, match="word 'x0' is fully neutralized"):
+            corrected(model, "similarity_matrix", z, rng.normal(size=(1, 6)))
 
     def test_squared_distance_zero_on_self(self, rng):
-        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.5), k=2)
-        metric = CorrectedMetric(table, model)
+        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.5), k=2)
         z = rng.normal(size=(1, model.dim))
-        assert metric.squared_distance_matrix(z, z)[0, 0] == 0.0
+        assert corrected(model, "squared_distance_matrix", z, z)[0, 0] == 0.0
 
     def test_triangle_inequality_spot_check(self, rng):
-        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.7), k=2)
-        metric = CorrectedMetric(table, model)
+        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.7), k=2)
         for _ in range(20):
             points = rng.normal(size=(3, model.dim))
-            dist = np.sqrt(metric.squared_distance_matrix(points, points))
+            dist = np.sqrt(corrected(model, "squared_distance_matrix", points, points))
             assert dist[0, 2] <= dist[0, 1] + dist[1, 2] + 1e-9
 
     def test_distance_matrix_matches_scalar(self, rng):
         # Against k~(x, x) - 2 k~(x, y) + k~(y, y) from the inner products.
-        table, _, model = fitted_pair_models(rng, KernelSpec("laplace", gamma=0.5), k=2)
-        metric = CorrectedMetric(table, model)
+        _, _, model = fitted_pair_models(rng, KernelSpec("laplace", gamma=0.5), k=2)
         x = rng.normal(size=(3, model.dim))
         y = rng.normal(size=(4, model.dim))
-        inner = metric.inner_product_matrix(np.vstack([x, y]), np.vstack([x, y]))
+        inner = corrected(model, "inner_product_matrix", np.vstack([x, y]), np.vstack([x, y]))
         self_products = np.diag(inner)
         expected = self_products[:3, None] - 2.0 * inner[:3, 3:] + self_products[None, 3:]
         np.testing.assert_allclose(
-            metric.squared_distance_matrix(x, y), np.maximum(expected, 0.0), rtol=0, atol=1e-12
+            corrected(model, "squared_distance_matrix", x, y), np.maximum(expected, 0.0),
+            rtol=0, atol=1e-12,
         )
 
 
@@ -291,7 +300,6 @@ class TestEqualizeInvariance:
             table, sets = random_instance(rng, n_pairs=3, dim=5)
             table = unit_normalize(table)
             model = fit_kernel_model(spec, table, sets, k=2)
-            metric = CorrectedMetric(table, model)
             members = table.matrix[[6, 7, 8]] if len(table) > 8 else table.matrix[:3]
             w = rng.normal(size=5)
             per_member = [
@@ -300,16 +308,15 @@ class TestEqualizeInvariance:
             spread = max(per_member) - min(per_member)
             assert spread <= 1e-9, spec.family
             # The common value is the mean corrected inner product with w.
-            mean_inner = metric.inner_product_matrix(w[None, :], members)[0].mean()
+            mean_inner = corrected(model, "inner_product_matrix", w, members)[0].mean()
             assert mean_inner == pytest.approx(per_member[0], abs=1e-9)
 
     def test_two_identical_members_reduce_to_inner_product(self, rng):
-        table, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.8), k=2)
-        metric = CorrectedMetric(table, model)
+        _, _, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.8), k=2)
         e = rng.normal(size=model.dim)
         w = rng.normal(size=model.dim)
         value = equalized_member_inner(model, w, np.vstack([e, e]), 0)
-        expected = metric.inner_product_matrix(w[None, :], e[None, :])[0, 0]
+        expected = corrected(model, "inner_product_matrix", w, e)[0, 0]
         assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -319,35 +326,37 @@ class TestScaleAndOrderInvariance:
             table, sets = random_instance(rng, n_pairs=4, dim=5)
             base = fit_kernel_model(spec, table, sets, k=2, gram_scale=1.0)
             doubled = fit_kernel_model(spec, table, sets, k=2, gram_scale=2.0)
-            m1, m2 = CorrectedMetric(table, base), CorrectedMetric(table, doubled)
             z, w = rng.normal(size=(2, 5, 5))
             np.testing.assert_allclose(
-                m1.inner_product_matrix(z, w), m2.inner_product_matrix(z, w), rtol=0, atol=1e-9,
+                corrected(base, "inner_product_matrix", z, w),
+                corrected(doubled, "inner_product_matrix", z, w), rtol=0, atol=1e-9,
                 err_msg=spec.family,
             )
 
     def test_pair_permutation_invariance(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=5)
         spec = KernelSpec("rbf", gamma=0.8)
-        base = CorrectedMetric(table, fit_kernel_model(spec, table, sets, k=2))
+        base = fit_kernel_model(spec, table, sets, k=2)
         permuted_sets = DefiningSets(tuple(reversed(sets.pairs)))
-        permuted = CorrectedMetric(table, fit_kernel_model(spec, table, permuted_sets, k=2))
+        permuted = fit_kernel_model(spec, table, permuted_sets, k=2)
         z, w = rng.normal(size=(2, 5, 5))
         np.testing.assert_allclose(
-            base.inner_product_matrix(z, w), permuted.inner_product_matrix(z, w), rtol=0, atol=1e-9
+            corrected(base, "inner_product_matrix", z, w),
+            corrected(permuted, "inner_product_matrix", z, w), rtol=0, atol=1e-9,
         )
 
     def test_pair_swap_invariance(self, rng):
         table, sets = random_instance(rng, n_pairs=4, dim=5)
         spec = KernelSpec("laplace", gamma=0.5)
-        base = CorrectedMetric(table, fit_kernel_model(spec, table, sets, k=2))
+        base = fit_kernel_model(spec, table, sets, k=2)
         swapped_sets = DefiningSets(
             tuple((b, a) if i % 2 == 0 else (a, b) for i, (a, b) in enumerate(sets.pairs))
         )
-        swapped = CorrectedMetric(table, fit_kernel_model(spec, table, swapped_sets, k=2))
+        swapped = fit_kernel_model(spec, table, swapped_sets, k=2)
         z, w = rng.normal(size=(2, 5, 5))
         np.testing.assert_allclose(
-            base.inner_product_matrix(z, w), swapped.inner_product_matrix(z, w), rtol=0, atol=1e-9
+            corrected(base, "inner_product_matrix", z, w),
+            corrected(swapped, "inner_product_matrix", z, w), rtol=0, atol=1e-9,
         )
 
 
@@ -364,8 +373,8 @@ class TestSerialization:
         loaded, data = kd.load_model(path)
         assert data["type"] == "kernel"
         z, w = rng.normal(size=(2, 10, 5))
-        original = CorrectedMetric(table, model).inner_product_matrix(z, w)
-        reloaded = CorrectedMetric(table, loaded).inner_product_matrix(z, w)
+        original = corrected(model, "inner_product_matrix", z, w)
+        reloaded = corrected(loaded, "inner_product_matrix", z, w)
         assert np.max(np.abs(original - reloaded)) <= 1e-12
         assert loaded.spec == model.spec
         np.testing.assert_array_equal(loaded.alphas, model.alphas)
