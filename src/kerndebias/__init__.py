@@ -28,6 +28,10 @@ Core pieces:
   cosines in [-1, 1]; a queried word whose corrected self product is at
   most 1e-12 k(w, w) raises DataError.  The indirect-bias SVM trains and
   scores on one corrected rbf Gram from ``squared_distance_matrix``.
+- :mod:`kerndebias.seeding` -- every seeded draw: uniform(seed, label,
+  count, start), a counter-based SplitMix64 stream per (seed, label) in
+  integer numpy, the same values on any platform and numpy >= 1.24, and
+  permutation(seed, label, n).  No layer imports numpy.random.
 - :mod:`kerndebias.configio` -- input files, and the model file: the one
   place that writes (model_to_dict) and reads (model_from_dict, load_model)
   it.

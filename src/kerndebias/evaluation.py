@@ -25,6 +25,10 @@ A query that names a fully neutralized word -- corrected self product at
 most 1e-12 k(w, w) -- raises DataError naming it; the other words of the
 table still score.  WEAT and SimLex need only `in` and similarity_matrix,
 so any object that has both can stand in for the metric.
+
+The two seeded draws, the Monte Carlo WEAT splits and the classifier's
+order of its words, read the seeding.uniform streams "weat-permutation"
+and "indirect-bias-split"; nothing here imports numpy.random.
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import seeding
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, NumericalError, warn
 from .kernels import _BLOCK_ELEMENTS
 from .numerics import pearson, spearman
 from .rkhs import CorrectedMetric, pair_similarities
-from .seeding import rng_for
 
 # Most target words (|X| + |Y|) whose WEAT p-value is counted exactly over
 # every equal split: 2^16 subset sums per half, about 16 ms and a few MB
@@ -52,6 +56,9 @@ DEFAULT_SEED = 42
 # resolution of 1e-8, drawn in about 45 s over 24 target words on a
 # 2-vCPU Xeon host.  A larger count is rejected before any draw.
 MAX_PERMUTATIONS = 10**8
+# Monte Carlo splits drawn per block; each split's keys are fixed by its
+# index (weat_test), so the p-value does not depend on the block size.
+_MC_BLOCK = 20_000
 
 # SMO step cap, LIBSVM's 1e7: a solver that reaches it raises instead of
 # looping on.  Pair curvatures at or below _TAU count as _TAU, so a
@@ -148,7 +155,10 @@ def weat_test(metric: CorrectedMetric, cfg: WeatConfig) -> WeatResult:
     With at most EXACT_LIMIT (32) target words the count is exact, by
     meet in the middle (_exact_hits), and no random number is drawn:
     cfg.permutations and cfg.seed are read only above 32 words, where
-    the p-value is seeded Monte Carlo over that many drawn splits.
+    the p-value is seeded Monte Carlo over that many drawn splits: split r
+    chooses the words of the nx smallest keys among values r * n .. r * n
+    + n - 1 of the (cfg.seed, "weat-permutation") stream, n the number of
+    target words.
     """
     x_in = [w for w in cfg.x_words if w in metric]
     y_in = [w for w in cfg.y_words if w in metric]
@@ -185,15 +195,14 @@ def weat_test(metric: CorrectedMetric, cfg: WeatConfig) -> WeatResult:
     if exhaustive:
         p_value = _exact_hits(s_values, nx, threshold) / math.comb(n_union, nx)
     else:
-        rng = rng_for(cfg.seed, "weat-permutation")
         hits = 0
-        remaining = cfg.permutations
-        while remaining > 0:
-            m = min(20000, remaining)
-            keys = rng.random((m, n_union))
+        for drawn in range(0, cfg.permutations, _MC_BLOCK):
+            m = min(_MC_BLOCK, cfg.permutations - drawn)
+            keys = seeding.uniform(
+                cfg.seed, "weat-permutation", m * n_union, start=drawn * n_union
+            ).reshape(m, n_union)
             idx = np.argpartition(keys, nx - 1, axis=1)[:, :nx]
             hits += int(np.sum(s_values[idx].sum(axis=1) >= threshold))
-            remaining -= m
         p_value = hits / cfg.permutations
 
     return WeatResult(
@@ -213,7 +222,9 @@ def weat_test(metric: CorrectedMetric, cfg: WeatConfig) -> WeatResult:
 def original_bias_scores(
     table: EmbeddingTable, words: Sequence[str], male_anchor: str = "he", female_anchor: str = "she"
 ) -> np.ndarray:
-    """cos(w, he - she) in the original space, per word."""
+    """cos(w, he - she) in the original space, per word.  With words the
+    table's own words tuple, the table's matrix is scored as it is, with
+    no row gathered."""
     for anchor in (male_anchor, female_anchor):
         if anchor not in table:
             raise DataError(f"anchor word {anchor!r} not in vocabulary")
@@ -222,7 +233,10 @@ def original_bias_scores(
     if norm == 0.0:
         raise DataError("anchor difference direction is zero")
     direction = direction / norm
-    rows = table.matrix[[table.row_index(w) for w in words]]
+    if words is table.words:
+        rows = table.matrix
+    else:
+        rows = table.matrix[[table.row_index(w) for w in words]]
     row_norms = np.linalg.norm(rows, axis=1)
     if np.any(row_norms == 0.0):
         raise DataError("zero vector among scored words")
@@ -293,11 +307,15 @@ def professions_correlation(
 
 @dataclass(eq=False)
 class SvmModel:
-    """Dual SVM state: coefficients, bias and training labels."""
+    """Dual SVM state: coefficients, bias and training labels, and the
+    solver's work: SMO steps taken and the KKT gap it stopped at (nan
+    when the state was not built by svm_train)."""
 
     dual_coef: np.ndarray  # (n,) alpha_i in [0, C]
     bias: float
     labels: np.ndarray  # (n,) in {-1, +1}
+    iterations: int = 0
+    kkt_gap: float = math.nan
 
     def decision_values(self, gram_rows: np.ndarray) -> np.ndarray:
         """Decision values of the rows of gram_rows, the (m, n) kernel
@@ -317,7 +335,8 @@ def svm_train(
     multipliers that may move up, and j by the second-order rule of Fan,
     Chen & Lin (2005, LIBSVM's WSS2) among those that may move down, then
     solves the pair exactly inside the box.  Training stops when the KKT
-    gap m(a) - M(a), the largest violation, is at most tol.  The bias is
+    gap m(a) - M(a), the largest violation, is at most tol; the model
+    keeps the number of steps taken and that final gap.  The bias is
     the mean over free multipliers (0 < a < c_reg), or the midpoint of its
     bounds when none is free.  No random numbers are drawn, so the result
     depends only on the data, and on a positive definite Gram matrix it
@@ -348,14 +367,15 @@ def svm_train(
     alphas = np.zeros(len(labels))
     grad = -np.ones(len(labels))
 
-    for _ in range(_SMO_MAX_ITER):
+    for iterations in range(_SMO_MAX_ITER):
         below_c = alphas < c_reg
         above_0 = alphas > 0
         up = np.where(positive, below_c, above_0)
         low = np.where(positive, above_0, below_c)
         score = -labels * grad
         i = int(np.argmax(np.where(up, score, -np.inf)))
-        if score[i] - np.min(score[low]) <= tol:
+        kkt_gap = float(score[i] - np.min(score[low]))
+        if kkt_gap <= tol:
             break
         # Second-order choice of j among the multipliers that may move
         # down and violate together with i: maximal decrease b^2 / a.
@@ -388,7 +408,9 @@ def svm_train(
         # At a bound, y_t G_t is an upper or lower limit on rho by side.
         upper_side = (alphas >= c_reg) != positive
         rho = 0.5 * float(np.min(y_grad[upper_side]) + np.max(y_grad[~upper_side]))
-    return SvmModel(dual_coef=alphas, bias=-rho, labels=labels)
+    return SvmModel(
+        dual_coef=alphas, bias=-rho, labels=labels, iterations=iterations, kkt_gap=kkt_gap
+    )
 
 
 def svm_accuracy(model: SvmModel, gram_rows: np.ndarray, labels: np.ndarray) -> float:
@@ -416,10 +438,11 @@ def indirect_bias_classification(
     Takes the n_biased most male- and female-biased words of metric.table
     by original-space bias cos(w, male_anchor - female_anchor) (balanced
     halves, at most half the table each), trains an RBF SVM over the
-    metric's squared distance on the first n_train of them in an order
-    drawn with `seed`, tests it on the rest (at least 2 words), and
-    reports train/test accuracy.  Both anchors must be in the table's
-    vocabulary; there is no other source for the bias score.
+    metric's squared distance on the first n_train of them in the order
+    seeding.permutation(seed, "indirect-bias-split", ...) gives, tests it
+    on the rest (at least 2 words), and reports train/test accuracy.
+    Both anchors must be in the table's vocabulary; there is no other
+    source for the bias score.
 
     Returns a dict of n_train, n_test, train_accuracy, test_accuracy and
     svm_gamma; it does not name the metric's backend.
@@ -453,8 +476,7 @@ def indirect_bias_classification(
     idx = np.concatenate([male_idx, female_idx])
     labels = np.concatenate([np.ones(half), -np.ones(half)])
 
-    rng = rng_for(seed, "indirect-bias-split")
-    perm = rng.permutation(len(idx))
+    perm = seeding.permutation(seed, "indirect-bias-split", len(idx))
     idx, labels = idx[perm], labels[perm]
     n_train = min(n_train, len(idx) - 2)
     train_labels, test_labels = labels[:n_train], labels[n_train:]

@@ -1,10 +1,13 @@
 """Seeded 2-D toy dataset with a nonlinear mirrored-pair bias.
 
 Points sit on a noisy parabolic arc; every point is paired with its
-left-right mirror image.  Fitting the rbf bias model on these pairs
-and neutralizing the points with the readout pre-image x - beta(x) W
-removes most of the variance along the leading bias direction, which
-external plotting can visualize.
+left-right mirror image.  The points come from the seeding.uniform
+stream (seed, "toy-demo"): x is uniform in [0.25, 1), and the Gaussian
+noise on the arc and the jitter of each mirror image are drawn from
+further values of the stream by the Box-Muller transform.  Fitting the
+rbf bias model on these pairs and neutralizing the points with the
+readout pre-image x - beta(x) W removes most of the variance along the
+leading bias direction, which external plotting can visualize.
 """
 
 from __future__ import annotations
@@ -13,13 +16,13 @@ import math
 
 import numpy as np
 
+from . import seeding
 from .embeddings import EmbeddingTable
 from .errors import FormatError
 from .kernels import _BLOCK_ELEMENTS, KernelSpec
 from .linear import DefiningSets
 from .preimage import preimage_neutralize_matrix
 from .rkhs import beta_matrix, fit_kernel_model
-from .seeding import rng_for
 
 CSV_HEADER = "x,y,x_ntr,y_ntr"
 
@@ -35,10 +38,14 @@ def generate_toy_points(seed: int, n_points: int) -> np.ndarray:
     if not 10 <= n_points <= MAX_POINTS:
         raise FormatError(f"toy demo needs 10 to {MAX_POINTS} points, got {n_points}")
     n_pairs = n_points // 2
-    rng = rng_for(seed, "toy-demo")
-    xs = rng.uniform(0.25, 1.0, size=n_pairs)
-    ys = xs**2 + rng.normal(0.0, 0.03, size=n_pairs)
-    jitter = rng.normal(0.0, 0.01, size=(n_pairs, 2))
+    u = seeding.uniform(seed, "toy-demo", 5 * n_pairs).reshape(5, n_pairs)
+    xs = 0.25 + 0.75 * u[0]
+    # Box-Muller: a radius and an angle give two independent standard
+    # normals, r cos(angle) and r sin(angle).
+    radius = np.sqrt(-2.0 * np.log1p(-u[1:3]))
+    angle = 2.0 * np.pi * u[3:5]
+    ys = xs**2 + 0.03 * radius[0] * np.cos(angle[0])
+    jitter = 0.01 * radius[1, :, None] * np.column_stack([np.cos(angle[1]), np.sin(angle[1])])
     points = np.empty((2 * n_pairs, 2))
     points[0::2] = np.column_stack([xs, ys])
     points[1::2] = np.column_stack([-xs, ys]) + jitter

@@ -314,17 +314,28 @@ def test_weat_seed_flag_overrides_config_seed(planted_files, tmp_path):
     assert results[1, 2]["p_value"] != results[1, None]["p_value"]
 
 
-def test_exact_weat_leaves_numpy_random_unloaded(planted_files, tmp_path):
-    # 16 + 16 targets, the most the exact p-value takes: no draw, so the
-    # stage never imports numpy.random.
+@pytest.mark.parametrize("stage", ["classify", "demo-toy", "weat-exact", "weat-monte-carlo"])
+def test_stage_leaves_numpy_random_unloaded(planted_files, tmp_path, stage):
+    # Every draw comes from kerndebias.seeding, which is integer numpy, so
+    # no stage imports numpy.random: not the seeded classifier split, the
+    # toy points or the Monte Carlo WEAT (17 + 17 targets), nor the exact
+    # WEAT (16 + 16, the most it takes), which draws nothing.
     paths = planted_files
-    config = json.loads(paths["weat"].read_text())
-    paths["weat"].write_text(json.dumps(
-        {**config, "X": [f"n{i}" for i in range(16)], "Y": [f"n{i}" for i in range(16, 32)]}
-    ))
-    out = tmp_path / "weat"
-    argv = ["eval", "weat", "--embeddings", str(paths["embeddings"]),
-            "--config", str(paths["weat"]), "--out", str(out)]
+    out = tmp_path / "out"
+    if stage == "classify":
+        argv = ["eval", "classify", "--embeddings", str(paths["embeddings"]),
+                "--n-biased", "40", "--n-train", "20", "--out", str(out)]
+    elif stage == "demo-toy":
+        argv = ["demo-toy", "--n-points", "20", "--out", str(out)]
+    else:
+        half = 16 if stage == "weat-exact" else 17
+        config = json.loads(paths["weat"].read_text())
+        paths["weat"].write_text(json.dumps({
+            **config, "X": [f"n{i}" for i in range(half)],
+            "Y": [f"n{i}" for i in range(half, 2 * half)], "permutations": 2000,
+        }))
+        argv = ["eval", "weat", "--embeddings", str(paths["embeddings"]),
+                "--config", str(paths["weat"]), "--out", str(out)]
     code = textwrap.dedent(f"""
         import sys
         import numpy
@@ -340,7 +351,9 @@ def test_exact_weat_leaves_numpy_random_unloaded(planted_files, tmp_path):
         timeout=60, env={**os.environ, "PYTHONPATH": package_root},
     ).stdout.split()
     assert exit_code == "0"
-    assert json.loads(out.with_suffix(".json").read_text())["exhaustive"]
+    if stage.startswith("weat"):
+        exhaustive = json.loads(out.with_suffix(".json").read_text())["exhaustive"]
+        assert exhaustive == (stage == "weat-exact")
     if eager == "True":
         pytest.skip("this numpy imports numpy.random with numpy itself")
     assert loaded == "False"

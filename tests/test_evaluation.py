@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from kerndebias import (
     fit_kernel_model,
     fit_linear_subspace,
 )
-from kerndebias import evaluation, rkhs
+from kerndebias import evaluation, rkhs, seeding
 from kerndebias.evaluation import (
     WeatConfig,
     SvmModel,
@@ -26,7 +27,6 @@ from kerndebias.evaluation import (
     weat_test,
 )
 from kerndebias.kernels import difference_distances
-from kerndebias.seeding import rng_for
 from conftest import RNG_SEED, planted_bias_table, random_instance
 from oracles import (
     corrected, cosine_row, four_term_distances, primal_neutralize, weat_brute_force_p,
@@ -366,10 +366,10 @@ class TestWeatTest:
             assert result.p_value >= 1 / math.comb(2 * nx, nx)
 
     def test_exact_path_draws_no_random_numbers(self, rng, monkeypatch):
-        def never(*args):
+        def never(*args, **kwargs):
             raise AssertionError("the exact path must not draw")
 
-        monkeypatch.setattr(evaluation, "rng_for", never)
+        monkeypatch.setattr(seeding, "uniform", never)
         stub, cfg = make_weat_stub(rng.normal(size=16), rng.normal(size=16))
         result = weat_test(stub, cfg)
         assert result.exhaustive
@@ -409,6 +409,18 @@ class TestWeatTest:
         first = weat_test(stub, cfg)
         second = weat_test(stub, cfg)
         assert first.p_value == second.p_value
+
+    def test_monte_carlo_p_value_independent_of_block_size(self, rng, monkeypatch):
+        # 17 + 17 targets take the Monte Carlo path; split r reads keys
+        # r * 34 .. r * 34 + 33 of the stream whatever the block size.
+        stub, cfg = make_weat_stub(rng.normal(loc=0.2, size=17), rng.normal(size=17))
+        cfg = dataclasses.replace(cfg, permutations=2003)
+        whole = weat_test(stub, cfg)
+        monkeypatch.setattr(evaluation, "_MC_BLOCK", 7)
+        blocked = weat_test(stub, cfg)
+        assert not whole.exhaustive
+        assert 0.0 < whole.p_value < 1.0
+        assert blocked.p_value == whole.p_value
 
     def test_affine_invariance_of_effect_size(self, rng):
         x_scores = rng.normal(size=4)
@@ -589,6 +601,24 @@ class TestSvm:
             else:
                 assert abs(ye) <= 10 * tol
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6])
+    def test_reports_iterations_and_kkt_gap(self, rng, tol):
+        vectors, labels = blob_data(rng)
+        for c_reg, gram in ((10.0, rbf_gram(0.5, vectors, vectors)),
+                            (2.0, vectors @ vectors.T)):
+            model = svm_train(gram, labels, c_reg=c_reg, tol=tol)
+            assert 0 < model.iterations <= evaluation._SMO_MAX_ITER
+            assert model.kkt_gap <= tol
+            # The reported gap is the largest KKT violation of the
+            # returned multipliers.
+            alphas = model.dual_coef
+            score = -labels * (labels * (gram @ (alphas * labels)) - 1.0)
+            positive = labels > 0
+            up = np.where(positive, alphas < c_reg, alphas > 0)
+            low = np.where(positive, alphas > 0, alphas < c_reg)
+            gap = score[up].max() - score[low].min()
+            assert model.kkt_gap == pytest.approx(gap, abs=1e-9)
+
     def test_far_support_vector_predicts_own_class(self, rng):
         vectors, labels = blob_data(rng)
         model = svm_train(rbf_gram(0.5, vectors, vectors), labels, c_reg=10.0)
@@ -696,13 +726,26 @@ class TestIndirectBiasProtocol:
         order = np.argsort(-original_bias_scores(table, table.words, "m0", "f0"), kind="stable")
         idx = np.concatenate([order[:20], order[-20:]])
         labels = np.concatenate([np.ones(20), -np.ones(20)])
-        perm = rng_for(11, "indirect-bias-split").permutation(40)
+        perm = seeding.permutation(11, "indirect-bias-split", 40)
         x, labels = table.matrix[idx[perm]], labels[perm]
         gram = np.exp(-2.0 * four_term_distances(model, x, x[:24]))
         svm = svm_train(gram[:24], labels[:24], c_reg=10.0)
         assert result["train_accuracy"] == svm_accuracy(svm, gram[:24], labels[:24])
         assert result["test_accuracy"] == svm_accuracy(svm, gram[24:], labels[24:])
         assert (result["n_train"], result["n_test"]) == (24, 16)
+
+    def test_bias_scores_of_every_word_read_the_matrix_as_is(self, rng, monkeypatch):
+        table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
+        gathered = original_bias_scores(table, list(table.words), "m0", "f0")
+        looked_up = []
+        row_index = EmbeddingTable.row_index
+        monkeypatch.setattr(
+            EmbeddingTable, "row_index",
+            lambda self, word: looked_up.append(word) or row_index(self, word),
+        )
+        direct = original_bias_scores(table, table.words, "m0", "f0")
+        assert looked_up == ["m0", "f0"]
+        assert np.array_equal(direct, gathered)
 
     def test_deterministic_given_seed(self, rng):
         table, _, _ = planted_bias_table(rng, n_pairs=6, n_neutral=40, dim=5)
