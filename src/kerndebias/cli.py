@@ -56,7 +56,7 @@ from .embeddings import (
     unit_normalize,
 )
 from .errors import DataError, FormatError, NumericalError
-from .kernels import _PARAMETER_FAMILIES, FAMILIES, KernelSpec, default_gamma
+from .kernels import FAMILIES, PARAMETERS, KernelSpec
 from .rkhs import CorrectedMetric, check_dimension, fit_kernel_model, pair_similarities
 
 EXIT_OK = 0
@@ -81,8 +81,8 @@ def _read_embeddings(path: str, normalize: bool) -> EmbeddingTable:
 
 def _kernel_spec_from_args(args: argparse.Namespace, dim: int) -> KernelSpec:
     """The --kernel spec; --gamma, --coef0 and --degree fill in a family
-    name's parameters (defaults 1/dim, 1.0 and 2), and any of them given
-    where the family or a JSON spec takes none is a FormatError."""
+    name's parameters (kernels.PARAMETERS gives their defaults), and any of
+    them given where the family or a JSON spec takes none is a FormatError."""
     text = args.kernel
     if text is None:
         raise FormatError("kernel backend requires --kernel (family name or JSON)")
@@ -92,12 +92,12 @@ def _kernel_spec_from_args(args: argparse.Namespace, dim: int) -> KernelSpec:
         raise FormatError(f"unknown kernel family {family!r}; known: {', '.join(FAMILIES)}")
     if family == "convex_combination":
         raise FormatError("convex_combination must be given as JSON")
-    defaults = {"gamma": default_gamma(dim), "coef0": 1.0, "degree": 2}
+    reads = () if is_json else FAMILIES[family].parameters
     kwargs: dict = {}
-    for name, families in _PARAMETER_FAMILIES.items():
+    for name, parameter in PARAMETERS.items():
         value = getattr(args, name)
-        if family in families:
-            kwargs[name] = defaults[name] if value is None else value
+        if name in reads:
+            kwargs[name] = parameter.default(dim) if value is None else value
         elif value is not None:
             where = "a JSON --kernel spec" if is_json else f"the {family} kernel"
             raise FormatError(f"--{name} does not apply to {where}")
@@ -200,7 +200,7 @@ def _write_results(out: str, payload: dict) -> None:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.backend == "linear":
-        for flag in ("kernel", "gamma", "coef0", "degree"):
+        for flag in ("kernel", *PARAMETERS):
             if getattr(args, flag) is not None:
                 raise FormatError(f"--{flag} needs --backend kernel")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
@@ -370,12 +370,10 @@ def _fit_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
     p.add_argument("--sets", required=True, help="defining/equality sets JSON")
     p.add_argument("--backend", choices=("linear", "kernel"), default="linear")
     p.add_argument("--kernel", help="kernel family name or KernelSpec JSON")
-    p.add_argument(
-        "--gamma", type=float,
-        help="kernel width for rbf, laplace, polynomial and sigmoid (default 1/dim)",
-    )
-    p.add_argument("--coef0", type=float, help="offset for polynomial and sigmoid (default 1.0)")
-    p.add_argument("--degree", type=int, help="polynomial degree (default 2)")
+    for name, parameter in PARAMETERS.items():  # typed as its default is
+        families = "/".join(f for f, family in FAMILIES.items() if name in family.parameters)
+        p.add_argument(f"--{name}", type=type(parameter.default(1)),
+                       help=f"{families} kernel {parameter.help}")
     p.add_argument("--components", type=int, default=1, help="bias directions K")
     p.add_argument("--out", required=True, help="model JSON output, - for stdout")
     p.set_defaults(func=cmd_fit)
@@ -449,7 +447,10 @@ def _classify_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None
     _benchmark_arguments(p, _classify, seed="fixed")
     p.add_argument("--n-biased", type=int, default=5000)
     p.add_argument("--n-train", type=int, default=1000)
-    p.add_argument("--svm-gamma", type=float)
+    p.add_argument(
+        "--svm-gamma", type=float, help="SVM rbf width (default 1 / the median corrected "
+        "squared distance between two training words)",
+    )
     p.add_argument("--c-reg", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-3)
 

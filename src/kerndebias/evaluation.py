@@ -16,7 +16,8 @@ and the indirect-bias protocol read the table from metric.table.  The
 SVM (svm_train) takes a precomputed kernel matrix: the indirect-bias
 protocol makes one query, metric.squared_distance_matrix(drawn words,
 training words), and trains and scores on the one corrected rbf Gram
-exp(-gamma d^2) it gives.
+exp(-gamma d^2) it gives; by default gamma is 1 / the median of its
+off-diagonal training distances.
 
 With no model the metric is raw cosine (the linear kernel, no bias
 coordinates), with a linear-kernel model linear neutralization
@@ -442,27 +443,29 @@ def indirect_bias_classification(
     seeding.permutation(seed, "indirect-bias-split", ...) gives, tests it
     on the rest (at least 2 words), and reports train/test accuracy.
     Both anchors must be in the table's vocabulary; there is no other
-    source for the bias score.
+    source for the bias score.  The SVM's width svm_gamma defaults to 1 /
+    the median corrected squared distance between two training words,
+    the scale the metric itself gives its distances.
 
     Returns a dict of n_train, n_test, train_accuracy, test_accuracy and
-    svm_gamma; it does not name the metric's backend.
+    svm_gamma (the width used); it does not name the metric's backend.
 
     Raises:
         FormatError: if n_biased is below 4 (2 training and 2 test words)
             or n_train below 1, or svm_gamma, c_reg or tol is not finite
             and positive.
         DataError: if an anchor word is not in the vocabulary, the table
-            has fewer than 4 words, or the training words drawn hold only
-            one class.
+            has fewer than 4 words, the training words drawn hold only
+            one class, or, with no svm_gamma, their median distance is 0
+            or not finite.
         NumericalError: if the SVM solver does not converge.
     """
     for name, count, least in (("n_biased", n_biased, 4), ("n_train", n_train, 1)):
         if count < least:
             raise FormatError(f"{name} must be at least {least}, got {count}")
+    if svm_gamma is not None and not (math.isfinite(svm_gamma) and svm_gamma > 0):
+        raise FormatError(f"svm_gamma must be finite and positive, got {svm_gamma}")
     table = metric.table
-    gamma = svm_gamma if svm_gamma is not None else 1.0 / table.dim
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise FormatError(f"svm_gamma must be finite and positive, got {gamma}")
     bias = original_bias_scores(table, table.words, male_anchor, female_anchor)
     order = np.argsort(-bias, kind="stable")
     half = min(n_biased // 2, len(table) // 2)
@@ -488,14 +491,23 @@ def indirect_bias_classification(
 
     # One corrected Gram: every drawn word against the training words.
     drawn = [table.words[i] for i in idx]
-    gram = np.exp(-gamma * metric.squared_distance_matrix(drawn, drawn[:n_train]))
+    dist = metric.squared_distance_matrix(drawn, drawn[:n_train])
+    if svm_gamma is None:  # np.median would load numpy.ma (see numerics)
+        off = dist[:n_train][~np.eye(n_train, dtype=bool)]
+        middle = [(off.size - 1) // 2, off.size // 2]
+        median = float(np.sum(np.partition(off, middle)[middle] / 2))
+        svm_gamma = 1.0 / median if median > 0 else math.nan
+        if not 0 < svm_gamma < math.inf:
+            raise DataError(f"no default svm_gamma: median training distance {median}")
+    with np.errstate(over="ignore"):  # a huge width saturates to exp(-inf) = 0
+        gram = np.exp(-svm_gamma * dist)
     model = svm_train(gram[:n_train], train_labels, c_reg=c_reg, tol=tol)
     return {
         "n_train": int(n_train),
         "n_test": int(len(test_labels)),
         "train_accuracy": svm_accuracy(model, gram[:n_train], train_labels),
         "test_accuracy": svm_accuracy(model, gram[n_train:], test_labels),
-        "svm_gamma": float(gamma),
+        "svm_gamma": float(svm_gamma),
     }
 
 

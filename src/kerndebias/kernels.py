@@ -5,38 +5,32 @@ and convex combinations thereof.  The sigmoid kernel is admitted even
 though it is not positive semi-definite in general; downstream fitting
 discards its negative eigenvalues.
 
+One registry, FAMILIES, holds each family in the order above: the scalar
+PARAMETERS it reads (in spec-file order), its Gram block k(x_i, y_j) and
+its diagonal k(x_i, x_i); a new family supplies these three.  PARAMETERS
+holds each scalar's check, what a family that reads it requires, and its
+command-line default (gamma 1/dim, coef0 1.0, degree 2).  KernelSpec and
+the command line's --gamma, --coef0 and --degree read both.
+
 Gram matrices are filled block by block over rows and columns, so every
 temporary -- an output block, or laplace's (rows, cols, d) difference
 tensor -- stays under a fixed element budget whatever the input size.
 rbf distances come from one matrix product per block,
 ||x||^2 + ||y||^2 - 2 x y^T; entries where that form cancels are
 recomputed from direct differences, so identical rows are exactly 0 apart.
+Overflow is not warned of: rbf and laplace saturate to 0, sigmoid to +-1,
+and a polynomial to inf, which the fit's eigensolver rejects.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DataError, FormatError, checked_finite, checked_integer
-
-FAMILIES = (
-    "linear",
-    "cosine",
-    "rbf",
-    "sigmoid",
-    "polynomial",
-    "laplace",
-    "convex_combination",
-)
-
-_NEEDS_GAMMA = {"rbf", "sigmoid", "polynomial", "laplace"}
-_NEEDS_COEF0 = {"sigmoid", "polynomial"}
-# The families that read each scalar parameter; any other family rejects it.
-_PARAMETER_FAMILIES = {"gamma": _NEEDS_GAMMA, "coef0": _NEEDS_COEF0, "degree": {"polynomial"}}
-_SPEC_KEYS = {"family", "components", *_PARAMETER_FAMILIES}
 
 # Element budget of one block (16 MiB of float64): a block's output
 # entries times the work array each entry needs (1 for a matrix-product
@@ -50,12 +44,33 @@ _BLOCK_ELEMENTS = 1 << 21
 _CANCELLATION_RTOL = 1e-8
 
 
+class Parameter(NamedTuple):
+    """A PARAMETERS entry: check(value, name) of a given value; what a
+    family that reads it requires, in words and as the test holds(value);
+    and its command-line default(dim) and help."""
+
+    check: Callable[[object, str], float]
+    requires: str
+    holds: Callable[[float], bool]
+    default: Callable[[int], float]
+    help: str
+
+
+class Family(NamedTuple):
+    """A FAMILIES entry: the PARAMETERS the family reads, in spec-file
+    order, and its Gram block(spec, x, y) and diagonal diag(spec, x)."""
+
+    parameters: tuple[str, ...]
+    block: Callable
+    diag: Callable
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Declarative description of a kernel function.
 
-    gamma is required for rbf/sigmoid/polynomial/laplace, coef0 for
-    sigmoid/polynomial, degree for polynomial.  convex_combination takes
+    A family reads, and requires, the PARAMETERS its FAMILIES entry
+    lists: gamma > 0, any coef0, degree >= 1.  convex_combination takes
     (weight, KernelSpec) components with nonnegative weights summing to 1.
     gamma, coef0 and the weights must be finite numbers and degree an
     integer; a bool, a string or a float degree raises FormatError, as
@@ -72,22 +87,18 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise FormatError(f"unknown kernel family {self.family!r}")
-        for name, check in (("gamma", checked_finite), ("coef0", checked_finite),
-                            ("degree", checked_integer)):
+        reads = FAMILIES[self.family].parameters
+        for name, parameter in PARAMETERS.items():
             if getattr(self, name) is not None:
-                if self.family not in _PARAMETER_FAMILIES[name]:
+                if name not in reads:
                     raise FormatError(f"the {self.family} kernel takes no {name}")
-                object.__setattr__(self, name, check(getattr(self, name), name))
+                object.__setattr__(self, name, parameter.check(getattr(self, name), name))
         if self.components and self.family != "convex_combination":
             raise FormatError(f"the {self.family} kernel takes no components")
-        if self.family in _NEEDS_GAMMA:
-            if self.gamma is None or not self.gamma > 0:
-                raise FormatError(f"{self.family} kernel requires gamma > 0")
-        if self.family in _NEEDS_COEF0 and self.coef0 is None:
-            raise FormatError(f"{self.family} kernel requires coef0")
-        if self.family == "polynomial":
-            if self.degree is None or self.degree < 1:
-                raise FormatError("polynomial kernel requires degree >= 1")
+        for name in reads:
+            value = getattr(self, name)
+            if value is None or not PARAMETERS[name].holds(value):
+                raise FormatError(f"{self.family} kernel requires {PARAMETERS[name].requires}")
         if self.family == "convex_combination":
             if not self.components:
                 raise FormatError("convex_combination requires components")
@@ -108,14 +119,8 @@ class KernelSpec:
                     {"weight": w, "spec": s.to_dict()} for w, s in self.components
                 ],
             }
-        out: dict = {"family": self.family}
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        if self.coef0 is not None:
-            out["coef0"] = self.coef0
-        if self.degree is not None:
-            out["degree"] = self.degree
-        return out
+        parameters = FAMILIES[self.family].parameters
+        return {"family": self.family, **{name: getattr(self, name) for name in parameters}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelSpec":
@@ -124,7 +129,7 @@ class KernelSpec:
         degree is rejected)."""
         if not isinstance(data, dict) or "family" not in data:
             raise FormatError("kernel spec must be an object with a 'family' key")
-        unknown = sorted(set(data) - _SPEC_KEYS)
+        unknown = sorted(set(data) - {"family", "components", *PARAMETERS})
         if unknown:
             raise FormatError(f"unknown kernel spec key(s): {', '.join(map(repr, unknown))}")
         try:
@@ -132,11 +137,7 @@ class KernelSpec:
                 (c["weight"], cls.from_dict(c["spec"])) for c in data.get("components", [])
             )
             return cls(
-                family=data["family"],
-                gamma=data.get("gamma"),
-                coef0=data.get("coef0"),
-                degree=data.get("degree"),
-                components=comps,
+                data["family"], components=comps, **{name: data.get(name) for name in PARAMETERS}
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed kernel spec: {exc!r}") from None
@@ -155,6 +156,16 @@ def default_gamma(dim: int) -> float:
     if dim < 1:
         raise DataError("dimension must be positive")
     return 1.0 / dim
+
+
+PARAMETERS = {
+    "gamma": Parameter(checked_finite, "gamma > 0", lambda v: v > 0, default_gamma,
+                       "width (default 1/dim)"),
+    "coef0": Parameter(checked_finite, "coef0", lambda v: True, lambda dim: 1.0,
+                       "offset (default 1.0)"),
+    "degree": Parameter(checked_integer, "degree >= 1", lambda v: v >= 1, lambda dim: 2,
+                        "degree (default 2)"),
+}
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -215,34 +226,42 @@ def _rbf_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(dist, 0.0, out=dist)
 
 
-def _dot_kernel(spec: KernelSpec, dots: np.ndarray) -> np.ndarray:
-    """A linear, sigmoid or polynomial kernel's values from x . y."""
-    if spec.family == "sigmoid":
-        return np.tanh(spec.gamma * dots + spec.coef0)
-    if spec.family == "polynomial":
-        return (spec.gamma * dots + spec.coef0) ** spec.degree
-    return dots
-
-
-def _cosine_norms(x: np.ndarray) -> np.ndarray:
-    """Row norms of x; DataError on a zero row, where cosine is undefined."""
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """x's rows over their norms; DataError on a zero row, where cosine is undefined."""
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         raise DataError("cosine kernel is undefined for a zero vector")
-    return norms
+    return x / norms[:, None]
 
 
-def _gram_block(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if spec.family in ("linear", "sigmoid", "polynomial"):
-        return _dot_kernel(spec, x @ y.T)
-    if spec.family == "cosine":
-        g = (x / _cosine_norms(x)[:, None]) @ (y / _cosine_norms(y)[:, None]).T
-        return np.clip(g, -1.0, 1.0)
-    if spec.family == "rbf":
-        return np.exp(-spec.gamma * _rbf_distances(x, y))
-    if spec.family == "laplace":
-        return np.exp(-spec.gamma * difference_distances(x, y, squared=False))
-    return sum(weight * _gram_block(sub, x, y) for weight, sub in spec.components)
+def _dot_family(parameters: tuple[str, ...], value: Callable) -> Family:
+    """A family whose kernel is value(spec, x . y)."""
+    return Family(parameters, lambda spec, x, y: value(spec, x @ y.T),
+                  lambda spec, x: value(spec, np.sum(x * x, axis=1)))
+
+
+def _exp_family(distances: Callable) -> Family:
+    """A family exp(-gamma distances(x, y)), 1 on its diagonal."""
+    return Family(("gamma",), lambda spec, x, y: np.exp(-spec.gamma * distances(x, y)),
+                  lambda spec, x: np.ones(x.shape[0]))
+
+
+FAMILIES = {
+    "linear": _dot_family((), lambda spec, dots: dots),
+    "cosine": Family((), lambda spec, x, y: np.clip(_unit_rows(x) @ _unit_rows(y).T, -1.0, 1.0),
+                     lambda spec, x: np.ones(len(_unit_rows(x)))),
+    "rbf": _exp_family(_rbf_distances),
+    "sigmoid": _dot_family(("gamma", "coef0"),
+                           lambda spec, dots: np.tanh(spec.gamma * dots + spec.coef0)),
+    "polynomial": _dot_family(("gamma", "coef0", "degree"),
+                              lambda spec, dots: (spec.gamma * dots + spec.coef0) ** spec.degree),
+    "laplace": _exp_family(lambda x, y: difference_distances(x, y, squared=False)),
+    "convex_combination": Family(
+        (),
+        lambda spec, x, y: sum(w * FAMILIES[s.family].block(s, x, y) for w, s in spec.components),
+        lambda spec, x: sum(w * FAMILIES[s.family].diag(s, x) for w, s in spec.components),
+    ),
+}
 
 
 def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -254,18 +273,13 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}"
         )
     out = np.empty((x.shape[0], y.shape[0]))
-    for rows, cols in _blocks(x.shape[0], y.shape[0], 1):
-        out[rows, cols] = _gram_block(spec, x[rows], y[cols])
+    with np.errstate(over="ignore"):
+        for rows, cols in _blocks(x.shape[0], y.shape[0], 1):
+            out[rows, cols] = FAMILIES[spec.family].block(spec, x[rows], y[cols])
     return out
 
 
 def kernel_diag(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     """k(x_i, x_i) for every row, without forming the full Gram."""
-    x = _as_matrix(x)
-    if spec.family in ("linear", "sigmoid", "polynomial"):
-        return _dot_kernel(spec, np.sum(x * x, axis=1))
-    if spec.family == "convex_combination":
-        return sum(weight * kernel_diag(sub, x) for weight, sub in spec.components)
-    if spec.family == "cosine":
-        _cosine_norms(x)
-    return np.ones(x.shape[0])
+    with np.errstate(over="ignore"):
+        return FAMILIES[spec.family].diag(spec, _as_matrix(x))

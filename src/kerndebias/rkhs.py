@@ -195,7 +195,9 @@ def fit_kernel_model(
         raise DataError("gram_scale must be positive")
     pairs_a = table.matrix[[a for a, _ in sets.pairs]]
     pairs_b = table.matrix[[b for _, b in sets.pairs]]
-    gram = gram_scale * build_centered_gram(spec, pairs_a, pairs_b)
+    # An overflowed kernel's inf - inf gives NaN, which symmetric_eig rejects.
+    with np.errstate(invalid="ignore"):
+        gram = gram_scale * build_centered_gram(spec, pairs_a, pairs_b)
     eig = symmetric_eig(gram)
 
     top = float(eig.eigenvalues[0]) if eig.eigenvalues.size else 0.0

@@ -22,7 +22,7 @@ from kerndebias import (
     write_embedding_text,
 )
 import kerndebias
-from kerndebias import cli, toydemo
+from kerndebias import cli, configio, toydemo
 from kerndebias.cli import main
 from kerndebias.configio import model_from_dict
 from conftest import planted_bias_table, random_instance
@@ -494,6 +494,56 @@ def test_fit_kernel_flags_fill_the_family_parameters(planted_files, flags, spec)
         "--backend", "kernel", "--kernel", "polynomial", *flags, "--out", str(paths["model"]),
     ]) == 0
     assert json.loads(paths["model"].read_text())["kernel"] == spec
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["fit", "--backend", "kernel", "--kernel", "rbf", "--gamma", "1e308"], 0),
+        (["fit", "--backend", "kernel", "--kernel", "laplace", "--gamma", "1e308"], 0),
+        (["fit", "--backend", "kernel", "--kernel", "polynomial", "--gamma", "1e200",
+          "--degree", "3"], 4),
+        (["fit", "--backend", "kernel", "--kernel", "sigmoid", "--gamma", "1e308",
+          "--coef0", "1e308"], 3),
+        (["eval", "classify", "--n-biased", "30", "--n-train", "16", "--svm-gamma", "1e308"], 0),
+    ],
+    ids=["rbf", "laplace", "polynomial", "sigmoid", "classify"],
+)
+def test_extreme_kernel_parameters_exit_with_their_codes(planted_files, argv, code):
+    # rbf and laplace saturate to 0 and sigmoid to +-1; a polynomial that
+    # overflows reaches the eigensolver's non-finite check (4), and the
+    # saturated sigmoid leaves a rank-0 centered Gram (3).  An overflow
+    # warning, made an error here as CI runs fit, is never given.
+    paths = planted_files
+    sets = ["--sets", str(paths["sets"])] if argv[0] == "fit" else []
+    proc = _python(
+        "-W", "error::RuntimeWarning", "-m", "kerndebias.cli", *argv,
+        "--embeddings", str(paths["embeddings"]), *sets, "--out", str(paths["model"]),
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == code, err
+    assert "Traceback" not in err and "Warning" not in err
+    assert (code == 0) == (err == "")
+
+
+def test_word_list_json_array_equals_the_text_form(tmp_path):
+    words = ["nurse", "café", "engineer"]
+    text = tmp_path / "words.txt"
+    text.write_text("# professions\n" + "\n".join(words) + "\n\n", encoding="utf-8")
+    array = tmp_path / "words.json"
+    array.write_text(json.dumps(words), encoding="utf-8")
+    assert configio.load_word_list(array) == configio.load_word_list(text) == words
+
+
+def test_word_list_json_array_of_a_non_string_exits_2(planted_files, capsys):
+    paths = planted_files
+    paths["male"].write_text(json.dumps(["m1", 2, "m3"]))
+    assert main([
+        "eval", "professions", "--embeddings", str(paths["embeddings"]),
+        "--professions", str(paths["professions"]), "--male", str(paths["male"]),
+        "--female", str(paths["female"]),
+    ]) == 2
+    assert "expected an array of strings" in capsys.readouterr().err
 
 
 def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):

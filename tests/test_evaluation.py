@@ -7,12 +7,14 @@ import pytest
 from kerndebias import (
     CorrectedMetric,
     DataError,
+    DefiningSets,
     EmbeddingTable,
     FormatError,
     KernelSpec,
     NumericalError,
     fit_kernel_model,
     fit_linear_subspace,
+    unit_normalize,
 )
 from kerndebias import evaluation, rkhs, seeding
 from kerndebias.evaluation import (
@@ -53,6 +55,27 @@ class StubBackend:
         if a == b:
             return 1.0
         return self.rows[a].get(b, self.rows[b].get(a, np.nan))
+
+
+def signed_offset_table(rng, dim: int = 100, n_pairs: int = 10, n_words: int = 300):
+    """Unit rows z + b u over unit z orthogonal to u = e_0, and defining pairs.
+
+    The pairs (he/she first) share z and sit at b = +-0.5; every other
+    word has b ~ N(0, 0.2), so the most biased words split by the sign of b.
+    """
+    words, rows = [], []
+    for i in range(n_pairs + n_words):
+        z = rng.normal(size=dim)
+        z[0] = 0.0
+        z /= np.linalg.norm(z)
+        if i < n_pairs:
+            words += ["he", "she"] if i == 0 else [f"m{i}", f"f{i}"]
+            rows += [z + 0.5 * np.eye(dim)[0], z - 0.5 * np.eye(dim)[0]]
+        else:
+            words.append(f"w{i}")
+            rows.append(z + rng.normal(0.0, 0.2) * np.eye(dim)[0])
+    table = unit_normalize(EmbeddingTable(tuple(words), np.array(rows)))
+    return table, DefiningSets(tuple((2 * i, 2 * i + 1) for i in range(n_pairs)))
 
 
 def gram_metric(cosines: np.ndarray, words: list[str]) -> CorrectedMetric:
@@ -796,6 +819,48 @@ class TestIndirectBiasProtocol:
                 CorrectedMetric(table),
                 n_biased=30, n_train=20,
             )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_width_recovers_the_planted_side_until_corrected(self, seed):
+        # Unit words z + b u, z orthogonal to u: the sign of b is the
+        # class.  At a width of 1/dim the rbf Gram of these words is
+        # nearly all ones, and the SVM predicts one class.
+        table, sets = signed_offset_table(np.random.default_rng(seed))
+        protocol = dict(n_biased=200, n_train=80, seed=seed)
+        raw = indirect_bias_classification(CorrectedMetric(table), **protocol)
+        assert raw["test_accuracy"] >= 0.8
+        for spec in (KernelSpec("linear"), KernelSpec("rbf", gamma=0.01)):
+            model = fit_kernel_model(spec, table, sets, k=1)
+            result = indirect_bias_classification(CorrectedMetric(table, model), **protocol)
+            assert abs(result["test_accuracy"] - 0.5) <= 0.15, spec.family
+
+    def test_default_width_is_one_over_the_median_training_distance(self):
+        table, sets = signed_offset_table(np.random.default_rng(3))
+        model = fit_kernel_model(KernelSpec("rbf", gamma=0.01), table, sets, k=1)
+        metric = CorrectedMetric(table, model)
+        result = indirect_bias_classification(metric, n_biased=40, n_train=15, seed=4)
+        # The training words, drawn as the protocol draws them.
+        order = np.argsort(-original_bias_scores(table, table.words), kind="stable")
+        idx = np.concatenate([order[:20], order[-20:]])
+        train = [table.words[i] for i in idx[seeding.permutation(4, "indirect-bias-split", 40)]]
+        dist = metric.squared_distance_matrix(train[:15], train[:15])
+        median = np.median(dist[~np.eye(15, dtype=bool)])
+        assert result["svm_gamma"] == pytest.approx(1.0 / median, rel=1e-12)
+        explicit = indirect_bias_classification(
+            metric, n_biased=40, n_train=15, seed=4, svm_gamma=result["svm_gamma"]
+        )
+        assert explicit == result
+
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+    def test_default_width_needs_a_positive_finite_median(self, value):
+        table, _ = signed_offset_table(np.random.default_rng(0))
+
+        class Constant(CorrectedMetric):
+            def squared_distance_matrix(self, rows, cols):
+                return np.full((len(rows), len(cols)), value)
+
+        with pytest.raises(DataError, match="no default svm_gamma"):
+            indirect_bias_classification(Constant(table), n_biased=40, n_train=15)
 
 
 class TestSimlex:
