@@ -16,6 +16,7 @@ component and keep unit norm.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,23 @@ from .numerics import fix_column_signs
 from .rkhs import _LINEAR_KERNEL, KernelBiasModel, fit_kernel_model
 
 
+def _check_disjoint(
+    groups: Iterable[Sequence[int]], kind: str, name: Callable[[int], str]
+) -> None:
+    """DataError on the first index that repeats, within one group or
+    across two; name(i) names it in the message."""
+    seen: set[int] = set()
+    for group in groups:
+        own: set[int] = set()
+        for i in group:
+            if i in own:
+                raise DataError(f"{name(i)} appears twice in one {kind}")
+            if i in seen:
+                raise DataError(f"{name(i)} appears in two {kind}s")
+            own.add(i)
+        seen |= own
+
+
 @dataclass(frozen=True)
 class DefiningSets:
     """Index pairs of counterpart words; each pair is one defining set."""
@@ -33,12 +51,7 @@ class DefiningSets:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for a, b in self.pairs:
-            for i in (a, b):
-                if i in seen:
-                    raise DataError(f"word index {i} appears in two defining pairs")
-                seen.add(i)
+        _check_disjoint(self.pairs, "defining pair", lambda i: f"word index {i}")
         object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
 
     def __len__(self) -> int:
@@ -58,14 +71,9 @@ class EqualitySets:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for members in self.sets:
-            if len(members) < 2:
-                raise DataError("equality sets need at least two members")
-            for i in members:
-                if i in seen:
-                    raise DataError(f"word index {i} appears in two equality sets")
-                seen.add(i)
+        if any(len(members) < 2 for members in self.sets):
+            raise DataError("equality sets need at least two members")
+        _check_disjoint(self.sets, "equality set", lambda i: f"word index {i}")
         object.__setattr__(
             self, "sets", tuple(tuple(int(i) for i in members) for members in self.sets)
         )
@@ -177,4 +185,10 @@ def resolve_word_sets(
             warnings.append(f"dropping equality set {group!r}: fewer than two present")
     if not pairs:
         raise DataError("no defining pairs remain after vocabulary filtering")
+
+    def word(i: int) -> str:
+        return f"word {table.words[i]!r}"
+
+    _check_disjoint(pairs, "defining pair", word)
+    _check_disjoint(resolved_eq, "equality set", word)
     return DefiningSets(tuple(pairs)), EqualitySets(tuple(resolved_eq)), warnings

@@ -334,8 +334,12 @@ class CorrectedMetric:
                     f"word {words[bad[0]]!r} is fully neutralized by the correction; "
                     "its cosine is undefined"
                 )
+        # Divided by each root in turn: the product of two self products
+        # can overflow where the cosine cannot.
         cross = self._cross(x, y, bx, by)
-        return np.clip(cross / np.sqrt(products[0][:, None] * products[1][None, :]), -1.0, 1.0)
+        cross /= np.sqrt(products[0])[:, None]
+        cross /= np.sqrt(products[1])[None, :]
+        return np.clip(cross, -1.0, 1.0, out=cross)
 
     def squared_distance_matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
         """Corrected squared distances of every row word from every column

@@ -460,12 +460,17 @@ def test_out_of_range_apply_value_exits_2(planted_files, tmp_path, capsys, argv,
         (["--backend", "kernel", "--kernel",
           '{"family": "polynomial", "gamma": 1, "coef0": 1, "degree": 2}', "--degree", "3"],
          "--degree does not apply to a JSON --kernel spec"),
+        (["--backend", "kernel"], "kernel backend requires --kernel"),
+        (["--backend", "kernel", "--kernel", "gaussian"], "unknown kernel family 'gaussian'"),
+        (["--backend", "kernel", "--kernel", "convex_combination"],
+         "convex_combination must be given as JSON"),
     ],
     ids=[
         "linear-components-zero", "linear-components-negative", "kernel-components-zero",
         "kernel-components-negative", "linear-kernel", "linear-gamma", "linear-kernel-gamma",
         "linear-degree", "linear-coef0", "rbf-degree", "rbf-coef0", "cosine-gamma",
-        "kernel-linear-degree", "json-gamma", "json-degree",
+        "kernel-linear-degree", "json-gamma", "json-degree", "kernel-without-kernel",
+        "unknown-family", "convex-by-name",
     ],
 )
 def test_out_of_range_fit_value_exits_2(planted_files, capsys, argv, message):
@@ -513,7 +518,7 @@ def test_extreme_kernel_parameters_exit_with_their_codes(planted_files, argv, co
     # rbf and laplace saturate to 0 and sigmoid to +-1; a polynomial that
     # overflows reaches the eigensolver's non-finite check (4), and the
     # saturated sigmoid leaves a rank-0 centered Gram (3).  An overflow
-    # warning, made an error here as CI runs fit, is never given.
+    # warning, made an error here, is never given.
     paths = planted_files
     sets = ["--sets", str(paths["sets"])] if argv[0] == "fit" else []
     proc = _python(
@@ -1307,17 +1312,71 @@ def test_demo_toy_takes_10_to_max_points(tmp_path, capsys, n_points):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("target", ["model", "weat"])
+@pytest.mark.parametrize("target", ["model", "weat", "male"])
 def test_file_that_is_not_json_exits_2(planted_files, capsys, target):
     paths = planted_files
-    paths[target].write_text("{not json")
+    # A word list is read as JSON only when it opens with "[".
+    paths[target].write_text("[not json" if target == "male" else "{not json")
     argv = ["--embeddings", str(paths["embeddings"])]
     if target == "model":
         argv = ["sim", *argv, "--model", str(paths["model"]), "he", "she"]
-    else:
+    elif target == "weat":
         argv = ["eval", "weat", *argv, "--config", str(paths["weat"])]
+    else:
+        argv = ["eval", "professions", *argv, "--professions", str(paths["professions"]),
+                "--male", str(paths["male"]), "--female", str(paths["female"])]
     assert main(argv) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stage, target, content, message",
+    [
+        ("fit", "sets", '[["he", "she"]]', "sets.json: expected a JSON object"),
+        ("fit", "sets", '{"equality_sets": []}', "sets.json: missing or empty 'defining_sets'"),
+        ("fit", "sets", '{"defining_sets": []}', "sets.json: missing or empty 'defining_sets'"),
+        ("fit", "sets", '{"defining_sets": [["he", "she", "n0"]]}',
+         "sets.json: 'defining_sets' must be word pairs, got ['he', 'she', 'n0']"),
+        ("fit", "sets", '{"defining_sets": [["he", "she"]], "equality_sets": {"n0": "n1"}}',
+         "sets.json: 'equality_sets' must be a list"),
+        ("fit", "sets", '{"defining_sets": [["he", "she"]], "equality_sets": [["n0", 1]]}',
+         "sets.json: equality sets must be word lists, got ['n0', 1]"),
+        ("weat", "weat", '{"X": ["n0"], "Y": ["n1"], "A": ["m1"]}',
+         "weat.json: missing or invalid word list 'B'"),
+        ("simlex", "simlex", "n0\tn1\t3.0\nn1\tn2\n",
+         "simlex.tsv:2: expected 3 tab-separated fields"),
+        ("simlex", "simlex", "word1\tword2\tscore\n", "simlex.tsv: no pairs found"),
+        ("apply", None, None, "--equalize requires --sets"),
+        ("sim", None, None, "sim expects an even number of words (pairs)"),
+    ],
+    ids=[
+        "sets-array", "sets-without-defining", "sets-empty-defining", "sets-not-pairs",
+        "equality-not-list", "equality-not-words", "weat-missing-list", "simlex-two-fields",
+        "simlex-no-pairs", "equalize-without-sets", "sim-odd-words",
+    ],
+)
+def test_malformed_input_exits_2(planted_files, tmp_path, capsys, stage, target, content,
+                                 message):
+    paths = planted_files
+    if stage == "apply":
+        _fit_linear(paths)
+    if target is not None:
+        paths[target].write_text(content)
+    out = str(tmp_path / "out")
+    emb = ["--embeddings", str(paths["embeddings"])]
+    argv = {
+        "fit": ["fit", *emb, "--sets", str(paths["sets"]), "--out", out],
+        "weat": ["eval", "weat", *emb, "--config", str(paths["weat"]), "--out", out],
+        "simlex": ["eval", "simlex", *emb, "--pairs", str(paths["simlex"]), "--out", out],
+        "apply": ["apply", *emb, "--model", str(paths["model"]), "--equalize", "--out", out],
+        "sim": ["sim", *emb, "--out", out, "he", "she", "n0"],
+    }[stage]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
+    assert not list(tmp_path.glob("out*"))  # out, or eval's out.json and out.csv
 
 
 def test_all_oov_defining_sets_exit_3(planted_files, capsys):
@@ -1328,6 +1387,30 @@ def test_all_oov_defining_sets_exit_3(planted_files, capsys):
         "--out", str(paths["model"]),
     ]) == 3
     assert "no defining pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ({"defining_sets": [["he", "he"]]}, "word 'he' appears twice in one defining pair"),
+        ({"defining_sets": [["he", "she"], ["m1", "he"]]},
+         "word 'he' appears in two defining pairs"),
+        ({"defining_sets": [["he", "she"]], "equality_sets": [["m1", "n0", "n0"]]},
+         "word 'n0' appears twice in one equality set"),
+        ({"defining_sets": [["he", "she"]], "equality_sets": [["m1", "n0"], ["n0", "f1"]]},
+         "word 'n0' appears in two equality sets"),
+    ],
+    ids=["twice-in-one-pair", "in-two-pairs", "twice-in-one-set", "in-two-sets"],
+)
+def test_repeated_word_in_sets_file_exits_3(planted_files, capsys, sets, message):
+    paths = planted_files
+    paths["sets"].write_text(json.dumps(sets))
+    assert main([
+        "fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+        "--out", str(paths["model"]),
+    ]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not paths["model"].exists()
 
 
 @pytest.mark.parametrize(
@@ -1523,6 +1606,14 @@ def test_run_freezes_after_main_and_exits_with_its_code(monkeypatch):
     assert events == ["main", "freeze"]
 
 
+def test_console_script_is_cli_run():
+    # Read as text: Python 3.10 has no tomllib.
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as handle:
+        scripts = handle.read().split("\n[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts.splitlines() == ['kerndebias = "kerndebias.cli:run"']
+
+
 def _warning_case(paths, case):
     """argv of a run that warns once, the logger it warns on, and a function
     that gives the warning's message once the run is done."""
@@ -1715,17 +1806,26 @@ _LAYER_BODIES = {
 }
 
 
-def _run_in_child(argv: list[str]) -> dict:
-    """main(argv) in a new process: its exit code, the layers of
-    _LAYER_BODIES whose bodies ran, and whether logging was imported before
-    kerndebias (numpy already loaded) and after the run."""
+def _run_in_child(argv: list[str], via_runpy: bool = False) -> dict:
+    """main(argv) in a new process, or with via_runpy the cli module run as
+    python -m runs it: its exit code, the layers of _LAYER_BODIES whose
+    bodies ran, and whether logging was imported before kerndebias (numpy
+    already loaded) and after the run."""
     code = textwrap.dedent(f"""
         import json
+        import runpy
         import sys
         import numpy
         logging_before = "logging" in sys.modules
-        from kerndebias.cli import main
-        code = main({argv!r})
+        if {via_runpy!r}:
+            sys.argv = ["kerndebias", *{argv!r}]
+            try:
+                runpy.run_module("kerndebias.cli", run_name="__main__", alter_sys=True)
+            except SystemExit as exc:
+                code = exc.code
+        else:
+            from kerndebias.cli import main
+            code = main({argv!r})
 
         def ran(layer, body):
             module = sys.modules.get("kerndebias." + layer)
@@ -1752,10 +1852,14 @@ def _run_in_child(argv: list[str]) -> dict:
         ("sim", []),
         ("simlex", ["evaluation"]),
         ("demo-toy", ["linear", "preimage", "toydemo"]),
+        ("fit-runpy", ["linear"]),
+        ("sim-runpy", []),
     ],
 )
 def test_each_stage_runs_only_the_layers_it_uses(planted_files, tmp_path, private_table_cache,
                                                  stage, ran):
+    # A -runpy stage enters as python -m kerndebias.cli does.
+    stage, via_runpy = stage.removesuffix("-runpy"), stage.endswith("-runpy")
     paths = planted_files
     _fit_linear(paths)
     common = ["--embeddings", str(paths["embeddings"])]
@@ -1768,7 +1872,7 @@ def test_each_stage_runs_only_the_layers_it_uses(planted_files, tmp_path, privat
                    "--out", str(tmp_path / "simlex")],
         "demo-toy": ["demo-toy", "--n-points", "20", "--out", str(tmp_path / "toy.csv")],
     }[stage]
-    result = _run_in_child(argv)
+    result = _run_in_child(argv, via_runpy)
     assert result["code"] == 0
     assert result["ran"] == ran
     before, after = result["logging"]

@@ -260,6 +260,19 @@ class TestCorrectedMetricProperties:
         z = rng.normal(size=(1, model.dim))
         assert corrected(model, "similarity_matrix", z, z)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_cosine_is_scale_free_at_kernel_values_near_overflow(self, rng):
+        # Self products near 1e300: their product overflows, the cosine
+        # must not.  The second kernel is the first over 1e300.
+        table, sets = random_instance(rng, n_words=20, dim=8, n_pairs=3)
+        table = unit_normalize(table)
+        sims = []
+        for gamma, coef0 in ((1e60, 1.0), (1.0, 1e-60)):
+            spec = KernelSpec("polynomial", gamma=gamma, coef0=coef0, degree=5)
+            metric = CorrectedMetric(table, fit_kernel_model(spec, table, sets, k=1))
+            sims.append(metric.similarity_matrix(["w4", "w5"], ["w6", "w4"]))
+        assert sims[0][0, 1] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(sims[0], sims[1], rtol=1e-12)
+
     def test_cosine_fully_neutralized_rejected(self, rng):
         table, sets = random_instance(rng, n_pairs=3, dim=6)
         model = fit_kernel_model(KernelSpec("linear"), table, sets, k=None)
