@@ -5,11 +5,13 @@ line followed by its vector components, separated by whitespace.  The
 first non-blank line is skipped when it is a `"<count> <dim>"` header of
 two integers.  All arithmetic is 64-bit.
 
-The parser reads its stream in blocks of at most _INITIAL_ROWS lines and
-tries each block on a fast path first: one np.loadtxt call converts the
-whole block in C.  The per-line loop, which reads each token as
-``float()`` does, runs only on a block the fast path rejects, and is the
-only code that handles malformed lines and reports errors.
+The parser reads its stream in blocks of at most _INITIAL_ROWS lines.
+It splits each non-blank line of a block once, into its word and the
+rest, and decides the header once, on the file's first non-blank line.
+One np.loadtxt call converts the rests of the whole block in C; only a
+block it rejects goes, as the same split lines, through the per-line
+loop, which reads each token as ``float()`` does and is the only code
+that reports errors.
 
 read_embedding_file parses a table file once and keeps the result on
 disk, in $XDG_CACHE_HOME/kerndebias/tables-v2/ (~/.cache/kerndebias/...
@@ -64,9 +66,9 @@ _CACHE_ENTRIES = 8
 _COMPARE_BYTES = 1 << 20
 _TRAILER = struct.Struct("<QQQI")
 
-# Components per block of iter_embedding_text, and of unit_normalize's
-# squares.  A text block's work arrays and text take about 110 bytes per
-# component at precision 9 and 150 at 17, 7 to 10 MB.
+# Components per block of iter_embedding_text.  A text block's work
+# arrays and text take about 110 bytes per component at precision 9 and
+# 150 at 17, 7 to 10 MB.
 _WRITE_COMPONENTS = 1 << 16
 
 # Veltkamp's splitter for float64 (2^27 + 1), and the bound on |v|·10^p
@@ -162,126 +164,27 @@ def _new_table(
     return _own(object.__new__(EmbeddingTable), words, matrix, index)
 
 
-def _is_header(tokens: list[str]) -> bool:
-    """Whether a line's tokens are a `"<count> <dim>"` header."""
-    return len(tokens) == 2 and all(_INT_TOKEN.match(t) for t in tokens)
-
-
-class _TableBuilder:
-    """Parse state carried from one block of lines to the next.
-
-    rows holds the parsed rows as 2-D float64 arrays, one per block, each
-    checked finite when it is read; finish joins them once.
-    """
-
-    def __init__(self) -> None:
-        self.words: list[str] = []
-        self.rows: list[np.ndarray] = []
-        self.seen: set[str] = set()
-        self.dim: int | None = None
-        self.header_possible = True  # until the first non-blank line
-
-    def add_block(self, block: list[tuple[int, str]]) -> bool:
-        """Add a block of (line number, line) through one np.loadtxt call.
-
-        Returns False, with the state unchanged, when anything in the
-        block does not fit: a token numpy cannot read, a non-finite value,
-        a column count other than dim, a duplicate word or a line with no
-        components.
-        """
-        words: list[str] = []
-        rests: list[str] = []
-        header_possible = self.header_possible
-        for _, raw in block:
-            parts = raw.split(None, 1)
-            if not parts:
-                continue
-            if header_possible:
-                header_possible = False
-                if _is_header(raw.split()):
-                    continue
-            if len(parts) == 1:
-                return False
-            words.append(parts[0])
-            rests.append(parts[1])
-        if words:
-            if len(set(words)) < len(words) or not self.seen.isdisjoint(words):
-                return False
-            try:
-                values = np.loadtxt(
-                    rests, dtype=np.float64, comments=None, delimiter=None,
-                    quotechar=None, ndmin=2,
-                )
-            except ValueError:
-                return False
-            dim = values.shape[1] if self.dim is None else self.dim
-            if values.shape != (len(words), dim) or not np.isfinite(values).all():
-                return False
-            self.dim = dim
-            self.rows.append(values)
-            self.words += words
-            self.seen.update(words)
-        self.header_possible = header_possible
-        return True
-
-    def add_lines(self, block: list[tuple[int, str]]) -> str | None:
-        """Add a block line by line; the message of its first bad line, if any.
-
-        Each line's tokens are converted by np.array, which parses them as
-        ``float()`` does, and a non-finite row is reported at its line.
-        """
-        rows: list[np.ndarray] = []
-        for lineno, raw in block:
-            tokens = raw.split()
-            if not tokens:
-                continue
-            if self.header_possible:
-                self.header_possible = False
-                if _is_header(tokens):
-                    continue
-            word, values = tokens[0], tokens[1:]
-            if not values:
-                return f"line {lineno}: no vector components"
-            if self.dim is None:
-                self.dim = len(values)
-            elif len(values) != self.dim:
-                return f"line {lineno}: expected {self.dim} components, got {len(values)}"
-            if word in self.seen:
-                return f"line {lineno}: duplicate word {word!r}"
-            try:
-                row = np.array(values, dtype=np.float64)
-            except ValueError as exc:
-                return f"line {lineno}: {exc}"
-            if not np.isfinite(row).all():
-                return f"line {lineno}: non-finite value for {word!r}"
-            self.seen.add(word)
-            self.words.append(word)
-            rows.append(row)
-        if rows:
-            self.rows.append(np.stack(rows))
-        return None
-
-    def finish(self, error: str | None) -> EmbeddingTable:
-        if error is not None:
-            raise FormatError(error)
-        matrix = np.concatenate(self.rows) if self.rows else np.empty((0, 0))
-        return _new_table(tuple(self.words), matrix)
+def _is_header(parts: list[str]) -> bool:
+    """Whether a line split into its first token and the rest is a
+    `"<count> <dim>"` header."""
+    return len(parts) == 2 and all(_INT_TOKEN.match(t) for t in (parts[0], parts[1].strip()))
 
 
 def parse_embedding_text(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
     """Parse the text embedding format into a table.
 
     The stream is read in blocks of at most _INITIAL_ROWS lines.  Each
-    block is tried whole first: every line is split once into its word and
-    the rest, and one np.loadtxt call converts all the rests, splitting in
+    non-blank line of a block is split once, into its word and the rest,
+    and the first of the file is dropped when it is a header.  One
+    np.loadtxt call then converts all the rests of the block, splitting in
     numpy's C tokenizer and converting with the correctly rounded
-    PyOS_string_to_double that ``float()`` also uses.  A block that does
-    not fit, or holds a non-finite value, is parsed again, from the same
-    state, by the per-line loop, which reads each token with ``float()``
-    (so it also takes "1_0" and non-ASCII digits) and is the only code
-    that reports errors.  Errors are reported for the first offending line
-    in file order.  The rows are kept as one array per block and joined
-    once at the end; memory beyond that is one block of text.
+    PyOS_string_to_double that ``float()`` also uses (_block_values).  A
+    block that call rejects goes, as the same split lines, to the per-line
+    loop, which reads each token with ``float()`` (so it also takes "1_0"
+    and non-ASCII digits) and is the only code that reports errors
+    (_line_values).  Errors are reported for the first offending line in
+    file order.  The rows are kept as one array per block and joined once
+    at the end; memory beyond that is one block of text.
 
     Args:
         stream: Iterable of lines (an open file works).
@@ -293,16 +196,91 @@ def parse_embedding_text(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
         FormatError: on inconsistent dimensions (with line number),
             duplicate words, or non-finite values.
     """
-    builder = _TableBuilder()
+    words: list[str] = []
+    rows: list[np.ndarray] = []
+    seen: set[str] = set()
+    dim: int | None = None
+    header_possible = True  # until the first non-blank line
     lines = enumerate(stream, start=1)
-    error: str | None = None
-    while error is None:
-        block = list(itertools.islice(lines, _INITIAL_ROWS))
-        if not block:
-            break
-        if not builder.add_block(block):
-            error = builder.add_lines(block)
-    return builder.finish(error)
+    while block := list(itertools.islice(lines, _INITIAL_ROWS)):
+        numbers: list[int] = []
+        names: list[str] = []
+        rests: list[str] = []  # "" for a line with no components
+        for lineno, raw in block:
+            parts = raw.split(None, 1)
+            if not parts:
+                continue
+            if header_possible:
+                header_possible = False
+                if _is_header(parts):
+                    continue
+            numbers.append(lineno)
+            names.append(parts[0])
+            rests.append(parts[1] if len(parts) == 2 else "")
+        if not names:
+            continue
+        values = _block_values(names, rests, seen, dim)
+        if values is None:
+            values = _line_values(numbers, names, rests, seen, dim)
+        dim = values.shape[1]
+        rows.append(values)
+        words += names
+        seen.update(names)
+    matrix = np.concatenate(rows) if rows else np.empty((0, 0))
+    return _new_table(tuple(words), matrix)
+
+
+def _block_values(
+    names: list[str], rests: list[str], seen: set[str], dim: int | None
+) -> np.ndarray | None:
+    """The rows of a block's lines, through one np.loadtxt call; None when
+    anything in the block does not fit: a token numpy cannot read, a
+    non-finite value, a width other than dim, a word already in seen or
+    repeated, or a line with no components."""
+    if not all(rests) or len(set(names)) < len(names) or not seen.isdisjoint(names):
+        return None
+    try:
+        values = np.loadtxt(
+            rests, dtype=np.float64, comments=None, delimiter=None, quotechar=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    width = values.shape[1] if dim is None else dim
+    if values.shape != (len(names), width) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _line_values(
+    numbers: list[int], names: list[str], rests: list[str], seen: set[str], dim: int | None
+) -> np.ndarray:
+    """The rows of a block's lines, read one line at a time: each token is
+    converted by np.array, which parses it as ``float()`` does.
+
+    Raises:
+        FormatError: for the first bad line, with its number.
+    """
+    rows: list[np.ndarray] = []
+    block_seen: set[str] = set()
+    for lineno, word, rest in zip(numbers, names, rests):
+        tokens = rest.split()
+        if not tokens:
+            raise FormatError(f"line {lineno}: no vector components")
+        if dim is None:
+            dim = len(tokens)
+        elif len(tokens) != dim:
+            raise FormatError(f"line {lineno}: expected {dim} components, got {len(tokens)}")
+        if word in seen or word in block_seen:
+            raise FormatError(f"line {lineno}: duplicate word {word!r}")
+        try:
+            row = np.array(tokens, dtype=np.float64)
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        if not np.isfinite(row).all():
+            raise FormatError(f"line {lineno}: non-finite value for {word!r}")
+        block_seen.add(word)
+        rows.append(row)
+    return np.stack(rows)
 
 
 def read_embedding_file(path: str) -> EmbeddingTable:
@@ -643,17 +621,9 @@ def unit_normalize(table: EmbeddingTable) -> EmbeddingTable:
         DataError: if any row has zero norm (names the word).
     """
     matrix = table.matrix
-    # np.linalg.norm(matrix, axis=1)'s arithmetic, sqrt(add.reduce(x * x)),
-    # a block of rows at a time, so no temporary is the matrix's size.
-    rows = max(1, _WRITE_COMPONENTS // max(1, matrix.shape[1]))
-    squares = np.empty((min(rows, len(matrix)), matrix.shape[1]))
-    norms = np.empty(len(matrix))
-    for start in range(0, len(matrix), rows):
-        block = matrix[start : start + rows]
-        part = squares[: len(block)]
-        np.multiply(block, block, out=part)
-        np.add.reduce(part, axis=1, out=norms[start : start + len(block)])
-    np.sqrt(norms, out=norms)
+    # np.linalg.norm(matrix, axis=1)'s arithmetic, written out so numpy
+    # 1.24 takes it too.  The squares are freed before the output is made.
+    norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1))
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise DataError(f"cannot normalize zero vector for word {table.words[zero[0]]!r}")

@@ -183,7 +183,8 @@ def weat_test(metric: CorrectedMetric, cfg: WeatConfig) -> WeatResult:
     std = float(s_values.std())  # population std
     # The scores are differences of mean cosines in [-1, 1]; a spread this
     # small is rounding error, and an effect size over it would be noise.
-    if std <= 1e-12:
+    # NaN scores fail the test too.
+    if not std > 1e-12:
         raise NumericalError(f"degenerate association scores: zero spread (std {std:.3g})")
     effect = (float(s_values[:nx].mean()) - float(s_values[nx:].mean())) / std
     chosen = float(s_values[:nx].sum())

@@ -18,8 +18,9 @@ tensor -- stays under a fixed element budget whatever the input size.
 rbf distances come from one matrix product per block,
 ||x||^2 + ||y||^2 - 2 x y^T; entries where that form cancels are
 recomputed from direct differences, so identical rows are exactly 0 apart.
-Overflow is not warned of: rbf and laplace saturate to 0, sigmoid to +-1,
-and a polynomial to inf, which the fit's eigensolver rejects.
+Overflow is not warned of: rbf and laplace saturate to 0 and sigmoid to
++-1.  A Gram block or diagonal that still holds a non-finite value, as an
+overflowed linear or polynomial kernel does, raises NumericalError.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, FormatError, checked_finite, checked_integer
+from .errors import DataError, FormatError, NumericalError, checked_finite, checked_integer
 
 # Element budget of one block (16 MiB of float64): a block's output
 # entries times the work array each entry needs (1 for a matrix-product
@@ -273,13 +274,21 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}"
         )
     out = np.empty((x.shape[0], y.shape[0]))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for rows, cols in _blocks(x.shape[0], y.shape[0], 1):
-            out[rows, cols] = FAMILIES[spec.family].block(spec, x[rows], y[cols])
+            out[rows, cols] = _finite(spec, FAMILIES[spec.family].block(spec, x[rows], y[cols]))
     return out
 
 
 def kernel_diag(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     """k(x_i, x_i) for every row, without forming the full Gram."""
-    with np.errstate(over="ignore"):
-        return FAMILIES[spec.family].diag(spec, _as_matrix(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(spec, FAMILIES[spec.family].diag(spec, _as_matrix(x)))
+
+
+def _finite(spec: KernelSpec, values: np.ndarray) -> np.ndarray:
+    """values, kernel values of finite inputs; NumericalError if any
+    overflowed, or went NaN from an overflowed term."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"the {spec.family} kernel overflows on these inputs")
+    return values

@@ -515,8 +515,8 @@ def test_fit_kernel_flags_fill_the_family_parameters(planted_files, flags, spec)
     ids=["rbf", "laplace", "polynomial", "sigmoid", "classify"],
 )
 def test_extreme_kernel_parameters_exit_with_their_codes(planted_files, argv, code):
-    # rbf and laplace saturate to 0 and sigmoid to +-1; a polynomial that
-    # overflows reaches the eigensolver's non-finite check (4), and the
+    # rbf and laplace saturate to 0 and sigmoid to +-1; a polynomial Gram
+    # block that overflows is refused where it is computed (4), and the
     # saturated sigmoid leaves a rank-0 centered Gram (3).  An overflow
     # warning, made an error here, is never given.
     paths = planted_files
@@ -529,6 +529,46 @@ def test_extreme_kernel_parameters_exit_with_their_codes(planted_files, argv, co
     assert proc.returncode == code, err
     assert "Traceback" not in err and "Warning" not in err
     assert (code == 0) == (err == "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sim", "w4", "w5"],
+        ["eval", "weat", "--config", "weat.json"],
+        ["apply", "--precision", "9"],
+    ],
+    ids=["sim", "weat", "apply"],
+)
+def test_kernel_overflow_at_query_time_exits_4(rng, tmp_path, argv):
+    # The model's kernel is finite on the fitted rows; on every row x1000
+    # its Gram blocks and diagonal overflow, and no NaN may leak from them.
+    matrix = rng.normal(size=(20, 8))
+    words = tuple(f"w{i}" for i in range(20))
+    (tmp_path / "t.txt").write_text(write_embedding_text(EmbeddingTable(words, matrix), 17))
+    (tmp_path / "big.txt").write_text(
+        write_embedding_text(EmbeddingTable(words, 1000 * matrix), 17)
+    )
+    (tmp_path / "sets.json").write_text(json.dumps({"defining_sets": [["w0", "w1"], ["w2", "w3"]]}))
+    (tmp_path / "weat.json").write_text(json.dumps(
+        {"X": ["w4", "w5"], "Y": ["w6", "w7"], "A": ["w8", "w9"], "B": ["w10", "w11"]}
+    ))
+    assert main([
+        "fit", "--embeddings", str(tmp_path / "t.txt"), "--sets", str(tmp_path / "sets.json"),
+        "--backend", "kernel", "--kernel", "polynomial", "--gamma", "1e60", "--coef0", "1",
+        "--degree", "5", "--out", str(tmp_path / "m.json"),
+    ]) == 0
+    before = sorted(tmp_path.iterdir())
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    proc = _python(
+        "-W", "error::RuntimeWarning", "-m", "kerndebias.cli", *argv,
+        "--embeddings", str(tmp_path / "big.txt"), "--no-normalize",
+        "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "out"),
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.decode() == "error: the polynomial kernel overflows on these inputs\n"
+    assert proc.stdout == b""
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_word_list_json_array_equals_the_text_form(tmp_path):
@@ -1021,17 +1061,19 @@ def test_refused_apply_leaves_earlier_outputs_unchanged(generic_files, tmp_path,
     out.write_bytes(b"earlier table\n")
     out_model.write_bytes(b"earlier model\n")
     extra, message = ["--precision", "0"], "precision must be in [1, 17], got 0"
+    code_wanted = 2
     if case == "non-finite":
-        # beta(x) overflows on a row this large along the first direction.
+        # beta(x) is made of the linear kernel x . b, which overflows on a
+        # row this large along the first direction b: a numerical error.
         basis = np.array(json.loads(paths["linear"].read_text())["basis"])
         huge = tmp_path / "huge.txt"
         row = 1.7e308 * np.sign(basis[0])
         huge.write_text("big " + " ".join(repr(float(v)) for v in row) + "\n")
         extra = ["--embeddings", str(huge), "--no-normalize"]
-        message = "embedding matrix contains non-finite values"
+        message, code_wanted = "the linear kernel overflows on these inputs", 4
     with np.errstate(over="ignore", invalid="ignore"):
         code = _apply(paths, "linear", out, "--out-model", str(out_model), *extra)
-    assert code == 2
+    assert code == code_wanted
     assert capsys.readouterr().err == f"error: {message}\n"
     assert out.read_bytes() == b"earlier table\n"
     assert out_model.read_bytes() == b"earlier model\n"

@@ -73,7 +73,7 @@ class TestParse:
     )
     def test_only_first_nonblank_line_is_a_header(self, monkeypatch, per_line, text, words, rows):
         if per_line:
-            monkeypatch.setattr(embeddings._TableBuilder, "add_block", lambda self, block: False)
+            monkeypatch.setattr(embeddings, "_block_values", lambda *args: None)
         table = parse(text)
         assert table.words == words
         np.testing.assert_array_equal(table.matrix, rows)
@@ -146,7 +146,7 @@ class TestBlockParser:
         monkeypatch.setattr(embeddings, "_INITIAL_ROWS", block)
         corpus = _parser_corpus()
         fast = [_outcome(text) for text in corpus]
-        monkeypatch.setattr(embeddings._TableBuilder, "add_block", lambda self, block: False)
+        monkeypatch.setattr(embeddings, "_block_values", lambda *args: None)
         slow = [_outcome(text) for text in corpus]
         for text, got, want in zip(corpus, fast, slow):
             assert got == want, repr(text)
@@ -155,11 +155,14 @@ class TestBlockParser:
     def test_clean_blocks_take_the_fast_path(self, monkeypatch):
         monkeypatch.setattr(embeddings, "_INITIAL_ROWS", 2)
         taken = []
-        add_block = embeddings._TableBuilder.add_block
-        monkeypatch.setattr(
-            embeddings._TableBuilder, "add_block",
-            lambda self, block: taken.append(add_block(self, block)) or taken[-1],
-        )
+        block_values = embeddings._block_values
+
+        def recorded(*args):
+            values = block_values(*args)
+            taken.append(values is not None)
+            return values
+
+        monkeypatch.setattr(embeddings, "_block_values", recorded)
         table = parse("5 2\n" + "\n".join(_ROWS) + "\n")
         assert taken == [True, True, True]
         assert len(table) == 5
@@ -414,6 +417,21 @@ class TestNormalize:
         assert np.array_equal(normed[unit], matrix[unit])
         assert np.array_equal(normed[~unit], (matrix / norms[:, None])[~unit])
 
+    def test_peak_memory_is_the_output_and_its_norms(self, rng):
+        # The squares are freed before the output is made, so they never
+        # sit in memory beside it.
+        n, dim = 4000, 100
+        table = EmbeddingTable(
+            words=tuple(f"w{i}" for i in range(n)), matrix=rng.normal(size=(n, dim))
+        )
+        tracemalloc.start()
+        try:
+            normed = unit_normalize(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * normed.matrix.nbytes
+
     def test_result_is_a_read_only_table_of_its_own(self, rng):
         table = EmbeddingTable(words=("a", "b", "c"), matrix=rng.normal(size=(3, 4)))
         normed = unit_normalize(table)
@@ -439,6 +457,20 @@ class TestTableInvariants:
     def test_first_offending_word_named(self, words, message):
         with pytest.raises(FormatError) as info:
             EmbeddingTable(words=words, matrix=np.zeros((len(words), 2)))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([1.0, 2.0], "embedding matrix must be 2-D, got 1-D"),
+            ([[1.0, 2.0]], "2 words but 1 matrix rows"),
+            ([[1.0, np.inf], [0.0, 1.0]], "embedding matrix contains non-finite values"),
+        ],
+        ids=["1-d", "rows", "non-finite"],
+    )
+    def test_bad_matrix_rejected(self, matrix, message):
+        with pytest.raises(FormatError) as info:
+            EmbeddingTable(words=("a", "b"), matrix=np.array(matrix))
         assert str(info.value) == message
 
     def test_immutable_matrix(self):

@@ -469,6 +469,13 @@ class TestWeatTest:
         with pytest.raises(NumericalError):
             weat_test(stub, cfg)
 
+    def test_nan_scores_rejected(self):
+        # NaN similarities give a NaN spread, which is no spread at all.
+        stub, cfg = make_weat_stub([0.5, np.nan], [0.1, -0.2])
+        with pytest.raises(NumericalError) as info:
+            weat_test(stub, cfg)
+        assert str(info.value) == "degenerate association scores: zero spread (std nan)"
+
     def test_too_few_targets_rejected(self):
         stub, cfg = make_weat_stub([0.5], [0.1])
         with pytest.raises(DataError):
@@ -556,6 +563,35 @@ class TestProfessions:
             professions_correlation(
                 metric, ["w0", "w1", "w2"], ["w3"], ["w4"], k_neighbors=2
             )
+
+    @pytest.mark.parametrize(
+        "professions, pool, message",
+        [
+            (["w2", "w3", "absent"], "vocabulary", "need at least three in-vocabulary professions"),
+            (["w2", "w3", "w4"], "lexicon", "unknown candidate pool 'lexicon'"),
+        ],
+        ids=["two-professions", "unknown-pool"],
+    )
+    def test_malformed_request_rejected(self, rng, professions, pool, message):
+        table, _ = random_instance(rng, n_words=8, n_pairs=1, dim=4)
+        metric = CorrectedMetric(EmbeddingTable(("he", "she", *table.words[2:]), table.matrix))
+        with pytest.raises(DataError) as info:
+            professions_correlation(metric, professions, ["w5"], ["w6"], k_neighbors=2, pool=pool)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "anchor difference direction is zero"),
+            ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "zero vector among scored words"),
+        ],
+        ids=["zero-direction", "zero-row"],
+    )
+    def test_original_bias_scores_reject_zero_vectors(self, rows, message):
+        table = EmbeddingTable(("he", "she", "w"), np.array(rows))
+        with pytest.raises(DataError) as info:
+            original_bias_scores(table, ["w"])
+        assert str(info.value) == message
 
     def test_constant_counts_rejected(self):
         words, cos = self._constructed_gram()

@@ -4,10 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kerndebias import DataError, FormatError, KernelSpec, gram_matrix, kernels
+from kerndebias import DataError, FormatError, KernelSpec, NumericalError, gram_matrix, kernels
 from kerndebias.kernels import difference_distances, kernel_diag
 from kerndebias.numerics import symmetric_eig
 from oracles import direct_laplace, direct_rbf
+
+
+def _json_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is valid JSON")
+
 
 PSD_SPECS = [
     KernelSpec("linear"),
@@ -97,6 +106,40 @@ class TestGramMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
             gram_matrix(KernelSpec("linear"), np.zeros((2, 3)), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.zeros((2, 2, 3)), "expected vectors or a matrix, got 3-D input"),
+            (np.array([[0.0, np.nan, 1.0]]), "kernel inputs must be finite"),
+        ],
+        ids=["3-d", "non-finite"],
+    )
+    def test_bad_input_rejected(self, x, message):
+        with pytest.raises(DataError) as info:
+            gram_matrix(KernelSpec("linear"), x, np.zeros((1, 3)))
+        assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec("linear"),
+            KernelSpec("polynomial", gamma=1e60, coef0=1.0, degree=5),
+            KernelSpec("convex_combination", components=(
+                (0.0, KernelSpec("polynomial", gamma=1e60, coef0=1.0, degree=5)),
+                (1.0, KernelSpec("rbf", gamma=1.0)),
+            )),
+        ],
+        ids=["linear", "polynomial", "convex"],
+    )
+    def test_overflowed_values_raise_numerical_error(self, spec):
+        # No inf or NaN leaves a Gram block or diagonal, and no warning is given.
+        x = np.full((3, 4), 1e160 if spec.family == "linear" else 1e3)
+        for values in (lambda: gram_matrix(spec, x, x), lambda: kernel_diag(spec, x)):
+            with pytest.raises(NumericalError) as info:
+                values()
+            assert str(info.value) == f"the {spec.family} kernel overflows on these inputs"
 
     def test_diag_helper_matches(self, rng):
         x = rng.normal(size=(5, 3))
@@ -264,6 +307,23 @@ class TestKernelSpecValidation:
         with pytest.raises(FormatError) as exc:
             KernelSpec.from_dict(data)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: KernelSpec("convex_combination"), "convex_combination requires components"),
+            (lambda: KernelSpec.from_dict(["rbf"]),
+             "kernel spec must be an object with a 'family' key"),
+            (lambda: KernelSpec.from_json("{"), f"invalid kernel JSON: {_json_error('{')}"),
+            (lambda: KernelSpec("rbf", gamma=10**400),
+             f"'gamma' must be a finite number, got {10**400!r}"),
+        ],
+        ids=["no-components", "not-an-object", "invalid-json", "huge-integer"],
+    )
+    def test_malformed_spec_rejected(self, make, message):
+        with pytest.raises(FormatError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_json_round_trip(self):
         for spec in ALL_SPECS:

@@ -8,6 +8,7 @@ from kerndebias import (
     DefiningSets,
     EmbeddingTable,
     EqualitySets,
+    FormatError,
     equalize_set,
     fit_linear_subspace,
     preimage_neutralize_matrix,
@@ -185,6 +186,12 @@ class TestEqualize:
         with pytest.raises(DataError, match="norm > 1"):
             equalize_set(model, scaled, (0, 1, 2))
 
+    def test_one_member_set_rejected(self, rng):
+        table, _, model = self._fitted(rng)
+        with pytest.raises(DataError) as info:
+            equalize_set(model, table, (0,))
+        assert str(info.value) == "equality sets need at least two members"
+
     def test_neutral_word_inner_product_constant_across_members(self, rng):
         # Linear analogue of the feature-space equalize invariance.
         table, _, model = self._fitted(rng, n_pairs=3, dim=6)
@@ -220,3 +227,21 @@ class TestSetsResolution:
             DefiningSets(((0, 1), (1, 2)))
         with pytest.raises(DataError):
             EqualitySets(((0, 1), (1, 2)))
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda table: DefiningSets(((0, 9),)).validate_against(table), DataError,
+             "defining pair (0, 9) out of range for |V|=6"),
+            (lambda table: EqualitySets(((0, 1), (2,))), DataError,
+             "equality sets need at least two members"),
+            (lambda table: resolve_word_sets(table, [["w0", "w1", "w2"]]), FormatError,
+             "defining sets must be pairs, got ['w0', 'w1', 'w2']"),
+        ],
+        ids=["out-of-range", "one-member", "three-words"],
+    )
+    def test_malformed_sets_rejected(self, rng, make, error, message):
+        table, _ = random_instance(rng, n_words=6, n_pairs=1, dim=4)
+        with pytest.raises(error) as info:
+            make(table)
+        assert str(info.value) == message

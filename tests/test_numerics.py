@@ -76,6 +76,11 @@ class TestSymmetricEig:
         with pytest.raises(NumericalError):
             symmetric_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(NumericalError) as info:
+            symmetric_eig(np.zeros((2, 3)))
+        assert str(info.value) == "expected a square matrix, got shape (2, 3)"
+
     def test_zero_matrix(self):
         eig = symmetric_eig(np.zeros((3, 3)))
         np.testing.assert_array_equal(eig.eigenvalues, np.zeros(3))
@@ -148,6 +153,20 @@ class TestPearson:
     def test_constant_input_rejected(self):
         with pytest.raises(NumericalError):
             pearson(np.array([1.0, 1, 1]), np.array([1.0, 2, 3]))
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ([1.0, 2.0, 3.0], [1.0, 2.0], "correlation inputs must be 1-D and equal length"),
+            ([1.0], [2.0], "correlation needs at least two observations"),
+            ([1.0, np.inf], [1.0, 2.0], "correlation inputs must be finite"),
+        ],
+        ids=["lengths", "one", "non-finite"],
+    )
+    def test_malformed_input_rejected(self, x, y, message):
+        with pytest.raises(NumericalError) as info:
+            pearson(np.array(x), np.array(y))
+        assert str(info.value) == message
 
     def test_bounded(self, rng):
         for _ in range(25):

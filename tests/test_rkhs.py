@@ -9,6 +9,7 @@ from kerndebias import (
     DataError,
     DefiningSets,
     EmbeddingTable,
+    FormatError,
     KernelSpec,
     beta_matrix,
     build_centered_gram,
@@ -399,3 +400,25 @@ class TestSerialization:
         np.testing.assert_array_equal(again.pairs_a, model.pairs_a)
         np.testing.assert_array_equal(again.eigenvalues, model.eigenvalues)
         assert again.gram_scale == model.gram_scale
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda table, sets, model: build_centered_gram(
+            model.spec, table.matrix[:2], table.matrix[:3]), DataError,
+         "pair arrays must be matching (N, d) matrices with N >= 1"),
+        (lambda table, sets, model: model.input_directions(), FormatError,
+         "the rbf kernel has no input-space bias directions; this needs a linear-kernel model"),
+        (lambda table, sets, model: fit_kernel_model(model.spec, table, sets, gram_scale=0.0),
+         DataError, "gram_scale must be positive"),
+        (lambda table, sets, model: beta_matrix(model, np.zeros((2, 5))), DataError,
+         "expected rows of dimension 6, got shape (2, 5)"),
+    ],
+    ids=["pair-shapes", "rbf-directions", "gram-scale", "beta-dimension"],
+)
+def test_malformed_model_inputs_rejected(rng, make, error, message):
+    table, sets, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.5))
+    with pytest.raises(error) as info:
+        make(table, sets, model)
+    assert str(info.value) == message
