@@ -19,9 +19,9 @@ training words), and trains and scores on the one corrected rbf Gram
 exp(-gamma d^2) it gives; by default gamma is 1 / the median of its
 off-diagonal training distances.
 
-With no model the metric is raw cosine (the linear kernel, no bias
-coordinates), with a linear-kernel model linear neutralization
-(beta(x) = x B^T), and any other model brings its own kernel and beta.
+With no model the metric holds the K = 0 linear model, raw cosine; with
+a linear-kernel model it is linear neutralization (beta(x) = x B^T), and
+any other model brings its own kernel and beta.
 A query that names a fully neutralized word -- corrected self product at
 most 1e-12 k(w, w) -- raises DataError naming it; the other words of the
 table still score.  WEAT and SimLex need only `in` and similarity_matrix,

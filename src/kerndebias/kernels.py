@@ -184,10 +184,10 @@ def _blocks(n_rows: int, n_cols: int, per_entry: int):
     """(row slice, column slice) tiles of at most _BLOCK_ELEMENTS work elements.
 
     A tile never drops below one entry, so a single (1, 1, d) difference
-    slice is the floor when d alone exceeds the budget.
+    slice is the floor when d alone exceeds the budget; width 0 counts as 1.
     """
-    cols = max(1, min(n_cols, _BLOCK_ELEMENTS // per_entry))
-    rows = max(1, min(n_rows, _BLOCK_ELEMENTS // (per_entry * cols)))
+    cols = max(1, min(n_cols, _BLOCK_ELEMENTS // max(1, per_entry)))
+    rows = max(1, min(n_rows, _BLOCK_ELEMENTS // (max(1, per_entry) * cols)))
     for i in range(0, n_rows, rows):
         for j in range(0, n_cols, cols):
             yield slice(i, i + rows), slice(j, j + cols)
@@ -219,7 +219,7 @@ def _rbf_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     scale = np.einsum("ij,ij->i", x, x)[:, None] + np.einsum("ij,ij->i", y, y)[None, :]
     dist = scale - 2.0 * (x @ y.T)
     ri, ci = np.nonzero(dist <= _CANCELLATION_RTOL * scale)
-    step = max(1, _BLOCK_ELEMENTS // x.shape[1])
+    step = max(1, _BLOCK_ELEMENTS // max(1, x.shape[1]))
     for s in range(0, ri.size, step):
         r, c = ri[s : s + step], ci[s : s + step]
         diff = x[r] - y[c]

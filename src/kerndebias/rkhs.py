@@ -21,15 +21,15 @@ KernelBiasModel is the package's one bias-model type: a linear model is
 its linear-kernel instance.  beta_matrix(model, x) gives the (n, K) bias
 coordinates of the rows of x.  CorrectedMetric is the package's one copy
 of the metric and the one object every evaluation and the CLI query: it
-holds a table, the spec of its model (the linear kernel with K = 0, plain
-cosine, when there is none) and a name ("raw", "linear" or "kernel").  It
-has one query form: words of its table.  `in` tells whether a word is
-there, and similarity_matrix(rows, cols), inner_product_matrix(rows, cols)
-and squared_distance_matrix(rows, cols) score every row word against
-every column word.  A similarity query rejects a fully neutralized word:
-corrected self product at most 1e-12 k(w, w).  A word's beta is computed
-the first time a query touches it, and kept: a query pays only for the
-words it names, and each word once.
+holds a table, a bias model and a name ("raw", "linear" or "kernel"); raw
+is the K = 0 linear model, plain cosine: a K = 0 model, of any kernel,
+makes no beta_matrix call.  It has one query form: words of its table.
+`in` tells whether a word is there, and similarity_matrix(rows, cols),
+inner_product_matrix(rows, cols) and squared_distance_matrix(rows, cols)
+score every row word against every column word.  A similarity query
+rejects a fully neutralized word: corrected self product at most
+1e-12 k(w, w).  A word's beta is computed the first time a query touches
+it, and kept: a query pays only for the words it names, and each word once.
 pair_similarities answers a list of word pairs through similarity_matrix,
 in bounded chunks.
 
@@ -250,32 +250,33 @@ def beta_matrix(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
 
 class CorrectedMetric:
     """k~(x, y) = k(x, y) - beta(x) . beta(y) over one table, with the spec
-    and beta of a bias model, or of the linear kernel with K = 0 when there
-    is none (see the module docstring).
+    and beta of a bias model; without one, of the K = 0 linear model
+    from_basis(empty basis), which is raw cosine.
 
     name is "raw" without a model, "linear" with a linear-kernel one and
     "kernel" with any other.  Construction computes no beta.  Every query
-    takes words of the table.  It first computes, in one beta_matrix
-    call, beta of those of its words no earlier query touched, and keeps
-    it per word; then it costs one raw Gram block and one (rows x cols)
-    bias term from the kept beta.
+    takes words of the table.  It first computes, in one beta_matrix call
+    (none at K = 0), beta of those of its words no earlier query touched,
+    and keeps it per word; then it costs one raw Gram block and one
+    (rows x cols) bias term from the kept beta.
 
     Raises:
         DataError: if the model's dimension is not the table's.
     """
 
     def __init__(self, table: EmbeddingTable, model: KernelBiasModel | None = None):
-        if model is not None:
-            check_dimension(model.dim, table)
+        if model is None:
+            model = KernelBiasModel.from_basis(np.empty((0, table.dim)), np.empty(0))
+            self.name = "raw"
+        else:
+            self.name = "linear" if model.spec.family == "linear" else "kernel"
+        check_dimension(model.dim, table)
         self.table = table
         self.model = model
-        self.spec = _LINEAR_KERNEL if model is None else model.spec
-        self.name = (
-            "raw" if model is None else "linear" if self.spec.family == "linear" else "kernel"
-        )
+        self.spec = model.spec
         # Row i of _beta is word i's beta once _known[i] is set.
-        self._beta = np.empty((len(table), 0 if model is None else model.k))
-        self._known = np.full(len(table), model is None)
+        self._beta = np.empty((len(table), model.k))
+        self._known = np.full(len(table), model.k == 0)
 
     def __contains__(self, word: str) -> bool:
         return word in self.table
@@ -352,9 +353,8 @@ class CorrectedMetric:
             kernel_diag(self.spec, x)[:, None]
             - 2.0 * gram_matrix(self.spec, x, y)
             + kernel_diag(self.spec, y)[None, :]
+            - difference_distances(bx, by)
         )
-        if self.model is not None:  # K = 0 has no bias term
-            dist -= difference_distances(bx, by)
         return np.maximum(0.0, dist)
 
 

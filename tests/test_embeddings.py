@@ -402,10 +402,9 @@ class TestNormalize:
         np.testing.assert_array_equal(once.matrix, twice.matrix)
 
     def test_equals_division_by_numpy_norm_bit_for_bit(self, rng):
-        # dim 300 does not divide 2^16: 218 rows a block, so 3 blocks and
-        # part of a fourth; every seventh row is already of unit norm.
+        # Several hundred 300-d rows, every seventh already of unit norm.
         dim = 300
-        n = 3 * (embeddings._WRITE_COMPONENTS // dim) + 5
+        n = 659
         matrix = rng.normal(size=(n, dim)) * rng.uniform(0.01, 100.0, size=(n, 1))
         unit = np.arange(n) % 7 == 0
         matrix[unit] /= np.linalg.norm(matrix[unit], axis=1)[:, None]

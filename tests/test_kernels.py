@@ -189,6 +189,14 @@ class TestBlockedGram:
             np.testing.assert_array_equal(gram_matrix(spec, x, y), whole_laplace)
             np.testing.assert_array_equal(difference_distances(x, y), whole_squared)
 
+    def test_zero_width_rows(self):
+        # The bias coordinates of a K = 0 model: every entry is width 0.
+        x, y = np.empty((3, 0)), np.empty((2, 0))
+        np.testing.assert_array_equal(difference_distances(x, y), np.zeros((3, 2)))
+        for family in ("rbf", "laplace"):
+            gram = gram_matrix(KernelSpec(family, gamma=0.7), x, y)
+            np.testing.assert_array_equal(gram, np.ones((3, 2)))
+
     @pytest.mark.parametrize("family", ["rbf", "laplace"])
     def test_peak_memory_output_plus_budget(self, rng, monkeypatch, family):
         budget = 4096

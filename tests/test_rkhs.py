@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,11 +11,14 @@ from kerndebias import (
     DefiningSets,
     EmbeddingTable,
     FormatError,
+    KernelBiasModel,
     KernelSpec,
     beta_matrix,
     build_centered_gram,
     fit_kernel_model,
+    fit_linear_subspace,
     gram_matrix,
+    rkhs,
     unit_normalize,
 )
 from kerndebias.configio import model_from_dict, model_to_dict
@@ -92,6 +96,18 @@ class TestFit:
         table, sets = random_instance(rng, n_pairs=3, dim=8)
         model = fit_kernel_model(KernelSpec("rbf", gamma=1.0), table, sets, k=None)
         assert model.k == 3
+
+    def test_smaller_k_is_the_leading_rows_of_a_fit(self, rng):
+        # One eigensolve serves every K: a K sweep slices one fit.
+        for spec in KERNEL_ZOO:
+            table, sets = random_instance(rng, n_words=30, dim=8, n_pairs=5)
+            full = fit_kernel_model(spec, table, sets, k=3)
+            for j in (1, 2):
+                model = fit_kernel_model(spec, table, sets, k=j)
+                np.testing.assert_array_equal(model.alphas, full.alphas[:j], spec.family)
+                np.testing.assert_array_equal(
+                    model.eigenvalues, full.eigenvalues[:j], spec.family
+                )
 
     def test_sigmoid_negative_eigenvalues_discarded(self, rng):
         found = False
@@ -192,6 +208,80 @@ class TestLinearKernelEquivalence:
         a, b = sets.pairs[0]
         z = table.matrix[a] - table.matrix[b]
         assert abs(corrected(model, "inner_product_matrix", z, z)[0, 0]) <= 1e-8 * (z @ z)
+
+    def test_degree_one_polynomial_metric_is_linear(self, rng):
+        # (x^T y + 0)^1 is the linear kernel, fitted on the four-block path.
+        table, sets = random_instance(rng, n_words=30, dim=8, n_pairs=5)
+        poly = KernelSpec("polynomial", gamma=1.0, coef0=0.0, degree=1)
+        words = list(table.words)
+        metrics = [
+            CorrectedMetric(table, fit_kernel_model(poly, table, sets, k=1)),
+            CorrectedMetric(table, fit_linear_subspace(table, sets, 1)),
+        ]
+        for method in ("similarity_matrix", "squared_distance_matrix"):
+            poly_values, linear_values = (getattr(m, method)(words, words) for m in metrics)
+            np.testing.assert_allclose(poly_values, linear_values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rbf_metric_tends_to_linear_as_gamma_vanishes(self, rng, k):
+        # exp(-gamma |x - y|^2) = 1 - gamma |x - y|^2 + O(gamma^2), so the
+        # corrected rbf squared distance over 2 gamma is the linear one up
+        # to O(gamma): the error falls tenfold per decade of gamma.
+        gammas = (1e-2, 1e-3, 1e-4, 1e-5)
+        for _ in range(3):
+            table, sets = random_instance(rng, n_words=30, dim=8, n_pairs=5)
+            table = unit_normalize(table)
+            words = list(table.words)
+            linear = fit_kernel_model(KernelSpec("linear"), table, sets, k=k)
+            target = CorrectedMetric(table, linear).squared_distance_matrix(words, words)
+            mask = target > 1e-6
+            errors = []
+            for gamma in gammas:
+                model = fit_kernel_model(KernelSpec("rbf", gamma=gamma), table, sets, k=k)
+                dist = CorrectedMetric(table, model).squared_distance_matrix(words, words)
+                errors.append(np.max(np.abs(dist / (2 * gamma) - target)[mask] / target[mask]))
+            ratios = np.array(errors[:-1]) / np.array(errors[1:])
+            assert np.all((ratios >= 9.5) & (ratios <= 10.5)), (errors, ratios)
+
+
+class TestKZeroModel:
+    """A K = 0 model is its kernel's uncorrected metric; raw is the linear one."""
+
+    def test_empty_basis_model_is_raw_bit_for_bit(self, rng):
+        table, _ = random_instance(rng, n_words=12, dim=5, n_pairs=2)
+        words = list(table.words)
+        model = KernelBiasModel.from_basis(np.empty((0, table.dim)), np.empty(0))
+        for method in ("similarity_matrix", "squared_distance_matrix"):
+            np.testing.assert_array_equal(
+                getattr(CorrectedMetric(table, model), method)(words, words),
+                getattr(CorrectedMetric(table), method)(words, words),
+            )
+
+    def test_sliced_fit_is_the_plain_kernel_metric(self, rng, monkeypatch):
+        def no_beta(model, x):
+            raise AssertionError("a K = 0 model has no bias coordinates to compute")
+
+        monkeypatch.setattr(rkhs, "beta_matrix", no_beta)
+        for spec in KERNEL_ZOO:
+            table, sets = random_instance(rng, n_words=12, dim=5, n_pairs=3)
+            fitted = fit_kernel_model(spec, table, sets, k=2)
+            model = dataclasses.replace(
+                fitted, alphas=fitted.alphas[:0], eigenvalues=fitted.eigenvalues[:0]
+            )
+            metric = CorrectedMetric(table, model)
+            words = list(table.words)
+            gram = gram_matrix(spec, table.matrix, table.matrix)
+            diag = np.diag(gram)
+            cosine = np.clip(gram / np.sqrt(np.outer(diag, diag)), -1.0, 1.0)
+            squared = np.maximum(0.0, diag[:, None] - 2.0 * gram + diag[None, :])
+            np.testing.assert_allclose(
+                metric.similarity_matrix(words, words), cosine, rtol=0, atol=1e-12,
+                err_msg=spec.family,
+            )
+            np.testing.assert_allclose(
+                metric.squared_distance_matrix(words, words), squared, rtol=0, atol=1e-12,
+                err_msg=spec.family,
+            )
 
 
 class TestCorrectedMetricProperties:
