@@ -232,8 +232,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
     """Every row x as x - beta(x) W (preimage_neutralize_matrix), then, with
     --equalize, the equality sets re-embedded; the text is streamed to
     --out in the bounded blocks of embeddings.iter_embedding_text.  --out
-    and --out-model are written as one set (_write_files), and may not
-    both be stdout, nor one file."""
+    and --out-model (configio.model_to_dict, as fit writes it) are written
+    as one set (_write_files), and may not both be stdout, nor one file."""
     if args.out == "-" and args.out_model == "-":
         raise FormatError("--out and --out-model cannot both be - (stdout)")
     if args.out_model not in (None, "-") and args.out != "-" and (
@@ -241,7 +241,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     ):
         raise FormatError(f"--out and --out-model are the same file: {args.out_model}")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
-    model, data = configio.load_model(args.model)
+    model, kind = configio.load_model(args.model)
     check_dimension(model.dim, table)
     if args.equalize and model.spec.family != "linear":
         raise FormatError("--equalize needs a linear-kernel model")
@@ -253,10 +253,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
         for members in eq_sets.sets:
             for idx, vec in zip(members, linear.equalize_set(model, table, members)):
                 matrix[idx] = vec
-    text = iter_embedding_text(table.words, matrix, args.precision)
-    data.pop("preimage", None)
-    model_output = [] if args.out_model is None else [(args.out_model, _json_bytes(data))]
-    _write_files([(args.out, text), *model_output])
+    outputs = [(args.out, iter_embedding_text(table.words, matrix, args.precision))]
+    if args.out_model is not None:
+        outputs.append((args.out_model, _json_bytes(configio.model_to_dict(model, kind))))
+    _write_files(outputs)
     if args.out != "-":
         print(f"wrote {args.out}", file=sys.stderr if args.out_model == "-" else sys.stdout)
     return EXIT_OK
@@ -394,8 +394,8 @@ def _apply_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
     )
     p.add_argument("--out", required=True, help="embedding output, - for stdout")
     p.add_argument(
-        "--out-model", help="write the loaded model JSON back here (- for stdout), "
-        "without a stale 'preimage' block"
+        "--out-model", help="write the loaded model back here as fit writes it "
+        "(- for stdout)"
     )
     p.set_defaults(func=cmd_apply)
 

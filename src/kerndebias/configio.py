@@ -3,8 +3,9 @@
 This module alone knows the model file: model_to_dict writes a
 KernelBiasModel as a "linear" file (its orthonormal basis) or a "kernel"
 file (spec, pairs and dual coefficients), and model_from_dict reads
-either back.  Every JSON object file -- a model, a sets file, a WEAT
-config -- is read by read_json_object.
+either back; load_model also gives the type to write it back as.  Every
+JSON file is decoded by _decode_json, and every JSON object file -- a
+model, a sets file, a WEAT config -- read by read_json_object.
 """
 
 from __future__ import annotations
@@ -37,12 +38,17 @@ _MODEL_ARRAYS = {
 _ORTHONORMAL_TOL = 1e-10
 
 
-def read_json_object(path: str | Path) -> dict:
-    """The JSON object in a file; FormatError if it is not JSON or not an object."""
+def _decode_json(path: str | Path, text: str):
+    """The JSON value of a file's text; FormatError naming the file if it is not JSON."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in a file; FormatError if it is not JSON or not an object."""
+    data = _decode_json(path, Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object")
     return data
@@ -128,16 +134,12 @@ def model_from_dict(data: dict) -> KernelBiasModel:
     return KernelBiasModel(**arrays, **kernel_fields)
 
 
-def load_model(path: str | Path) -> tuple[KernelBiasModel, dict]:
-    """A model file written by `fit`, and the dict it was parsed from.
-
-    Fields the model does not hold, such as entries that earlier versions
-    wrote, are left unread in the dict, so a caller can write the file
-    back.  Every FormatError names the file.
-    """
+def load_model(path: str | Path) -> tuple[KernelBiasModel, str]:
+    """A model file written by `fit`, and its "type", the kind that
+    model_to_dict writes it back as.  Every FormatError names the file."""
     data = read_json_object(path)
     try:
-        return model_from_dict(data), data
+        return model_from_dict(data), data["type"]
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -186,12 +188,8 @@ def load_word_list(path: str | Path) -> list[str]:
     A JSON array file is also accepted.
     """
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if text.lstrip().startswith("["):
+        data = _decode_json(path, text)
         if not all(isinstance(w, str) for w in data):
             raise FormatError(f"{path}: expected an array of strings")
         return list(data)

@@ -40,11 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import seeding
+from . import numerics, seeding
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, NumericalError, warn
 from .kernels import _BLOCK_ELEMENTS
-from .numerics import pearson, spearman
 from .rkhs import CorrectedMetric, pair_similarities
 
 # Most target words (|X| + |Y|) whose WEAT p-value is counted exactly over
@@ -299,7 +298,7 @@ def professions_correlation(
     bias = original_bias_scores(table, profs, male_anchor, female_anchor)
     if np.all(counts == counts[0]):
         raise NumericalError("male-neighbor counts are constant; correlation undefined")
-    return pearson(counts, bias)
+    return numerics.pearson(counts, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -535,4 +534,4 @@ def simlex_eval(
             f"need at least two scorable pairs, got {len(scored)} ({dropped} dropped)"
         )
     model_scores = pair_similarities(metric, [(a, b) for a, b, _ in scored])
-    return spearman(model_scores, np.array([gold for _, _, gold in scored])), dropped
+    return numerics.spearman(model_scores, np.array([gold for _, _, gold in scored])), dropped

@@ -184,10 +184,10 @@ def _blocks(n_rows: int, n_cols: int, per_entry: int):
     """(row slice, column slice) tiles of at most _BLOCK_ELEMENTS work elements.
 
     A tile never drops below one entry, so a single (1, 1, d) difference
-    slice is the floor when d alone exceeds the budget; width 0 counts as 1.
+    slice is the floor when d alone exceeds the budget.  per_entry >= 1.
     """
-    cols = max(1, min(n_cols, _BLOCK_ELEMENTS // max(1, per_entry)))
-    rows = max(1, min(n_rows, _BLOCK_ELEMENTS // (max(1, per_entry) * cols)))
+    cols = max(1, min(n_cols, _BLOCK_ELEMENTS // per_entry))
+    rows = max(1, min(n_rows, _BLOCK_ELEMENTS // (per_entry * cols)))
     for i in range(0, n_rows, rows):
         for j in range(0, n_cols, cols):
             yield slice(i, i + rows), slice(j, j + cols)
@@ -197,12 +197,15 @@ def difference_distances(x: np.ndarray, y: np.ndarray, squared: bool = True) -> 
     """Pairwise distances from direct differences of the rows of x and y.
 
     Entry (i, j) is sum_k (x_ik - y_jk)^2, or sum_k |x_ik - y_jk| when
-    squared is False.  The (rows, cols, d) difference tensor is built one bounded block at a
-    time; each entry's arithmetic does not depend on the blocking, so the
-    result is bit-identical to the unblocked computation.
+    squared is False.  The (rows, cols, d) difference tensor is built one
+    bounded block at a time; each entry's arithmetic does not depend on the
+    blocking, so the result is bit-identical to the unblocked computation.
+    Zero-width rows are 0 apart, with no block built.
     """
     x = _as_matrix(x)
     y = _as_matrix(y)
+    if x.shape[1] == 0 == y.shape[1]:
+        return np.zeros((x.shape[0], y.shape[0]))
     out = np.empty((x.shape[0], y.shape[0]))
     for rows, cols in _blocks(x.shape[0], y.shape[0], x.shape[1]):
         diff = x[rows, None, :] - y[None, cols, :]

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError
-from .numerics import fix_column_signs
 from .rkhs import _LINEAR_KERNEL, KernelBiasModel, fit_kernel_model
 
 
@@ -98,7 +98,7 @@ def fit_linear_subspace(
     """
     model = fit_kernel_model(_LINEAR_KERNEL, table, sets, k=k)
     basis = np.linalg.qr(model.input_directions().T)[0]
-    fix_column_signs(basis)
+    numerics.fix_column_signs(basis)
     return KernelBiasModel.from_basis(
         basis.T.copy(), model.eigenvalues / (4.0 * model.gram_scale)
     )

@@ -27,9 +27,10 @@ makes no beta_matrix call.  It has one query form: words of its table.
 `in` tells whether a word is there, and similarity_matrix(rows, cols),
 inner_product_matrix(rows, cols) and squared_distance_matrix(rows, cols)
 score every row word against every column word.  A similarity query
-rejects a fully neutralized word: corrected self product at most
-1e-12 k(w, w).  A word's beta is computed the first time a query touches
-it, and kept: a query pays only for the words it names, and each word once.
+rejects a word whose corrected self product is at most 1e-12 k(w, w):
+fully neutralized, or k(w, w) <= 0 (sigmoid).  A word's beta is computed
+the first time a query touches it, and kept: a query pays only for the
+words it names, and each word once.
 pair_similarities answers a list of word pairs through similarity_matrix,
 in bounded chunks.
 
@@ -50,11 +51,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linear
+from . import linear, numerics
 from .embeddings import EmbeddingTable
 from .errors import DataError, FormatError, warn
 from .kernels import _BLOCK_ELEMENTS, KernelSpec, difference_distances, gram_matrix, kernel_diag
-from .numerics import symmetric_eig
 
 # Eigenvalues at or below this fraction of the largest are treated as
 # numerically zero when ranking the bias directions.
@@ -196,7 +196,7 @@ def fit_kernel_model(
     pairs_a = table.matrix[[a for a, _ in sets.pairs]]
     pairs_b = table.matrix[[b for _, b in sets.pairs]]
     gram = gram_scale * build_centered_gram(spec, pairs_a, pairs_b)
-    eig = symmetric_eig(gram)
+    eig = numerics.symmetric_eig(gram)
 
     top = float(eig.eigenvalues[0]) if eig.eigenvalues.size else 0.0
     threshold = RANK_RTOL * max(top, 0.0)
@@ -317,10 +317,10 @@ class CorrectedMetric:
 
         Raises:
             DataError: naming the first word that is not in the table, or
-                the first row word, then column word, that is fully
-                neutralized: its corrected self product is at most
-                1e-12 k(w, w), so the correction leaves nothing of it and
-                its cosine is undefined.
+                the first row word, then column word, whose corrected
+                self product is at most 1e-12 k(w, w): the correction
+                leaves nothing of it, or (sigmoid) k(w, w) <= 0 to begin
+                with, which the message names.  Its cosine is undefined.
         """
         x, y, bx, by = self._resolve(rows, cols)
         products = []
@@ -329,10 +329,10 @@ class CorrectedMetric:
             products.append(diag - np.sum(beta * beta, axis=1))
             bad = np.nonzero(products[-1] <= 1e-12 * diag)[0]
             if bad.size:
-                raise DataError(
-                    f"word {words[bad[0]]!r} is fully neutralized by the correction; "
-                    "its cosine is undefined"
-                )
+                word, value = words[bad[0]], diag[bad[0]]
+                reason = "is fully neutralized by the correction" if value > 0 else (
+                    f"has self-similarity {value:.6g} <= 0 under the {self.spec.family} kernel")
+                raise DataError(f"word {word!r} {reason}; its cosine is undefined")
         # Divided by each root in turn: the product of two self products
         # can overflow where the cosine cannot.
         cross = self._cross(x, y, bx, by)
@@ -344,18 +344,18 @@ class CorrectedMetric:
         """Corrected squared distances of every row word from every column
         word, clamped at zero.
 
-        Computed as k(x, x) - 2 k(x, y) + k(y, y) - ||beta(x) - beta(y)||^2
-        with the bias term from direct differences, so a word is exactly 0
-        from itself whenever its kernel part is.
+        Computed as k(x, x) - 2 k(x, y) + k(y, y) - ||beta(x) - beta(y)||^2,
+        left to right in one array, the bias term from direct differences:
+        a word is exactly 0 from itself whenever its kernel part is.
         """
         x, y, bx, by = self._resolve(rows, cols)
-        dist = (
-            kernel_diag(self.spec, x)[:, None]
-            - 2.0 * gram_matrix(self.spec, x, y)
-            + kernel_diag(self.spec, y)[None, :]
-            - difference_distances(bx, by)
-        )
-        return np.maximum(0.0, dist)
+        diag_x = kernel_diag(self.spec, x)
+        dist = gram_matrix(self.spec, x, y)
+        dist *= 2.0
+        np.subtract(diag_x[:, None], dist, out=dist)
+        dist += kernel_diag(self.spec, y)[None, :]
+        dist -= difference_distances(bx, by)
+        return np.maximum(0.0, dist, out=dist)
 
 
 def pair_similarities(metric: CorrectedMetric, pairs: Sequence[tuple[str, str]]) -> np.ndarray:

@@ -1267,15 +1267,26 @@ def test_table_write_to_a_pipe_goes_in_place(generic_files, tmp_path, capsys):
     assert stat.S_ISFIFO(pipe.lstat().st_mode)
 
 
-@pytest.mark.parametrize("model", ["linear", "kernel-linear", "rbf"])
-def test_out_model_written_without_ridge_block(generic_files, tmp_path, model):
+@pytest.mark.parametrize(
+    "model, stale",
+    [
+        pytest.param("linear", {}, id="linear"),
+        pytest.param("kernel-linear", {}, id="kernel-linear"),
+        pytest.param("rbf", {}, id="rbf"),
+        # A key no writer of the model file knows.
+        pytest.param("rbf", {"pair_words": [["w0", "w1"]]}, id="rbf-pair-words"),
+    ],
+)
+def test_out_model_written_without_ridge_block(generic_files, tmp_path, model, stale):
     paths = generic_files
-    data = json.loads(paths[model].read_text())
+    fitted = paths[model].read_bytes()
+    data = json.loads(fitted)
     # A block left by an earlier apply names a ridge map that apply no longer fits.
-    paths[model].write_text(json.dumps({**data, "preimage": {"ridge_lambda": 1.0}}))
+    paths[model].write_text(json.dumps({**data, "preimage": {"ridge_lambda": 1.0}, **stale}))
     out_model = tmp_path / "out-model.json"
     assert _apply(paths, model, tmp_path / "out.txt", "--out-model", str(out_model)) == 0
     assert json.loads(out_model.read_text()) == data
+    assert out_model.read_bytes() == fitted  # the bytes fit wrote
 
 
 @pytest.mark.parametrize("model", ["linear", "kernel-linear"])
@@ -1469,6 +1480,26 @@ def test_components_above_rank_exit_3(planted_files, capsys, backend, extra, com
         "--backend", backend, *extra, "--components", components, "--out", str(paths["model"]),
     ]) == 3
     assert f"rank is {rank}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["sim", "weat"])
+def test_nonpositive_sigmoid_self_similarity_exits_3(planted_files, capsys, stage):
+    # On unit rows this sigmoid kernel gives every word k(w, w) = tanh(1 - 5).
+    paths = planted_files
+    embeddings = ["--embeddings", str(paths["embeddings"])]
+    assert main([
+        "fit", *embeddings, "--sets", str(paths["sets"]), "--backend", "kernel",
+        "--kernel", "sigmoid", "--gamma", "1", "--coef0", "-5", "--out", str(paths["model"]),
+    ]) == 0
+    capsys.readouterr()
+    argv = {
+        "sim": ["sim", *embeddings, "he", "she"],
+        "weat": ["eval", "weat", *embeddings, "--config", str(paths["weat"])],
+    }[stage]
+    assert main([*argv, "--model", str(paths["model"])]) == 3
+    err = capsys.readouterr().err
+    assert f"has self-similarity {np.tanh(-4.0):.6g} <= 0 under the sigmoid kernel" in err
+    assert "fully neutralized" not in err
 
 
 def test_zero_vector_rejected_only_when_queried(tmp_path, capsys):
@@ -1843,6 +1874,7 @@ def test_import_leaves_every_registered_layer_unrun():
 _LAYER_BODIES = {
     "evaluation": "weat_test",
     "linear": "fit_linear_subspace",
+    "numerics": "symmetric_eig",
     "preimage": "preimage_neutralize_matrix",
     "toydemo": "run_toy_demo",
 }
@@ -1889,12 +1921,12 @@ def _run_in_child(argv: list[str], via_runpy: bool = False) -> dict:
 @pytest.mark.parametrize(
     "stage, ran",
     [
-        ("fit", ["linear"]),
+        ("fit", ["linear", "numerics"]),
         ("apply", ["preimage"]),
         ("sim", []),
-        ("simlex", ["evaluation"]),
-        ("demo-toy", ["linear", "preimage", "toydemo"]),
-        ("fit-runpy", ["linear"]),
+        ("simlex", ["evaluation", "numerics"]),
+        ("demo-toy", ["linear", "numerics", "preimage", "toydemo"]),
+        ("fit-runpy", ["linear", "numerics"]),
         ("sim-runpy", []),
     ],
 )

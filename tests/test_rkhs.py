@@ -22,6 +22,7 @@ from kerndebias import (
     unit_normalize,
 )
 from kerndebias.configio import model_from_dict, model_to_dict
+from kerndebias.kernels import difference_distances, kernel_diag
 from kerndebias.numerics import symmetric_eig
 from conftest import KERNEL_ZOO, planted_bias_table, random_instance
 from oracles import (
@@ -283,8 +284,48 @@ class TestKZeroModel:
                 err_msg=spec.family,
             )
 
+    def test_nonpositive_self_similarity_is_not_called_neutralized(self, rng):
+        # On unit rows sigmoid with gamma 1 and coef0 -5 gives k(w, w) = tanh(-4)
+        # before any correction.
+        table, sets = random_instance(rng, n_words=12, dim=5, n_pairs=3)
+        table = unit_normalize(table)
+        fitted = fit_kernel_model(KernelSpec("sigmoid", gamma=1.0, coef0=-5.0), table, sets, k=1)
+        model = dataclasses.replace(
+            fitted, alphas=fitted.alphas[:0], eigenvalues=fitted.eigenvalues[:0]
+        )
+        message = f"word 'w3' has self-similarity {np.tanh(-4.0):.6g} <= 0 under the sigmoid"
+        for k_model in (model, fitted):
+            with pytest.raises(DataError, match=message):
+                CorrectedMetric(table, k_model).similarity_matrix(["w3"], ["w4"])
+
 
 class TestCorrectedMetricProperties:
+    def test_squared_distances_are_the_four_term_expression_bit_for_bit(self, rng):
+        # The four-term expression, evaluated left to right as written, at
+        # K = 0 and K = 2 of every family: the metric's in-place sum must
+        # match it bit for bit.
+        for spec in KERNEL_ZOO:
+            table, sets = random_instance(rng, n_words=12, dim=5, n_pairs=3)
+            fitted = fit_kernel_model(spec, table, sets, k=2)
+            words = list(table.words)
+            for k in (0, 2):
+                model = dataclasses.replace(
+                    fitted, alphas=fitted.alphas[:k], eigenvalues=fitted.eigenvalues[:k]
+                )
+                beta = beta_matrix(model, table.matrix)
+                x, y, bx, by = table.matrix[:7], table.matrix[3:], beta[:7], beta[3:]
+                expected = np.maximum(
+                    0.0,
+                    kernel_diag(spec, x)[:, None]
+                    - 2.0 * gram_matrix(spec, x, y)
+                    + kernel_diag(spec, y)[None, :]
+                    - difference_distances(bx, by),
+                )
+                np.testing.assert_array_equal(
+                    CorrectedMetric(table, model).squared_distance_matrix(words[:7], words[3:]),
+                    expected, err_msg=f"{spec.family} K = {k}",
+                )
+
     def test_four_term_expansion_all_kernels(self, rng):
         for spec in KERNEL_ZOO:
             _, _, model = fitted_pair_models(rng, spec, k=2)
@@ -474,8 +515,8 @@ class TestSerialization:
         model = fit_kernel_model(spec, table, sets, k=2)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_dict(model, "kernel"), indent=1))
-        loaded, data = kd.load_model(path)
-        assert data["type"] == "kernel"
+        loaded, kind = kd.load_model(path)
+        assert kind == "kernel"
         z, w = rng.normal(size=(2, 10, 5))
         original = corrected(model, "inner_product_matrix", z, w)
         reloaded = corrected(loaded, "inner_product_matrix", z, w)
