@@ -11,7 +11,8 @@ Core pieces:
   whose bytes, joined, equal write_embedding_text's text.
 - :mod:`kerndebias.kernels` -- kernel specs and Gram matrices.
 - :mod:`kerndebias.rkhs` -- the one bias fit, fit_kernel_model, the one
-  bias-model type, KernelBiasModel, its bias coordinates beta_matrix, and
+  bias-model type, KernelBiasModel, checked at every construction, its
+  bias coordinates beta_matrix, and
   CorrectedMetric, the one corrected metric
   k~(x, y) = k(x, y) - beta(x) . beta(y): built over a table and a model,
   or none (plain cosine), it answers queries over words of its table
@@ -33,8 +34,8 @@ Core pieces:
   integer numpy, the same values on any platform and numpy >= 1.24, and
   permutation(seed, label, n).  No layer imports numpy.random.
 - :mod:`kerndebias.configio` -- input files, and the model file: the one
-  place that writes (model_to_dict) and reads (model_from_dict, load_model)
-  it.
+  place that writes (model_to_dict) and decodes (model_from_dict,
+  load_model) it.
 - :mod:`kerndebias.cli` -- the `kerndebias` command.
 
 Every layer loads on first use.  ``import kerndebias`` registers each

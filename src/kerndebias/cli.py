@@ -199,18 +199,19 @@ def _write_results(out: str, payload: dict) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if args.backend == "linear":
+    backend = args.backend or ("linear" if args.kernel is None else "kernel")
+    if backend == "linear":
         for flag in ("kernel", *PARAMETERS):
             if getattr(args, flag) is not None:
                 raise FormatError(f"--{flag} needs --backend kernel")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     sets, _ = _resolve_sets(args, table)
-    if args.backend == "linear":
+    if backend == "linear":
         model = linear.fit_linear_subspace(table, sets, args.components)
     else:
         spec = _kernel_spec_from_args(args, table.dim)
         model = fit_kernel_model(spec, table, sets, k=args.components)
-    payload = configio.model_to_dict(model, args.backend)
+    payload = configio.model_to_dict(model, backend)
     extra = (
         f", discarded {model.discarded_negative} negative eigenvalue(s)"
         if model.discarded_negative
@@ -219,7 +220,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _write_files([(args.out, _json_bytes(payload))])
     progress = sys.stderr if args.out == "-" else sys.stdout
     print(
-        f"fitted {args.backend} model: {len(sets)} pairs, "
+        f"fitted {backend} model: {len(sets)} pairs, "
         f"components={args.components}, eigenvalues="
         f"[{', '.join(f'{v:.6g}' for v in model.eigenvalues)}]{extra}",
         file=progress,
@@ -368,7 +369,8 @@ def _add_common(
 def _fit_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
     _add_common(p)
     p.add_argument("--sets", required=True, help="defining/equality sets JSON")
-    p.add_argument("--backend", choices=("linear", "kernel"), default="linear")
+    p.add_argument("--backend", choices=("linear", "kernel"),
+                   help="default: kernel when --kernel is given, else linear")
     p.add_argument("--kernel", help="kernel family name or KernelSpec JSON")
     for name, parameter in PARAMETERS.items():  # typed as its default is
         families = "/".join(f for f, family in FAMILIES.items() if name in family.parameters)

@@ -3,7 +3,8 @@
 This module alone knows the model file: model_to_dict writes a
 KernelBiasModel as a "linear" file (its orthonormal basis) or a "kernel"
 file (spec, pairs and dual coefficients), and model_from_dict reads
-either back; load_model also gives the type to write it back as.  Every
+either back; load_model also gives the type to write it back as.  The
+reader only decodes the file; KernelBiasModel checks the model.  Every
 JSON file is decoded by _decode_json, and every JSON object file -- a
 model, a sets file, a WEAT config -- read by read_json_object.
 """
@@ -21,21 +22,11 @@ from .errors import FormatError, checked_finite, checked_integer
 from .kernels import KernelSpec
 from .rkhs import KernelBiasModel
 
-# The arrays of each model-file type, with their shapes over k (bias
-# directions), dim (input dimension) and n (defining pairs).
+# The array fields of each model-file type, in the order a file holds them.
 _MODEL_ARRAYS = {
-    "linear": {"basis": ("k", "dim"), "eigenvalues": ("k",)},
-    "kernel": {
-        "eigenvalues": ("k",),
-        "alphas": ("k", "n"),
-        "pairs_a": ("n", "dim"),
-        "pairs_b": ("n", "dim"),
-    },
+    "linear": ("basis", "eigenvalues"),
+    "kernel": ("eigenvalues", "alphas", "pairs_a", "pairs_b"),
 }
-
-# Largest |B B^T - I| entry accepted for a linear file's basis; fitted
-# bases are within 1e-15.
-_ORTHONORMAL_TOL = 1e-10
 
 
 def _decode_json(path: str | Path, text: str):
@@ -77,61 +68,39 @@ def model_to_dict(model: KernelBiasModel, kind: str) -> dict:
 
 
 def model_from_dict(data: dict) -> KernelBiasModel:
-    """Rebuild a model from its file form, checking fields, shapes and values.
+    """Rebuild a model from its file form: decode each field and check its
+    JSON type, build the model, which checks itself, and check the file's k
+    and dim against it.
 
     Raises:
         FormatError: on an unknown "type", a missing field, a non-numeric
-            or non-finite array, a k, dim or discarded_negative that is not
-            an integer, a gram_scale that is not a finite positive number,
-            array shapes that disagree with _MODEL_ARRAYS, or a linear
-            basis that is not orthonormal within 1e-10.
+            array, a k, dim or discarded_negative that is not an integer,
+            a gram_scale that is not a finite number, or a k or dim below 1
+            or not the model's; and as KernelBiasModel raises it.
     """
     kind = data.get("type")
     if not isinstance(kind, str) or kind not in _MODEL_ARRAYS:
         raise FormatError(f"not a model file (type {kind!r})")
-    shapes = _MODEL_ARRAYS[kind]
     try:
-        arrays = {name: np.array(data[name], dtype=np.float64) for name in shapes}
-        sizes = {"k": checked_integer(data["k"], "k"), "dim": checked_integer(data["dim"], "dim")}
+        fields = {name: np.array(data[name], dtype=np.float64) for name in _MODEL_ARRAYS[kind]}
+        k, dim = (checked_integer(data[name], name) for name in ("k", "dim"))
         if kind == "kernel":
-            kernel_fields = {
-                "spec": KernelSpec.from_dict(data["kernel"]),
-                "gram_scale": checked_finite(data.get("gram_scale", 1.0), "gram_scale"),
-                "discarded_negative": checked_integer(
+            fields.update(
+                spec=KernelSpec.from_dict(data["kernel"]),
+                gram_scale=checked_finite(data.get("gram_scale", 1.0), "gram_scale"),
+                discarded_negative=checked_integer(
                     data.get("discarded_negative", 0), "discarded_negative"
                 ),
-            }
+            )
     except KeyError as exc:
         raise FormatError(f"{kind} model is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed {kind} model: {exc}") from None
-    for name, axes in shapes.items():  # n: the first size found on an "n" axis
-        for axis, size in zip(axes, arrays[name].shape):
-            sizes.setdefault(axis, size)
-    if min(sizes.values()) < 1 or any(
-        arrays[name].shape != tuple(sizes.get(axis) for axis in axes)
-        for name, axes in shapes.items()
-    ):
-        found = ", ".join(f"{name} {arr.shape}" for name, arr in arrays.items())
-        expected = ", ".join(f"{name} ({', '.join(axes)})" for name, axes in shapes.items())
-        raise FormatError(
-            f"{kind} model shapes disagree: {found}, dim {sizes['dim']}, k {sizes['k']}; "
-            f"expected {expected}, each size at least 1"
-        )
-    if not all(np.all(np.isfinite(arr)) for arr in arrays.values()):
-        raise FormatError(f"{kind} model contains non-finite values")
-    if kind == "linear":
-        basis = arrays["basis"]
-        error = float(np.max(np.abs(basis @ basis.T - np.eye(sizes["k"]))))
-        if error > _ORTHONORMAL_TOL:
-            raise FormatError(
-                f"linear model basis is not orthonormal: max |B B^T - I| = {error:.3g}"
-            )
-        return KernelBiasModel.from_basis(basis, arrays["eigenvalues"])
-    gram_scale = kernel_fields["gram_scale"]
-    if gram_scale <= 0.0:
-        raise FormatError(f"kernel model gram_scale must be positive, got {gram_scale}")
-    return KernelBiasModel(**arrays, **kernel_fields)
+    model = KernelBiasModel.from_basis(**fields) if kind == "linear" else KernelBiasModel(**fields)
+    if min(k, dim) < 1 or (k, dim) != (model.k, model.dim):
+        raise FormatError(f"{kind} model shapes disagree: the file's k {k} and dim {dim}, its "
+                          f"arrays' k {model.k} and dim {model.dim}; each at least 1")
+    return model
 
 
 def load_model(path: str | Path) -> tuple[KernelBiasModel, str]:

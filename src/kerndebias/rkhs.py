@@ -18,8 +18,10 @@ direction k, computable from kernel evaluations against the training
 pairs.
 
 KernelBiasModel is the package's one bias-model type: a linear model is
-its linear-kernel instance.  beta_matrix(model, x) gives the (n, K) bias
-coordinates of the rows of x.  CorrectedMetric is the package's one copy
+its linear-kernel instance; it owns the model contract, and every
+construction (dataclasses.replace and a file read included) checks it.
+beta_matrix(model, x) gives the (n, K) bias coordinates of the rows of x.
+CorrectedMetric is the package's one copy
 of the metric and the one object every evaluation and the CLI query: it
 holds a table, a bias model and a name ("raw", "linear" or "kernel"); raw
 is the K = 0 linear model, plain cosine: a K = 0 model, of any kernel,
@@ -61,6 +63,10 @@ from .kernels import _BLOCK_ELEMENTS, KernelSpec, difference_distances, gram_mat
 RANK_RTOL = 1e-10
 
 _LINEAR_KERNEL = KernelSpec("linear")
+
+# Largest |B B^T - I| entry from_basis accepts; fitted bases are within 1e-15.
+_ORTHONORMAL_TOL = 1e-10
+_ARRAY_FIELDS = ("pairs_a", "pairs_b", "alphas", "eigenvalues")
 
 
 def build_centered_gram(
@@ -109,6 +115,11 @@ class KernelBiasModel:
         gram_scale: the multiplier M was fitted with.
         discarded_negative: count of negative eigenvalues dropped at fit
             (nonzero only for indefinite kernels such as sigmoid).
+
+    Raises:
+        FormatError: unless pairs_a and pairs_b are (N, d), alphas (K, N)
+            and eigenvalues (K,), all finite, gram_scale is finite and
+            positive and discarded_negative is at least 0.
     """
 
     spec: KernelSpec
@@ -120,10 +131,22 @@ class KernelBiasModel:
     discarded_negative: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("pairs_a", "pairs_b", "alphas", "eigenvalues"):
+        for name in _ARRAY_FIELDS:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(f"model {name} contains non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        a, alphas = self.pairs_a, self.alphas
+        if not (a.ndim == alphas.ndim == 2 and self.pairs_b.shape == a.shape
+                and alphas.shape[1] == len(a) and self.eigenvalues.shape == alphas.shape[:1]):
+            shapes = ", ".join(f"{name} {getattr(self, name).shape}" for name in _ARRAY_FIELDS)
+            raise FormatError(f"model shapes disagree: {shapes}; expected pairs_a and pairs_b "
+                              "(N, d), alphas (K, N), eigenvalues (K,)")
+        if not 0 < self.gram_scale < math.inf:
+            raise FormatError(f"model gram_scale is not finite and positive: {self.gram_scale}")
+        if self.discarded_negative < 0:
+            raise FormatError(f"model discarded_negative is below 0: {self.discarded_negative}")
 
     @property
     def k(self) -> int:
@@ -154,15 +177,19 @@ class KernelBiasModel:
     @classmethod
     def from_basis(cls, basis: np.ndarray, eigenvalues: np.ndarray) -> "KernelBiasModel":
         """The canonical linear-kernel model of a (K, d) orthonormal basis:
-        pairs_a = basis, pairs_b = 0 and alphas = I."""
+        pairs_a = basis, pairs_b = 0 and alphas = I; FormatError unless
+        its rows are orthonormal within _ORTHONORMAL_TOL."""
         basis = np.asarray(basis, dtype=np.float64)
-        return cls(
-            spec=_LINEAR_KERNEL,
-            pairs_a=basis,
-            pairs_b=np.zeros_like(basis),
-            alphas=np.eye(basis.shape[0]),
-            eigenvalues=eigenvalues,
-        )
+        if basis.ndim != 2:
+            raise FormatError(f"linear model basis must be 2-D, got shape {basis.shape}")
+        model = cls(spec=_LINEAR_KERNEL, pairs_a=basis, pairs_b=np.zeros_like(basis),
+                    alphas=np.eye(len(basis)), eigenvalues=eigenvalues)
+        error = float(np.max(np.abs(basis @ basis.T - model.alphas), initial=0.0))
+        if error > _ORTHONORMAL_TOL:
+            raise FormatError(
+                f"linear model basis is not orthonormal: max |B B^T - I| = {error:.3g}"
+            )
+        return model
 
 
 def fit_kernel_model(

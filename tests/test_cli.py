@@ -127,9 +127,11 @@ def _earlier_format(data: dict) -> dict:
         ("alphas", lambda v: [[float("nan")] + row[1:] for row in v]),
         ("pairs_a", lambda v: [[float("nan")] + row[1:] for row in v]),
         ("eigenvalues", lambda v: [float("inf")] * len(v)),
+        ("pairs_b", lambda v: [[10**400] + row[1:] for row in v]),
         (None, _earlier_format),
         ("k", lambda v: str(v)),
         ("discarded_negative", lambda v: 1.9),
+        ("discarded_negative", lambda v: -3),
         ("gram_scale", lambda v: 0.0),
         ("gram_scale", lambda v: -v),
         ("gram_scale", lambda v: float("inf")),
@@ -145,8 +147,9 @@ def _earlier_format(data: dict) -> dict:
     ids=[
         "alphas-short-rows", "alphas-1d", "pairs_b-short", "pairs_a-wide",
         "eigenvalues-long", "dim-wrong", "k-wrong", "alphas-text", "pairs_a-missing",
-        "alphas-nan", "pairs_a-nan", "eigenvalues-inf", "earlier-format",
-        "k-text", "discarded_negative-float", "gram_scale-zero",
+        "alphas-nan", "pairs_a-nan", "eigenvalues-inf", "pairs_b-beyond-float",
+        "earlier-format", "k-text", "discarded_negative-float",
+        "discarded_negative-negative", "gram_scale-zero",
         "gram_scale-negative", "gram_scale-inf", "gram_scale-text", "gram_scale-bool",
         "type-missing", "type-quadratic", "type-number", "type-null",
         "kernel-stray-degree", "kernel-unknown-key",
@@ -222,11 +225,12 @@ def test_stale_pair_words_is_ignored(planted_files, tmp_path, value):
         ("k", lambda v: True),
         ("dim", lambda v: str(v)),
         ("basis", lambda v: [[1.5 * x for x in row] for row in v]),
+        ("basis", lambda v: 5),
     ],
     ids=[
         "basis-1d", "basis-short-rows", "basis-nan", "basis-text", "eigenvalues-long",
         "eigenvalues-inf", "dim-wrong", "k-wrong", "basis-missing", "eigenvalues-missing",
-        "k-float", "k-bool", "dim-text", "basis-scaled",
+        "k-float", "k-bool", "dim-text", "basis-scaled", "basis-number",
     ],
 )
 def test_malformed_linear_model_exits_2(planted_files, capsys, field, corrupt):
@@ -447,6 +451,7 @@ def test_out_of_range_apply_value_exits_2(planted_files, tmp_path, capsys, argv,
         (["--backend", "linear", "--kernel", "rbf", "--gamma", "5"], "--backend kernel"),
         (["--backend", "linear", "--degree", "5"], "--degree needs --backend kernel"),
         (["--backend", "linear", "--coef0", "3"], "--coef0 needs --backend kernel"),
+        (["--gamma", "5"], "--gamma needs --backend kernel"),
         (["--backend", "kernel", "--kernel", "rbf", "--degree", "3"],
          "--degree does not apply to the rbf kernel"),
         (["--backend", "kernel", "--kernel", "rbf", "--coef0", "1"],
@@ -468,7 +473,8 @@ def test_out_of_range_apply_value_exits_2(planted_files, tmp_path, capsys, argv,
     ids=[
         "linear-components-zero", "linear-components-negative", "kernel-components-zero",
         "kernel-components-negative", "linear-kernel", "linear-gamma", "linear-kernel-gamma",
-        "linear-degree", "linear-coef0", "rbf-degree", "rbf-coef0", "cosine-gamma",
+        "linear-degree", "linear-coef0", "no-backend-gamma", "rbf-degree", "rbf-coef0",
+        "cosine-gamma",
         "kernel-linear-degree", "json-gamma", "json-degree", "kernel-without-kernel",
         "unknown-family", "convex-by-name",
     ],
@@ -481,6 +487,25 @@ def test_out_of_range_fit_value_exits_2(planted_files, capsys, argv, message):
     ]) == 2
     assert message in capsys.readouterr().err
     assert not paths["model"].exists()
+
+
+@pytest.mark.parametrize(
+    "flags, backend",
+    [(["--kernel", "rbf", "--gamma", "0.5"], "kernel"), ([], "linear")],
+    ids=["kernel-flag", "no-kernel-flag"],
+)
+def test_fit_backend_defaults_to_the_kernel_flag(planted_files, tmp_path, capsys, flags,
+                                                 backend):
+    paths = planted_files
+    fit = ["fit", "--embeddings", str(paths["embeddings"]), "--sets", str(paths["sets"]),
+           "--components", "1", *flags]
+    outputs = []
+    for name, extra in (("derived", []), ("explicit", ["--backend", backend])):
+        out = tmp_path / f"{name}.json"
+        assert main([*fit, *extra, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out.replace(str(out), "OUT")))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["type"] == backend
 
 
 @pytest.mark.parametrize(

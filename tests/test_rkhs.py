@@ -41,6 +41,15 @@ NORMALIZED_KERNELS = [
 ]
 
 
+_EXPECTED_SHAPES = "; expected pairs_a and pairs_b (N, d), alphas (K, N), eigenvalues (K,)"
+
+
+def _with_nan(array: np.ndarray) -> np.ndarray:
+    array = array.copy()
+    array.flat[0] = np.nan
+    return array
+
+
 def fitted_pair_models(rng, spec, k=2, n_pairs=4, dim=6):
     table, sets = random_instance(rng, n_pairs=n_pairs, dim=dim)
     model = fit_kernel_model(spec, table, sets, k=k)
@@ -532,6 +541,19 @@ class TestSerialization:
         np.testing.assert_array_equal(again.eigenvalues, model.eigenvalues)
         assert again.gram_scale == model.gram_scale
 
+    def test_sliced_fit_writes_the_smaller_fit(self, rng):
+        # The K-sweep premise: the leading rows of a fit are the smaller fit,
+        # and so is its file.
+        for spec in KERNEL_ZOO:
+            table, sets = random_instance(rng, n_words=16, dim=5, n_pairs=6)
+            fitted = fit_kernel_model(spec, table, sets, k=3)
+            sliced = dataclasses.replace(
+                fitted, alphas=fitted.alphas[:2], eigenvalues=fitted.eigenvalues[:2]
+            )
+            assert model_to_dict(sliced, "kernel") == model_to_dict(
+                fit_kernel_model(spec, table, sets, k=2), "kernel"
+            ), spec.family
+
 
 @pytest.mark.parametrize(
     "make, error, message",
@@ -545,8 +567,51 @@ class TestSerialization:
          DataError, "gram_scale must be positive"),
         (lambda table, sets, model: beta_matrix(model, np.zeros((2, 5))), DataError,
          "expected rows of dimension 6, got shape (2, 5)"),
+        # Every construction of a model checks its arrays: dataclasses.replace,
+        # a hand-built model and from_basis.
+        (lambda table, sets, m: dataclasses.replace(m, alphas=m.alphas[:1]), FormatError,
+         "model shapes disagree: pairs_a (4, 6), pairs_b (4, 6), alphas (1, 4), "
+         "eigenvalues (2,)" + _EXPECTED_SHAPES),
+        (lambda table, sets, m: KernelBiasModel(m.spec, m.pairs_a, m.pairs_b[:-1], m.alphas,
+                                                m.eigenvalues), FormatError,
+         "model shapes disagree: pairs_a (4, 6), pairs_b (3, 6), alphas (2, 4), "
+         "eigenvalues (2,)" + _EXPECTED_SHAPES),
+        (lambda table, sets, m: dataclasses.replace(m, pairs_a=m.pairs_a[0],
+                                                    pairs_b=m.pairs_b[0]), FormatError,
+         "model shapes disagree: pairs_a (6,), pairs_b (6,), alphas (2, 4), "
+         "eigenvalues (2,)" + _EXPECTED_SHAPES),
+        (lambda table, sets, m: dataclasses.replace(m, eigenvalues=m.eigenvalues[:, None]),
+         FormatError, "model shapes disagree: pairs_a (4, 6), pairs_b (4, 6), alphas (2, 4), "
+         "eigenvalues (2, 1)" + _EXPECTED_SHAPES),
+        (lambda table, sets, m: dataclasses.replace(m, alphas=_with_nan(m.alphas)),
+         FormatError, "model alphas contains non-finite values"),
+        (lambda table, sets, m: dataclasses.replace(m, pairs_b=np.full_like(m.pairs_b, np.inf)),
+         FormatError, "model pairs_b contains non-finite values"),
+        (lambda table, sets, m: dataclasses.replace(m, gram_scale=0.0), FormatError,
+         "model gram_scale is not finite and positive: 0.0"),
+        (lambda table, sets, m: dataclasses.replace(m, gram_scale=float("inf")), FormatError,
+         "model gram_scale is not finite and positive: inf"),
+        (lambda table, sets, m: dataclasses.replace(m, discarded_negative=-1), FormatError,
+         "model discarded_negative is below 0: -1"),
+        (lambda table, sets, m: KernelBiasModel.from_basis(1.5 * np.eye(2, 6), np.ones(2)),
+         FormatError, "linear model basis is not orthonormal: max |B B^T - I| = 1.25"),
+        (lambda table, sets, m: KernelBiasModel.from_basis(np.ones((2, 6)) / 6**0.5,
+                                                           np.ones(2)),
+         FormatError, "linear model basis is not orthonormal: max |B B^T - I| = 1"),
+        (lambda table, sets, m: KernelBiasModel.from_basis(np.eye(6)[0], np.ones(1)),
+         FormatError, "linear model basis must be 2-D, got shape (6,)"),
+        (lambda table, sets, m: KernelBiasModel.from_basis(_with_nan(np.eye(2, 6)), np.ones(2)),
+         FormatError, "model pairs_a contains non-finite values"),
+        (lambda table, sets, m: KernelBiasModel.from_basis(np.empty((0, 6)), np.ones(1)),
+         FormatError, "model shapes disagree: pairs_a (0, 6), pairs_b (0, 6), alphas (0, 0), "
+         "eigenvalues (1,)" + _EXPECTED_SHAPES),
     ],
-    ids=["pair-shapes", "rbf-directions", "gram-scale", "beta-dimension"],
+    ids=["pair-shapes", "rbf-directions", "gram-scale", "beta-dimension",
+         "replace-alphas-sliced", "hand-built-pairs_b-short", "replace-pairs-1d",
+         "replace-eigenvalues-2d", "replace-alphas-nan", "replace-pairs_b-inf",
+         "replace-gram_scale-zero", "replace-gram_scale-inf",
+         "replace-discarded_negative-negative", "from_basis-scaled", "from_basis-parallel",
+         "from_basis-1d", "from_basis-nan", "from_basis-empty-eigenvalues-long"],
 )
 def test_malformed_model_inputs_rejected(rng, make, error, message):
     table, sets, model = fitted_pair_models(rng, KernelSpec("rbf", gamma=0.5))
