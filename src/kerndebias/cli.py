@@ -80,12 +80,11 @@ def _read_embeddings(path: str, normalize: bool) -> EmbeddingTable:
 
 
 def _kernel_spec_from_args(args: argparse.Namespace, dim: int) -> KernelSpec:
-    """The --kernel spec; --gamma, --coef0 and --degree fill in a family
-    name's parameters (kernels.PARAMETERS gives their defaults), and any of
-    them given where the family or a JSON spec takes none is a FormatError."""
-    text = args.kernel
-    if text is None:
-        raise FormatError("kernel backend requires --kernel (family name or JSON)")
+    """The --kernel spec, linear without it; --gamma, --coef0 and --degree
+    fill in a family name's parameters (kernels.PARAMETERS gives their
+    defaults), and any of them given where the family or a JSON spec takes
+    none is a FormatError."""
+    text = "linear" if args.kernel is None else args.kernel
     is_json = text.lstrip().startswith("{")
     family = None if is_json else text.strip()
     if not is_json and family not in FAMILIES:
@@ -199,19 +198,21 @@ def _write_results(out: str, payload: dict) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    backend = args.backend or ("linear" if args.kernel is None else "kernel")
-    if backend == "linear":
-        for flag in ("kernel", *PARAMETERS):
-            if getattr(args, flag) is not None:
-                raise FormatError(f"--{flag} needs --backend kernel")
+    """Fit the kind of model --kernel implies: linear without it, else one
+    of its spec, which is checked after the table and sets are read.
+    --backend must name that kind, and never changes the file."""
+    kind = "linear" if args.kernel is None else "kernel"
+    if args.backend not in (None, kind):
+        raise FormatError(f"--backend {args.backend} {'needs' if args.kernel is None else 'takes no'}"
+                          " --kernel")
     table = _read_embeddings(args.embeddings, not args.no_normalize)
     sets, _ = _resolve_sets(args, table)
-    if backend == "linear":
+    spec = _kernel_spec_from_args(args, table.dim)
+    if kind == "linear":
         model = linear.fit_linear_subspace(table, sets, args.components)
     else:
-        spec = _kernel_spec_from_args(args, table.dim)
         model = fit_kernel_model(spec, table, sets, k=args.components)
-    payload = configio.model_to_dict(model, backend)
+    payload = configio.model_to_dict(model, kind)
     extra = (
         f", discarded {model.discarded_negative} negative eigenvalue(s)"
         if model.discarded_negative
@@ -220,7 +221,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _write_files([(args.out, _json_bytes(payload))])
     progress = sys.stderr if args.out == "-" else sys.stdout
     print(
-        f"fitted {backend} model: {len(sets)} pairs, "
+        f"fitted {kind} model: {len(sets)} pairs, "
         f"components={args.components}, eigenvalues="
         f"[{', '.join(f'{v:.6g}' for v in model.eigenvalues)}]{extra}",
         file=progress,
@@ -252,8 +253,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     matrix = preimage.preimage_neutralize_matrix(model, table.matrix)
     if args.equalize:
         for members in eq_sets.sets:
-            for idx, vec in zip(members, linear.equalize_set(model, table, members)):
-                matrix[idx] = vec
+            matrix[list(members)] = linear.equalize_set(model, table, members)
     outputs = [(args.out, iter_embedding_text(table.words, matrix, args.precision))]
     if args.out_model is not None:
         outputs.append((args.out_model, _json_bytes(configio.model_to_dict(model, kind))))
@@ -370,7 +370,7 @@ def _fit_arguments(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
     _add_common(p)
     p.add_argument("--sets", required=True, help="defining/equality sets JSON")
     p.add_argument("--backend", choices=("linear", "kernel"),
-                   help="default: kernel when --kernel is given, else linear")
+                   help="must agree with --kernel: kernel when it is given, else linear")
     p.add_argument("--kernel", help="kernel family name or KernelSpec JSON")
     for name, parameter in PARAMETERS.items():  # typed as its default is
         families = "/".join(f for f, family in FAMILIES.items() if name in family.parameters)

@@ -265,6 +265,7 @@ def professions_correlation(
 
     Raises:
         FormatError: if k_neighbors is below 1.
+        DataError: if the male-neighbor counts are constant.
     """
     if k_neighbors < 1:
         raise FormatError(f"neighbor count must be at least 1, got {k_neighbors}")
@@ -297,7 +298,7 @@ def professions_correlation(
 
     bias = original_bias_scores(table, profs, male_anchor, female_anchor)
     if np.all(counts == counts[0]):
-        raise NumericalError("male-neighbor counts are constant; correlation undefined")
+        raise DataError("male-neighbor counts are constant; correlation undefined")
     return numerics.pearson(counts, bias)
 
 

@@ -114,12 +114,13 @@ def equalize_set(
     Each output is nu + Z * (w_B - mu_B), where mu is the set mean, nu its
     neutral part, w_B / mu_B the bias-subspace parts, and the normalizer
     Z = sqrt(1 - |nu|^2) / |w_B - mu_B| restores unit length.  B is the
-    model's input directions.
+    model's input directions; all members take one matrix step.
 
     Raises:
         FormatError: unless the model's kernel is linear.
         DataError: if a member's bias component coincides with the set
-            mean's (nothing to scale), or if |nu| > 1.
+            mean's (nothing to scale; the first such member in set order
+            is named), or if |nu| > 1.
     """
     members = [int(i) for i in members]
     if len(members) < 2:
@@ -135,20 +136,16 @@ def equalize_set(
             "equality set mean has neutral norm > 1; cannot renormalize "
             "(are the input vectors unit length?)"
         )
-    nu_norm_sq = min(nu_norm_sq, 1.0)
-    out = []
-    for idx, w in zip(members, vectors):
-        w_b = basis.T @ (basis @ w)
-        diff = w_b - mu_b
-        diff_norm = float(np.linalg.norm(diff))
-        if diff_norm <= 1e-12:
-            raise DataError(
-                f"word {table.words[idx]!r} has no bias offset from its "
-                "equality-set mean; cannot equalize"
-            )
-        z = np.sqrt(1.0 - nu_norm_sq) / diff_norm
-        out.append(nu + z * diff)
-    return out
+    diff = (vectors @ basis.T) @ basis - mu_b
+    diff_norm = np.linalg.norm(diff, axis=1)
+    degenerate = np.flatnonzero(diff_norm <= 1e-12)
+    if degenerate.size:
+        raise DataError(
+            f"word {table.words[members[degenerate[0]]]!r} has no bias offset from its "
+            "equality-set mean; cannot equalize"
+        )
+    z = np.sqrt(1.0 - min(nu_norm_sq, 1.0)) / diff_norm
+    return list(nu + z[:, None] * diff)
 
 
 def resolve_word_sets(

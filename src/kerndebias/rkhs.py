@@ -99,9 +99,10 @@ def build_centered_gram(
 
 @dataclass(frozen=True, eq=False)
 class KernelBiasModel:
-    """Fitted bias model.  A linear model is the linear-kernel one in the
-    canonical form of from_basis: pairs_a = B, its (K, d) orthonormal
-    basis, pairs_b = 0 and alphas = I, so beta(x) = x B^T.
+    """Fitted bias model, over read-only float64 copies of its arrays.  A
+    linear model is the linear-kernel one in the canonical form of
+    from_basis: pairs_a = B, its (K, d) orthonormal basis, pairs_b = 0 and
+    alphas = I, so beta(x) = x B^T.
 
     Attributes:
         spec: Kernel used for fitting and all corrected evaluations.
@@ -132,7 +133,7 @@ class KernelBiasModel:
 
     def __post_init__(self) -> None:
         for name in _ARRAY_FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise FormatError(f"model {name} contains non-finite values")
             arr.setflags(write=False)
@@ -225,10 +226,8 @@ def fit_kernel_model(
     gram = gram_scale * build_centered_gram(spec, pairs_a, pairs_b)
     eig = numerics.symmetric_eig(gram)
 
-    top = float(eig.eigenvalues[0]) if eig.eigenvalues.size else 0.0
-    threshold = RANK_RTOL * max(top, 0.0)
-    positive = eig.eigenvalues > threshold if top > 0 else np.zeros(len(eig.eigenvalues), bool)
-    rank = int(np.sum(positive))
+    threshold = RANK_RTOL * max(float(eig.eigenvalues[0]), 0.0)
+    rank = int(np.sum(eig.eigenvalues > threshold))
     n_negative = int(np.sum(eig.eigenvalues < -threshold))
     if n_negative:
         warn(
@@ -244,7 +243,7 @@ def fit_kernel_model(
             f"requested {k} bias directions but centered-Gram rank is {rank}"
         )
 
-    values = eig.eigenvalues[:k].copy()
+    values = eig.eigenvalues[:k]
     alphas = np.sqrt(gram_scale) * eig.eigenvectors[:, :k].T / np.sqrt(values)[:, None]
     return KernelBiasModel(
         spec=spec,

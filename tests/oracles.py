@@ -63,6 +63,21 @@ def primal_linear_model(table: EmbeddingTable, sets: DefiningSets, k: int) -> Pr
     return PrimalSubspace(basis=vectors[:, top].T, eigenvalues=values[top])
 
 
+def loop_equalize(basis: np.ndarray, vectors: np.ndarray) -> list[np.ndarray]:
+    """Bolukbasi et al.'s equalize of one set's rows, one member at a time:
+    each output is nu + sqrt(1 - |nu|^2) (w_B - mu_B) / |w_B - mu_B|, with
+    the projections onto the orthonormal rows of basis taken per vector."""
+    mu = vectors.mean(axis=0)
+    mu_b = basis.T @ (basis @ mu)
+    nu = mu - mu_b
+    scale = math.sqrt(1.0 - min(float(nu @ nu), 1.0))
+    out = []
+    for w in vectors:
+        diff = basis.T @ (basis @ w) - mu_b
+        out.append(nu + scale / float(np.linalg.norm(diff)) * diff)
+    return out
+
+
 def raw_beta(model: KernelBiasModel, x: np.ndarray) -> np.ndarray:
     """Bias coordinates recomputed from scratch: (n, K).
 

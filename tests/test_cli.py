@@ -446,12 +446,13 @@ def test_out_of_range_apply_value_exits_2(planted_files, tmp_path, capsys, argv,
         (["--backend", "linear", "--components", "-1"], "at least 1"),
         (["--backend", "kernel", "--kernel", "rbf", "--components", "0"], "at least 1"),
         (["--backend", "kernel", "--kernel", "rbf", "--components", "-1"], "at least 1"),
-        (["--backend", "linear", "--kernel", "rbf"], "--backend kernel"),
-        (["--backend", "linear", "--gamma", "5"], "--backend kernel"),
-        (["--backend", "linear", "--kernel", "rbf", "--gamma", "5"], "--backend kernel"),
-        (["--backend", "linear", "--degree", "5"], "--degree needs --backend kernel"),
-        (["--backend", "linear", "--coef0", "3"], "--coef0 needs --backend kernel"),
-        (["--gamma", "5"], "--gamma needs --backend kernel"),
+        (["--backend", "linear", "--kernel", "rbf"], "--backend linear takes no --kernel"),
+        (["--backend", "linear", "--gamma", "5"], "--gamma does not apply to the linear kernel"),
+        (["--backend", "linear", "--kernel", "rbf", "--gamma", "5"],
+         "--backend linear takes no --kernel"),
+        (["--backend", "linear", "--degree", "5"], "--degree does not apply to the linear kernel"),
+        (["--backend", "linear", "--coef0", "3"], "--coef0 does not apply to the linear kernel"),
+        (["--gamma", "5"], "--gamma does not apply to the linear kernel"),
         (["--backend", "kernel", "--kernel", "rbf", "--degree", "3"],
          "--degree does not apply to the rbf kernel"),
         (["--backend", "kernel", "--kernel", "rbf", "--coef0", "1"],
@@ -465,7 +466,7 @@ def test_out_of_range_apply_value_exits_2(planted_files, tmp_path, capsys, argv,
         (["--backend", "kernel", "--kernel",
           '{"family": "polynomial", "gamma": 1, "coef0": 1, "degree": 2}', "--degree", "3"],
          "--degree does not apply to a JSON --kernel spec"),
-        (["--backend", "kernel"], "kernel backend requires --kernel"),
+        (["--backend", "kernel"], "--backend kernel needs --kernel"),
         (["--backend", "kernel", "--kernel", "gaussian"], "unknown kernel family 'gaussian'"),
         (["--backend", "kernel", "--kernel", "convex_combination"],
          "convex_combination must be given as JSON"),
@@ -614,6 +615,19 @@ def test_word_list_json_array_of_a_non_string_exits_2(planted_files, capsys):
         "--female", str(paths["female"]),
     ]) == 2
     assert "expected an array of strings" in capsys.readouterr().err
+
+
+def test_professions_with_constant_neighbor_counts_exits_3(planted_files, capsys):
+    paths = planted_files
+    paths["male"].write_text("absent\n")  # no male word in the table: every count is 0
+    assert main([
+        "eval", "professions", "--embeddings", str(paths["embeddings"]),
+        "--professions", str(paths["professions"]), "--male", str(paths["male"]),
+        "--female", str(paths["female"]), "--neighbors", "8",
+    ]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: male-neighbor counts are constant; correlation undefined\n"
+    assert captured.out == ""
 
 
 def test_classify_without_default_anchors_exits_3(rng, tmp_path, capsys):

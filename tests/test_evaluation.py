@@ -596,7 +596,7 @@ class TestProfessions:
     def test_constant_counts_rejected(self):
         words, cos = self._constructed_gram()
         metric = gram_metric(cos, words)
-        with pytest.raises(NumericalError):
+        with pytest.raises(DataError):
             professions_correlation(
                 metric,
                 professions=[f"p{i}" for i in range(5)],

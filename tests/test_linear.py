@@ -9,6 +9,7 @@ from kerndebias import (
     EmbeddingTable,
     EqualitySets,
     FormatError,
+    KernelBiasModel,
     equalize_set,
     fit_linear_subspace,
     preimage_neutralize_matrix,
@@ -16,7 +17,7 @@ from kerndebias import (
     unit_normalize,
 )
 from conftest import random_instance
-from oracles import primal_linear_model
+from oracles import loop_equalize, primal_linear_model
 
 
 def neutralize_row(model, w: np.ndarray) -> np.ndarray:
@@ -178,6 +179,30 @@ class TestEqualize:
         dup = EmbeddingTable(words=table.words, matrix=matrix)
         with pytest.raises(DataError, match="w0|w1"):
             equalize_set(model, dup, (0, 1))
+
+    @pytest.mark.parametrize("k, size", [(1, 2), (2, 3), (3, 6)])
+    def test_matches_the_per_member_loop(self, rng, k, size):
+        # One matrix step sums in another order than the per-vector
+        # projections, so unit-norm outputs agree to a few ulps, not bits.
+        table, sets = random_instance(rng, n_words=14, n_pairs=4, dim=8)
+        table = unit_normalize(table)
+        model = fit_linear_subspace(table, sets, k)
+        members = tuple(range(8, 8 + size))
+        expected = loop_equalize(model.input_directions(), table.matrix[list(members)])
+        np.testing.assert_allclose(equalize_set(model, table, members), expected, rtol=0,
+                                   atol=4 * np.finfo(np.float64).eps)
+
+    def test_first_degenerate_member_in_set_order_is_named(self):
+        # Bias coordinates -0.6, 0, 0.6, 0 in set order: "c" and "b" both
+        # sit on the set mean, and "c" comes first in the set.
+        matrix = np.array([[0.6, 0.8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-0.6, 0.0, 0.8]])
+        table = EmbeddingTable(words=("a", "b", "c", "d"), matrix=matrix)
+        model = KernelBiasModel.from_basis(np.eye(1, 3), np.ones(1))
+        with pytest.raises(DataError) as info:
+            equalize_set(model, table, (3, 2, 0, 1))
+        assert str(info.value) == (
+            "word 'c' has no bias offset from its equality-set mean; cannot equalize"
+        )
 
     def test_oversized_neutral_rejected(self, rng):
         table, sets = random_instance(rng, n_pairs=2, dim=5)

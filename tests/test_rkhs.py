@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -102,6 +103,27 @@ class TestFit:
         with pytest.raises(DataError, match="rank is 2"):
             fit_kernel_model(KernelSpec("linear"), table, sets, k=5)
 
+    def test_zero_pair_gram_has_rank_zero(self):
+        # A pair of identical rows: M = 0, so no eigenvalue clears the threshold.
+        table = EmbeddingTable(words=("a", "b"), matrix=np.array([[0.6, 0.8], [0.6, 0.8]]))
+        with pytest.raises(DataError) as info:
+            fit_kernel_model(KernelSpec("linear"), table, DefiningSets(((0, 1),)))
+        assert str(info.value) == "requested 1 bias directions but centered-Gram rank is 0"
+
+    def test_all_negative_pair_gram_has_rank_zero(self, caplog):
+        # tanh(1) - 2 tanh(3) + tanh(9) = -0.229: the one eigenvalue is
+        # negative, so it is discarded and nothing is left.
+        table = EmbeddingTable(words=("a", "b"), matrix=np.array([[1.0, 0.0], [3.0, 0.0]]))
+        spec = KernelSpec("sigmoid", gamma=1.0, coef0=0.0)
+        gram = build_centered_gram(spec, table.matrix[:1], table.matrix[1:])
+        assert gram[0, 0] == pytest.approx(-0.229, abs=1e-3)
+        with caplog.at_level(logging.WARNING), pytest.raises(DataError) as info:
+            fit_kernel_model(spec, table, DefiningSets(((0, 1),)))
+        assert str(info.value) == "requested 1 bias directions but centered-Gram rank is 0"
+        assert [r.getMessage() for r in caplog.records] == [
+            "discarding 1 negative eigenvalue(s) of the centered Gram (indefinite kernel)"
+        ]
+
     def test_k_none_keeps_full_rank(self, rng):
         table, sets = random_instance(rng, n_pairs=3, dim=8)
         model = fit_kernel_model(KernelSpec("rbf", gamma=1.0), table, sets, k=None)
@@ -131,6 +153,18 @@ class TestFit:
                 found = True
                 break
         assert found
+
+
+class TestModelArrays:
+    def test_from_basis_leaves_the_callers_arrays_writable(self):
+        basis, eigenvalues = np.eye(2, 4), np.array([2.0, 1.0])
+        model = KernelBiasModel.from_basis(basis, eigenvalues)
+        assert basis.flags.writeable and eigenvalues.flags.writeable
+        assert not (model.pairs_a.flags.writeable or model.eigenvalues.flags.writeable)
+        basis[0, 0] = 5.0
+        eigenvalues[0] = 7.0
+        np.testing.assert_array_equal(model.readout(), np.eye(2, 4))
+        np.testing.assert_array_equal(model.eigenvalues, [2.0, 1.0])
 
 
 class TestBetaProjection:
